@@ -187,6 +187,9 @@ def _cell_coincidences(cell) -> Tuple[str, str]:
     name, n, m, r = cell
     try:
         outcome = verify_coincidence(_entry_by_name(name), n, m, r)
+    except ExactError as exc:
+        # An exact-layer error is a defect, not a precondition: never a skip.
+        return "fail", f"{name} at (n={n}, m={m}, r={r}): {exc}"
     except ValueError as exc:
         return "skip", str(exc)
     if outcome.status == "fail":

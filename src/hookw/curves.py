@@ -669,10 +669,8 @@ def _root_candidates(spec_c: MultiPoly, spec_l: MultiPoly, var: str):
         polys.append(p)
     if not polys:
         return None
-    roots = rational_roots(UniPoly.from_multipoly(polys[0], var))
-    for p in polys[1:]:
-        roots &= rational_roots(UniPoly.from_multipoly(p, var))
-    return roots
+    first, *rest = [UniPoly.from_multipoly(p, var) for p in polys]
+    return {x for x in rational_roots(first) if all(q.eval(x) == 0 for q in rest)}
 
 
 def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:

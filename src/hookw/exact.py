@@ -24,15 +24,19 @@ functions.
 The resultant uses a fraction-free subresultant polynomial remainder
 sequence, which keeps intermediate coefficients determinant-sized instead of
 letting naive Euclidean division blow them up.  Rational roots come from the
-rational-root theorem applied to the primitive integer form, every candidate
-verified by exact evaluation.
+squarefree part of the primitive integer form: its roots modulo the smallest
+prime that divides neither its leading coefficient nor its discriminant
+resultant are Newton-lifted p-adically past the bound on any rational root,
+and every candidate is verified by exact evaluation.  No integer is factored
+and no step is probabilistic.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import count
+from math import gcd, isqrt, lcm
 
 VARIABLES = ("psi", "psi1", "psi2", "n", "m", "r", "s")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -1353,13 +1357,28 @@ def _unipoly_int_coeffs(p):
     return cs
 
 
+def _mod_horner(cs, x, mod):
+    """Value of a dense integer coefficient list (low to high) at x, mod mod."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % mod
+    return acc
+
+
 def rational_roots(p):
     """All rational roots of a nonzero univariate polynomial.
 
-    Rational-root theorem on the primitive integer form: p/q in lowest terms
-    is a root only if p divides the constant term and q divides the leading
-    coefficient.  Every candidate is confirmed by exact evaluation, so the
-    output is exactly the set of rational roots (multiplicity ignored).
+    p-adic lifting (R. Loos, SIAM J. Comput. 12, 1983) on the primitive
+    integer form f, with the root at 0 split off.  The squarefree part
+    g = f / gcd(f, f') has the same roots.  The smallest prime p that divides
+    neither lc(g) nor Res(g, g') keeps g squarefree of full degree mod p, so
+    a rational root a/b, where b divides lc(g) and a divides g(0), reduces to
+    a simple root mod p.  Each root mod p is Newton-lifted until
+    p^k > 2*|lc(g)*g(0)|; the symmetric residue of lc(g)*x mod p^k is then
+    the integer lc(g)*a/b.  Every candidate is confirmed by exact
+    evaluation, so the output is exactly the set of rational roots
+    (multiplicity ignored).  No integer is factored and no step is
+    probabilistic.
     """
     if isinstance(p, MultiPoly):
         p = UniPoly.from_multipoly(p)
@@ -1377,151 +1396,35 @@ def rational_roots(p):
         cs = cs[k:]
     if len(cs) == 1:
         return roots
-    a0 = abs(cs[0])
-    an = abs(cs[-1])
-    n = len(cs) - 1
-    for pnum in _divisors(a0):
-        for qden in _divisors(an):
-            if gcd(pnum, qden) != 1:
-                continue
-            qpow = [1] * (n + 1)
-            for j in range(1, n + 1):
-                qpow[j] = qpow[j - 1] * qden
-            # Evaluate a0*q^n + a1*p*q^(n-1) + ... + an*p^n for both signs.
-            for sign in (1, -1):
-                pv = sign * pnum
-                acc = cs[n]
-                for j in range(n - 1, -1, -1):
-                    acc = acc * pv + cs[j] * qpow[n - j]
-                if acc == 0:
-                    roots.add(Fraction(pv, qden))
+    f = {(e,) + _ZERO_KEY[1:]: c for e, c in enumerate(cs) if c}
+    df = {(e - 1,) + _ZERO_KEY[1:]: e * c for e, c in enumerate(cs) if e and c}
+    sq = _divexact_int(f, _int_poly_gcd(f, df))
+    g = [c.get(_ZERO_KEY, 0) for c in _dense_from_dict(sq, 0)]
+    dg = [e * c for e, c in enumerate(g)][1:]
+    lc = g[-1]
+    disc = lc
+    if len(dg) > 1:
+        disc *= _resultant_int([{_ZERO_KEY: c} if c else {} for c in g],
+                               [{_ZERO_KEY: c} if c else {} for c in dg])[_ZERO_KEY]
+    # disc is nonzero, so this search ends within its number of prime factors.
+    prime = next(q for q in count(2)
+                 if disc % q and all(q % d for d in range(2, isqrt(q) + 1)))
+    bound = 2 * abs(lc * g[0])
+    for x in range(prime):
+        if _mod_horner(g, x, prime):
+            continue
+        mod = prime
+        while mod <= bound:
+            mod *= mod
+            step = _mod_horner(g, x, mod) * pow(_mod_horner(dg, x, mod), -1, mod)
+            x = (x - step) % mod
+        num = lc * x % mod
+        if 2 * num > mod:
+            num -= mod
+        candidate = Fraction(num, lc)
+        if p.eval(candidate) == 0:
+            roots.add(candidate)
     return roots
-
-
-# ---------------------------------------------------------------------------
-# Integer factorization support for the rational-root search.
-# ---------------------------------------------------------------------------
-
-_SMALL_PRIMES = [2, 3]
-for _cand in range(5, 2000, 2):
-    for _p in _SMALL_PRIMES:
-        if _p * _p > _cand:
-            _SMALL_PRIMES.append(_cand)
-            break
-        if _cand % _p == 0:
-            break
-
-# Deterministic Miller-Rabin witness set for n < 3.3e24; for larger inputs
-# the extended set makes an error astronomically unlikely.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
-
-
-def _is_probable_prime(num):
-    if num < 2:
-        return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if num == sp:
-            return True
-        if num % sp == 0:
-            return False
-    d = num - 1
-    rexp = 0
-    while d % 2 == 0:
-        d //= 2
-        rexp += 1
-    for a in _MR_BASES:
-        a %= num
-        if a in (0, 1, num - 1):
-            continue
-        x = pow(a, d, num)
-        if x in (1, num - 1):
-            continue
-        for _ in range(rexp - 1):
-            x = x * x % num
-            if x == num - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_brent(num, budget=1 << 22):
-    # Brent-cycle rho with a deterministic parameter sweep and a hard
-    # iteration budget, so a pathological semiprime raises instead of
-    # hanging the root search.
-    if num % 2 == 0:
-        return 2
-    spent = 0
-    for c in range(1, 32):
-        y, m_block = 2, 128
-        g = q = 1
-        x = ys = y
-        while g == 1 and spent < budget:
-            x = y
-            for _ in range(m_block):
-                y = (y * y + c) % num
-            k = 0
-            while k < m_block and g == 1:
-                ys = y
-                for _ in range(min(128, m_block - k)):
-                    y = (y * y + c) % num
-                    q = q * abs(x - y) % num
-                k += 128
-                g = gcd(q, num)
-            spent += 2 * m_block
-            m_block *= 2
-        if g == num:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % num
-                g = gcd(abs(x - ys), num)
-        if 1 < g < num:
-            return g
-        if spent >= budget:
-            break
-    raise ExactError("integer factorization failed for %d" % num)
-
-
-def _factorize(num):
-    """Prime factorization as {prime: exponent}; num must be positive."""
-    out = {}
-    for sp in _SMALL_PRIMES:
-        if sp * sp > num:
-            break
-        while num % sp == 0:
-            out[sp] = out.get(sp, 0) + 1
-            num //= sp
-    if num == 1:
-        return out
-    stack = [num]
-    while stack:
-        x = stack.pop()
-        if x == 1:
-            continue
-        if _is_probable_prime(x):
-            out[x] = out.get(x, 0) + 1
-            continue
-        d = _pollard_brent(x)
-        stack.append(d)
-        stack.append(x // d)
-    return out
-
-
-def _divisors(num):
-    """Sorted positive divisors of a positive integer."""
-    if num == 0:
-        raise ExactError("divisors of 0 requested")
-    divs = [1]
-    for prime, exp in _factorize(num).items():
-        grown = []
-        pk = 1
-        for _ in range(exp):
-            pk *= prime
-            grown.extend(d * pk for d in divs)
-        divs.extend(grown)
-        if len(divs) > 1 << 22:
-            raise ExactError("divisor set too large for the rational-root search")
-    return sorted(divs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 import hookw
 import hookw.cli as cli
-from hookw.exact import parse_ratfunc
+from hookw.exact import PoleError, parse_ratfunc
 
 
 def run(capsys, *argv):
@@ -320,6 +320,21 @@ class TestVerify:
         assert code == 1
         assert "fail: cell (1, 1)" in out
         assert "result: FAIL" in out
+
+    def test_exact_error_is_a_failure_not_a_skip(self, capsys, monkeypatch):
+        def pole(entry, n, m, r):
+            raise PoleError("denominator vanishes")
+
+        monkeypatch.setattr(cli, "verify_coincidence", pole)
+        code, out, _ = run(
+            capsys,
+            "verify", "coincidences", "--sweep", "n=1..1,m=1..1,r=2..2", "--json",
+        )
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["ok"] is False
+        assert (payload["passed"], payload["skipped"], payload["failed"]) == (0, 0, 48)
+        assert all("denominator vanishes" in f for f in payload["failures"])
 
     def test_worker_pool_is_deterministic(self, capsys, monkeypatch):
         argv = ["verify", "coincidences", "--sweep", "n=0..1,m=0..1,r=1..1", "--json"]

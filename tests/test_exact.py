@@ -196,6 +196,13 @@ class TestRationalRoots:
         p = p * (PSI**2 + 5)
         assert E.rational_roots(p) == set(roots)
 
+    def test_hard_semiprime_constant_term(self):
+        # A constant term with two large prime factors: any search through
+        # divisors of the coefficients has to factor it first.
+        semiprime = (2**61 - 1) * (2**89 - 1)
+        p = (PSI - 1) * (PSI**2 + semiprime)
+        assert E.rational_roots(p) == {Fraction(1)}
+
     def test_zero_polynomial_rejected(self):
         with pytest.raises(E.ExactError):
             E.rational_roots(MultiPoly.zero())

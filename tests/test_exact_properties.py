@@ -6,11 +6,13 @@ systematic defect in the remainder-sequence code cannot hide behind its own
 fixed test vectors.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hookw
 from hookw import exact as E
 from hookw.exact import MultiPoly, RatFunc, UniPoly
 
@@ -200,3 +202,43 @@ def test_resultant_nonzero_iff_no_common_root(p, q):
         sympy.Poly(_to_sympy(p, {"psi": x}), x), sympy.Poly(_to_sympy(q, {"psi": x}), x)
     )
     assert res.is_zero() == (sympy.Poly(g, x).degree() > 0)
+
+
+def _sp_ladder_eliminant(n, m, r):
+    # The psi1-resultant eliminant that intersect() builds for 2B(n, m)
+    # against the sp target at rank r.
+    rule = hookw.TARGETS["sp"]
+    a = hookw.phi_family("2B", n, m)
+    b = hookw.phi_family(rule.tag, 0, rule.m_of(r))
+    psi1, psi2 = RatFunc.var("psi1"), RatFunc.var("psi2")
+    ec = (a.c.substitute("psi", psi1) - b.c.substitute("psi", psi2)).num
+    el = (a.lam.substitute("psi", psi1) - b.lam.substitute("psi", psi2)).num
+    common = E.poly_gcd(ec, el)
+    ec, el = RatFunc(ec, common).num, RatFunc(el, common).num
+    return E.resultant(ec, el, "psi1")
+
+
+def test_ladder_eliminant_roots_match_sympy():
+    # The rungs where the eliminants have large coefficients with hard
+    # integer factorizations; each rung must also intersect within budget.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("psi2")
+    rungs = ((1, 3, 3), (2, 3, 3))
+    for n, m, r in rungs:
+        eliminant = _sp_ladder_eliminant(n, m, r)
+        _, factors = sympy.factor_list(_to_sympy(eliminant, {"psi2": x}), x)
+        theirs = set()
+        for factor, _ in factors:
+            if sympy.degree(factor, x) == 1:
+                lead, const = sympy.Poly(factor, x).all_coeffs()
+                root = -const / lead
+                theirs.add(Fraction(int(root.p), int(root.q)))
+        assert E.rational_roots(eliminant) == theirs, (n, m, r)
+    start = time.monotonic()
+    for n, m, r in rungs:
+        rule = hookw.TARGETS["sp"]
+        hookw.intersect(
+            hookw.phi_family("2B", n, m), hookw.phi_family(rule.tag, 0, rule.m_of(r))
+        )
+    elapsed = time.monotonic() - start
+    assert elapsed < 20, f"budget 20s exceeded: {elapsed:.1f}s"
