@@ -23,7 +23,8 @@ passed), 1 when a verification suite reports a failure, and 2 on usage
 or domain errors.
 
 Sweeps are single-threaded by default; set the environment variable
-``HOOKW_WORKERS`` to fan a ``verify`` sweep out over a process pool.
+``HOOKW_WORKERS`` to fan a ``verify`` sweep out over a process pool of at
+most that many workers, capped at the CPU count.
 Output ordering is deterministic either way.
 """
 
@@ -263,7 +264,7 @@ def _worker_count() -> int:
         raise ValueError(f"HOOKW_WORKERS must be a positive integer, got {raw!r}")
     if workers < 1:
         raise ValueError(f"HOOKW_WORKERS must be a positive integer, got {raw!r}")
-    return workers
+    return min(workers, os.cpu_count() or 1)
 
 
 def _run_suite(suite: str, spec: SweepSpec) -> Tuple[Dict[str, int], List[str]]:

@@ -29,6 +29,7 @@ from .exact import (
     rational_roots,
     resultant,
 )
+from .exact import _VAR_INDEX, _dcompose
 from .liedata import HookFamily
 
 __all__ = [
@@ -266,34 +267,12 @@ def _coerce_param(value):
 _TEMP_VARS = ("psi1", "psi2", "s")
 
 
-def _subst_scalars(expr: RatFunc, scalars: dict) -> RatFunc:
-    """Substitute scalar values one variable at a time, in a viable order.
-
-    On a slice where the denominator vanishes identically, the curve is
-    the limit along the remaining parameters: canonical cancellation after
-    an earlier substitution removes the offending factor, so the orders
-    are tried until one goes through.
-    """
-    from itertools import permutations
-
-    last = None
-    for order in permutations(scalars):
-        result = expr
-        try:
-            for var in order:
-                result = result.substitute(var, scalars[var])
-            return result
-        except ZeroDenominatorError as exc:
-            last = exc
-    raise ZeroDenominatorError(
-        "curve degenerates at this parameter slice in every substitution order"
-    ) from last
-
-
 def _subst_simultaneous(expr: RatFunc, mapping: dict) -> RatFunc:
     """Substitute several variables at once, without capture.
 
-    Scalar values commute with everything and are substituted directly.
+    Scalar values commute with everything and are specialized first, in one
+    pass; ZeroDenominatorError marks a slice where the denominator then
+    vanishes identically.
     Symbolic values (which may mention the very variables being replaced,
     as in an n <-> m swap) are routed through unused temporary variables.
     """
@@ -307,7 +286,7 @@ def _subst_simultaneous(expr: RatFunc, mapping: dict) -> RatFunc:
         else:
             scalars[var] = value
     if scalars:
-        expr = _subst_scalars(expr, scalars)
+        expr = expr.specialize(scalars)
     if not symbolic:
         return expr
     if len(symbolic) > len(_TEMP_VARS):
@@ -553,27 +532,10 @@ def compose_cleared(rf: RatFunc, psi_value: RatFunc) -> Tuple[MultiPoly, MultiPo
     checks without them.  The denominator entry is identically zero
     exactly when the composition is a pole.
     """
-    p_num, p_den = psi_value.num, psi_value.den
-    deg_num = rf.num.degree("psi")
-    deg_den = rf.den.degree("psi")
-
-    def cleared(poly: MultiPoly, deg: int) -> MultiPoly:
-        # poly(psi := p_num/p_den) * p_den**deg, by Horner.
-        acc = poly.coefficient_of("psi", deg)
-        q_pow = MultiPoly.one()
-        for k in range(deg - 1, -1, -1):
-            q_pow = q_pow * p_den
-            acc = acc * p_num + poly.coefficient_of("psi", k) * q_pow
-        return acc
-
-    num_star = cleared(rf.num, deg_num)
-    den_star = cleared(rf.den, deg_den)
-    # Restore the common clearing power so num/den is the composed value.
-    if deg_den > deg_num:
-        num_star = num_star * p_den ** (deg_den - deg_num)
-    elif deg_num > deg_den:
-        den_star = den_star * p_den ** (deg_num - deg_den)
-    return num_star, den_star
+    num_star, den_star = _dcompose(
+        rf.num._d, rf.den._d, _VAR_INDEX["psi"], psi_value.num._d, psi_value.den._d
+    )
+    return MultiPoly._raw(num_star), MultiPoly._raw(den_star)
 
 
 def _composed_equals(rf: RatFunc, psi_value: RatFunc, target: RatFunc) -> bool:
@@ -590,7 +552,8 @@ def known_point_2B_sp(n, m, r) -> CurvePoint:
     Returns the printed (c, lambda), after asserting that the 2B curve at
     psi* = (1 + 2m - 2n) / (2 (1 + 2m + 2r)) actually passes through it.
     Arguments may be numeric or symbolic; with all three symbolic the
-    assertion is a trivariate identity.
+    assertion is a trivariate identity.  Numeric arguments at which a
+    printed denominator of the point vanishes raise ZeroDenominatorError.
     """
     n = _coerce_param(n)
     m = _coerce_param(m)
@@ -673,6 +636,23 @@ def _root_candidates(spec_c: MultiPoly, spec_l: MultiPoly, var: str):
     return {x for x in rational_roots(first) if all(q.eval(x) == 0 for q in rest)}
 
 
+def _in_var(poly: MultiPoly, var: str) -> MultiPoly:
+    """A polynomial in psi alone, rewritten in var by moving exponent slots."""
+    return UniPoly(var, UniPoly.from_multipoly(poly, "psi").coeffs).to_multipoly()
+
+
+def _cross_difference(f: RatFunc, g: RatFunc) -> MultiPoly:
+    """Numerator of f(psi1) - g(psi2) up to a nonzero constant factor.
+
+    The two denominators live in disjoint variables, so the cross-multiplied
+    numerator shares no factor with their product and needs no gcd; the
+    constant is irrelevant to every zero set computed from it.
+    """
+    n1, d1 = _in_var(f.num, "psi1"), _in_var(f.den, "psi1")
+    n2, d2 = _in_var(g.num, "psi2"), _in_var(g.den, "psi2")
+    return n1 * d2 - n2 * d1
+
+
 def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
     """All rational points where curve A meets curve B.
 
@@ -696,13 +676,8 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
         both = A.lam is None and B.lam is None
         same = both and (A.c - B.c).num.is_zero()
         return IntersectionReport(points=(), identity_component=same, residual_degree=0)
-    c1 = A.c.substitute("psi", RatFunc.var("psi1"))
-    l1 = A.lam.substitute("psi", RatFunc.var("psi1"))
-    c2 = B.c.substitute("psi", RatFunc.var("psi2"))
-    l2 = B.lam.substitute("psi", RatFunc.var("psi2"))
-
-    ec = (c1 - c2).num
-    el = (l1 - l2).num
+    ec = _cross_difference(A.c, B.c)
+    el = _cross_difference(A.lam, B.lam)
 
     identity = False
     if ec.is_zero() and el.is_zero():

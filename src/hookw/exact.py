@@ -29,6 +29,13 @@ prime that divides neither its leading coefficient nor its discriminant
 resultant are Newton-lifted p-adically past the bound on any rational root,
 and every candidate is verified by exact evaluation.  No integer is factored
 and no step is probabilistic.
+
+Evaluation runs over the integers.  Each polynomial builds its integer form
+once, on first use: a common denominator, the occurring variables with
+their degrees, and integer terms.  A value p/q of a variable of degree d
+enters term x^e as p^e * q^(d - e), so an evaluation multiplies integers
+only and builds one Fraction at the end.  Specializing several variables
+at scalars takes the same route, term by term, and canonicalizes once.
 """
 
 from __future__ import annotations
@@ -197,7 +204,7 @@ def _dto_int(a):
         if isinstance(c, Fraction):
             den = lcm(den, c.denominator)
     if den == 1:
-        return {k: int(c) for k, c in a.items()}, 1
+        return {k: c.numerator for k, c in a.items()}, 1
     return {k: int(c * den) for k, c in a.items()}, den
 
 
@@ -302,6 +309,90 @@ def _dsubst_one(a, idx, num, den):
         if coeff:
             acc = _dadd(acc, _dmul(coeff, _dpow(den, d - e)))
     return acc, d
+
+
+def _dcompose(num, den, idx, a, b):
+    """Cleared composition of the quotient num/den with variable idx -> a/b.
+
+    Returns uncanonicalized (num', den') with num'/den' the composed value:
+    both sides are cleared by the same power of b.  den' is empty exactly
+    when the composition makes the denominator vanish identically.
+    """
+    nn, dn = _dsubst_one(num, idx, a, b)
+    dd, dd_deg = _dsubst_one(den, idx, a, b)
+    if dn < dd_deg:
+        nn = _dmul(nn, _dpow(b, dd_deg - dn))
+    elif dd_deg < dn:
+        dd = _dmul(dd, _dpow(b, dn - dd_deg))
+    return nn, dd
+
+
+def _homogenized_powers(value, d):
+    """[p**e * q**(d - e) for e in 0..d], where value == p/q in lowest terms.
+
+    Dividing by q**d turns each entry into value**e, so a polynomial of
+    degree at most d in the variable is evaluated over the integers.
+    """
+    p, q = value.numerator, value.denominator
+    table = [1] * (d + 1)
+    for e in range(1, d + 1):
+        table[e] = table[e - 1] * p
+    if q != 1:
+        qe = 1
+        for e in range(d - 1, -1, -1):
+            qe *= q
+            table[e] *= qe
+    return table
+
+
+def _dspecialize(a, values):
+    """Substitute scalars {index: Fraction} into dict a in one pass.
+
+    Returns (int dict, scale) with a(values) == dict / scale and scale a
+    positive int; the substituted slots of every key are zeroed.
+    """
+    ints, scale = _dto_int(a)
+    tables = []
+    for i, v in values.items():
+        d = _ddeg_var(ints, i)
+        if d > 0:
+            tables.append((i, _homogenized_powers(v, d)))
+            scale *= v.denominator**d
+    out = {}
+    for k, c in ints.items():
+        key = list(k)
+        for i, table in tables:
+            c *= table[k[i]]
+            key[i] = 0
+        key = tuple(key)
+        prev = out.get(key)
+        out[key] = c if prev is None else prev + c
+    return {k: c for k, c in out.items() if c}, scale
+
+
+def _int_form_value(form, vals):
+    """(top, bottom) with top / bottom the value of an integer form.
+
+    ``form`` is ``MultiPoly._int_form()``; ``vals`` maps each of its
+    variable indices to a Fraction.  bottom is a positive int.
+    """
+    bottom, idxs, degrees, coeffs, exps = form
+    tables = []
+    for i, d in zip(idxs, degrees):
+        v = vals[i]
+        tables.append(_homogenized_powers(v, d))
+        bottom *= v.denominator**d
+    total = 0
+    if len(tables) == 1:
+        (table,) = tables
+        for c, e in zip(coeffs, exps):
+            total += c * table[e]
+    else:
+        for c, es in zip(coeffs, exps):
+            for table, e in zip(tables, es):
+                c *= table[e]
+            total += c
+    return total, bottom
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +751,7 @@ class MultiPoly:
     arithmetic, substitution, evaluation, and the canonical text form.
     """
 
-    __slots__ = ("_d", "_hash")
+    __slots__ = ("_d", "_hash", "_int")
 
     def __init__(self, terms=None):
         d = {}
@@ -686,12 +777,14 @@ class MultiPoly:
                         del d[key]
         object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_int", None)
 
     @classmethod
     def _raw(cls, d):
         self = cls.__new__(cls)
         object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_int", None)
         return self
 
     def __setattr__(self, *args):
@@ -844,31 +937,41 @@ class MultiPoly:
         res, _ = _dsubst_one(self._d, i, value._d, {_ZERO_KEY: Fraction(1)})
         return MultiPoly._raw(res)
 
+    def _int_form(self):
+        """(den, idxs, degrees, coeffs, exps), built once: the integer form.
+
+        ``idxs`` are the occurring variable indices in universe order and
+        ``degrees`` their maximum exponents.  Term j is ``coeffs[j]`` times
+        the power product ``exps[j]``: a tuple of exponents at idxs, or the
+        bare exponent when one variable occurs, as in every specialized
+        curve.  self is the sum of the terms over den.
+        """
+        form = self._int
+        if form is None:
+            ints, den = _dto_int(self._d)
+            idxs = tuple(sorted(_dvars(ints)))
+            if len(idxs) == 1:
+                (i,) = idxs
+                exps = tuple(k[i] for k in ints)
+            else:
+                exps = tuple(tuple(k[i] for i in idxs) for k in ints)
+            degrees = tuple(_ddeg_var(ints, i) for i in idxs)
+            form = (den, idxs, degrees, tuple(ints.values()), exps)
+            object.__setattr__(self, "_int", form)
+        return form
+
     def eval(self, assignment):
         """Exact value at a full assignment of the occurring variables."""
         vals = {}
         for name, v in assignment.items():
             vals[_check_var(name)] = _coerce_fraction(v)
-        need = _dvars(self._d)
-        missing = [VARIABLES[i] for i in sorted(need) if i not in vals]
+        form = self._int_form()
+        missing = [VARIABLES[i] for i in form[1] if i not in vals]
         if missing:
             raise MissingVariableError(
                 "no value for variable(s): %s" % ", ".join(missing)
             )
-        total = Fraction(0)
-        cache = {}
-        for k, c in self._d.items():
-            term = c
-            for i in need:
-                e = k[i]
-                if e:
-                    p = cache.get((i, e))
-                    if p is None:
-                        p = vals[i] ** e
-                        cache[(i, e)] = p
-                    term *= p
-            total += term
-        return total
+        return Fraction(*_int_form_value(form, vals))
 
     # -- text ----------------------------------------------------------------
 
@@ -1094,36 +1197,53 @@ class RatFunc:
             value = RatFunc._raw_canonical(value._d, {_ZERO_KEY: Fraction(1)})
         if not isinstance(value, RatFunc):
             raise ExactError("substitute needs a RatFunc, MultiPoly, or scalar")
-        a, b = value.num._d, value.den._d
-        nn, dn = _dsubst_one(self.num._d, i, a, b)
-        dd, dd_deg = _dsubst_one(self.den._d, i, a, b)
-        # Equalize the cleared powers of the substitution denominator.
-        if dn < dd_deg:
-            nn = _dmul(nn, _dpow(b, dd_deg - dn))
-        elif dd_deg < dn:
-            dd = _dmul(dd, _dpow(b, dn - dd_deg))
+        nn, dd = _dcompose(self.num._d, self.den._d, i, value.num._d, value.den._d)
         if not dd:
             raise ZeroDenominatorError(
                 "composition makes the denominator vanish identically"
             )
         return RatFunc(MultiPoly._raw(nn), MultiPoly._raw(dd))
 
+    def specialize(self, assignment):
+        """Substitute exact scalars for several variables in one pass.
+
+        Every term is specialized at once and the quotient is canonicalized
+        once at the end.  Raises ZeroDenominatorError when the specialized
+        denominator vanishes identically.
+        """
+        vals = {}
+        for name, v in assignment.items():
+            vals[_check_var(name)] = _coerce_fraction(v)
+        num, num_scale = _dspecialize(self.num._d, vals)
+        den, den_scale = _dspecialize(self.den._d, vals)
+        if not den:
+            raise ZeroDenominatorError(
+                "specialization makes the denominator vanish identically"
+            )
+        return RatFunc._raw_canonical(*_ratfunc_canonical(
+            {k: c * den_scale for k, c in num.items()},
+            {k: c * num_scale for k, c in den.items()},
+        ))
+
     def eval(self, assignment):
         """Exact value; pole and missing-variable failures are distinct."""
         vals = {}
         for name, v in assignment.items():
             vals[name] = _coerce_fraction(v)
-        need = self.variables()
-        missing = sorted(need - set(vals), key=lambda nm: _VAR_INDEX[nm])
+        num_form = self.num._int_form()
+        den_form = self.den._int_form()
+        need = num_form[1] + den_form[1]
+        missing = sorted({i for i in need if VARIABLES[i] not in vals})
         if missing:
             raise MissingVariableError(
-                "no value for variable(s): %s" % ", ".join(missing)
+                "no value for variable(s): %s" % ", ".join(VARIABLES[i] for i in missing)
             )
-        den = self.den.eval({k: v for k, v in vals.items() if k in self.den.variables()})
-        if den == 0:
+        at = {i: vals[VARIABLES[i]] for i in need}
+        den_top, den_bottom = _int_form_value(den_form, at)
+        if not den_top:
             raise PoleError("denominator vanishes at the given point")
-        num = self.num.eval({k: v for k, v in vals.items() if k in self.num.variables()})
-        return num / den
+        num_top, num_bottom = _int_form_value(num_form, at)
+        return Fraction(num_top * den_bottom, num_bottom * den_top)
 
     # -- text ------------------------------------------------------------------
 

@@ -345,6 +345,19 @@ class TestVerify:
         assert code == 0
         assert pooled == serial
 
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        # Checked through _worker_count alone, so no process is started.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("HOOKW_WORKERS", "100000")
+        assert cli._worker_count() == 3
+        monkeypatch.setenv("HOOKW_WORKERS", "2")
+        assert cli._worker_count() == 2
+        monkeypatch.delenv("HOOKW_WORKERS")
+        assert cli._worker_count() == 1
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        monkeypatch.setenv("HOOKW_WORKERS", "4")
+        assert cli._worker_count() == 1
+
     def test_bad_worker_count(self, capsys, monkeypatch):
         monkeypatch.setenv("HOOKW_WORKERS", "junk")
         code, _, err = run(capsys, "verify", "trialities", "--sweep", "n=1..1,m=1..1")

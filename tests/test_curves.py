@@ -4,7 +4,13 @@ import pytest
 
 from hookw import curves as C
 from hookw import liedata as L
-from hookw.exact import RatFunc, ZeroDenominatorError, parse_ratfunc
+from hookw.exact import (
+    RatFunc,
+    ZeroDenominatorError,
+    parse_ratfunc,
+    rational_roots,
+    resultant,
+)
 
 
 F = Fraction
@@ -91,6 +97,33 @@ class TestOrbifoldSlices:
                         none_set.add((tag, n, m))
         assert none_set == {("1B", 0, 0), ("1O", 0, 0), ("2D", 1, 0)}
 
+    def test_lambda_denominator_vanishes_at_three_points_only(self):
+        # phi_2B specializes (n, m) into the master lambda in one pass, so
+        # lambda is None exactly where every psi-coefficient of the master
+        # denominator vanishes.  The lowest and highest coefficients are
+        # coprime, so their resultant in m is nonzero and every such n is
+        # among its roots.
+        den = C._master_2B()[1].den
+        coeffs = [den.coefficient_of("psi", k) for k in range(den.degree("psi") + 1)]
+        eliminant = resultant(coeffs[0], coeffs[-1], "m")
+        assert not eliminant.is_zero()
+        zeros = set()
+        for n in rational_roots(eliminant):
+            at_n = [c for c in (c.substitute("n", n) for c in coeffs) if not c.is_zero()]
+            assert at_n, f"the denominator vanishes on the whole line n = {n}"
+            if at_n[0].is_const():
+                continue
+            zeros |= {
+                (n, m)
+                for m in rational_roots(at_n[0])
+                if all(c.eval({"m": m}) == 0 for c in at_n)
+            }
+        assert zeros == {(F(-1, 2), F(-1, 2)), (F(0), F(1, 2)), (F(1, 2), F(0))}
+        grid_n = [F(k, 2) for k in range(-2, 9)]
+        grid_m = [F(k, 2) for k in range(-2, 11)]
+        none_set = {(n, m) for n in grid_n for m in grid_m if C.phi_2B(n, m).lam is None}
+        assert none_set == zeros
+
     def test_constant_charge_one(self):
         for tag, n, m in (("1B", 0, 0), ("1O", 0, 0), ("2D", 1, 0)):
             assert C.phi(fam(tag, n, m)).c == RatFunc.const(F(1))
@@ -167,6 +200,13 @@ class TestKnownPoint:
     def test_111_value(self):
         pt = C.known_point_2B_sp(1, 1, 1)
         assert pt.c == RatFunc.const(F(-7, 20))
+
+    def test_vanishing_printed_denominator_raises(self):
+        # n + r = 0 zeroes the printed charge denominator 2(n + r)(1 + 2m + 2r);
+        # the point is specialized in one pass, so no limit is taken.
+        for n, m, r in ((0, 0, 0), (0, 1, 0), (1, 2, -1)):
+            with pytest.raises(ZeroDenominatorError):
+                C.known_point_2B_sp(n, m, r)
 
     def test_trivariate_identity(self):
         pt = C.known_point_2B_sp(N, M, R)

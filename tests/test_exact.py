@@ -106,6 +106,17 @@ class TestSubstitute:
         with pytest.raises(E.UnknownVariableError):
             P.substitute("zeta", P)
 
+    def test_specialize_takes_no_limit(self):
+        # r/(n + r) at n = r = 0: one variable at a time would cancel r and
+        # reach 1; the one-pass specialization reports the vanishing
+        # denominator instead.
+        f = RatFunc(MultiPoly.var("r"), N + MultiPoly.var("r"))
+        assert f.substitute("n", 0).substitute("r", 0) == 1
+        with pytest.raises(E.ZeroDenominatorError):
+            f.specialize({"n": 0, "r": 0})
+        assert f.specialize({"n": 1, "r": Fraction(1, 2)}) == Fraction(1, 3)
+        assert f.specialize({"n": 2}) == RatFunc(MultiPoly.var("r"), MultiPoly.var("r") + 2)
+
 
 class TestEval:
     def test_simple(self):

@@ -95,6 +95,26 @@ def test_eval_substitute_consistency(f, g, x, y):
     assert lhs == rhs
 
 
+@settings(max_examples=60, deadline=None)
+@given(ratfuncs(), small_fractions, small_fractions)
+def test_specialize_matches_stepwise_substitution(f, x, y):
+    # One variable: the same slice vanishes either way.
+    try:
+        stepwise = f.substitute("n", y)
+    except E.ZeroDenominatorError:
+        with pytest.raises(E.ZeroDenominatorError):
+            f.specialize({"n": y})
+    else:
+        assert f.specialize({"n": y}) == stepwise
+    # Two variables at once: where the one-pass result exists, it is the
+    # value that substituting one at a time reaches.
+    try:
+        direct = f.specialize({"psi": x, "n": y})
+    except E.ZeroDenominatorError:
+        return
+    assert direct == f.substitute("psi", x).substitute("n", y)
+
+
 @settings(max_examples=40, deadline=None)
 @given(ratfuncs())
 def test_text_round_trip(f):
@@ -242,3 +262,104 @@ def test_ladder_eliminant_roots_match_sympy():
         )
     elapsed = time.monotonic() - start
     assert elapsed < 20, f"budget 20s exceeded: {elapsed:.1f}s"
+
+
+# ---------------------------------------------------------------------------
+# Evaluation against a term-by-term Fraction reference.
+# ---------------------------------------------------------------------------
+
+eval_values = st.builds(
+    Fraction,
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=1, max_value=30),
+)
+
+
+@st.composite
+def sparse_polys(draw, zero_ok=True):
+    names = draw(st.lists(st.sampled_from(E.VARIABLES), max_size=3, unique=True))
+    return draw(polys(vars=tuple(names), max_terms=6, max_exp=5, zero_ok=zero_ok))
+
+
+@st.composite
+def assignments(draw):
+    """Values for a random subset of the universe, in a random order."""
+    names = draw(st.permutations(E.VARIABLES))
+    keep = draw(st.lists(st.booleans(), min_size=len(names), max_size=len(names)))
+    return {name: draw(eval_values) for name, k in zip(names, keep) if k}
+
+
+def _reference_value(p, vals):
+    total = Fraction(0)
+    for mono, coeff in p.terms():
+        term = coeff
+        for name, exp in mono.exponents().items():
+            term *= vals[name] ** exp
+        total += term
+    return total
+
+
+def _missing(f, vals):
+    return [v for v in E.VARIABLES if v in f.variables() and v not in vals]
+
+
+def _missing_text(names):
+    return "no value for variable(s): %s" % ", ".join(names)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_polys(), assignments())
+def test_multipoly_eval_matches_reference(p, vals):
+    missing = _missing(p, vals)
+    if missing:
+        with pytest.raises(E.MissingVariableError) as info:
+            p.eval(vals)
+        assert str(info.value) == _missing_text(missing)
+    else:
+        value = p.eval(vals)
+        assert type(value) is Fraction
+        assert value == _reference_value(p, vals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_polys(), sparse_polys(zero_ok=False), assignments())
+def test_ratfunc_eval_matches_reference(num, den, vals):
+    if den.is_zero():
+        den = MultiPoly.one()
+    f = RatFunc(num, den)
+    missing = _missing(f, vals)
+    if missing:
+        with pytest.raises(E.MissingVariableError) as info:
+            f.eval(vals)
+        assert str(info.value) == _missing_text(missing)
+        return
+    den_value = _reference_value(f.den, vals)
+    if den_value == 0:
+        with pytest.raises(E.PoleError):
+            f.eval(vals)
+    else:
+        assert f.eval(vals) == _reference_value(f.num, vals) / den_value
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_polys(), assignments(), st.sampled_from([0.5, 2.0, "1/2", None]))
+def test_eval_rejects_non_exact_values_first(p, vals, bad):
+    # A non-exact value is refused before any missing variable is reported,
+    # by MultiPoly.eval and RatFunc.eval alike.
+    vals = dict(vals, psi=bad)
+    for f in (p, RatFunc(p)):
+        with pytest.raises(E.ExactError) as info:
+            f.eval(vals)
+        assert type(info.value) is E.ExactError
+
+
+def test_eval_unknown_variable_handling():
+    p = MultiPoly.var("psi") + 1
+    # MultiPoly.eval checks every name, in assignment order, before values.
+    with pytest.raises(E.UnknownVariableError):
+        p.eval({"zeta": 1, "psi": 0.5})
+    with pytest.raises(E.ExactError) as info:
+        p.eval({"psi": 0.5, "zeta": 1})
+    assert type(info.value) is E.ExactError
+    # RatFunc.eval ignores names it does not need, known or not.
+    assert RatFunc(p).eval({"psi": 1, "zeta": 7}) == 2
