@@ -433,8 +433,8 @@ def verify_coincidence(entry: CoincidenceEntry, n, m, r) -> CoincidenceOutcome:
     src = _curve_at(entry.source, Fraction(n), Fraction(m))
     tgt = _curve_at(rule.tag, Fraction(0), m_t)
     try:
-        sv = (src.c.eval({"psi": psi1}), src.lam.eval({"psi": psi1}))
-        tv = (tgt.c.eval({"psi": psi2}), tgt.lam.eval({"psi": psi2}))
+        sv = src.values(psi1)
+        tv = tgt.values(psi2)
     except PoleError:
         # The canonical denominators divide the printed ones, so this
         # is unreachable unless a curve degenerates; report, not crash.

@@ -22,6 +22,11 @@ on stdout.  Exit status is 0 on success (for ``verify``: all checks
 passed), 1 when a verification suite reports a failure, and 2 on usage
 or domain errors.
 
+Every option that sizes a loop is capped, as ``verify --max-cells`` caps a
+sweep: ``rational-points --r`` at an upper end of 1000 and ``--pq-bound``
+at 100, ``gt-factors --n`` and ``--k`` at 1000, ``sing --rank`` at 200 and
+``--u``/``--v`` at 10**6.  A larger value is a usage error (exit 2).
+
 Sweeps are single-threaded by default; set the environment variable
 ``HOOKW_WORKERS`` to fan a ``verify`` sweep out over a process pool of at
 most that many workers, capped at the CPU count.
@@ -545,11 +550,32 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+# Largest upper end of the rational-points --r range.
+_R_CAP = 1000
+
+
 def _span_arg(text: str) -> Tuple[int, int]:
     try:
-        return _parse_span(text)
+        lo, hi = _parse_span(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if hi > _R_CAP:
+        raise argparse.ArgumentTypeError(f"upper end at most {_R_CAP}, got {hi}")
+    return lo, hi
+
+
+def _capped_int(cap: int):
+    """An argparse int type that rejects values above cap."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"at most {cap}, got {value}")
+        return value
+
+    # argparse names the type in its message for a non-integer value.
+    parse.__name__ = "int"
+    return parse
 
 
 def _add_family_flags(sub) -> None:
@@ -599,9 +625,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("affine", "principal"),
         help="affine vacuum module or principal W-algebra",
     )
-    p.add_argument("--rank", required=True, type=int)
-    p.add_argument("--u", required=True, type=int)
-    p.add_argument("--v", required=True, type=int)
+    p.add_argument("--rank", required=True, type=_capped_int(200), help="rank (at most 200)")
+    p.add_argument("--u", required=True, type=_capped_int(10**6), help="at most 10**6")
+    p.add_argument("--v", required=True, type=_capped_int(10**6), help="at most 10**6")
     _add_json_flag(p)
     p.set_defaults(func=_cmd_sing)
 
@@ -632,9 +658,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--r",
         type=_span_arg,
         default=(1, 4),
-        help="rank range for r-indexed statements, e.g. 1..3 (default 1..4)",
+        help="rank range for r-indexed statements, e.g. 1..3 (default 1..4, at most 1000)",
     )
-    p.add_argument("--pq-bound", type=int, default=12, help="numerator/denominator bound")
+    p.add_argument(
+        "--pq-bound",
+        type=_capped_int(100),
+        default=12,
+        help="numerator/denominator bound (at most 100)",
+    )
     p.add_argument(
         "--include-conjectural",
         action="store_true",
@@ -645,8 +676,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gt-factors", help="Gelfand-Tsetlin chain factors")
     p.add_argument("--series", required=True, choices=("B", "C", "D"))
-    p.add_argument("--n", required=True, type=int, help="chain length parameter")
-    p.add_argument("--k", required=True, type=int, help="level parameter")
+    p.add_argument(
+        "--n", required=True, type=_capped_int(1000), help="chain length parameter (at most 1000)"
+    )
+    p.add_argument(
+        "--k", required=True, type=_capped_int(1000), help="level parameter (at most 1000)"
+    )
     _add_json_flag(p)
     p.set_defaults(func=_cmd_gt_factors)
 

@@ -10,6 +10,13 @@ intersection points of two curves by resultant elimination.
 
 All arithmetic is exact; the master-curve polynomials are entered once,
 verbatim, and guarded by value checks in the test suite.
+
+Data that depends only on (family, n, m) is built once and reused for
+every psi.  A numeric curve is specialized in one pass and composed with
+the degree-one psi maps without a gcd; ``TruncationCurve.values``
+evaluates its four integer forms against one table of powers of psi.
+The generic-domain check looks psi up in the set of excluded values,
+built from the rational roots of the specialized denominator factors.
 """
 
 from __future__ import annotations
@@ -29,7 +36,15 @@ from .exact import (
     rational_roots,
     resultant,
 )
-from .exact import _VAR_INDEX, _dcompose
+from .exact import (
+    _VAR_INDEX,
+    _coerce_fraction,
+    _dcompose,
+    _dspecialize,
+    _homogenized_powers,
+    _int_form_dot,
+    _ratfunc_canonical,
+)
 from .liedata import HookFamily
 
 __all__ = [
@@ -80,6 +95,31 @@ class TruncationCurve:
     lam: Optional[RatFunc]
     source: str
     symbols: Tuple[str, ...]
+
+    def values(self, psi) -> Tuple[Fraction, Fraction]:
+        """(c, lambda) at a rational psi on a fully numeric curve.
+
+        The integer forms of the four polynomials, cached on them, are
+        summed over one table of homogenized powers of psi.  Raises
+        PoleError where either denominator vanishes, and everywhere when
+        ``lam`` is None.
+        """
+        if self.symbols:
+            raise ValueError(f"curve has residual symbols {self.symbols}")
+        if self.lam is None:
+            raise PoleError("lambda has no finite value on this slice")
+        forms = [
+            p._int_form()
+            for p in (self.c.num, self.c.den, self.lam.num, self.lam.den)
+        ]
+        degree = max(f[2][0] if f[1] else 0 for f in forms)
+        table = _homogenized_powers(_coerce_fraction(psi), degree)
+        cn, cd, ln, ld = [_int_form_dot(f, table) for f in forms]
+        if not cd or not ld:
+            raise PoleError("denominator vanishes at the given point")
+        # Canonical quotients have integer coefficients, so each sum is
+        # q**degree times its polynomial's value and the q powers cancel.
+        return Fraction(cn, cd), Fraction(ln, ld)
 
 
 @dataclass(frozen=True)
@@ -231,31 +271,57 @@ _INNER_COORDS = {
 }
 
 
+def _excluded_psi(tag: str, n: Fraction, m: Fraction):
+    """The psi at which a printed denominator of tag(n, m) vanishes.
+
+    A frozenset, or None when a factor vanishes for every psi.  Built once
+    per (tag, n, m): each master factor is specialized at the inner (n, m)
+    and its rational roots in the inner psi are mapped back to the family's
+    psi.  A polynomial with rational coefficients vanishes at a rational
+    point exactly when that point is one of its rational roots.
+    """
+    key = ("excluded", tag, n, m)
+    try:
+        return _MASTER_CACHE[key]
+    except KeyError:
+        pass
+    dn, dm, inverts, m_shift, scale = _INNER_COORDS[tag]
+    inner = {
+        _VAR_INDEX["n"]: n + dn,
+        _VAR_INDEX["m"]: m + dm + (n if m_shift == "n" else 0),
+    }
+    # An inverting route sends psi to scale / psi, so psi = 0 is excluded.
+    excluded = {Fraction(0)} if inverts else set()
+    for factor in _master_domain_factors():
+        spec, _ = _dspecialize(factor._d, inner)
+        if not spec:
+            excluded = None
+            break
+        for root in rational_roots(UniPoly.from_multipoly(MultiPoly._raw(spec), "psi")):
+            if not inverts:
+                excluded.add(root / scale)
+            elif root:
+                excluded.add(scale / root)
+    if excluded is not None:
+        excluded = frozenset(excluded)
+    _MASTER_CACHE[key] = excluded
+    return excluded
+
+
 def on_generic_domain(fam_or_tag, n, m, psi) -> bool:
     """Whether (n, m, psi) avoids every printed denominator of the curve.
 
     The c and lambda formulas are quotients of polynomials; specializing a
     symbolic identity to a point is legitimate only where neither side's
     denominator vanishes.  On the excluded loci the curve is defined as a
-    limit and individual printed values carry no content.
+    limit and individual printed values carry no content.  The check is a
+    lookup in the excluded psi of (tag, n, m), see ``_excluded_psi``.
     """
     tag = getattr(fam_or_tag, "tag", fam_or_tag)
     if tag not in _INNER_COORDS:
         raise ValueError("unknown family tag %r" % (tag,))
-    n = Fraction(n)
-    m = Fraction(m)
-    psi = Fraction(psi)
-    dn, dm, inverts, m_shift, scale = _INNER_COORDS[tag]
-    if inverts:
-        if psi == 0:
-            return False
-        psi_in = scale / psi
-    else:
-        psi_in = scale * psi
-    n_in = n + dn
-    m_in = m + dm + (n if m_shift == "n" else 0)
-    point = {"psi": psi_in, "n": n_in, "m": m_in}
-    return all(f.eval(point) != 0 for f in _master_domain_factors())
+    excluded = _excluded_psi(tag, Fraction(n), Fraction(m))
+    return excluded is not None and Fraction(psi) not in excluded
 
 
 def _coerce_param(value):
@@ -340,11 +406,27 @@ def phi_2B(n, m) -> TruncationCurve:
 
 
 def _compose_psi(curve: TruncationCurve, w: RatFunc, source: str) -> TruncationCurve:
-    lam = None if curve.lam is None else curve.lam.substitute("psi", w)
-    return _curve(curve.c.substitute("psi", w), lam, source)
+    """curve o w for w = (a psi + b)/(c psi + d), constants with ad - bc != 0.
+
+    Composing a canonical quotient with such a map keeps it coprime, so
+    the cleared pair is canonicalized without a gcd (``_ratfunc_canonical``
+    has the proof).
+    """
+    rows = [UniPoly.from_multipoly(p, "psi").coeffs + (0, 0) for p in (w.num, w.den)]
+    (b, a, *num_high), (d, c, *den_high) = rows
+    if any(num_high) or any(den_high) or a * d == b * c:
+        raise ValueError(f"not an invertible degree-one map: {w.to_text()}")
+
+    def compose(rf: RatFunc) -> RatFunc:
+        num, den = _dcompose(rf.num._d, rf.den._d, _PSI, w.num._d, w.den._d)
+        return RatFunc._raw_canonical(*_ratfunc_canonical(num, den, coprime=True))
+
+    lam = None if curve.lam is None else compose(curve.lam)
+    return _curve(compose(curve.c), lam, source)
 
 
 _HALF = Fraction(1, 2)
+_PSI = _VAR_INDEX["psi"]
 
 
 def phi_family(tag: str, n, m) -> TruncationCurve:
@@ -614,11 +696,9 @@ def _deflate(poly: UniPoly, root: Fraction) -> Tuple[UniPoly, int]:
 def _curve_value(curve: TruncationCurve, psi: Fraction):
     """(c, lambda) at psi, or None at a pole of either component."""
     try:
-        c = curve.c.eval({"psi": psi})
-        lam = curve.lam.eval({"psi": psi})
+        return curve.values(psi)
     except PoleError:
         return None
-    return c, lam
 
 
 def _root_candidates(spec_c: MultiPoly, spec_l: MultiPoly, var: str):

@@ -382,17 +382,29 @@ def _int_form_value(form, vals):
         v = vals[i]
         tables.append(_homogenized_powers(v, d))
         bottom *= v.denominator**d
-    total = 0
     if len(tables) == 1:
-        (table,) = tables
-        for c, e in zip(coeffs, exps):
-            total += c * table[e]
-    else:
-        for c, es in zip(coeffs, exps):
-            for table, e in zip(tables, es):
-                c *= table[e]
-            total += c
+        return _int_form_dot(form, tables[0]), bottom
+    total = 0
+    for c, es in zip(coeffs, exps):
+        for table, e in zip(tables, es):
+            c *= table[e]
+        total += c
     return total, bottom
+
+
+def _int_form_dot(form, table):
+    """The terms of an integer form in at most one variable, summed over table.
+
+    ``table`` is ``_homogenized_powers(v, D)`` for a D at least the form's
+    degree; the sum is then den * q**D times the form's value at v == p/q.
+    """
+    _, idxs, _, coeffs, exps = form
+    if not idxs:
+        return sum(coeffs) * table[0]
+    total = 0
+    for c, e in zip(coeffs, exps):
+        total += c * table[e]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -1278,18 +1290,37 @@ def _is_atomic_text(poly):
     return c == 1 and len(nz) == 1
 
 
-def _ratfunc_canonical(num_d, den_d):
-    """Canonicalize a raw quotient of Fraction dicts."""
+def _ratfunc_canonical(num_d, den_d, coprime=False):
+    """Canonicalize a raw quotient of Fraction dicts.
+
+    ``coprime=True`` vouches that num and den share no nonconstant factor,
+    so only integer content and sign are normalized and no gcd is taken.
+    The cleared pair ``_dcompose`` makes from a canonical N/D and a map
+    x -> (a*x + b)/(c*x + d) with constant a, b, c, d and ad - bc != 0 is
+    such a pair.  Proof: let k = max(deg_x N, deg_x D) and homogenize,
+    N~(X, Y) = Y^k N(X/Y), likewise D~; the pair is (N~(L), D~(L)) at
+    Y = 1, where L = (aX + bY, cX + dY).  N~ and D~ are coprime: a common
+    factor would dehomogenize to a common factor of N and D, or be Y,
+    which cannot divide the one of degree k.  L is an invertible linear
+    change of (X, Y) with rational entries, a ring automorphism over the
+    other variables, so N~(L) and D~(L) stay coprime.  A common factor of
+    their dehomogenizations would homogenize to a common factor of theirs.
+    The content in the other variables is covered too: an irreducible p
+    in them divides a form exactly when it divides its image under L,
+    and divides a form in (X, Y) exactly when it divides its
+    dehomogenization, whose coefficient list is the same.
+    """
     if not den_d:
         raise ZeroDenominatorError("zero denominator")
     if not num_d:
         return {}, {_ZERO_KEY: Fraction(1)}
     cn, pn = _dprimitive(num_d)
     cd, pd = _dprimitive(den_d)
-    g = _int_poly_gcd(pn, pd)
-    if len(g) != 1 or _ZERO_KEY not in g or g[_ZERO_KEY] != 1:
-        pn = _divexact_int(pn, g)
-        pd = _divexact_int(pd, g)
+    if not coprime:
+        g = _int_poly_gcd(pn, pd)
+        if len(g) != 1 or _ZERO_KEY not in g or g[_ZERO_KEY] != 1:
+            pn = _divexact_int(pn, g)
+            pd = _divexact_int(pd, g)
     scale = cn / cd
     p, q = scale.numerator, scale.denominator
     _, lead = _dleading(pd)
@@ -1489,7 +1520,8 @@ def rational_roots(p):
     """All rational roots of a nonzero univariate polynomial.
 
     p-adic lifting (R. Loos, SIAM J. Comput. 12, 1983) on the primitive
-    integer form f, with the root at 0 split off.  The squarefree part
+    integer form f, with the root at 0 split off; a linear f = c1*x + c0
+    has the one root -c0/c1, read off directly.  The squarefree part
     g = f / gcd(f, f') has the same roots.  The smallest prime p that divides
     neither lc(g) nor Res(g, g') keeps g squarefree of full degree mod p, so
     a rational root a/b, where b divides lc(g) and a divides g(0), reduces to
@@ -1515,6 +1547,9 @@ def rational_roots(p):
         roots.add(Fraction(0))
         cs = cs[k:]
     if len(cs) == 1:
+        return roots
+    if len(cs) == 2:
+        roots.add(Fraction(-cs[0], cs[1]))
         return roots
     f = {(e,) + _ZERO_KEY[1:]: c for e, c in enumerate(cs) if c}
     df = {(e - 1,) + _ZERO_KEY[1:]: e * c for e, c in enumerate(cs) if e and c}

@@ -462,6 +462,48 @@ class TestGTFactors:
         assert code == 2
 
 
+class TestLoopCaps:
+    """Each looping option is capped at parse time, before any loop runs."""
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("the loop ran")
+
+    def test_rational_points(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "rational_points", self._refuse)
+        base = ("rational-points", "--family", "2B", "--n", "0", "--m", "1")
+        for extra, message in (
+            (("--r", "1..1001"), "upper end at most 1000, got 1001"),
+            (("--pq-bound", "101"), "at most 100, got 101"),
+        ):
+            code, out, err = run(capsys, *base, *extra)
+            assert code == 2
+            assert out == ""
+            assert message in err
+        seen = []
+        monkeypatch.setattr(cli, "rational_points", lambda fam, **kw: seen.append(kw) or ())
+        assert run(capsys, *base, "--r", "1..1000", "--pq-bound", "100")[0] == 0
+        assert seen[0]["r_bound"] == 1000 and seen[0]["pq_bound"] == 100
+
+    def test_gt_factors(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "gelfand_tsetlin_factors", self._refuse)
+        for n, k in (("1001", "1"), ("1", "1001")):
+            code, _, err = run(capsys, "gt-factors", "--series", "D", "--n", n, "--k", k)
+            assert code == 2
+            assert "at most 1000, got 1001" in err
+
+    def test_sing(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sing_weight_general", self._refuse)
+        base = ("sing", "--algebra", "sp", "--object", "affine")
+        for rank, u, v in (("201", "3", "2"), ("1", "1000001", "2"), ("1", "3", "1000001")):
+            code, _, err = run(capsys, *base, "--rank", rank, "--u", u, "--v", v)
+            assert code == 2
+            assert "at most" in err
+        code, _, err = run(capsys, *base, "--rank", "x", "--u", "3", "--v", "2")
+        assert code == 2
+        assert "invalid int value: 'x'" in err
+
+
 class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0

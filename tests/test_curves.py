@@ -5,6 +5,7 @@ import pytest
 from hookw import curves as C
 from hookw import liedata as L
 from hookw.exact import (
+    PoleError,
     RatFunc,
     ZeroDenominatorError,
     parse_ratfunc,
@@ -72,6 +73,13 @@ class TestPhiRoutes:
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             C.phi_family("3B", 0, 1)
+
+    def test_composition_needs_an_invertible_degree_one_map(self):
+        # Only such maps keep a canonical quotient coprime without a gcd.
+        crv = C.phi_family("2B", 0, 1)
+        for w in (PSI**2, (PSI + 1) / (PSI**2 + 1), (2 * PSI + 2) / (PSI + 1), N * PSI):
+            with pytest.raises(ValueError):
+                C._compose_psi(crv, w, "x")
 
     def test_source_traces_route(self):
         assert C.phi_family("2B", 0, 1).source == "2B"
@@ -142,6 +150,105 @@ class TestOrbifoldSlices:
         rep = C.intersect(C.phi_family("1O", 0, 0), C.phi_family("2D", 1, 0))
         assert rep.identity_component
         assert rep.points == ()
+
+
+def _domain_reference(tag, n, m, psi):
+    """Evaluate the seven trivariate master factors at the inner point."""
+    n, m, psi = F(n), F(m), F(psi)
+    dn, dm, inverts, m_shift, scale = C._INNER_COORDS[tag]
+    if inverts:
+        if psi == 0:
+            return False
+        psi_in = scale / psi
+    else:
+        psi_in = scale * psi
+    point = {"psi": psi_in, "n": n + dn, "m": m + dm + (n if m_shift == "n" else 0)}
+    return all(f.eval(point) != 0 for f in C._master_domain_factors())
+
+
+class TestGenericDomain:
+    """on_generic_domain is a set lookup; the reference evaluates per call."""
+
+    HALVES = [F(k, 2) for k in range(-2, 6)]
+    PSIS = sorted({F(p, q) for p in range(-6, 7) for q in range(1, 5)})
+
+    def test_matches_trivariate_evaluation(self):
+        excluded = 0
+        for tag in L.FAMILY_TAGS:
+            for n in self.HALVES:
+                for m in self.HALVES:
+                    for psi in self.PSIS:
+                        got = C.on_generic_domain(tag, n, m, psi)
+                        assert got == _domain_reference(tag, n, m, psi), (tag, n, m, psi)
+                        excluded += not got
+        # The grid reaches the excluded loci, not only generic points.
+        assert excluded > 1000
+
+    def test_psi_zero_on_inverting_routes(self):
+        for tag in ("1B", "1D", "2C", "2O"):
+            assert C._INNER_COORDS[tag][2]
+            for n, m in ((0, 1), (1, 2), (2, 2)):
+                assert not C.on_generic_domain(tag, n, m, 0)
+                assert not _domain_reference(tag, n, m, 0)
+
+    def test_family_object_and_unknown_tag(self):
+        psi = F(3, 5)
+        assert C.on_generic_domain(fam("2C", 1, 2), 1, 2, psi) == C.on_generic_domain(
+            "2C", 1, 2, psi
+        )
+        with pytest.raises(ValueError, match="unknown family tag"):
+            C.on_generic_domain("3B", 0, 1, psi)
+
+    def test_every_psi_excluded_exactly_where_lambda_is_none(self):
+        # values() is reached only after both domain checks pass, so no
+        # passing check may lead to a curve without lambda.
+        grid_n = [F(k, 2) for k in range(-2, 9)]
+        grid_m = [F(k, 2) for k in range(-2, 11)]
+        all_excluded = set()
+        no_lambda = set()
+        for tag in L.FAMILY_TAGS:
+            for n in grid_n:
+                for m in grid_m:
+                    if C._excluded_psi(tag, n, m) is None:
+                        all_excluded.add((tag, n, m))
+                    if C.phi_family(tag, n, m).lam is None:
+                        no_lambda.add((tag, n, m))
+        assert len(no_lambda) == 24
+        assert all_excluded == no_lambda
+
+
+class TestValues:
+    def test_matches_eval(self):
+        psis = (F(1), F(-3, 7), F(5, 2), F(0), F(11, 3), F(1, 2), F(-1, 4))
+        poles = 0
+        cases = (("2B", 0, 0), ("2B", 2, 3), ("1B", 1, 2), ("2O", 0, 1), ("1C", F(1, 2), 1))
+        for tag, n, m in cases:
+            crv = C.phi_family(tag, n, m)
+            for psi in psis:
+                try:
+                    expected = (crv.c.eval({"psi": psi}), crv.lam.eval({"psi": psi}))
+                except PoleError:
+                    poles += 1
+                    with pytest.raises(PoleError):
+                        crv.values(psi)
+                    continue
+                assert crv.values(psi) == expected
+        assert poles > 0
+
+    def test_pole_of_each_component(self):
+        crv = C.phi_family("2B", 1, 2)
+        for part in (crv.c, crv.lam):
+            roots = rational_roots(part.den)
+            assert roots
+            for root in roots:
+                with pytest.raises(PoleError):
+                    crv.values(root)
+
+    def test_no_lambda_and_symbols(self):
+        with pytest.raises(PoleError):
+            C.phi_family("1O", 0, 0).values(F(1, 3))
+        with pytest.raises(ValueError):
+            C.phi_2B(N, 1).values(F(1, 3))
 
 
 class TestTrialities:

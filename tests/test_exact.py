@@ -207,6 +207,14 @@ class TestRationalRoots:
         p = p * (PSI**2 + 5)
         assert E.rational_roots(p) == set(roots)
 
+    def test_linear_non_monic(self):
+        # A linear polynomial's root is read off as -c0/c1, also after the
+        # root at 0 is split off.
+        assert E.rational_roots(6 * PSI + 4) == {Fraction(-2, 3)}
+        assert E.rational_roots(Fraction(1, 3) * PSI - Fraction(5, 2)) == {Fraction(15, 2)}
+        assert E.rational_roots(-4 * PSI + 8) == {Fraction(2)}
+        assert E.rational_roots(PSI**3 * (7 * PSI + 4)) == {Fraction(0), Fraction(-4, 7)}
+
     def test_hard_semiprime_constant_term(self):
         # A constant term with two large prime factors: any search through
         # divisors of the coefficients has to factor it first.

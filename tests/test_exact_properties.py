@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import hookw
 from hookw import exact as E
@@ -121,6 +121,18 @@ def test_text_round_trip(f):
     assert E.parse_ratfunc(f.to_text()) == f
 
 
+@settings(max_examples=80, deadline=None)
+@given(ratfuncs(), small_fractions, small_fractions, small_fractions, small_fractions)
+def test_moebius_composition_is_canonical_without_gcd(f, a, b, c, d):
+    # Composing a canonical quotient with psi -> (a psi + b)/(c psi + d),
+    # ad - bc != 0, leaves only content and sign to normalize.
+    assume(a * d != b * c)
+    psi = MultiPoly.var("psi")
+    w_num, w_den = (a * psi + b)._d, (c * psi + d)._d
+    num, den = E._dcompose(f.num._d, f.den._d, 0, w_num, w_den)
+    assert E._ratfunc_canonical(num, den, coprime=True) == E._ratfunc_canonical(num, den)
+
+
 def _to_sympy(p, symbols):
     import sympy
 
@@ -222,6 +234,31 @@ def test_resultant_nonzero_iff_no_common_root(p, q):
         sympy.Poly(_to_sympy(p, {"psi": x}), x), sympy.Poly(_to_sympy(q, {"psi": x}), x)
     )
     assert res.is_zero() == (sympy.Poly(g, x).degree() > 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    polys(max_terms=3, max_exp=2),
+    polys(max_terms=3, max_exp=2),
+    polys(max_terms=3, max_exp=2),
+)
+def test_poly_gcd_matches_sympy(p, q, common):
+    # A planted common factor makes most gcds nonconstant.  Agreement is
+    # up to a nonzero rational constant; ours is primitive with a positive
+    # leading coefficient.
+    sympy = pytest.importorskip("sympy")
+    p, q = p * common, q * common
+    symbols = {"psi": sympy.Symbol("psi"), "n": sympy.Symbol("n")}
+    g = E.poly_gcd(p, q)
+    ours = _to_sympy(g, symbols)
+    theirs = sympy.gcd(_to_sympy(p, symbols), _to_sympy(q, symbols))
+    if theirs == 0:
+        assert g.is_zero()
+        return
+    assert not g.is_zero()
+    assert sympy.cancel(ours / theirs).is_Rational
+    assert E._dcontent(g._d) == 1
+    assert g.leading_coefficient() > 0
 
 
 def _sp_ladder_eliminant(n, m, r):
