@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Dict, Optional, Tuple
 
@@ -327,35 +328,20 @@ def coincidence_table(source: str, target: str) -> Tuple[CoincidenceEntry, ...]:
 # ---------------------------------------------------------------------------
 
 
-_CURVE_CACHE: Dict[Tuple[str, Fraction, Fraction], TruncationCurve] = {}
-_SYMBOLIC_CACHE: Dict[str, TruncationCurve] = {}
-
-
+@cache
 def _curve_at(tag: str, n: Fraction, m: Fraction) -> TruncationCurve:
-    key = (tag, n, m)
-    curve = _CURVE_CACHE.get(key)
-    if curve is None:
-        curve = phi_family(tag, n, m)
-        _CURVE_CACHE[key] = curve
-    return curve
+    return phi_family(tag, n, m)
 
 
+@cache
 def _source_curve_symbolic(tag: str) -> TruncationCurve:
-    curve = _SYMBOLIC_CACHE.get(tag)
-    if curve is None:
-        curve = phi_family(tag, RatFunc.var("n"), RatFunc.var("m"))
-        _SYMBOLIC_CACHE[tag] = curve
-    return curve
+    return phi_family(tag, RatFunc.var("n"), RatFunc.var("m"))
 
 
+@cache
 def _target_curve_symbolic(kind: str) -> TruncationCurve:
-    key = f"target:{kind}"
-    curve = _SYMBOLIC_CACHE.get(key)
-    if curve is None:
-        rule = TARGETS[kind]
-        curve = phi_family(rule.tag, Fraction(0), rule.m_expr)
-        _SYMBOLIC_CACHE[key] = curve
-    return curve
+    rule = TARGETS[kind]
+    return phi_family(rule.tag, Fraction(0), rule.m_expr)
 
 
 @dataclass(frozen=True)
@@ -541,10 +527,8 @@ def verify_osp_osp(m, n) -> OspOspReport:
     pairs = []
     for psi_k in _osp_osp_psis(Fraction(m), Fraction(n)):
         for psi_ell in _osp_osp_psis(Fraction(n), Fraction(m)):
-            c1 = left.c.eval({"psi": psi_k})
-            c2 = right.c.eval({"psi": psi_ell})
-            l1 = left.lam.eval({"psi": psi_k})
-            l2 = right.lam.eval({"psi": psi_ell})
+            c1, l1 = left.values(psi_k)
+            c2, l2 = right.values(psi_ell)
             pairs.append(
                 OspOspPair(
                     k=psi_k - m - Fraction(1, 2),

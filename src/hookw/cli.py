@@ -160,13 +160,7 @@ _SUITE_DEFAULTS: Dict[str, Dict[str, Tuple[int, int]]] = {
     "singular": {"n": (1, 4), "u": (2, 12), "v": (1, 6)},
 }
 
-_ENTRY_INDEX: Dict[str, object] = {}
-
-
-def _entry_by_name(name: str):
-    if not _ENTRY_INDEX:
-        _ENTRY_INDEX.update({e.name: e for e in all_entries()})
-    return _ENTRY_INDEX[name]
+_ENTRY_INDEX = {e.name: e for e in all_entries()}
 
 
 def _cell_trialities(cell) -> Tuple[str, str]:
@@ -192,7 +186,7 @@ def _cell_charges(cell) -> Tuple[str, str]:
 def _cell_coincidences(cell) -> Tuple[str, str]:
     name, n, m, r = cell
     try:
-        outcome = verify_coincidence(_entry_by_name(name), n, m, r)
+        outcome = verify_coincidence(_ENTRY_INDEX[name], n, m, r)
     except ExactError as exc:
         # An exact-layer error is a defect, not a precondition: never a skip.
         return "fail", f"{name} at (n={n}, m={m}, r={r}): {exc}"

@@ -11,8 +11,15 @@ intersection points of two curves by resultant elimination.
 All arithmetic is exact; the master-curve polynomials are entered once,
 verbatim, and guarded by value checks in the test suite.
 
+Each family's route to the master curve is one row of ``_ROUTES``: the
+shifted (n, m) at which 2B is taken and the one degree-one psi map of the
+triality group composed with it.  ``phi_family`` builds curves from that
+row and the generic-domain check maps denominator roots back through the
+inverse of the same map, so the two cannot disagree.
+
 Data that depends only on (family, n, m) is built once and reused for
-every psi.  A numeric curve is specialized in one pass and composed with
+every psi; every such memo is a ``functools.cache`` on the function that
+builds it.  A numeric curve is specialized in one pass and composed with
 the degree-one psi maps without a gcd; ``TruncationCurve.values``
 evaluates its four integer forms against one table of powers of psi.
 The generic-domain check looks psi up in the set of excluded values,
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Tuple
 
 from .exact import (
@@ -205,14 +213,10 @@ _H_2B = """
 + 160*m^3*psi^3
 """
 
-_MASTER_CACHE: dict = {}
 
-
+@cache
 def _master_2B() -> Tuple[RatFunc, RatFunc]:
     """The symbolic 2B curve in the three variables psi, n, m."""
-    cached = _MASTER_CACHE.get("2B")
-    if cached is not None:
-        return cached
     psi = RatFunc.var("psi")
     n = RatFunc.var("n")
     m = RatFunc.var("m")
@@ -232,80 +236,78 @@ def _master_2B() -> Tuple[RatFunc, RatFunc]:
         * g
         * h
     )
-    _MASTER_CACHE["2B"] = (c, lam)
     return c, lam
 
 
+@cache
 def _master_domain_factors() -> Tuple[MultiPoly, ...]:
     """Every printed denominator factor of the master curve, in psi, n, m."""
-    cached = _MASTER_CACHE.get("domain")
-    if cached is None:
-        psi = RatFunc.var("psi")
-        n = RatFunc.var("n")
-        m = RatFunc.var("m")
-        factors = (
-            2 * psi,
-            2 * psi - 1,
-            -m + n + psi + 2 * m * psi,
-            -1 - 2 * m + 2 * n + 4 * m * psi,
-            1 - 2 * m + 2 * n - 2 * psi + 4 * m * psi,
-            parse_ratfunc(_G_2B),
-            parse_ratfunc(_H_2B),
-        )
-        cached = tuple(f.num for f in factors)
-        _MASTER_CACHE["domain"] = cached
-    return cached
+    psi = RatFunc.var("psi")
+    n = RatFunc.var("n")
+    m = RatFunc.var("m")
+    factors = (
+        2 * psi,
+        2 * psi - 1,
+        -m + n + psi + 2 * m * psi,
+        -1 - 2 * m + 2 * n + 4 * m * psi,
+        1 - 2 * m + 2 * n - 2 * psi + 4 * m * psi,
+        parse_ratfunc(_G_2B),
+        parse_ratfunc(_H_2B),
+    )
+    return tuple(f.num for f in factors)
 
 
-# How each family's (n, m, psi) sits inside the master curve's coordinates.
-# The last entry marks routes that invert psi, which excludes psi = 0.
-_INNER_COORDS = {
-    "1B": (Fraction(0), Fraction(1, 2), True, "n", Fraction(1, 2)),
-    "1C": (Fraction(1, 2), Fraction(1, 2), False, "", Fraction(1, 2)),
-    "1D": (Fraction(-1, 2), Fraction(0), True, "n", Fraction(1, 2)),
-    "1O": (Fraction(0), Fraction(1, 2), False, "", Fraction(1, 2)),
-    "2B": (Fraction(0), Fraction(0), False, "", Fraction(1)),
-    "2C": (Fraction(1, 2), Fraction(1, 2), True, "n", Fraction(1, 4)),
-    "2D": (Fraction(-1, 2), Fraction(0), False, "", Fraction(1)),
-    "2O": (Fraction(0), Fraction(0), True, "n", Fraction(1, 4)),
+_HALF = Fraction(1, 2)
+_PSI = _VAR_INDEX["psi"]
+
+# The route of each family to the master curve: tag(n, m) is
+# 2B(n + dn, m + dm [+ n]) composed with psi -> (a psi + b)/(c psi + d).
+# A row is (dn, dm, whether m gains +n, (a, b, c, d) or None for the
+# identity, source label).  The maps are the triality substitutions; for
+# 1B, 1D and 2C the label names the two-step route they compose.
+_ROUTES = {
+    "1B": (Fraction(0), _HALF, True, (0, 1, 2, 0), "1B<-1O<-2B"),
+    "1C": (_HALF, _HALF, False, (1, 0, 0, 2), "1C<-2B"),
+    "1D": (-_HALF, Fraction(0), True, (0, 1, 2, 0), "1D<-2D<-2B"),
+    "1O": (Fraction(0), _HALF, False, (1, 0, 0, 2), "1O<-2B"),
+    "2B": (Fraction(0), Fraction(0), False, None, "2B"),
+    "2C": (_HALF, _HALF, True, (0, 1, 4, 0), "2C<-1C<-2B"),
+    "2D": (-_HALF, Fraction(0), False, None, "2D<-2B"),
+    "2O": (Fraction(0), Fraction(0), True, (0, 1, 4, 0), "2O<-2B"),
 }
 
 
+def _inner_params(tag: str, n, m):
+    """The master curve's (n, m) on the route of family tag."""
+    dn, dm, m_gains_n, _, _ = _ROUTES[tag]
+    return n + dn, (m + dm + n if m_gains_n else m + dm)
+
+
+@cache
 def _excluded_psi(tag: str, n: Fraction, m: Fraction):
     """The psi at which a printed denominator of tag(n, m) vanishes.
 
     A frozenset, or None when a factor vanishes for every psi.  Built once
-    per (tag, n, m): each master factor is specialized at the inner (n, m)
-    and its rational roots in the inner psi are mapped back to the family's
-    psi.  A polynomial with rational coefficients vanishes at a rational
-    point exactly when that point is one of its rational roots.
+    per (tag, n, m) from the family's row of ``_ROUTES``: each master
+    factor is specialized at the inner (n, m), and each rational root r in
+    the inner psi is mapped back through the inverse of the route's map,
+    psi = (d r - b)/(a - c r).  A root with a = c r has no finite preimage;
+    the pole psi = -d/c of the map itself (psi = 0 on the inverting routes)
+    is excluded.  A polynomial with rational coefficients vanishes at a
+    rational point exactly when that point is one of its rational roots.
     """
-    key = ("excluded", tag, n, m)
-    try:
-        return _MASTER_CACHE[key]
-    except KeyError:
-        pass
-    dn, dm, inverts, m_shift, scale = _INNER_COORDS[tag]
-    inner = {
-        _VAR_INDEX["n"]: n + dn,
-        _VAR_INDEX["m"]: m + dm + (n if m_shift == "n" else 0),
-    }
-    # An inverting route sends psi to scale / psi, so psi = 0 is excluded.
-    excluded = {Fraction(0)} if inverts else set()
+    inner_n, inner_m = _inner_params(tag, n, m)
+    inner = {_VAR_INDEX["n"]: inner_n, _VAR_INDEX["m"]: inner_m}
+    a, b, c, d = _ROUTES[tag][3] or (1, 0, 0, 1)
+    excluded = {Fraction(-d, c)} if c else set()
     for factor in _master_domain_factors():
         spec, _ = _dspecialize(factor._d, inner)
         if not spec:
-            excluded = None
-            break
+            return None
         for root in rational_roots(UniPoly.from_multipoly(MultiPoly._raw(spec), "psi")):
-            if not inverts:
-                excluded.add(root / scale)
-            elif root:
-                excluded.add(scale / root)
-    if excluded is not None:
-        excluded = frozenset(excluded)
-    _MASTER_CACHE[key] = excluded
-    return excluded
+            if a != c * root:
+                excluded.add((d * root - b) / (a - c * root))
+    return frozenset(excluded)
 
 
 def on_generic_domain(fam_or_tag, n, m, psi) -> bool:
@@ -318,7 +320,7 @@ def on_generic_domain(fam_or_tag, n, m, psi) -> bool:
     lookup in the excluded psi of (tag, n, m), see ``_excluded_psi``.
     """
     tag = getattr(fam_or_tag, "tag", fam_or_tag)
-    if tag not in _INNER_COORDS:
+    if tag not in _ROUTES:
         raise ValueError("unknown family tag %r" % (tag,))
     excluded = _excluded_psi(tag, Fraction(n), Fraction(m))
     return excluded is not None and Fraction(psi) not in excluded
@@ -425,43 +427,25 @@ def _compose_psi(curve: TruncationCurve, w: RatFunc, source: str) -> TruncationC
     return _curve(compose(curve.c), lam, source)
 
 
-_HALF = Fraction(1, 2)
-_PSI = _VAR_INDEX["psi"]
-
-
 def phi_family(tag: str, n, m) -> TruncationCurve:
     """Truncation curve of any of the eight families, one fixed route each.
 
-    The 2B curve is the master; 1O, 2D, 1C are half-integer shifts of it,
-    and 1B, 1D, 2C, 2O are obtained from those by the degree-one psi
-    substitutions of the triality group.  n and m may be any rationals
-    (the internal shifts leave the lattice) or symbolic expressions.
+    The family's row of ``_ROUTES`` gives the shifted (n, m) at which the
+    2B master curve is taken and the one degree-one psi substitution of
+    the triality group that is composed with it: 1O, 2D, 1C are
+    half-integer shifts of the master, and 1B, 1D, 2C, 2O also invert psi.
+    n and m may be any rationals (the internal shifts leave the lattice)
+    or symbolic expressions.
     """
+    if tag not in _ROUTES:
+        raise ValueError(f"unknown family {tag!r}")
+    *_, w, source = _ROUTES[tag]
+    inner = phi_2B(*_inner_params(tag, _coerce_param(n), _coerce_param(m)))
+    if w is None:
+        return _curve(inner.c, inner.lam, source)
+    a, b, c, d = w
     psi = RatFunc.var("psi")
-    if tag == "2B":
-        return phi_2B(n, m)
-    if tag == "1O":
-        inner = phi_2B(n, m + _HALF)
-        return _compose_psi(inner, psi / 2, "1O<-2B")
-    if tag == "2D":
-        inner = phi_2B(n - _HALF, m)
-        return _curve(inner.c, inner.lam, "2D<-2B")
-    if tag == "1C":
-        inner = phi_2B(n + _HALF, m + _HALF)
-        return _compose_psi(inner, psi / 2, "1C<-2B")
-    if tag == "1B":
-        inner = phi_family("1O", n, m + n)
-        return _compose_psi(inner, 1 / psi, "1B<-1O<-2B")
-    if tag == "1D":
-        inner = phi_family("2D", n, m + n)
-        return _compose_psi(inner, 1 / (2 * psi), "1D<-2D<-2B")
-    if tag == "2C":
-        inner = phi_family("1C", n, m + n)
-        return _compose_psi(inner, 1 / (2 * psi), "2C<-1C<-2B")
-    if tag == "2O":
-        inner = phi_2B(n, m + n)
-        return _compose_psi(inner, 1 / (4 * psi), "2O<-2B")
-    raise ValueError(f"unknown family {tag!r}")
+    return _compose_psi(inner, (a * psi + b) / (c * psi + d), source)
 
 
 def phi(fam: HookFamily) -> TruncationCurve:
@@ -579,10 +563,8 @@ _H_POINT = """
 """
 
 
+@cache
 def _printed_point() -> Tuple[RatFunc, RatFunc]:
-    cached = _MASTER_CACHE.get("point")
-    if cached is not None:
-        return cached
     n = RatFunc.var("n")
     m = RatFunc.var("m")
     r = RatFunc.var("r")
@@ -602,7 +584,6 @@ def _printed_point() -> Tuple[RatFunc, RatFunc]:
         * g
         * h
     )
-    _MASTER_CACHE["point"] = (c, lam)
     return c, lam
 
 
@@ -635,7 +616,8 @@ def known_point_2B_sp(n, m, r) -> CurvePoint:
     psi* = (1 + 2m - 2n) / (2 (1 + 2m + 2r)) actually passes through it.
     Arguments may be numeric or symbolic; with all three symbolic the
     assertion is a trivariate identity.  Numeric arguments at which a
-    printed denominator of the point vanishes raise ZeroDenominatorError.
+    printed denominator of the point vanishes, or at which the 2B curve
+    has no finite lambda, raise ZeroDenominatorError.
     """
     n = _coerce_param(n)
     m = _coerce_param(m)
@@ -645,6 +627,8 @@ def known_point_2B_sp(n, m, r) -> CurvePoint:
     c_pt = _subst_simultaneous(c_raw, mapping)
     lam_pt = _subst_simultaneous(lam_raw, mapping)
     curve = phi_2B(n, m)
+    if curve.lam is None:
+        raise ZeroDenominatorError("the 2B curve has no finite lambda at these n, m")
     psi_star = (1 + 2 * m - 2 * n) / (2 * (1 + 2 * m + 2 * r))
     if not isinstance(psi_star, RatFunc):
         psi_star = RatFunc.const(psi_star)

@@ -162,12 +162,6 @@ def _dsub(a, b):
     return out
 
 
-def _dscale(a, c):
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
 def _dmul_raw(a, b):
     # Plain convolution; callers pick the smaller operand as the outer loop.
     if len(a) > len(b):
@@ -660,16 +654,6 @@ def _dpow_int(a, e):
         if e:
             base = _dmul_raw(base, base)
     return result
-
-
-def _primitive_int(a):
-    """Divide an integer dict by its integer content (keeps sign)."""
-    if not a:
-        return {}
-    g = _int_content(a)
-    if g in (0, 1):
-        return dict(a)
-    return {k: c // g for k, c in a.items()}
 
 
 def _sign_normalize_int(a):

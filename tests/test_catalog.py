@@ -156,6 +156,32 @@ class TestFullSweep:
         assert skips == 837
 
 
+class TestCurveMemo:
+    def test_int_and_fraction_share_an_entry(self):
+        K._curve_at.cache_clear()
+        assert K._curve_at("2B", 0, 1) is K._curve_at("2B", F(0), F(1))
+        info = K._curve_at.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_one_build_per_distinct_curve(self):
+        K._curve_at.cache_clear()
+        curves = set()
+        compared = 0
+        for e in K.all_entries():
+            rule = K.TARGETS[e.target]
+            for n in range(2):
+                for m in range(2):
+                    for r in range(rule.min_r, 3):
+                        out = K.verify_coincidence(e, n, m, r)
+                        if out.source_values is not None:
+                            compared += 1
+                            curves |= {(e.source, n, m), (rule.tag, 0, rule.m_of(r))}
+        info = K._curve_at.cache_info()
+        assert compared > 0
+        assert info.misses == len(curves)
+        assert info.hits + info.misses == 2 * compared
+
+
 class TestSymbolicSweep:
     @pytest.mark.parametrize("idx", range(48))
     def test_trivariate_identity(self, idx):

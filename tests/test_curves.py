@@ -82,8 +82,36 @@ class TestPhiRoutes:
                 C._compose_psi(crv, w, "x")
 
     def test_source_traces_route(self):
-        assert C.phi_family("2B", 0, 1).source == "2B"
-        assert C.phi_family("1B", 0, 1).source == "1B<-1O<-2B"
+        # `hookw curve` prints these as its route line.
+        assert {tag: C.phi_family(tag, 0, 1).source for tag in L.FAMILY_TAGS} == {
+            "1B": "1B<-1O<-2B",
+            "1C": "1C<-2B",
+            "1D": "1D<-2D<-2B",
+            "1O": "1O<-2B",
+            "2B": "2B",
+            "2C": "2C<-1C<-2B",
+            "2D": "2D<-2B",
+            "2O": "2O<-2B",
+        }
+
+    def test_one_map_equals_the_two_step_triality_routes(self):
+        # 1B, 1D and 2C are reached through 1O, 2D and 1C; their route
+        # table rows compose the two triality maps into one.
+        half = F(1, 2)
+
+        def two_step(tag, n, m):
+            if tag == "1B":
+                inner = C._compose_psi(C.phi_2B(n, m + n + half), PSI / 2, "1O")
+                return C._compose_psi(inner, 1 / PSI, "1B")
+            if tag == "1D":
+                return C._compose_psi(C.phi_2B(n - half, m + n), 1 / (2 * PSI), "1D")
+            inner = C._compose_psi(C.phi_2B(n + half, m + n + half), PSI / 2, "1C")
+            return C._compose_psi(inner, 1 / (2 * PSI), "2C")
+
+        for tag in ("1B", "1D", "2C"):
+            for n, m in ((N, M), (0, 0), (F(1, 2), 1), (F(-1, 2), F(3, 2)), (2, 3)):
+                got, want = C.phi_family(tag, n, m), two_step(tag, n, m)
+                assert (got.c, got.lam, got.symbols) == (want.c, want.lam, want.symbols)
 
     def test_charge_agreement_all_families(self):
         for tag in L.FAMILY_TAGS:
@@ -152,10 +180,25 @@ class TestOrbifoldSlices:
         assert rep.points == ()
 
 
+# How each family's (n, m, psi) sits inside the master curve's coordinates,
+# written out independently of the route table the domain check reads.
+# The last entry marks routes that invert psi, which excludes psi = 0.
+_INNER_COORDS = {
+    "1B": (F(0), F(1, 2), True, "n", F(1, 2)),
+    "1C": (F(1, 2), F(1, 2), False, "", F(1, 2)),
+    "1D": (F(-1, 2), F(0), True, "n", F(1, 2)),
+    "1O": (F(0), F(1, 2), False, "", F(1, 2)),
+    "2B": (F(0), F(0), False, "", F(1)),
+    "2C": (F(1, 2), F(1, 2), True, "n", F(1, 4)),
+    "2D": (F(-1, 2), F(0), False, "", F(1)),
+    "2O": (F(0), F(0), True, "n", F(1, 4)),
+}
+
+
 def _domain_reference(tag, n, m, psi):
     """Evaluate the seven trivariate master factors at the inner point."""
     n, m, psi = F(n), F(m), F(psi)
-    dn, dm, inverts, m_shift, scale = C._INNER_COORDS[tag]
+    dn, dm, inverts, m_shift, scale = _INNER_COORDS[tag]
     if inverts:
         if psi == 0:
             return False
@@ -186,7 +229,7 @@ class TestGenericDomain:
 
     def test_psi_zero_on_inverting_routes(self):
         for tag in ("1B", "1D", "2C", "2O"):
-            assert C._INNER_COORDS[tag][2]
+            assert _INNER_COORDS[tag][2]
             for n, m in ((0, 1), (1, 2), (2, 2)):
                 assert not C.on_generic_domain(tag, n, m, 0)
                 assert not _domain_reference(tag, n, m, 0)
@@ -314,6 +357,14 @@ class TestKnownPoint:
         for n, m, r in ((0, 0, 0), (0, 1, 0), (1, 2, -1)):
             with pytest.raises(ZeroDenominatorError):
                 C.known_point_2B_sp(n, m, r)
+
+    def test_lambda_less_slices_raise(self):
+        # The three (n, m) where the 2B curve has no finite lambda; at
+        # (1/2, 0) no printed denominator of the point vanishes.
+        for n, m in ((F(1, 2), 0), (0, F(1, 2)), (F(-1, 2), F(-1, 2))):
+            for r in (1, 2, F(3, 2)):
+                with pytest.raises(ZeroDenominatorError):
+                    C.known_point_2B_sp(n, m, r)
 
     def test_trivariate_identity(self):
         pt = C.known_point_2B_sp(N, M, R)
