@@ -469,22 +469,22 @@ def _identity_specs(n, m):
     moebius_2d = 2 * psi / (2 * psi - 1)
     moebius_half = psi / (2 * (psi - 1))
 
-    def at(tag, a, b, w, label):
-        return (label, _compose_psi(phi_family(tag, a, b), w, tag))
+    def at(tag, a, b, w):
+        return _compose_psi(phi_family(tag, a, b), w, tag)
 
     specs = []
     left = phi_family("2B", n, m)
-    specs.append(("2B(n,m) = 2O(n,m-n) o 1/(4psi)", left, at("2O", n, m - n, quarter_inv, "")[1]))
-    specs.append(("2B(n,m) = 2B(m,n) o psi/(2psi-1)", left, at("2B", m, n, moebius_2, "")[1]))
+    specs.append(("2B(n,m) = 2O(n,m-n) o 1/(4psi)", left, at("2O", n, m - n, quarter_inv)))
+    specs.append(("2B(n,m) = 2B(m,n) o psi/(2psi-1)", left, at("2B", m, n, moebius_2)))
     left = phi_family("1C", n, m)
-    specs.append(("1C(n,m) = 2C(n,m-n) o 1/(2psi)", left, at("2C", n, m - n, half_inv, "")[1]))
-    specs.append(("1C(n,m) = 1C(m,n) o psi/(psi-1)", left, at("1C", m, n, moebius_1, "")[1]))
+    specs.append(("1C(n,m) = 2C(n,m-n) o 1/(2psi)", left, at("2C", n, m - n, half_inv)))
+    specs.append(("1C(n,m) = 1C(m,n) o psi/(psi-1)", left, at("1C", m, n, moebius_1)))
     left = phi_family("2D", n, m)
-    specs.append(("2D(n,m) = 1D(n,m-n) o 1/(2psi)", left, at("1D", n, m - n, half_inv, "")[1]))
-    specs.append(("2D(n,m) = 1O(m,n-1) o 2psi/(2psi-1)", left, at("1O", m, n - 1, moebius_2d, "")[1]))
+    specs.append(("2D(n,m) = 1D(n,m-n) o 1/(2psi)", left, at("1D", n, m - n, half_inv)))
+    specs.append(("2D(n,m) = 1O(m,n-1) o 2psi/(2psi-1)", left, at("1O", m, n - 1, moebius_2d)))
     left = phi_family("1O", n, m)
-    specs.append(("1O(n,m) = 1B(n,m-n) o 1/psi", left, at("1B", n, m - n, inv, "")[1]))
-    specs.append(("1O(n,m) = 2D(m+1,n) o psi/(2(psi-1))", left, at("2D", m + 1, n, moebius_half, "")[1]))
+    specs.append(("1O(n,m) = 1B(n,m-n) o 1/psi", left, at("1B", n, m - n, inv)))
+    specs.append(("1O(n,m) = 2D(m+1,n) o psi/(2(psi-1))", left, at("2D", m + 1, n, moebius_half)))
     return specs
 
 

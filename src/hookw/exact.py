@@ -23,12 +23,22 @@ functions.
 
 The resultant uses a fraction-free subresultant polynomial remainder
 sequence, which keeps intermediate coefficients determinant-sized instead of
-letting naive Euclidean division blow them up.  Rational roots come from the
-squarefree part of the primitive integer form: its roots modulo the smallest
-prime that divides neither its leading coefficient nor its discriminant
-resultant are Newton-lifted p-adically past the bound on any rational root,
-and every candidate is verified by exact evaluation.  No integer is factored
-and no step is probabilistic.
+letting naive Euclidean division blow them up.
+
+Univariate work runs on dense integer coefficient lists, low to high: the
+gcd over Z (a primitive remainder sequence, W. S. Brown 1971), exact
+division, the squarefree part and a squarefree test over GF(q), with one
+pseudo-remainder loop, ``_prem_int_list``.  The polynomial gcd and exact
+division take this kernel whenever their two arguments together involve
+exactly one variable, which includes the univariate content gcds inside
+the multivariate remainder sequence.  Rational roots come from the
+squarefree part g of the primitive integer form: its roots modulo the
+smallest prime q with q not dividing lc(g) and g squarefree mod q are
+Newton-lifted p-adically past the bound on any rational root, and every
+candidate is verified by exact evaluation.  For q not dividing lc(g), g
+is squarefree mod q exactly when q does not divide Res(g, g'), so this is
+the smallest prime dividing neither lc(g) nor that resultant, found
+without forming it.  No integer is factored and no step is probabilistic.
 
 Evaluation runs over the integers.  Each polynomial builds its integer form
 once, on first use: a common denominator, the occurring variables with
@@ -439,11 +449,20 @@ def _dense_trim(coeffs):
 
 
 def _divexact_int(a, b):
-    """Exact division of integer-coefficient dicts; raises if inexact."""
+    """Exact division of integer-coefficient dicts; raises if inexact.
+
+    When a and b together involve one variable the integer-list kernel
+    divides; otherwise the leading terms are cancelled in graded-lex order.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return {}
+    vs = _dvars(a) | _dvars(b)
+    if len(vs) == 1:
+        (idx,) = vs
+        return _int_list_to_dict(_int_list_divexact(
+            _dict_to_int_list(a, idx), _dict_to_int_list(b, idx)), idx)
     kb, cb = _dleading(b)
     rem = dict(a)
     quo = {}
@@ -498,15 +517,6 @@ def _dense_content(A):
     return g
 
 
-def _int_content(a):
-    g = 0
-    for c in a.values():
-        g = gcd(g, c)
-        if g == 1:
-            break
-    return g
-
-
 # Probe points for the coprimality certificate: any tuple whose entries keep
 # both leading coefficients nonzero preserves the gcd degree bound.
 _PROBE_SEEDS = ((2, 3, 5, 7, 11, 13, 17), (5, 7, 11, 13, 17, 19, 23),
@@ -525,6 +535,14 @@ def _dint_eval(c, point):
     return total
 
 
+# ---------------------------------------------------------------------------
+# Dense univariate integer kernel.  A polynomial is a list of ints, low to
+# high, with a nonzero last entry; [] is zero.  Every univariate gcd, exact
+# division and squarefree test runs here, and _prem_int_list is its only
+# remainder loop.
+# ---------------------------------------------------------------------------
+
+
 def _prem_int_list(a, b):
     """Pseudo-remainder of dense integer coefficient lists."""
     da = len(a) - 1
@@ -539,27 +557,98 @@ def _prem_int_list(a, b):
                 r[i + j] -= top * b[j]
         r[db + i] = 0
     del r[db:]
-    while r and not r[-1]:
-        r.pop()
-    return r
+    return _dense_trim(r)
 
 
-def _unigcd_is_constant(a, b):
-    """Whether two dense integer lists (degrees >= 1) are coprime."""
-    while True:
-        if len(b) == 1:
-            return True
-        if len(a) < len(b):
-            a, b = b, a
+def _int_content(values):
+    """Nonnegative gcd of an iterable of ints."""
+    g = 0
+    for c in values:
+        g = gcd(g, c)
+        if g == 1:
+            break
+    return g
+
+
+def _int_list_gcd(a, b):
+    """Gcd over Z of nonzero integer lists, content included, positive leading.
+
+    Primitive remainder sequence (W. S. Brown, J. ACM 18, 1971): each
+    pseudo-remainder is divided by its integer content before the next step.
+    """
+    ca = _int_content(a)
+    cb = _int_content(b)
+    cont = gcd(ca, cb)
+    a = [c // ca for c in a]
+    b = [c // cb for c in b]
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
         r = _prem_int_list(a, b)
         if not r:
-            return False
-        g = 0
-        for c in r:
-            g = gcd(g, c)
-            if g == 1:
-                break
-        a, b = b, [c // g for c in r]
+            if b[-1] < 0:
+                cont = -cont
+            return [c * cont for c in b]
+        cr = _int_content(r)
+        a, b = b, [c // cr for c in r]
+    return [cont]
+
+
+def _int_list_divexact(a, b):
+    """Quotient a / b of integer lists; ExactError unless it is exact."""
+    db = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[i + db], lb)
+        if rem:
+            raise ExactError("inexact polynomial division")
+        q[i] = c
+        if c:
+            for j in range(db):
+                r[i + j] -= c * b[j]
+    if any(r[:db]):
+        raise ExactError("inexact polynomial division")
+    return q
+
+
+def _int_list_squarefree(f):
+    """Squarefree part f / gcd(f, f') of a primitive list of degree >= 1."""
+    df = [e * c for e, c in enumerate(f)][1:]
+    return _int_list_divexact(f, _int_list_gcd(f, df))
+
+
+def _squarefree_mod(g, q):
+    """Whether g, whose leading coefficient q does not divide, is squarefree mod q.
+
+    Euclid over GF(q) on g and g': each pseudo-remainder is a unit multiple
+    of the remainder there, so the sequence ends in a nonzero constant
+    exactly when gcd(g mod q, g' mod q) == 1.
+    """
+    a = [c % q for c in g]
+    b = _dense_trim([e * c % q for e, c in enumerate(g)][1:])
+    while len(b) > 1:
+        a, b = b, _dense_trim([c % q for c in _prem_int_list(a, b)])
+    return len(b) == 1
+
+
+def _dict_to_int_list(a, idx):
+    """Integer list of a dict in at most the variable idx."""
+    cs = [0] * (_ddeg_var(a, idx) + 1)
+    for k, c in a.items():
+        cs[k[idx]] = c
+    return cs
+
+
+def _int_list_to_dict(cs, idx):
+    key = list(_ZERO_KEY)
+    out = {}
+    for e, c in enumerate(cs):
+        if c:
+            key[idx] = e
+            out[tuple(key)] = c
+    return out
 
 
 def _coprime_by_probe(A, B, others):
@@ -578,7 +667,7 @@ def _coprime_by_probe(A, B, others):
             continue
         a = [_dint_eval(c, point) if c else 0 for c in A]
         b = [_dint_eval(c, point) if c else 0 for c in B]
-        if _unigcd_is_constant(a, b):
+        if len(_int_list_gcd(a, b)) == 1:
             return True
     return False
 
@@ -590,7 +679,8 @@ def _int_poly_gcd(a, b):
     primitive-PRS algorithm: strip contents, run a subresultant remainder
     sequence in the lowest shared variable, recurse on the coefficients for
     the contents.  A degree-preserving specialization probe certifies the
-    common coprime case without running the multivariate sequence.
+    common coprime case without running the multivariate sequence.  When a
+    and b together involve one variable, the integer-list kernel answers.
     """
     if not a:
         return _sign_normalize_int(dict(b))
@@ -601,8 +691,12 @@ def _int_poly_gcd(a, b):
     if not va or not vb or not (va & vb):
         # A constant side, or no shared variable: only the integer contents
         # can divide both.
-        return {_ZERO_KEY: gcd(_int_content(a), _int_content(b))}
+        return {_ZERO_KEY: gcd(_int_content(a.values()), _int_content(b.values()))}
     common = va & vb
+    if len(va | vb) == 1:
+        (idx,) = common
+        return _int_list_to_dict(_int_list_gcd(
+            _dict_to_int_list(a, idx), _dict_to_int_list(b, idx)), idx)
     if a == b:
         return _sign_normalize_int(dict(a))
     idx = min(common)
@@ -1482,11 +1576,7 @@ def _unipoly_int_coeffs(p):
     for c in p.coeffs:
         den = lcm(den, c.denominator)
     cs = [int(c * den) for c in p.coeffs]
-    g = 0
-    for c in cs:
-        g = gcd(g, c)
-        if g == 1:
-            break
+    g = _int_content(cs)
     if g > 1:
         cs = [c // g for c in cs]
     return cs
@@ -1500,21 +1590,38 @@ def _mod_horner(cs, x, mod):
     return acc
 
 
+def _root_prime(g):
+    """The smallest prime q dividing neither lc(g) nor Res(g, g').
+
+    For q not dividing lc(g), q divides Res(g, g') exactly when g mod q and
+    g' mod q share a factor over GF(q), so the test is ``_squarefree_mod``
+    and no resultant is formed.  g is squarefree, so lc(g) * Res(g, g') is
+    nonzero and the search ends within its number of prime factors.
+    """
+    lc = g[-1]
+    return next(q for q in count(2)
+                if lc % q and all(q % d for d in range(2, isqrt(q) + 1))
+                and _squarefree_mod(g, q))
+
+
 def rational_roots(p):
     """All rational roots of a nonzero univariate polynomial.
 
     p-adic lifting (R. Loos, SIAM J. Comput. 12, 1983) on the primitive
     integer form f, with the root at 0 split off; a linear f = c1*x + c0
     has the one root -c0/c1, read off directly.  The squarefree part
-    g = f / gcd(f, f') has the same roots.  The smallest prime p that divides
-    neither lc(g) nor Res(g, g') keeps g squarefree of full degree mod p, so
-    a rational root a/b, where b divides lc(g) and a divides g(0), reduces to
-    a simple root mod p.  Each root mod p is Newton-lifted until
+    g = f / gcd(f, f'), from the integer-list kernel, has the same roots.
+    The smallest prime p that divides neither lc(g) nor Res(g, g') keeps g
+    squarefree of full degree mod p, so a rational root a/b, where b
+    divides lc(g) and a divides g(0), reduces to a simple root mod p.  That
+    prime is found by Euclid over GF(p) (``_root_prime``): for p not
+    dividing lc(g), p divides Res(g, g') exactly when gcd(g, g') mod p is
+    not constant.  Each root mod p is Newton-lifted until
     p^k > 2*|lc(g)*g(0)|; the symmetric residue of lc(g)*x mod p^k is then
     the integer lc(g)*a/b.  Every candidate is confirmed by exact
-    evaluation, so the output is exactly the set of rational roots
-    (multiplicity ignored).  No integer is factored and no step is
-    probabilistic.
+    evaluation of f over the integers, so the output is exactly the set of
+    rational roots (multiplicity ignored).  No integer is factored and no
+    step is probabilistic.
     """
     if isinstance(p, MultiPoly):
         p = UniPoly.from_multipoly(p)
@@ -1535,19 +1642,10 @@ def rational_roots(p):
     if len(cs) == 2:
         roots.add(Fraction(-cs[0], cs[1]))
         return roots
-    f = {(e,) + _ZERO_KEY[1:]: c for e, c in enumerate(cs) if c}
-    df = {(e - 1,) + _ZERO_KEY[1:]: e * c for e, c in enumerate(cs) if e and c}
-    sq = _divexact_int(f, _int_poly_gcd(f, df))
-    g = [c.get(_ZERO_KEY, 0) for c in _dense_from_dict(sq, 0)]
+    g = _int_list_squarefree(cs)
     dg = [e * c for e, c in enumerate(g)][1:]
     lc = g[-1]
-    disc = lc
-    if len(dg) > 1:
-        disc *= _resultant_int([{_ZERO_KEY: c} if c else {} for c in g],
-                               [{_ZERO_KEY: c} if c else {} for c in dg])[_ZERO_KEY]
-    # disc is nonzero, so this search ends within its number of prime factors.
-    prime = next(q for q in count(2)
-                 if disc % q and all(q % d for d in range(2, isqrt(q) + 1)))
+    prime = _root_prime(g)
     bound = 2 * abs(lc * g[0])
     for x in range(prime):
         if _mod_horner(g, x, prime):
@@ -1561,7 +1659,9 @@ def rational_roots(p):
         if 2 * num > mod:
             num -= mod
         candidate = Fraction(num, lc)
-        if p.eval(candidate) == 0:
+        # f(candidate) times a power of its denominator, over the integers.
+        table = _homogenized_powers(candidate, len(cs) - 1)
+        if not sum(c * t for c, t in zip(cs, table)):
             roots.add(candidate)
     return roots
 

@@ -215,6 +215,11 @@ class TestRationalRoots:
         assert E.rational_roots(-4 * PSI + 8) == {Fraction(2)}
         assert E.rational_roots(PSI**3 * (7 * PSI + 4)) == {Fraction(0), Fraction(-4, 7)}
 
+    def test_repeated_roots_and_content(self):
+        # The squarefree part drops the double root and the content 6.
+        p = 6 * (PSI - 1) ** 2 * (3 * PSI + 2) * (PSI**2 + 7) * (5 * PSI - 4)
+        assert E.rational_roots(p) == {Fraction(1), Fraction(-2, 3), Fraction(4, 5)}
+
     def test_hard_semiprime_constant_term(self):
         # A constant term with two large prime factors: any search through
         # divisors of the coefficients has to factor it first.

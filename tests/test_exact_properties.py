@@ -8,6 +8,8 @@ fixed test vectors.
 
 import time
 from fractions import Fraction
+from itertools import count
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -243,12 +245,16 @@ def test_resultant_nonzero_iff_no_common_root(p, q):
     polys(max_terms=3, max_exp=2),
 )
 def test_poly_gcd_matches_sympy(p, q, common):
+    _assert_gcd_matches_sympy(p, q, common, ("psi", "n"))
+
+
+def _assert_gcd_matches_sympy(p, q, common, names):
     # A planted common factor makes most gcds nonconstant.  Agreement is
     # up to a nonzero rational constant; ours is primitive with a positive
     # leading coefficient.
     sympy = pytest.importorskip("sympy")
     p, q = p * common, q * common
-    symbols = {"psi": sympy.Symbol("psi"), "n": sympy.Symbol("n")}
+    symbols = {name: sympy.Symbol(name) for name in names}
     g = E.poly_gcd(p, q)
     ours = _to_sympy(g, symbols)
     theirs = sympy.gcd(_to_sympy(p, symbols), _to_sympy(q, symbols))
@@ -259,6 +265,92 @@ def test_poly_gcd_matches_sympy(p, q, common):
     assert sympy.cancel(ours / theirs).is_Rational
     assert E._dcontent(g._d) == 1
     assert g.leading_coefficient() > 0
+
+
+# ---------------------------------------------------------------------------
+# The univariate integer-list kernel.
+# ---------------------------------------------------------------------------
+
+int_lists = st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=6).filter(
+    lambda cs: cs[-1] != 0
+)
+
+
+def _psi_dict(cs):
+    # An integer-coefficient dict in psi, built without the kernel's helpers.
+    return {(e, 0, 0, 0, 0, 0, 0): c for e, c in enumerate(cs) if c}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    polys(vars=("psi",), max_terms=4, max_exp=4),
+    polys(vars=("psi",), max_terms=4, max_exp=4),
+    polys(vars=("psi",), max_terms=3, max_exp=3),
+)
+def test_univariate_poly_gcd_matches_sympy(p, q, common):
+    _assert_gcd_matches_sympy(p, q, common, ("psi",))
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_lists, int_lists, int_lists)
+def test_univariate_int_gcd_keeps_content(a, b, common):
+    # Over Z the gcd carries the integer content: gcd(2psi + 2, 2psi) == 2.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("psi")
+    a = E._dmul_raw(_psi_dict(a), _psi_dict(common))
+    b = E._dmul_raw(_psi_dict(b), _psi_dict(common))
+    ours = E._int_poly_gcd(a, b)
+    theirs = sympy.gcd(*(sympy.Poly({(k[0],): c for k, c in d.items()}, x) for d in (a, b)))
+    assert ours == {(e, 0, 0, 0, 0, 0, 0): int(c) for (e,), c in theirs.terms()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_lists, int_lists, st.integers(min_value=1, max_value=30))
+def test_univariate_divexact(a, b, shift):
+    a, b = _psi_dict(a), _psi_dict(b)
+    assert E._divexact_int(E._dmul_raw(a, b), b) == a
+    # Adding a nonzero constant below b's leading term leaves a remainder
+    # when b is not constant, and a non-multiple when b is the constant.
+    bumped = E._dadd(E._dmul_raw(a, b), {E._ZERO_KEY: shift * 31})
+    if E._dvars(b) or shift * 31 % b[E._ZERO_KEY]:
+        with pytest.raises(E.ExactError):
+            E._divexact_int(bumped, b)
+
+
+def test_univariate_divexact_rejects_a_lower_degree_dividend():
+    with pytest.raises(E.ExactError):
+        E._divexact_int(_psi_dict([6]), _psi_dict([1, 2]))
+    with pytest.raises(E.ExactError):
+        E._divexact_int(_psi_dict([1, 2]), _psi_dict([1, 0, 1]))
+
+
+def _prime_by_discriminant(g):
+    # The prime rule rational_roots used before the GF(q) squarefree test:
+    # the smallest prime dividing neither lc(g) nor Res(g, g').
+    dg = [e * c for e, c in enumerate(g)][1:]
+    disc = g[-1]
+    if len(dg) > 1:
+        dense = [[{E._ZERO_KEY: c} if c else {} for c in cs] for cs in (g, dg)]
+        disc *= E._resultant_int(*dense)[E._ZERO_KEY]
+    return next(
+        q for q in count(2) if disc % q and all(q % d for d in range(2, isqrt(q) + 1))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-12, max_value=12), min_size=1, max_size=5),
+    int_lists,
+)
+def test_root_prime_matches_discriminant_rule(roots, cofactor):
+    # Planted small roots make lc * Res(g, g') divisible by small primes,
+    # so the search has to skip some of them.
+    f = cofactor
+    for root in roots:
+        f = [a - root * b for a, b in zip([0] + f, f + [0])]
+    content = E._int_content(f)
+    g = E._int_list_squarefree([c // content for c in f])
+    assert E._root_prime(g) == _prime_by_discriminant(g)
 
 
 def _sp_ladder_eliminant(n, m, r):
