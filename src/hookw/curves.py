@@ -48,9 +48,14 @@ from .exact import (
     _VAR_INDEX,
     _coerce_fraction,
     _dcompose,
+    _dict_to_int_list,
+    _divexact_int,
+    _dprimitive,
     _dspecialize,
     _homogenized_powers,
     _int_form_dot,
+    _int_list_deflate,
+    _int_list_to_dict,
     _ratfunc_canonical,
 )
 from .liedata import HookFamily
@@ -304,7 +309,7 @@ def _excluded_psi(tag: str, n: Fraction, m: Fraction):
         spec, _ = _dspecialize(factor._d, inner)
         if not spec:
             return None
-        for root in rational_roots(UniPoly.from_multipoly(MultiPoly._raw(spec), "psi")):
+        for root in rational_roots(UniPoly._view("psi", _dict_to_int_list(spec, _PSI))):
             if a != c * root:
                 excluded.add((d * root - b) / (a - c * root))
     return frozenset(excluded)
@@ -322,14 +327,14 @@ def on_generic_domain(fam_or_tag, n, m, psi) -> bool:
     tag = getattr(fam_or_tag, "tag", fam_or_tag)
     if tag not in _ROUTES:
         raise ValueError("unknown family tag %r" % (tag,))
-    excluded = _excluded_psi(tag, Fraction(n), Fraction(m))
-    return excluded is not None and Fraction(psi) not in excluded
+    excluded = _excluded_psi(tag, _coerce_fraction(n), _coerce_fraction(m))
+    return excluded is not None and _coerce_fraction(psi) not in excluded
 
 
 def _coerce_param(value):
     if isinstance(value, RatFunc):
         return value
-    return Fraction(value)
+    return _coerce_fraction(value)
 
 
 _TEMP_VARS = ("psi1", "psi2", "s")
@@ -407,20 +412,20 @@ def phi_2B(n, m) -> TruncationCurve:
     return _curve(c_out, lam_out, "2B")
 
 
-def _compose_psi(curve: TruncationCurve, w: RatFunc, source: str) -> TruncationCurve:
-    """curve o w for w = (a psi + b)/(c psi + d), constants with ad - bc != 0.
+def _compose_psi(curve: TruncationCurve, w: tuple, source: str) -> TruncationCurve:
+    """curve o (a psi + b)/(c psi + d) for w = (a, b, c, d) with ad - bc != 0.
 
     Composing a canonical quotient with such a map keeps it coprime, so
     the cleared pair is canonicalized without a gcd (``_ratfunc_canonical``
     has the proof).
     """
-    rows = [UniPoly.from_multipoly(p, "psi").coeffs + (0, 0) for p in (w.num, w.den)]
-    (b, a, *num_high), (d, c, *den_high) = rows
-    if any(num_high) or any(den_high) or a * d == b * c:
-        raise ValueError(f"not an invertible degree-one map: {w.to_text()}")
+    a, b, c, d = w
+    if a * d == b * c:
+        raise ValueError(f"not an invertible degree-one map: {w}")
+    w_num, w_den = _int_list_to_dict([b, a], _PSI), _int_list_to_dict([d, c], _PSI)
 
     def compose(rf: RatFunc) -> RatFunc:
-        num, den = _dcompose(rf.num._d, rf.den._d, _PSI, w.num._d, w.den._d)
+        num, den = _dcompose(rf.num._d, rf.den._d, _PSI, w_num, w_den)
         return RatFunc._raw_canonical(*_ratfunc_canonical(num, den, coprime=True))
 
     lam = None if curve.lam is None else compose(curve.lam)
@@ -443,9 +448,7 @@ def phi_family(tag: str, n, m) -> TruncationCurve:
     inner = phi_2B(*_inner_params(tag, _coerce_param(n), _coerce_param(m)))
     if w is None:
         return _curve(inner.c, inner.lam, source)
-    a, b, c, d = w
-    psi = RatFunc.var("psi")
-    return _compose_psi(inner, (a * psi + b) / (c * psi + d), source)
+    return _compose_psi(inner, w, source)
 
 
 def phi(fam: HookFamily) -> TruncationCurve:
@@ -460,31 +463,24 @@ def phi(fam: HookFamily) -> TruncationCurve:
 
 def _identity_specs(n, m):
     """The eight pairwise identities: (name, left curve, right curve)."""
-    psi = RatFunc.var("psi")
-    quarter_inv = 1 / (4 * psi)
-    half_inv = 1 / (2 * psi)
-    inv = 1 / psi
-    moebius_2 = psi / (2 * psi - 1)
-    moebius_1 = psi / (psi - 1)
-    moebius_2d = 2 * psi / (2 * psi - 1)
-    moebius_half = psi / (2 * (psi - 1))
 
     def at(tag, a, b, w):
+        # w = (a, b, c, d) is the psi map named after "o" in the identity.
         return _compose_psi(phi_family(tag, a, b), w, tag)
 
     specs = []
     left = phi_family("2B", n, m)
-    specs.append(("2B(n,m) = 2O(n,m-n) o 1/(4psi)", left, at("2O", n, m - n, quarter_inv)))
-    specs.append(("2B(n,m) = 2B(m,n) o psi/(2psi-1)", left, at("2B", m, n, moebius_2)))
+    specs.append(("2B(n,m) = 2O(n,m-n) o 1/(4psi)", left, at("2O", n, m - n, (0, 1, 4, 0))))
+    specs.append(("2B(n,m) = 2B(m,n) o psi/(2psi-1)", left, at("2B", m, n, (1, 0, 2, -1))))
     left = phi_family("1C", n, m)
-    specs.append(("1C(n,m) = 2C(n,m-n) o 1/(2psi)", left, at("2C", n, m - n, half_inv)))
-    specs.append(("1C(n,m) = 1C(m,n) o psi/(psi-1)", left, at("1C", m, n, moebius_1)))
+    specs.append(("1C(n,m) = 2C(n,m-n) o 1/(2psi)", left, at("2C", n, m - n, (0, 1, 2, 0))))
+    specs.append(("1C(n,m) = 1C(m,n) o psi/(psi-1)", left, at("1C", m, n, (1, 0, 1, -1))))
     left = phi_family("2D", n, m)
-    specs.append(("2D(n,m) = 1D(n,m-n) o 1/(2psi)", left, at("1D", n, m - n, half_inv)))
-    specs.append(("2D(n,m) = 1O(m,n-1) o 2psi/(2psi-1)", left, at("1O", m, n - 1, moebius_2d)))
+    specs.append(("2D(n,m) = 1D(n,m-n) o 1/(2psi)", left, at("1D", n, m - n, (0, 1, 2, 0))))
+    specs.append(("2D(n,m) = 1O(m,n-1) o 2psi/(2psi-1)", left, at("1O", m, n - 1, (2, 0, 2, -1))))
     left = phi_family("1O", n, m)
-    specs.append(("1O(n,m) = 1B(n,m-n) o 1/psi", left, at("1B", n, m - n, inv)))
-    specs.append(("1O(n,m) = 2D(m+1,n) o psi/(2(psi-1))", left, at("2D", m + 1, n, moebius_half)))
+    specs.append(("1O(n,m) = 1B(n,m-n) o 1/psi", left, at("1B", n, m - n, (0, 1, 1, 0))))
+    specs.append(("1O(n,m) = 2D(m+1,n) o psi/(2(psi-1))", left, at("2D", m + 1, n, (1, 0, 2, -2))))
     return specs
 
 
@@ -498,8 +494,8 @@ def verify_trialities(n, m) -> Tuple[IdentityCheck, ...]:
     """
     numeric = not (isinstance(n, RatFunc) or isinstance(m, RatFunc))
     if numeric:
-        n = Fraction(n)
-        m = Fraction(m)
+        n = _coerce_fraction(n)
+        m = _coerce_fraction(m)
         if not (m >= n >= 0 and n + m >= 1):
             raise ValueError(f"need m >= n >= 0 and n + m >= 1, got n={n}, m={m}")
     checks = []
@@ -651,30 +647,11 @@ def known_point_2B_sp(n, m, r) -> CurvePoint:
 
 
 def _as_quotient(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    # Exact division p / q, validated.
-    quot = RatFunc(p, q)
-    if quot.den != 1:
-        raise ValueError("inexact polynomial division in intersection pipeline")
-    return quot.num
-
-
-def _deflate(poly: UniPoly, root: Fraction) -> Tuple[UniPoly, int]:
-    """Divide out (x - root) to full multiplicity; return (quotient, mult)."""
-    coeffs = list(poly.coeffs)
-    mult = 0
-    while len(coeffs) > 1:
-        # Synthetic division by (x - root).
-        quot = [Fraction(0)] * (len(coeffs) - 1)
-        acc = Fraction(0)
-        for i in range(len(coeffs) - 1, 0, -1):
-            acc = coeffs[i] + acc * root
-            quot[i - 1] = acc
-        remainder = coeffs[0] + acc * root
-        if remainder != 0:
-            break
-        coeffs = quot
-        mult += 1
-    return UniPoly(poly.var, coeffs), mult
+    """The exact quotient p / q; ExactError, a ValueError, if inexact."""
+    cp, ip = _dprimitive(p._d)
+    cq, iq = _dprimitive(q._d)
+    scale = cp / cq
+    return MultiPoly._raw({k: scale * c for k, c in _divexact_int(ip, iq).items()})
 
 
 def _curve_value(curve: TruncationCurve, psi: Fraction):
@@ -686,23 +663,23 @@ def _curve_value(curve: TruncationCurve, psi: Fraction):
 
 
 def _root_candidates(spec_c: MultiPoly, spec_l: MultiPoly, var: str):
-    """Common rational roots of two specializations; None marks a free line."""
-    polys = []
-    for p in (spec_c, spec_l):
-        if p.is_zero():
-            continue
-        if p.degree(var) < 1:
-            return set()  # a nonzero constant: no solutions at this slice
-        polys.append(p)
+    """Common rational roots of two specializations; None marks a free line.
+
+    A nonzero constant has no roots, so it leaves no candidates.
+    """
+    polys = [UniPoly.from_multipoly(p, var) for p in (spec_c, spec_l) if not p.is_zero()]
     if not polys:
         return None
-    first, *rest = [UniPoly.from_multipoly(p, var) for p in polys]
-    return {x for x in rational_roots(first) if all(q.eval(x) == 0 for q in rest)}
+    first, *rest = polys
+    return {x for x in rational_roots(first) if not any(q.eval(x) for q in rest)}
 
 
 def _in_var(poly: MultiPoly, var: str) -> MultiPoly:
     """A polynomial in psi alone, rewritten in var by moving exponent slots."""
-    return UniPoly(var, UniPoly.from_multipoly(poly, "psi").coeffs).to_multipoly()
+    i = _VAR_INDEX[var]
+    return MultiPoly._raw(
+        {(0,) * i + (k[_PSI],) + (0,) * (len(k) - 1 - i): c for k, c in poly._d.items()}
+    )
 
 
 def _cross_difference(f: RatFunc, g: RatFunc) -> MultiPoly:
@@ -775,11 +752,11 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
         raise ValueError("eliminant vanished identically after component removal")
 
     uni = UniPoly.from_multipoly(eliminant, "psi2")
-    residual = uni.degree()
     psi2_roots = sorted(rational_roots(uni))
+    rest = uni._ints
     for b in psi2_roots:
-        uni, mult = _deflate(uni, b)
-        residual -= mult
+        rest, _ = _int_list_deflate(rest, b)
+    residual = len(rest) - 1
 
     points = []
     for b in psi2_roots:

@@ -27,11 +27,14 @@ letting naive Euclidean division blow them up.
 
 Univariate work runs on dense integer coefficient lists, low to high: the
 gcd over Z (a primitive remainder sequence, W. S. Brown 1971), exact
-division, the squarefree part and a squarefree test over GF(q), with one
-pseudo-remainder loop, ``_prem_int_list``.  The polynomial gcd and exact
-division take this kernel whenever their two arguments together involve
-exactly one variable, which includes the univariate content gcds inside
-the multivariate remainder sequence.  Rational roots come from the
+division, deflation by a rational root, the squarefree part and a
+squarefree test over GF(q), with one pseudo-remainder loop,
+``_prem_int_list``.  ``UniPoly`` is the one public univariate form: one
+such list over one positive denominator, evaluated over the integers and
+read by the root finder as it is.  The polynomial gcd and exact division
+take this kernel whenever their two arguments together involve exactly
+one variable, which includes the univariate content gcds inside the
+multivariate remainder sequence.  Rational roots come from the
 squarefree part g of the primitive integer form: its roots modulo the
 smallest prime q with q not dividing lc(g) and g squarefree mod q are
 Newton-lifted p-adically past the bound on any rational root, and every
@@ -46,6 +49,9 @@ their degrees, and integer terms.  A value p/q of a variable of degree d
 enters term x^e as p^e * q^(d - e), so an evaluation multiplies integers
 only and builds one Fraction at the end.  Specializing several variables
 at scalars takes the same route, term by term, and canonicalizes once.
+
+The parser builds an expression as one uncanonicalized quotient of
+polynomial dicts and canonicalizes it once, at the end.
 """
 
 from __future__ import annotations
@@ -234,9 +240,8 @@ def _dpow(a, e):
     while e:
         if e & 1:
             result = _dmul(result, base)
-        base_needed = e > 1
         e >>= 1
-        if base_needed and e:
+        if e:
             base = _dmul(base, base)
     return result
 
@@ -427,9 +432,7 @@ def _dense_from_dict(a, idx):
         sl = coeffs[e]
         v = sl.get(kk)
         sl[kk] = c if v is None else v + c
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
+    return _dense_trim(coeffs)
 
 
 def _dense_to_dict(coeffs, idx):
@@ -613,6 +616,26 @@ def _int_list_divexact(a, b):
     return q
 
 
+def _int_list_at(cs, x):
+    """q**d times the value of an integer list of degree d at x == p/q."""
+    return sum(c * t for c, t in zip(cs, _homogenized_powers(x, len(cs) - 1)))
+
+
+def _int_list_deflate(cs, root):
+    """(quotient, multiplicity) of the root p/q's factor q*x - p in cs.
+
+    The factor is primitive, so by Gauss's lemma each division is exact
+    over Z; the loop stops at the first quotient that does not vanish at
+    the root, tested by exact evaluation.
+    """
+    factor = [-root.numerator, root.denominator]
+    mult = 0
+    while cs and not _int_list_at(cs, root):
+        cs = _int_list_divexact(cs, factor)
+        mult += 1
+    return cs, mult
+
+
 def _int_list_squarefree(f):
     """Squarefree part f / gcd(f, f') of a primitive list of degree >= 1."""
     df = [e * c for e, c in enumerate(f)][1:]
@@ -757,13 +780,6 @@ def _sign_normalize_int(a):
     if lead < 0:
         return {k: -c for k, c in a.items()}
     return a
-
-
-def _poly_gcd_frac(a, b):
-    """Gcd of Fraction dicts: primitive integer result, positive leading."""
-    _, ia = _dprimitive(a)
-    _, ib = _dprimitive(b)
-    return _int_poly_gcd(ia, ib)
 
 
 # ---------------------------------------------------------------------------
@@ -1425,7 +1441,7 @@ def poly_gcd(p, q):
     """
     if not isinstance(p, MultiPoly) or not isinstance(q, MultiPoly):
         raise ExactError("poly_gcd needs MultiPoly arguments")
-    g = _poly_gcd_frac(p._d, q._d)
+    g = _int_poly_gcd(_dprimitive(p._d)[1], _dprimitive(q._d)[1])
     return MultiPoly._raw({k: Fraction(c) for k, c in g.items()})
 
 
@@ -1493,22 +1509,41 @@ def _resultant_int(A, B):
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate polynomials over rationals.
+# Univariate polynomials over rationals: a view over the integer-list kernel.
 # ---------------------------------------------------------------------------
 
 
 class UniPoly:
-    """Dense univariate polynomial over exact rationals."""
+    """Univariate polynomial over exact rationals, held as integers.
 
-    __slots__ = ("var", "coeffs")
+    The variable, a trimmed integer list (low to high) and one positive
+    denominator, the lcm of the coefficient denominators; ``coeffs`` is the
+    read-only Fraction view.  The stored form is unique, so equality and
+    hashing are structural.  Evaluation and root finding run on the
+    integer list.
+    """
+
+    __slots__ = ("var", "_ints", "_den")
 
     def __init__(self, var, coeffs):
         _check_var(var)
-        cs = [(_coerce_fraction(c)) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
+        cs = [_coerce_fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        self._set(var, [c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def _view(cls, var, ints, den=1):
+        """The polynomial sum(ints[e] * var**e) / den, for a positive int den."""
+        self = cls.__new__(cls)
+        self._set(var, ints, den)
+        return self
+
+    def _set(self, var, ints, den):
+        ints = _dense_trim(list(ints))
+        g = gcd(den, _int_content(ints))
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_ints", tuple(c // g for c in ints))
+        object.__setattr__(self, "_den", den // g)
 
     def __setattr__(self, *args):
         raise AttributeError("UniPoly is immutable")
@@ -1524,62 +1559,46 @@ class UniPoly:
             var = next(iter(vs)) if vs else "psi"
         elif vs - {var}:
             raise ExactError("polynomial involves extra variables: %s" % sorted(vs - {var}))
-        i = _VAR_INDEX[var]
-        cs = [Fraction(0)] * (p.degree(var) + 1 if not p.is_zero() else 1)
-        for k, c in p._d.items():
-            cs[k[i]] += c
-        return cls(var, cs)
+        ints, den = _dto_int(p._d)
+        return cls._view(var, _dict_to_int_list(ints, _VAR_INDEX[var]), den)
 
     def to_multipoly(self):
-        i = _VAR_INDEX[self.var]
-        d = {}
-        for e, c in enumerate(self.coeffs):
-            if c:
-                key = tuple(e if j == i else 0 for j in range(_NVARS))
-                d[key] = c
-        return MultiPoly._raw(d)
+        d = _int_list_to_dict(self._ints, _VAR_INDEX[self.var])
+        return MultiPoly._raw({k: Fraction(c, self._den) for k, c in d.items()})
+
+    @property
+    def coeffs(self):
+        return tuple(Fraction(c, self._den) for c in self._ints)
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._ints
 
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else -1
+        return len(self._ints) - 1
 
     def eval(self, x):
         x = _coerce_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self._ints:
+            return Fraction(0)
+        bottom = self._den * x.denominator ** self.degree()
+        return Fraction(_int_list_at(self._ints, x), bottom)
 
     def derivative(self):
-        return UniPoly(self.var, [e * c for e, c in enumerate(self.coeffs)][1:])
+        return UniPoly._view(self.var, [e * c for e, c in enumerate(self._ints)][1:], self._den)
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
+        return (self.var, self._ints, self._den) == (other.var, other._ints, other._den)
 
     def __hash__(self):
-        return hash((self.var, self.coeffs))
+        return hash((self.var, self._ints, self._den))
 
     def __str__(self):
         return self.to_multipoly().to_text()
 
     def __repr__(self):
         return "UniPoly(%r, %s)" % (self.var, list(self.coeffs))
-
-
-def _unipoly_int_coeffs(p):
-    """Primitive integer coefficient list of a nonzero UniPoly."""
-    den = 1
-    for c in p.coeffs:
-        den = lcm(den, c.denominator)
-    cs = [int(c * den) for c in p.coeffs]
-    g = _int_content(cs)
-    if g > 1:
-        cs = [c // g for c in cs]
-    return cs
 
 
 def _mod_horner(cs, x, mod):
@@ -1605,21 +1624,21 @@ def _root_prime(g):
 
 
 def rational_roots(p):
-    """All rational roots of a nonzero univariate polynomial.
+    """All rational roots of a nonzero UniPoly or univariate MultiPoly.
 
-    p-adic lifting (R. Loos, SIAM J. Comput. 12, 1983) on the primitive
-    integer form f, with the root at 0 split off; a linear f = c1*x + c0
-    has the one root -c0/c1, read off directly.  The squarefree part
-    g = f / gcd(f, f'), from the integer-list kernel, has the same roots.
-    The smallest prime p that divides neither lc(g) nor Res(g, g') keeps g
-    squarefree of full degree mod p, so a rational root a/b, where b
-    divides lc(g) and a divides g(0), reduces to a simple root mod p.  That
-    prime is found by Euclid over GF(p) (``_root_prime``): for p not
-    dividing lc(g), p divides Res(g, g') exactly when gcd(g, g') mod p is
-    not constant.  Each root mod p is Newton-lifted until
+    p-adic lifting (R. Loos, SIAM J. Comput. 12, 1983) on f, the primitive
+    part of the UniPoly's integer list, with the root at 0 split off; a
+    linear f = c1*x + c0 has the one root -c0/c1, read off directly.  The
+    squarefree part g = f / gcd(f, f'), from the integer-list kernel, has
+    the same roots.  The smallest prime p that divides neither lc(g) nor
+    Res(g, g') keeps g squarefree of full degree mod p, so a rational root
+    a/b, where b divides lc(g) and a divides g(0), reduces to a simple root
+    mod p.  That prime is found by Euclid over GF(p) (``_root_prime``): for
+    p not dividing lc(g), p divides Res(g, g') exactly when gcd(g, g') mod
+    p is not constant.  Each root mod p is Newton-lifted until
     p^k > 2*|lc(g)*g(0)|; the symmetric residue of lc(g)*x mod p^k is then
-    the integer lc(g)*a/b.  Every candidate is confirmed by exact
-    evaluation of f over the integers, so the output is exactly the set of
+    the integer lc(g)*a/b.  Every candidate is confirmed by the integer
+    evaluation ``UniPoly.eval`` runs, so the output is exactly the set of
     rational roots (multiplicity ignored).  No integer is factored and no
     step is probabilistic.
     """
@@ -1629,7 +1648,8 @@ def rational_roots(p):
         raise ExactError("rational_roots needs a UniPoly or univariate MultiPoly")
     if p.is_zero():
         raise ExactError("rational_roots of the zero polynomial")
-    cs = _unipoly_int_coeffs(p)
+    content = _int_content(p._ints)
+    cs = [c // content for c in p._ints]
     roots = set()
     k = 0
     while cs[k] == 0:
@@ -1659,9 +1679,7 @@ def rational_roots(p):
         if 2 * num > mod:
             num -= mod
         candidate = Fraction(num, lc)
-        # f(candidate) times a power of its denominator, over the integers.
-        table = _homogenized_powers(candidate, len(cs) - 1)
-        if not sum(c * t for c, t in zip(cs, table)):
+        if not _int_list_at(cs, candidate):
             roots.add(candidate)
     return roots
 
@@ -1688,6 +1706,11 @@ def parse_rational(text):
 
 
 class _Parser:
+    """Recursive descent to one uncanonicalized (num, den) pair of dicts.
+
+    ``parse`` canonicalizes once; terms over one denominator add directly.
+    """
+
     def __init__(self, text):
         self.text = text
         self.tokens = []
@@ -1723,68 +1746,64 @@ class _Parser:
             raise ParseError("expected %r in %r" % (op, self.text))
 
     def parse(self):
-        value = self.expr()
+        num, den = self.expr()
         if self.pos != len(self.tokens):
             raise ParseError("trailing tokens in %r" % self.text)
-        return value
+        return RatFunc._raw_canonical(*_ratfunc_canonical(num, den))
 
     def expr(self):
-        value = self.term()
+        num, den = self.term()
         while True:
             kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.pos += 1
-                rhs = self.term()
-                value = value + rhs if val == "+" else value - rhs
+            if kind != "op" or val not in "+-":
+                return num, den
+            self.pos += 1
+            rnum, rden = self.term()
+            combine = _dadd if val == "+" else _dsub
+            if rden == den:
+                num = combine(num, rnum)
             else:
-                return value
+                num = combine(_dmul(num, rden), _dmul(rnum, den))
+                den = _dmul(den, rden)
 
     def term(self):
-        value = self.unary()
+        num, den = self.unary()
         while True:
             kind, val = self.peek()
-            if kind == "op" and val in "*/":
-                self.pos += 1
-                rhs = self.unary()
-                if val == "*":
-                    value = value * rhs
-                else:
-                    if rhs.is_zero():
-                        raise ZeroDenominatorError("division by zero in %r" % self.text)
-                    value = value / rhs
-            else:
-                return value
+            if kind != "op" or val not in "*/":
+                return num, den
+            self.pos += 1
+            rnum, rden = self.unary()
+            if val == "/":
+                if not rnum:
+                    raise ZeroDenominatorError("division by zero in %r" % self.text)
+                rnum, rden = rden, rnum
+            num, den = _dmul(num, rnum), _dmul(den, rden)
 
     def unary(self):
-        sign = 1
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.pos += 1
-                if val == "-":
-                    sign = -sign
-            else:
-                break
-        value = self.power()
-        return value if sign > 0 else -value
+        negate = False
+        while self.peek() in (("op", "+"), ("op", "-")):
+            negate ^= self.take()[1] == "-"
+        num, den = self.power()
+        return (_dneg(num), den) if negate else (num, den)
 
     def power(self):
-        base = self.atom()
+        num, den = self.atom()
         kind, val = self.peek()
         if kind == "op" and val == "^":
             self.pos += 1
             ekind, e = self.take()
             if ekind != "int":
                 raise ParseError("exponent must be an integer literal in %r" % self.text)
-            return base**e
-        return base
+            return _dpow(num, e), _dpow(den, e)
+        return num, den
 
     def atom(self):
         kind, val = self.take()
         if kind == "int":
-            return RatFunc.const(val)
+            return ({_ZERO_KEY: Fraction(val)} if val else {}), _POLY_ONE._d
         if kind == "var":
-            return RatFunc.var(val)
+            return MultiPoly.var(val)._d, _POLY_ONE._d
         if kind == "op" and val == "(":
             value = self.expr()
             self.expect_op(")")
@@ -1797,7 +1816,8 @@ def parse_ratfunc(text):
 
     Accepts sums, differences, products, quotients, integer powers, and
     parentheses; names outside the universe are rejected.  Inverse of the
-    canonical text form.
+    canonical text form.  The expression is built as one cleared quotient
+    and canonicalized once.
     """
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty expression")

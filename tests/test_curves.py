@@ -5,8 +5,10 @@ import pytest
 from hookw import curves as C
 from hookw import liedata as L
 from hookw.exact import (
+    ExactError,
     PoleError,
     RatFunc,
+    UniPoly,
     ZeroDenominatorError,
     parse_ratfunc,
     rational_roots,
@@ -76,10 +78,10 @@ class TestPhiRoutes:
 
     def test_composition_needs_an_invertible_degree_one_map(self):
         # Only such maps keep a canonical quotient coprime without a gcd.
+        # (2 psi + 2)/(psi + 1) has ad - bc == 0.
         crv = C.phi_family("2B", 0, 1)
-        for w in (PSI**2, (PSI + 1) / (PSI**2 + 1), (2 * PSI + 2) / (PSI + 1), N * PSI):
-            with pytest.raises(ValueError):
-                C._compose_psi(crv, w, "x")
+        with pytest.raises(ValueError):
+            C._compose_psi(crv, (2, 2, 1, 1), "x")
 
     def test_source_traces_route(self):
         # `hookw curve` prints these as its route line.
@@ -100,13 +102,14 @@ class TestPhiRoutes:
         half = F(1, 2)
 
         def two_step(tag, n, m):
+            # Maps (a psi + b)/(c psi + d) as (a, b, c, d): psi/2, 1/psi, 1/(2psi).
             if tag == "1B":
-                inner = C._compose_psi(C.phi_2B(n, m + n + half), PSI / 2, "1O")
-                return C._compose_psi(inner, 1 / PSI, "1B")
+                inner = C._compose_psi(C.phi_2B(n, m + n + half), (1, 0, 0, 2), "1O")
+                return C._compose_psi(inner, (0, 1, 1, 0), "1B")
             if tag == "1D":
-                return C._compose_psi(C.phi_2B(n - half, m + n), 1 / (2 * PSI), "1D")
-            inner = C._compose_psi(C.phi_2B(n + half, m + n + half), PSI / 2, "1C")
-            return C._compose_psi(inner, 1 / (2 * PSI), "2C")
+                return C._compose_psi(C.phi_2B(n - half, m + n), (0, 1, 2, 0), "1D")
+            inner = C._compose_psi(C.phi_2B(n + half, m + n + half), (1, 0, 0, 2), "1C")
+            return C._compose_psi(inner, (0, 1, 2, 0), "2C")
 
         for tag in ("1B", "1D", "2C"):
             for n, m in ((N, M), (0, 0), (F(1, 2), 1), (F(-1, 2), F(3, 2)), (2, 3)):
@@ -443,6 +446,47 @@ class TestIntersect:
         rep = C.intersect(C.phi_family("2B", 0, 1), C.phi_family("2C", 0, 1))
         blob = C.intersection_json(rep)
         assert {"psi1": "1/8", "psi2": "3/8", "c": "-21/4", "lambda": "4/385", "degenerate": False} in blob
+
+
+    def test_rational_roots_always_receives_a_unipoly(self, monkeypatch):
+        # The traced benchmark (perfbench/spans.py) reads args[0].degree()
+        # on every rational_roots call, which a MultiPoly does not accept.
+        degrees = []
+
+        def checked(p):
+            assert isinstance(p, UniPoly), type(p)
+            degrees.append(p.degree())
+            return rational_roots(p)
+
+        monkeypatch.setattr(C, "rational_roots", checked)
+        rep = C.intersect(C.phi_family("2B", 0, 1), C.phi_family("2C", 0, 1))
+        assert len(rep.points) == 4
+        calls = len(degrees)
+        # A fresh build, past the memo, of one generic-domain exclusion set.
+        assert C._excluded_psi.__wrapped__("2B", F(7, 2), F(9, 2))
+        assert calls > 1 and len(degrees) > calls
+
+
+class TestExactParameters:
+    """Curve entry points take ints, Fractions or RatFuncs, never floats."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: C.phi_family("2B", 0.1, 1), id="phi_family-n"),
+            pytest.param(lambda: C.phi_family("1O", 0, 1.0), id="phi_family-m"),
+            pytest.param(lambda: C.phi_2B(0.5, 1), id="phi_2B-n"),
+            pytest.param(lambda: C.phi_2B(N, 1.5), id="phi_2B-symbolic-n"),
+            pytest.param(lambda: C.known_point_2B_sp(0, 1, 1.0), id="known_point-r"),
+            pytest.param(lambda: C.on_generic_domain("2B", 0.5, 1, F(1, 3)), id="domain-n"),
+            pytest.param(lambda: C.on_generic_domain("2B", 0, 1, 0.3), id="domain-psi"),
+            pytest.param(lambda: C.verify_trialities(1.0, 2), id="trialities-n"),
+            pytest.param(lambda: C.verify_trialities(N, 2.0), id="trialities-symbolic-n"),
+        ],
+    )
+    def test_float_is_rejected(self, call):
+        with pytest.raises(ExactError):
+            call()
 
 
 class TestCurveJson:

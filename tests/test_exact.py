@@ -339,3 +339,28 @@ class TestUniPoly:
     def test_trailing_zeros_trimmed(self):
         assert UniPoly("psi", [1, 0, 0]).degree() == 0
         assert UniPoly("psi", []).is_zero()
+
+    def test_repr_and_coeffs_text(self):
+        # The Fraction view prints as the stored Fraction coefficients did.
+        F = Fraction
+        cases = [
+            (UniPoly.from_multipoly(2 * PSI**2 - 3 * PSI + 1), (F(1), F(-3), F(2)),
+             "UniPoly('psi', [Fraction(1, 1), Fraction(-3, 1), Fraction(2, 1)])"),
+            (UniPoly("psi", [1, 0, 3]), (F(1), F(0), F(3)),
+             "UniPoly('psi', [Fraction(1, 1), Fraction(0, 1), Fraction(3, 1)])"),
+            (UniPoly("psi", [1, 0, 3]).derivative(), (F(0), F(6)),
+             "UniPoly('psi', [Fraction(0, 1), Fraction(6, 1)])"),
+            (UniPoly("psi", [1, 0, 0]), (F(1),), "UniPoly('psi', [Fraction(1, 1)])"),
+            (UniPoly("psi", []), (), "UniPoly('psi', [])"),
+            (UniPoly("n", [F(1, 2), 0, F(-2, 3)]), (F(1, 2), F(0), F(-2, 3)),
+             "UniPoly('n', [Fraction(1, 2), Fraction(0, 1), Fraction(-2, 3)])"),
+        ]
+        for p, coeffs, text in cases:
+            assert repr(p) == text
+            assert p.coeffs == coeffs
+            assert all(type(c) is Fraction for c in p.coeffs)
+
+    def test_coeffs_is_read_only(self):
+        p = UniPoly("psi", [1, 2])
+        with pytest.raises(AttributeError):
+            p.coeffs = (Fraction(3),)

@@ -492,3 +492,168 @@ def test_eval_unknown_variable_handling():
     assert type(info.value) is E.ExactError
     # RatFunc.eval ignores names it does not need, known or not.
     assert RatFunc(p).eval({"psi": 1, "zeta": 7}) == 2
+
+
+# ---------------------------------------------------------------------------
+# The UniPoly view against Fraction references.
+# ---------------------------------------------------------------------------
+
+uni_coeffs = st.lists(small_fractions, max_size=7)
+
+
+def _horner(coeffs, x):
+    # Evaluation over Fractions, one coefficient at a time.
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(uni_coeffs, eval_values)
+def test_unipoly_eval_matches_fraction_horner(coeffs, x):
+    value = UniPoly("psi", coeffs).eval(x)
+    assert type(value) is Fraction
+    assert value == _horner(coeffs, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(uni_coeffs, st.sampled_from(E.VARIABLES))
+def test_unipoly_from_fractions_equals_from_multipoly(coeffs, var):
+    x = MultiPoly.var(var)
+    built = UniPoly(var, coeffs)
+    via = UniPoly.from_multipoly(
+        sum((c * x**e for e, c in enumerate(coeffs)), MultiPoly.zero()), var
+    )
+    assert built == via
+    assert hash(built) == hash(via)
+    assert list(built.coeffs) == coeffs[: built.degree() + 1]
+    assert not any(coeffs[built.degree() + 1 :])
+
+
+def _deflate_reference(coeffs, root):
+    # Synthetic division by (x - root) over Fractions, repeated while exact.
+    mult = 0
+    while len(coeffs) > 1:
+        quotient, acc = [], Fraction(0)
+        for c in reversed(coeffs[1:]):
+            acc = c + acc * root
+            quotient.append(acc)
+        if coeffs[0] + acc * root:
+            break
+        coeffs, mult = quotient[::-1], mult + 1
+    return coeffs, mult
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_lists, small_fractions, st.integers(min_value=0, max_value=3))
+def test_deflation_matches_fraction_division(cofactor, root, planted):
+    # Plant the root's factor q*x - p, `planted` times, in a random cofactor.
+    f = cofactor
+    for _ in range(planted):
+        f = [root.denominator * a - root.numerator * b for a, b in zip([0] + f, f + [0])]
+    quotient, mult = E._int_list_deflate(f, root)
+    want, want_mult = _deflate_reference([Fraction(c) for c in f], root)
+    assert mult == want_mult >= planted
+    # Dividing by q*x - p instead of x - p/q scales the quotient by 1/q.
+    assert [c * root.denominator**mult for c in quotient] == want
+
+
+# ---------------------------------------------------------------------------
+# The parser on non-canonical text.
+# ---------------------------------------------------------------------------
+
+_leaves = st.one_of(
+    st.integers(min_value=0, max_value=12).map(lambda v: ("int", v)),
+    st.sampled_from(E.VARIABLES).map(lambda v: ("var", v)),
+)
+
+
+def _branches(children):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*/"), children, children),
+        st.tuples(st.just("^"), children, st.integers(min_value=0, max_value=3)),
+        st.tuples(st.just("neg"), children, st.integers(min_value=1, max_value=3)),
+        st.tuples(st.just("()"), children),
+    )
+
+
+expression_trees = st.recursive(_leaves, _branches, max_leaves=8)
+
+
+def _tree_text(node):
+    """(text, level) of a tree; levels 1 sum, 2 product, 3 signed, 4 power, 5 atom."""
+    kind = node[0]
+    if kind in ("int", "var"):
+        return str(node[1]), 5
+    if kind == "()":
+        return "(%s)" % _tree_text(node[1])[0], 5
+    if kind == "neg":
+        return "-" * node[2] + _text_at(node[1], 4), 3
+    if kind == "^":
+        return "%s^%d" % (_text_at(node[1], 5), node[2]), 4
+    level = 1 if kind in "+-" else 2
+    return "%s %s %s" % (_text_at(node[1], level), kind, _text_at(node[2], level + 1)), level
+
+
+def _text_at(node, level):
+    # Parenthesize exactly when the grammar needs it at this position.
+    text, own = _tree_text(node)
+    return text if own >= level else "(%s)" % text
+
+
+def _tree_value(node):
+    kind = node[0]
+    if kind == "int":
+        return RatFunc.const(node[1])
+    if kind == "var":
+        return RatFunc.var(node[1])
+    if kind == "()":
+        return _tree_value(node[1])
+    if kind == "neg":
+        value = _tree_value(node[1])
+        return -value if node[2] % 2 else value
+    if kind == "^":
+        return _tree_value(node[1]) ** node[2]
+    a, b = _tree_value(node[1]), _tree_value(node[2])
+    if kind == "+":
+        return a + b
+    if kind == "-":
+        return a - b
+    if kind == "*":
+        return a * b
+    return a / b
+
+
+@settings(max_examples=200, deadline=None)
+@given(expression_trees)
+def test_parse_matches_ratfunc_arithmetic(tree):
+    text = _tree_text(tree)[0]
+    try:
+        want = _tree_value(tree)
+    except E.ZeroDenominatorError:
+        with pytest.raises(E.ZeroDenominatorError):
+            E.parse_ratfunc(text)
+        return
+    assert E.parse_ratfunc(text) == want, text
+
+
+def test_parse_canonicalizes_once(monkeypatch):
+    texts = [
+        hookw.curves._F_2B,
+        hookw.curves._master_2B()[1].to_text(),
+        "(psi + 1)/(n - 2) - 3/(psi*m)^2 + --n",
+        "-(1/psi)^3*(psi - 1)/(2*psi - 2) + 0^0",
+    ]
+    calls = []
+    canonical = E._ratfunc_canonical
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return canonical(*args, **kwargs)
+
+    monkeypatch.setattr(E, "_ratfunc_canonical", counted)
+    for text in texts:
+        calls.clear()
+        E.parse_ratfunc(text)
+        assert len(calls) == 1, text
