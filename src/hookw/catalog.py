@@ -112,16 +112,23 @@ class TargetRule:
         return AlgebraDesc.osp(1, 2 * r, "C")
 
     def m_of(self, r) -> Fraction:
-        return self.m_expr.eval({"r": _frac(r)})
+        return _rank_data(self, _frac(r))[0]
 
     def psi_of_s(self, s, r) -> Fraction:
-        return _frac(s) + self.shift.eval({"r": _frac(r)})
+        return _frac(s) + _rank_data(self, _frac(r))[1]
 
     def family(self, r) -> HookFamily:
         return HookFamily.from_tag(self.tag, 0, self.m_of(r))
 
     def curve(self, r) -> TruncationCurve:
         return _curve_at(self.tag, Fraction(0), self.m_of(r))
+
+
+@cache
+def _rank_data(rule: TargetRule, r: Fraction) -> Tuple[Fraction, Fraction]:
+    """(m_expr(r), shift(r)) of a target rule, evaluated once per rank."""
+    point = {"r": r}
+    return rule.m_expr.eval(point), rule.shift.eval(point)
 
 
 def _build_targets() -> Dict[str, TargetRule]:
@@ -401,11 +408,11 @@ def verify_coincidence(entry: CoincidenceEntry, n, m, r) -> CoincidenceOutcome:
         psi1 = entry.psi.eval(point)
     except PoleError:
         return skipped("the displayed psi formula has a pole here")
+    m_t, shift = _rank_data(rule, point["r"])
     try:
-        psi2 = entry.s.eval(point) + rule.shift.eval({"r": Fraction(r)})
+        psi2 = entry.s.eval(point) + shift
     except PoleError:
         return skipped("the displayed s formula has a pole here")
-    m_t = rule.m_of(r)
     if not on_generic_domain(entry.source, n, m, psi1):
         return skipped(
             "source curve formulas are undefined at psi", psi1=psi1, psi2=psi2

@@ -19,9 +19,10 @@ inverse of the same map, so the two cannot disagree.
 
 Data that depends only on (family, n, m) is built once and reused for
 every psi; every such memo is a ``functools.cache`` on the function that
-builds it.  A numeric curve is specialized in one pass and composed with
-the degree-one psi maps without a gcd; ``TruncationCurve.values``
-evaluates its four integer forms against one table of powers of psi.
+builds it.  A numeric curve is specialized from the master's cached
+integer forms into integer lists in psi, reduced by one gcd and composed
+with the degree-one psi map without another; ``TruncationCurve.values``
+dots its four integer lists with one table of powers of psi.
 The generic-domain check looks psi up in the set of excluded values,
 built from the rational roots of the specialized denominator factors.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Optional, Tuple
 
 from .exact import (
@@ -48,14 +49,15 @@ from .exact import (
     _VAR_INDEX,
     _coerce_fraction,
     _dcompose,
-    _dict_to_int_list,
     _divexact_int,
     _dprimitive,
-    _dspecialize,
     _homogenized_powers,
-    _int_form_dot,
+    _int_list_at,
     _int_list_deflate,
+    _int_list_moebius,
+    _int_list_quotient,
     _int_list_to_dict,
+    _int_lists_at,
     _ratfunc_canonical,
 )
 from .liedata import HookFamily
@@ -112,8 +114,10 @@ class TruncationCurve:
     def values(self, psi) -> Tuple[Fraction, Fraction]:
         """(c, lambda) at a rational psi on a fully numeric curve.
 
-        The integer forms of the four polynomials, cached on them, are
-        summed over one table of homogenized powers of psi.  Raises
+        The four polynomials are dense integer lists in psi over one
+        scale, built once per curve; each is dotted with one shared table
+        of homogenized powers of psi (``_int_list_at``), so the common
+        power of psi's denominator cancels in each quotient.  Raises
         PoleError where either denominator vanishes, and everywhere when
         ``lam`` is None.
         """
@@ -121,18 +125,18 @@ class TruncationCurve:
             raise ValueError(f"curve has residual symbols {self.symbols}")
         if self.lam is None:
             raise PoleError("lambda has no finite value on this slice")
-        forms = [
-            p._int_form()
-            for p in (self.c.num, self.c.den, self.lam.num, self.lam.den)
-        ]
-        degree = max(f[2][0] if f[1] else 0 for f in forms)
-        table = _homogenized_powers(_coerce_fraction(psi), degree)
-        cn, cd, ln, ld = [_int_form_dot(f, table) for f in forms]
+        lists = self._psi_lists
+        x = _coerce_fraction(psi)
+        table = _homogenized_powers(x, max(len(cs) for cs in lists) - 1)
+        cn, cd, ln, ld = [_int_list_at(cs, x, table) for cs in lists]
         if not cd or not ld:
             raise PoleError("denominator vanishes at the given point")
-        # Canonical quotients have integer coefficients, so each sum is
-        # q**degree times its polynomial's value and the q powers cancel.
         return Fraction(cn, cd), Fraction(ln, ld)
+
+    @cached_property
+    def _psi_lists(self):
+        """Integer lists in psi of c.num, c.den, lam.num and lam.den."""
+        return _int_lists_at((self.c.num, self.c.den, self.lam.num, self.lam.den), _PSI, {})
 
 
 @dataclass(frozen=True)
@@ -264,6 +268,10 @@ def _master_domain_factors() -> Tuple[MultiPoly, ...]:
 
 _HALF = Fraction(1, 2)
 _PSI = _VAR_INDEX["psi"]
+_PSI1 = _VAR_INDEX["psi1"]
+_PSI2 = _VAR_INDEX["psi2"]
+_N = _VAR_INDEX["n"]
+_M = _VAR_INDEX["m"]
 
 # The route of each family to the master curve: tag(n, m) is
 # 2B(n + dn, m + dm [+ n]) composed with psi -> (a psi + b)/(c psi + d).
@@ -294,22 +302,22 @@ def _excluded_psi(tag: str, n: Fraction, m: Fraction):
 
     A frozenset, or None when a factor vanishes for every psi.  Built once
     per (tag, n, m) from the family's row of ``_ROUTES``: each master
-    factor is specialized at the inner (n, m), and each rational root r in
+    factor is specialized at the inner (n, m) from its cached integer form
+    into an integer list in psi, and each rational root r in
     the inner psi is mapped back through the inverse of the route's map,
     psi = (d r - b)/(a - c r).  A root with a = c r has no finite preimage;
     the pole psi = -d/c of the map itself (psi = 0 on the inverting routes)
     is excluded.  A polynomial with rational coefficients vanishes at a
     rational point exactly when that point is one of its rational roots.
     """
-    inner_n, inner_m = _inner_params(tag, n, m)
-    inner = {_VAR_INDEX["n"]: inner_n, _VAR_INDEX["m"]: inner_m}
+    inner = dict(zip((_N, _M), _inner_params(tag, n, m)))
     a, b, c, d = _ROUTES[tag][3] or (1, 0, 0, 1)
     excluded = {Fraction(-d, c)} if c else set()
     for factor in _master_domain_factors():
-        spec, _ = _dspecialize(factor._d, inner)
+        (spec,) = _int_lists_at((factor,), _PSI, inner)
         if not spec:
             return None
-        for root in rational_roots(UniPoly._view("psi", _dict_to_int_list(spec, _PSI))):
+        for root in rational_roots(UniPoly._view("psi", spec)):
             if a != c * root:
                 excluded.add((d * root - b) / (a - c * root))
     return frozenset(excluded)
@@ -392,16 +400,49 @@ def _curve(c: RatFunc, lam: Optional[RatFunc], source: str) -> TruncationCurve:
     return TruncationCurve(c=c, lam=lam, source=source, symbols=_residual_symbols(c, lam))
 
 
+def _psi_part(num, den, w, coprime=False) -> RatFunc:
+    """The RatFunc in psi of the quotient of integer lists, composed with w.
+
+    w = (a, b, c, d) is psi -> (a psi + b)/(c psi + d), or None.  The gcd
+    is taken before composing, unless ``coprime`` vouches there is none;
+    the composite of a coprime pair needs none (``_ratfunc_canonical``
+    has the proof).
+    """
+    num, den = _int_list_quotient(num, den, coprime)
+    if w is not None:
+        num, den = _int_list_quotient(*_int_list_moebius(num, den, w), coprime=True)
+    return RatFunc._from_int_lists(num, den, _PSI)
+
+
+def _numeric_2B(n: Fraction, m: Fraction, w, source: str) -> TruncationCurve:
+    """The 2B curve at rational (n, m), composed with w, on integer lists.
+
+    The master's cached integer forms are specialized straight into
+    integer lists in psi, numerator and denominator over one scale, then
+    reduced by their gcd and composed with w over the integers.
+    """
+    vals = {_N: n, _M: m}
+    c, lam = _master_2B()
+    c_out = _psi_part(*_int_lists_at((c.num, c.den), _PSI, vals), w)
+    num, den = _int_lists_at((lam.num, lam.den), _PSI, vals)
+    lam_out = _psi_part(num, den, w) if den else None
+    return _curve(c_out, lam_out, source)
+
+
 def phi_2B(n, m) -> TruncationCurve:
     """The 2B curve at parameters n, m (rationals or symbolic expressions).
 
     Half-integer and negative parameters are meaningful: the other seven
     families are this curve at shifted arguments.  On the slices where
     the lambda denominator vanishes identically (the free-field orbifold
-    cosets) the lambda component is None.
+    cosets) the lambda component is None.  Rational (n, m) take the
+    integer-list route of ``_numeric_2B``; symbolic ones are specialized
+    and substituted on polynomial dicts.
     """
     n = _coerce_param(n)
     m = _coerce_param(m)
+    if not isinstance(n, RatFunc) and not isinstance(m, RatFunc):
+        return _numeric_2B(n, m, None, "2B")
     c, lam = _master_2B()
     mapping = {"n": n, "m": m}
     c_out = _subst_simultaneous(c, mapping)
@@ -417,7 +458,8 @@ def _compose_psi(curve: TruncationCurve, w: tuple, source: str) -> TruncationCur
 
     Composing a canonical quotient with such a map keeps it coprime, so
     the cleared pair is canonicalized without a gcd (``_ratfunc_canonical``
-    has the proof).
+    has the proof).  A curve in psi alone is composed on integer lists, a
+    symbolic one on polynomial dicts.
     """
     a, b, c, d = w
     if a * d == b * c:
@@ -425,6 +467,8 @@ def _compose_psi(curve: TruncationCurve, w: tuple, source: str) -> TruncationCur
     w_num, w_den = _int_list_to_dict([b, a], _PSI), _int_list_to_dict([d, c], _PSI)
 
     def compose(rf: RatFunc) -> RatFunc:
+        if not curve.symbols:
+            return _psi_part(*_int_lists_at((rf.num, rf.den), _PSI, {}), w, coprime=True)
         num, den = _dcompose(rf.num._d, rf.den._d, _PSI, w_num, w_den)
         return RatFunc._raw_canonical(*_ratfunc_canonical(num, den, coprime=True))
 
@@ -440,12 +484,18 @@ def phi_family(tag: str, n, m) -> TruncationCurve:
     the triality group that is composed with it: 1O, 2D, 1C are
     half-integer shifts of the master, and 1B, 1D, 2C, 2O also invert psi.
     n and m may be any rationals (the internal shifts leave the lattice)
-    or symbolic expressions.
+    or symbolic expressions.  At rational (n, m) the curve is specialized,
+    reduced and composed on integer lists in psi (``_numeric_2B``) and
+    converted to RatFuncs once; symbolic parameters take the polynomial
+    dict route of ``RatFunc.specialize`` and ``_dcompose``.
     """
     if tag not in _ROUTES:
         raise ValueError(f"unknown family {tag!r}")
     *_, w, source = _ROUTES[tag]
-    inner = phi_2B(*_inner_params(tag, _coerce_param(n), _coerce_param(m)))
+    n, m = _coerce_param(n), _coerce_param(m)
+    if not isinstance(n, RatFunc) and not isinstance(m, RatFunc):
+        return _numeric_2B(*_inner_params(tag, n, m), w, source)
+    inner = phi_2B(*_inner_params(tag, n, m))
     if w is None:
         return _curve(inner.c, inner.lam, source)
     return _compose_psi(inner, w, source)
@@ -662,12 +712,12 @@ def _curve_value(curve: TruncationCurve, psi: Fraction):
         return None
 
 
-def _root_candidates(spec_c: MultiPoly, spec_l: MultiPoly, var: str):
-    """Common rational roots of two specializations; None marks a free line.
+def _root_candidates(polys):
+    """Common rational roots of UniPolys; None marks a free line.
 
     A nonzero constant has no roots, so it leaves no candidates.
     """
-    polys = [UniPoly.from_multipoly(p, var) for p in (spec_c, spec_l) if not p.is_zero()]
+    polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return None
     first, *rest = polys
@@ -741,7 +791,7 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
     elif deg_c == 0 and deg_l == 0:
         # Neither residual equation involves psi1: common psi2 roots would
         # give vertical lines, which are identity components.
-        shared = _root_candidates(ec, el, "psi2")
+        shared = _root_candidates(UniPoly.from_multipoly(p, "psi2") for p in (ec, el))
         if shared:
             identity = True
         return IntersectionReport(points=(), identity_component=identity, residual_degree=0)
@@ -763,9 +813,9 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
         value_b = _curve_value(B, b)
         if value_b is None:
             continue
-        spec_c = ec.substitute("psi2", b)
-        spec_l = el.substitute("psi2", b)
-        candidates = _root_candidates(spec_c, spec_l, "psi1")
+        # Both equations at psi2 = b, as integer lists in psi1 in one pass.
+        specs = _int_lists_at((ec, el), _PSI1, {_PSI2: b})
+        candidates = _root_candidates(UniPoly._view("psi1", cs) for cs in specs)
         if candidates is None:
             # Both equations vanish along psi2 = b: a free line of
             # solutions in psi1.

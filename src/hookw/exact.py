@@ -45,10 +45,19 @@ without forming it.  No integer is factored and no step is probabilistic.
 
 Evaluation runs over the integers.  Each polynomial builds its integer form
 once, on first use: a common denominator, the occurring variables with
-their degrees, and integer terms.  A value p/q of a variable of degree d
-enters term x^e as p^e * q^(d - e), so an evaluation multiplies integers
-only and builds one Fraction at the end.  Specializing several variables
-at scalars takes the same route, term by term, and canonicalizes once.
+their degrees, integer coefficients and one exponent column per variable.
+A value p/q of a variable of degree d enters term x^e as p^e * q^(d - e),
+so an evaluation multiplies integers only and builds one Fraction at the
+end.  A quotient's numerator and denominator share one such table per
+variable, to the larger of the two degrees, so their sums carry the same
+scale; a variable on one side only multiplies the other side's sum by
+q^d.  Specialization at scalars into integer lists in one remaining
+variable (``_int_lists_at``) runs on the same forms and tables: this is
+how a curve at rational (n, m) is built, reduced with ``_int_list_gcd``,
+composed with a degree-one map x -> (a x + b)/(c x + d) by
+``_int_list_moebius`` without a gcd, and normalized by
+``_int_list_quotient``.  ``RatFunc.specialize``, on polynomial dicts, is
+left for specializations that keep several variables.
 
 The parser builds an expression as one uncanonicalized quotient of
 polynomial dicts and canonicalizes it once, at the end.
@@ -60,6 +69,7 @@ import re
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, lcm
+from operator import mul
 
 VARIABLES = ("psi", "psi1", "psi2", "n", "m", "r", "s")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -379,41 +389,84 @@ def _dspecialize(a, values):
     return {k: c for k, c in out.items() if c}, scale
 
 
-def _int_form_value(form, vals):
-    """(top, bottom) with top / bottom the value of an integer form.
+def _shared_tables(forms, vals):
+    """One table of homogenized powers per variable of vals the forms involve.
 
-    ``form`` is ``MultiPoly._int_form()``; ``vals`` maps each of its
-    variable indices to a Fraction.  bottom is a positive int.
+    ``forms`` are ``MultiPoly._int_form()``s; each table reaches the highest
+    degree the variable has in any of them, so all forms summed against
+    the tables (``_int_form_value``) carry the same power of its denominator.
     """
-    bottom, idxs, degrees, coeffs, exps = form
-    tables = []
-    for i, d in zip(idxs, degrees):
-        v = vals[i]
-        tables.append(_homogenized_powers(v, d))
-        bottom *= v.denominator**d
-    if len(tables) == 1:
-        return _int_form_dot(form, tables[0]), bottom
-    total = 0
-    for c, es in zip(coeffs, exps):
-        for table, e in zip(tables, es):
-            c *= table[e]
-        total += c
-    return total, bottom
+    degree = {}
+    for form in forms:
+        for i, d in zip(form[1], form[2]):
+            if degree.get(i, -1) < d:
+                degree[i] = d
+    return {i: _homogenized_powers(vals[i], d) for i, d in degree.items() if i in vals}
 
 
-def _int_form_dot(form, table):
-    """The terms of an integer form in at most one variable, summed over table.
+def _int_form_value(form, tables):
+    """The terms of an integer form summed against tables of homogenized powers.
 
-    ``table`` is ``_homogenized_powers(v, D)`` for a D at least the form's
-    degree; the sum is then den * q**D times the form's value at v == p/q.
+    ``tables`` maps every variable of the form, and possibly others, to
+    ``_homogenized_powers(p/q, D)`` with D at least the form's degree in
+    it.  A variable the form lacks multiplies the sum by its table[0],
+    q**D, so forms summed against the same tables share one scale: the
+    sum is den * prod(q**D) times the form's value.
     """
-    _, idxs, _, coeffs, exps = form
-    if not idxs:
-        return sum(coeffs) * table[0]
-    total = 0
-    for c, e in zip(coeffs, exps):
-        total += c * table[e]
+    _, idxs, _, coeffs, cols = form
+    terms = coeffs
+    for i, col in zip(idxs, cols):
+        terms = map(mul, terms, map(tables[i].__getitem__, col))
+    total = sum(terms)
+    for i, table in tables.items():
+        if i not in idxs:
+            total *= table[0]
     return total
+
+
+def _int_form_at(form, tables, idx):
+    """Dense integer list, low to high, of an integer form in variable idx.
+
+    Every other variable of the form is summed against its table, as in
+    ``_int_form_value``, so the list holds den * prod(q**D) times the
+    coefficients of the form in the variable idx.  Not trimmed.
+    """
+    _, idxs, degrees, coeffs, cols = form
+    if idx not in idxs:
+        return [_int_form_value(form, tables)]
+    pos = idxs.index(idx)
+    terms = coeffs
+    for i, col in zip(idxs, cols):
+        if i != idx:
+            terms = map(mul, terms, map(tables[i].__getitem__, col))
+    out = [0] * (degrees[pos] + 1)
+    for c, e in zip(terms, cols[pos]):
+        out[e] += c
+    for i, table in tables.items():
+        if i != idx and i not in idxs:
+            out = [c * table[0] for c in out]
+    return out
+
+
+def _int_lists_at(polys, idx, vals):
+    """Integer lists in variable idx of polynomials at scalars, over one scale.
+
+    ``vals`` maps the index of every other occurring variable to a
+    Fraction.  Each variable gets one table of homogenized powers, shared by
+    all the polynomials, and the integer-form denominators are brought to
+    their lcm, so polys[j] at vals is lists[j] / S for one positive int S:
+    quotients of the polynomials are quotients of the lists.  The lists are
+    trimmed, so a polynomial that vanishes gives [].
+    """
+    forms = [p._int_form() for p in polys]
+    tables = _shared_tables(forms, vals)
+    common = lcm(*(f[0] for f in forms))
+    lists = []
+    for form in forms:
+        cs = _int_form_at(form, tables, idx)
+        k = common // form[0]
+        lists.append(_dense_trim([c * k for c in cs] if k != 1 else cs))
+    return lists
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +669,16 @@ def _int_list_divexact(a, b):
     return q
 
 
-def _int_list_at(cs, x):
-    """q**d times the value of an integer list of degree d at x == p/q."""
-    return sum(c * t for c, t in zip(cs, _homogenized_powers(x, len(cs) - 1)))
+def _int_list_at(cs, x, table=None):
+    """q**D times the value of an integer list at x == p/q.
+
+    D is the list's degree, or, when ``table`` is given, its top index:
+    ``table`` is ``_homogenized_powers(x, D)`` for a D at least the degree,
+    shared by several lists evaluated at the same x.
+    """
+    if table is None:
+        table = _homogenized_powers(x, len(cs) - 1)
+    return sum(map(mul, cs, table))
 
 
 def _int_list_deflate(cs, root):
@@ -654,6 +714,57 @@ def _squarefree_mod(g, q):
     while len(b) > 1:
         a, b = b, _dense_trim([c % q for c in _prem_int_list(a, b)])
     return len(b) == 1
+
+
+def _int_list_quotient(num, den, coprime=False):
+    """The canonical form of the quotient num/den of integer lists.
+
+    ``_ratfunc_canonical`` on the kernel: no common factor, coprime integer
+    contents, positive leading denominator coefficient.  ``coprime=True``
+    vouches that the lists share no nonconstant factor, as after
+    ``_int_list_moebius`` of a canonical pair, and skips the gcd.
+    """
+    if not den:
+        raise ZeroDenominatorError("zero denominator")
+    if not num:
+        return [], [1]
+    if not coprime:
+        g = _int_list_gcd(num, den)
+        if len(g) > 1:
+            num = _int_list_divexact(num, g)
+            den = _int_list_divexact(den, g)
+    c = gcd(_int_content(num), _int_content(den))
+    if den[-1] < 0:
+        c = -c
+    return [v // c for v in num], [v // c for v in den]
+
+
+def _int_list_moebius(num, den, w):
+    """Cleared composition of num/den with x -> (a x + b)/(c x + d), w = (a, b, c, d).
+
+    Both lists are homogenized to k, the larger degree: each becomes
+    sum(cs[i] * (a x + b)**i * (c x + d)**(k - i)), by Horner in the
+    ratio of the two linear forms.  The pair's quotient is the composite.
+    """
+    a, b, c, d = w
+    k = max(len(num), len(den)) - 1
+
+    def times(p, lo, hi):
+        # p * (hi x + lo)
+        return [lo * x + hi * y for x, y in zip(p + [0], [0] + p)]
+
+    out = []
+    for cs in (num, den):
+        acc = [cs[k]] if k < len(cs) else [0]
+        power = [1]
+        for i in range(k - 1, -1, -1):
+            power = times(power, d, c)
+            acc = times(acc, b, a)
+            if i < len(cs) and cs[i]:
+                for e, v in enumerate(power):
+                    acc[e] += cs[i] * v
+        out.append(_dense_trim(acc))
+    return out
 
 
 def _dict_to_int_list(a, idx):
@@ -1044,25 +1155,21 @@ class MultiPoly:
         return MultiPoly._raw(res)
 
     def _int_form(self):
-        """(den, idxs, degrees, coeffs, exps), built once: the integer form.
+        """(den, idxs, degrees, coeffs, cols), built once: the integer form.
 
         ``idxs`` are the occurring variable indices in universe order and
-        ``degrees`` their maximum exponents.  Term j is ``coeffs[j]`` times
-        the power product ``exps[j]``: a tuple of exponents at idxs, or the
-        bare exponent when one variable occurs, as in every specialized
-        curve.  self is the sum of the terms over den.
+        ``degrees`` their maximum exponents.  ``cols`` holds one column
+        per variable of idxs: term j is ``coeffs[j]`` times the product of
+        each variable to the power ``col[j]``.  self is the sum of the terms
+        over den, a positive int.
         """
         form = self._int
         if form is None:
             ints, den = _dto_int(self._d)
             idxs = tuple(sorted(_dvars(ints)))
-            if len(idxs) == 1:
-                (i,) = idxs
-                exps = tuple(k[i] for k in ints)
-            else:
-                exps = tuple(tuple(k[i] for i in idxs) for k in ints)
-            degrees = tuple(_ddeg_var(ints, i) for i in idxs)
-            form = (den, idxs, degrees, tuple(ints.values()), exps)
+            cols = tuple(tuple(k[i] for k in ints) for i in idxs)
+            degrees = tuple(max(col) for col in cols)
+            form = (den, idxs, degrees, tuple(ints.values()), cols)
             object.__setattr__(self, "_int", form)
         return form
 
@@ -1077,7 +1184,11 @@ class MultiPoly:
             raise MissingVariableError(
                 "no value for variable(s): %s" % ", ".join(missing)
             )
-        return Fraction(*_int_form_value(form, vals))
+        tables = _shared_tables((form,), vals)
+        bottom = form[0]
+        for i, table in tables.items():
+            bottom *= vals[i].denominator ** (len(table) - 1)
+        return Fraction(_int_form_value(form, tables), bottom)
 
     # -- text ----------------------------------------------------------------
 
@@ -1143,6 +1254,14 @@ class RatFunc:
         object.__setattr__(self, "num", MultiPoly._raw(nd))
         object.__setattr__(self, "den", MultiPoly._raw(dd))
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _from_int_lists(cls, num, den, idx):
+        """The RatFunc of a canonical pair of integer lists in variable idx."""
+        return cls._raw_canonical(
+            {k: Fraction(c) for k, c in _int_list_to_dict(num, idx).items()},
+            {k: Fraction(c) for k, c in _int_list_to_dict(den, idx).items()},
+        )
 
     @classmethod
     def _raw_canonical(cls, num_d, den_d):
@@ -1332,24 +1451,28 @@ class RatFunc:
         ))
 
     def eval(self, assignment):
-        """Exact value; pole and missing-variable failures are distinct."""
+        """Exact value; pole and missing-variable failures are distinct.
+
+        Names outside the universe raise UnknownVariableError, as in
+        ``MultiPoly.eval``.  Numerator and denominator are summed over the
+        integers against one table of homogenized powers per variable,
+        so the two sums share their scale and their quotient is the value.
+        """
         vals = {}
         for name, v in assignment.items():
-            vals[name] = _coerce_fraction(v)
+            vals[_check_var(name)] = _coerce_fraction(v)
         num_form = self.num._int_form()
         den_form = self.den._int_form()
-        need = num_form[1] + den_form[1]
-        missing = sorted({i for i in need if VARIABLES[i] not in vals})
+        missing = sorted({i for i in num_form[1] + den_form[1] if i not in vals})
         if missing:
             raise MissingVariableError(
                 "no value for variable(s): %s" % ", ".join(VARIABLES[i] for i in missing)
             )
-        at = {i: vals[VARIABLES[i]] for i in need}
-        den_top, den_bottom = _int_form_value(den_form, at)
-        if not den_top:
+        tables = _shared_tables((num_form, den_form), vals)
+        bottom = _int_form_value(den_form, tables)
+        if not bottom:
             raise PoleError("denominator vanishes at the given point")
-        num_top, num_bottom = _int_form_value(num_form, at)
-        return Fraction(num_top * den_bottom, num_bottom * den_top)
+        return Fraction(_int_form_value(num_form, tables) * den_form[0], bottom * num_form[0])
 
     # -- text ------------------------------------------------------------------
 

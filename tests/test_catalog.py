@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -139,6 +140,7 @@ class TestVerifyPointwise:
 class TestFullSweep:
     def test_integer_sweep_never_fails(self):
         passes = skips = 0
+        reasons = Counter()
         for e in K.all_entries():
             min_r = K.TARGETS[e.target].min_r
             for n in range(5):
@@ -150,10 +152,17 @@ class TestFullSweep:
                             passes += 1
                         else:
                             skips += 1
+                            fired = out.reason.startswith("exclusion ")
+                            reasons["exclusion" if fired else out.reason] += 1
         # Frozen from the first verified sweep; a semantics drift in the
         # skip conditions would show up as a count change.
         assert passes == 3663
         assert skips == 837
+        assert reasons == {
+            "source curve formulas are undefined at psi": 495,
+            "exclusion": 236,
+            "the displayed psi formula has a pole here": 106,
+        }
 
 
 class TestCurveMemo:

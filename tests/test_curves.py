@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from hookw import curves as C
+from hookw import exact as E
 from hookw import liedata as L
 from hookw.exact import (
     ExactError,
+    MultiPoly,
     PoleError,
     RatFunc,
     UniPoly,
@@ -122,6 +124,64 @@ class TestPhiRoutes:
                 for m in range(5):
                     f = fam(tag, n, m)
                     assert C.phi(f).c == L.central_charge(f), (tag, n, m)
+
+
+_GRID = (F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2), F(3))
+
+
+def _reference_family(tag, n, m):
+    """phi_family on polynomial dicts: specialize, compose, full canonical form."""
+    dn, dm, m_gains_n, w, _ = C._ROUTES[tag]
+    inner = {"n": n + dn, "m": m + dm + (n if m_gains_n else 0)}
+    psi = MultiPoly.var("psi")
+
+    def route(rf):
+        try:
+            spec = rf.specialize(inner)
+        except ZeroDenominatorError:
+            return None
+        if w is None:
+            return spec
+        a, b, c, d = w
+        num, den = E._dcompose(
+            spec.num._d, spec.den._d, E._VAR_INDEX["psi"], (a * psi + b)._d, (c * psi + d)._d
+        )
+        return RatFunc._raw_canonical(*E._ratfunc_canonical(num, den))
+
+    return tuple(route(rf) for rf in C._master_2B())
+
+
+class TestNumericBuilds:
+    """Numeric curves come from the integer-list kernel, never the dict route."""
+
+    def test_matches_the_polynomial_dict_route(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("numeric curve built through the polynomial dict route")
+
+        with monkeypatch.context() as patch:
+            for module in (C, E):
+                patch.setattr(module, "_dcompose", forbidden)
+            patch.setattr(E, "_dspecialize", forbidden)
+            built = {
+                (tag, n, m): C.phi_family(tag, n, m)
+                for tag in L.FAMILY_TAGS
+                for n in _GRID
+                for m in _GRID
+            }
+        slices = 0
+        for (tag, n, m), got in built.items():
+            c, lam = _reference_family(tag, n, m)
+            assert got.c == c, (tag, n, m)
+            assert got.c.to_text() == c.to_text(), (tag, n, m)
+            assert got.symbols == ()
+            if lam is None:
+                slices += 1
+                assert got.lam is None, (tag, n, m)
+            else:
+                assert got.lam == lam, (tag, n, m)
+                assert got.lam.to_text() == lam.to_text(), (tag, n, m)
+        # Both kinds of slice are on the grid.
+        assert 0 < slices < len(built)
 
 
 class TestOrbifoldSlices:

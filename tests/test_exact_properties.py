@@ -470,6 +470,51 @@ def test_ratfunc_eval_matches_reference(num, den, vals):
         assert f.eval(vals) == _reference_value(f.num, vals) / den_value
 
 
+@st.composite
+def one_sided_quotients(draw):
+    """(f, name, pole): no variable of f occurs on both sides of f, and f's
+    denominator vanishes wherever ``name`` takes the value ``pole``."""
+    names = draw(st.permutations(E.VARIABLES))
+    split = draw(st.integers(min_value=0, max_value=3))
+    num = draw(polys(vars=tuple(names[:split]), max_terms=5, max_exp=4))
+    den_vars = tuple(names[split : split + 2])
+    den = draw(polys(vars=den_vars, max_terms=4, max_exp=3, zero_ok=False))
+    if den.is_zero():
+        den = MultiPoly.one()
+    pole = draw(eval_values)
+    den = den * (MultiPoly.var(den_vars[0]) - pole)
+    return RatFunc(num, den), den_vars[0], pole
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_sided_quotients(), st.data())
+def test_ratfunc_eval_with_one_sided_variables(quotient, data):
+    # Numerator and denominator share one table per variable; a variable
+    # on one side only scales the other side's sum by its table[0].
+    f, name, pole = quotient
+    assert not f.num.variables() & f.den.variables()
+    names = sorted(f.variables()) + data.draw(st.lists(st.sampled_from(E.VARIABLES), max_size=2))
+    vals = {v: data.draw(eval_values) for v in names}
+    if data.draw(st.booleans()):
+        vals[name] = pole
+    if names and data.draw(st.integers(min_value=0, max_value=4)) == 0:
+        del vals[data.draw(st.sampled_from(names))]
+    missing = _missing(f, vals)
+    if missing:
+        with pytest.raises(E.MissingVariableError) as info:
+            f.eval(vals)
+        assert str(info.value) == _missing_text(missing)
+        return
+    den_value = _reference_value(f.den, vals)
+    if den_value == 0:
+        with pytest.raises(E.PoleError):
+            f.eval(vals)
+    else:
+        value = f.eval(vals)
+        assert type(value) is Fraction
+        assert value == _reference_value(f.num, vals) / den_value
+
+
 @settings(max_examples=60, deadline=None)
 @given(sparse_polys(), assignments(), st.sampled_from([0.5, 2.0, "1/2", None]))
 def test_eval_rejects_non_exact_values_first(p, vals, bad):
@@ -490,8 +535,12 @@ def test_eval_unknown_variable_handling():
     with pytest.raises(E.ExactError) as info:
         p.eval({"psi": 0.5, "zeta": 1})
     assert type(info.value) is E.ExactError
-    # RatFunc.eval ignores names it does not need, known or not.
-    assert RatFunc(p).eval({"psi": 1, "zeta": 7}) == 2
+    # RatFunc.eval checks names the same way, whether it needs them or not.
+    with pytest.raises(E.UnknownVariableError):
+        RatFunc(p).eval({"psi": 1, "zeta": 7})
+    with pytest.raises(E.UnknownVariableError):
+        RatFunc.var("n").eval({"n": 1, "q": 2})
+    assert RatFunc(p).eval({"psi": 1, "r": 7}) == 2
 
 
 # ---------------------------------------------------------------------------
