@@ -49,6 +49,7 @@ from .exact import (
     _VAR_INDEX,
     _coerce_fraction,
     _dcompose,
+    _dict_to_int_list,
     _divexact_int,
     _dprimitive,
     _homogenized_powers,
@@ -114,8 +115,8 @@ class TruncationCurve:
     def values(self, psi) -> Tuple[Fraction, Fraction]:
         """(c, lambda) at a rational psi on a fully numeric curve.
 
-        The four polynomials are dense integer lists in psi over one
-        scale, built once per curve; each is dotted with one shared table
+        The four polynomials are read once per curve as dense integer
+        lists in psi (``_psi_lists``); each is dotted with one shared table
         of homogenized powers of psi (``_int_list_at``), so the common
         power of psi's denominator cancels in each quotient.  Raises
         PoleError where either denominator vanishes, and everywhere when
@@ -135,8 +136,15 @@ class TruncationCurve:
 
     @cached_property
     def _psi_lists(self):
-        """Integer lists in psi of c.num, c.den, lam.num and lam.den."""
-        return _int_lists_at((self.c.num, self.c.den, self.lam.num, self.lam.den), _PSI, {})
+        """Integer lists in psi of c.num, c.den, lam.num and lam.den.
+
+        Read off the curve's own RatFuncs, whose canonical coefficients
+        are integers, once per curve: numeric curves come from the integer
+        lists of ``_numeric_2B`` and from the polynomial dicts of
+        ``_compose_psi`` alike, and the RatFuncs are what they share.
+        """
+        polys = (self.c.num, self.c.den, self.lam.num, self.lam.den)
+        return [[c.numerator for c in _dict_to_int_list(p._d, _PSI)] for p in polys]
 
 
 @dataclass(frozen=True)
@@ -400,15 +408,14 @@ def _curve(c: RatFunc, lam: Optional[RatFunc], source: str) -> TruncationCurve:
     return TruncationCurve(c=c, lam=lam, source=source, symbols=_residual_symbols(c, lam))
 
 
-def _psi_part(num, den, w, coprime=False) -> RatFunc:
+def _psi_part(num, den, w) -> RatFunc:
     """The RatFunc in psi of the quotient of integer lists, composed with w.
 
     w = (a, b, c, d) is psi -> (a psi + b)/(c psi + d), or None.  The gcd
-    is taken before composing, unless ``coprime`` vouches there is none;
-    the composite of a coprime pair needs none (``_ratfunc_canonical``
-    has the proof).
+    is taken before composing; the composite of the coprime pair needs
+    none (``_ratfunc_canonical`` has the proof).
     """
-    num, den = _int_list_quotient(num, den, coprime)
+    num, den = _int_list_quotient(num, den)
     if w is not None:
         num, den = _int_list_quotient(*_int_list_moebius(num, den, w), coprime=True)
     return RatFunc._from_int_lists(num, den, _PSI)
@@ -458,8 +465,7 @@ def _compose_psi(curve: TruncationCurve, w: tuple, source: str) -> TruncationCur
 
     Composing a canonical quotient with such a map keeps it coprime, so
     the cleared pair is canonicalized without a gcd (``_ratfunc_canonical``
-    has the proof).  A curve in psi alone is composed on integer lists, a
-    symbolic one on polynomial dicts.
+    has the proof).
     """
     a, b, c, d = w
     if a * d == b * c:
@@ -467,8 +473,6 @@ def _compose_psi(curve: TruncationCurve, w: tuple, source: str) -> TruncationCur
     w_num, w_den = _int_list_to_dict([b, a], _PSI), _int_list_to_dict([d, c], _PSI)
 
     def compose(rf: RatFunc) -> RatFunc:
-        if not curve.symbols:
-            return _psi_part(*_int_lists_at((rf.num, rf.den), _PSI, {}), w, coprime=True)
         num, den = _dcompose(rf.num._d, rf.den._d, _PSI, w_num, w_den)
         return RatFunc._raw_canonical(*_ratfunc_canonical(num, den, coprime=True))
 

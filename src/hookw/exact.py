@@ -51,13 +51,14 @@ so an evaluation multiplies integers only and builds one Fraction at the
 end.  A quotient's numerator and denominator share one such table per
 variable, to the larger of the two degrees, so their sums carry the same
 scale; a variable on one side only multiplies the other side's sum by
-q^d.  Specialization at scalars into integer lists in one remaining
-variable (``_int_lists_at``) runs on the same forms and tables: this is
+q^d.  Specialization at scalars (``_int_forms_at``) runs on the same
+forms and tables and gives integer dicts in the remaining variables over
+one scale; ``RatFunc.specialize`` canonicalizes them.  When one variable
+remains they are read as dense integer lists (``_int_lists_at``): this is
 how a curve at rational (n, m) is built, reduced with ``_int_list_gcd``,
 composed with a degree-one map x -> (a x + b)/(c x + d) by
 ``_int_list_moebius`` without a gcd, and normalized by
-``_int_list_quotient``.  ``RatFunc.specialize``, on polynomial dicts, is
-left for specializations that keep several variables.
+``_int_list_quotient``.
 
 The parser builds an expression as one uncanonicalized quotient of
 polynomial dicts and canonicalizes it once, at the end.
@@ -67,7 +68,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -364,31 +365,6 @@ def _homogenized_powers(value, d):
     return table
 
 
-def _dspecialize(a, values):
-    """Substitute scalars {index: Fraction} into dict a in one pass.
-
-    Returns (int dict, scale) with a(values) == dict / scale and scale a
-    positive int; the substituted slots of every key are zeroed.
-    """
-    ints, scale = _dto_int(a)
-    tables = []
-    for i, v in values.items():
-        d = _ddeg_var(ints, i)
-        if d > 0:
-            tables.append((i, _homogenized_powers(v, d)))
-            scale *= v.denominator**d
-    out = {}
-    for k, c in ints.items():
-        key = list(k)
-        for i, table in tables:
-            c *= table[k[i]]
-            key[i] = 0
-        key = tuple(key)
-        prev = out.get(key)
-        out[key] = c if prev is None else prev + c
-    return {k: c for k, c in out.items() if c}, scale
-
-
 def _shared_tables(forms, vals):
     """One table of homogenized powers per variable of vals the forms involve.
 
@@ -424,48 +400,62 @@ def _int_form_value(form, tables):
     return total
 
 
-def _int_form_at(form, tables, idx):
-    """Dense integer list, low to high, of an integer form in variable idx.
+def _int_forms_at(polys, vals):
+    """Polynomials at scalars, as integer dicts in the remaining variables.
 
-    Every other variable of the form is summed against its table, as in
-    ``_int_form_value``, so the list holds den * prod(q**D) times the
-    coefficients of the form in the variable idx.  Not trimmed.
-    """
-    _, idxs, degrees, coeffs, cols = form
-    if idx not in idxs:
-        return [_int_form_value(form, tables)]
-    pos = idxs.index(idx)
-    terms = coeffs
-    for i, col in zip(idxs, cols):
-        if i != idx:
-            terms = map(mul, terms, map(tables[i].__getitem__, col))
-    out = [0] * (degrees[pos] + 1)
-    for c, e in zip(terms, cols[pos]):
-        out[e] += c
-    for i, table in tables.items():
-        if i != idx and i not in idxs:
-            out = [c * table[0] for c in out]
-    return out
-
-
-def _int_lists_at(polys, idx, vals):
-    """Integer lists in variable idx of polynomials at scalars, over one scale.
-
-    ``vals`` maps the index of every other occurring variable to a
-    Fraction.  Each variable gets one table of homogenized powers, shared by
-    all the polynomials, and the integer-form denominators are brought to
-    their lcm, so polys[j] at vals is lists[j] / S for one positive int S:
-    quotients of the polynomials are quotients of the lists.  The lists are
-    trimmed, so a polynomial that vanishes gives [].
+    ``vals`` maps variable indices to Fractions.  The cached integer forms
+    are summed against one table of homogenized powers per variable,
+    shared by all the polynomials (``_shared_tables``), and their
+    denominators are brought to their lcm, so polys[j] at vals is
+    dicts[j] / S for one positive int S: quotients of the polynomials are
+    quotients of the dicts.  Returns (rest, dicts): ``rest`` holds the
+    occurring variables outside vals in universe order, and each dict maps
+    a tuple of their exponents to a nonzero int.
     """
     forms = [p._int_form() for p in polys]
     tables = _shared_tables(forms, vals)
-    common = lcm(*(f[0] for f in forms))
+    rest = tuple(sorted({i for form in forms for i in form[1]} - tables.keys()))
+    common = lcm(*(form[0] for form in forms))
+    dicts = []
+    for den, idxs, _, coeffs, cols in forms:
+        scale = common // den
+        terms = coeffs
+        for i, table in tables.items():
+            if i in idxs:
+                terms = map(mul, terms, map(table.__getitem__, cols[idxs.index(i)]))
+            else:
+                # A variable the form lacks: its sum times q**D.
+                scale *= table[0]
+        if rest:
+            zeros = (0,) * len(coeffs)
+            keys = zip(*(cols[idxs.index(i)] if i in idxs else zeros for i in rest))
+        else:
+            keys = repeat((), len(coeffs))
+        out = {}
+        for k, c in zip(keys, terms):
+            out[k] = out.get(k, 0) + c
+        dicts.append({k: c * scale for k, c in out.items() if c})
+    return rest, dicts
+
+
+def _int_lists_at(polys, idx, vals):
+    """``_int_forms_at`` as dense integer lists, low to high, in variable idx.
+
+    Every occurring variable other than idx must have a value.  The lists
+    are trimmed, so a polynomial that vanishes gives [].
+    """
+    rest, dicts = _int_forms_at(polys, vals)
+    if set(rest) - {idx}:
+        raise MissingVariableError(
+            "no value for variable(s): %s" % ", ".join(VARIABLES[i] for i in rest if i != idx)
+        )
     lists = []
-    for form in forms:
-        cs = _int_form_at(form, tables, idx)
-        k = common // form[0]
-        lists.append(_dense_trim([c * k for c in cs] if k != 1 else cs))
+    for d in dicts:
+        # Each key is () or (e,), so its sum is the exponent of idx.
+        cs = [0] * (max(map(sum, d), default=-1) + 1)
+        for k, c in d.items():
+            cs[sum(k)] = c
+        lists.append(cs)
     return lists
 
 
@@ -1432,23 +1422,31 @@ class RatFunc:
     def specialize(self, assignment):
         """Substitute exact scalars for several variables in one pass.
 
-        Every term is specialized at once and the quotient is canonicalized
-        once at the end.  Raises ZeroDenominatorError when the specialized
+        Numerator and denominator are specialized from their cached
+        integer forms over one scale (``_int_forms_at``) and the quotient
+        is canonicalized once at the end.  Raises ZeroDenominatorError when the specialized
         denominator vanishes identically.
         """
         vals = {}
         for name, v in assignment.items():
             vals[_check_var(name)] = _coerce_fraction(v)
-        num, num_scale = _dspecialize(self.num._d, vals)
-        den, den_scale = _dspecialize(self.den._d, vals)
+        rest, (num, den) = _int_forms_at((self.num, self.den), vals)
         if not den:
             raise ZeroDenominatorError(
                 "specialization makes the denominator vanish identically"
             )
-        return RatFunc._raw_canonical(*_ratfunc_canonical(
-            {k: c * den_scale for k, c in num.items()},
-            {k: c * num_scale for k, c in den.items()},
-        ))
+
+        def widen(d):
+            # Exponent tuples over rest back to keys over the universe.
+            out = {}
+            for k, c in d.items():
+                key = list(_ZERO_KEY)
+                for i, e in zip(rest, k):
+                    key[i] = e
+                out[tuple(key)] = Fraction(c)
+            return out
+
+        return RatFunc._raw_canonical(*_ratfunc_canonical(widen(num), widen(den)))
 
     def eval(self, assignment):
         """Exact value; pole and missing-variable failures are distinct.

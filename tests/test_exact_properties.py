@@ -609,6 +609,106 @@ def test_deflation_matches_fraction_division(cofactor, root, planted):
 
 
 # ---------------------------------------------------------------------------
+# Specialization and Moebius composition on integer lists, against Fraction
+# substitution and the polynomial-dict route.
+# ---------------------------------------------------------------------------
+
+
+def _psi_list(d):
+    # The coefficient list, low to high, of a dict in psi alone.
+    cs = [0] * (max((k[0] for k in d), default=-1) + 1)
+    for k, c in d.items():
+        assert not any(k[1:])
+        cs[k[0]] = c
+    return cs
+
+
+small_ints = st.integers(min_value=-5, max_value=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.just([]), int_lists),
+    int_lists,
+    int_lists,
+    small_ints,
+    small_ints,
+    small_ints,
+    small_ints,
+)
+def test_int_list_moebius_matches_dict_composition(num, den, common, a, b, c, d):
+    # A quotient with a planted common factor: the kernel takes one gcd,
+    # composes with psi -> (a psi + b)/(c psi + d) and normalizes without
+    # another; the dict route composes and takes the full canonical form.
+    assume(a * d != b * c)
+    num_d = E._dmul_raw(_psi_dict(num), _psi_dict(common))
+    den_d = E._dmul_raw(_psi_dict(den), _psi_dict(common))
+    kn, kd = E._int_list_quotient(_psi_list(num_d), _psi_list(den_d))
+    kn, kd = E._int_list_quotient(*E._int_list_moebius(kn, kd, (a, b, c, d)), coprime=True)
+    psi = MultiPoly.var("psi")
+    rn, rd = E._dcompose(
+        {k: Fraction(v) for k, v in num_d.items()},
+        {k: Fraction(v) for k, v in den_d.items()},
+        0,
+        (a * psi + b)._d,
+        (c * psi + d)._d,
+    )
+    rn, rd = E._ratfunc_canonical(rn, rd)
+    assert (kn, kd) == (_psi_list(rn), _psi_list(rd))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(sparse_polys(), min_size=1, max_size=3), st.data())
+def test_int_lists_at_matches_fraction_substitution(polys_, data):
+    # The lists are the polynomials substituted one variable at a time,
+    # all times one positive integer scale, whichever variables each has.
+    names = sorted({v for p in polys_ for v in p.variables()} - {"psi"})
+    names += data.draw(st.lists(st.sampled_from(E.VARIABLES[1:]), max_size=2))
+    vals = {v: data.draw(eval_values) for v in names}
+    if names and data.draw(st.integers(min_value=0, max_value=4)) == 0:
+        del vals[data.draw(st.sampled_from(names))]
+    idx_vals = {E._VAR_INDEX[v]: x for v, x in vals.items()}
+    missing = sorted({v for p in polys_ for v in p.variables()} - set(vals) - {"psi"})
+    if missing:
+        with pytest.raises(E.MissingVariableError):
+            E._int_lists_at(polys_, 0, idx_vals)
+        return
+    lists = E._int_lists_at(polys_, 0, idx_vals)
+    scales = set()
+    for got, p in zip(lists, polys_):
+        for name, x in vals.items():
+            p = p.substitute(name, x)
+        want = _psi_list(p._d)
+        assert len(got) == len(want)
+        assert all(type(c) is int for c in got)
+        for g, w in zip(got, want):
+            if w:
+                scales.add(g / w)
+            else:
+                assert g == 0
+    assert len(scales) <= 1
+    assert all(s > 0 and s.denominator == 1 for s in scales)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_polys(), sparse_polys(zero_ok=False), assignments())
+def test_specialize_matches_fraction_substitution(num, den, vals):
+    # Any subset of the variables, so several may remain; the denominator
+    # substituted term by term is zero exactly where specialize refuses.
+    if den.is_zero():
+        den = MultiPoly.one()
+    f = RatFunc(num, den)
+    num_at, den_at = f.num, f.den
+    for name, x in vals.items():
+        num_at, den_at = num_at.substitute(name, x), den_at.substitute(name, x)
+    if den_at.is_zero():
+        with pytest.raises(E.ZeroDenominatorError):
+            f.specialize(vals)
+    else:
+        assert f.specialize(vals) == RatFunc(num_at, den_at)
+
+
+# ---------------------------------------------------------------------------
 # The parser on non-canonical text.
 # ---------------------------------------------------------------------------
 
