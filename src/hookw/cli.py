@@ -185,13 +185,18 @@ def _cell_charges(cell) -> Tuple[str, str]:
 
 def _cell_coincidences(cell) -> Tuple[str, str]:
     name, n, m, r = cell
+    entry = _ENTRY_INDEX[name]
+    min_r = TARGETS[entry.target].min_r
+    # The documented preconditions of verify_coincidence are the only
+    # skips; an error raised past them is a defect, never a skip.
+    if n < 0 or m < 0:
+        return "skip", "n and m must be non-negative"
+    if r < min_r:
+        return "skip", f"target kind {entry.target!r} requires r >= {min_r}"
     try:
-        outcome = verify_coincidence(_ENTRY_INDEX[name], n, m, r)
-    except ExactError as exc:
-        # An exact-layer error is a defect, not a precondition: never a skip.
+        outcome = verify_coincidence(entry, n, m, r)
+    except Exception as exc:
         return "fail", f"{name} at (n={n}, m={m}, r={r}): {exc}"
-    except ValueError as exc:
-        return "skip", str(exc)
     if outcome.status == "fail":
         return "fail", f"{name} at (n={n}, m={m}, r={r})"
     if outcome.status == "skipped":

@@ -13,16 +13,21 @@ verbatim, and guarded by value checks in the test suite.
 
 Each family's route to the master curve is one row of ``_ROUTES``: the
 shifted (n, m) at which 2B is taken and the one degree-one psi map of the
-triality group composed with it.  ``phi_family`` builds curves from that
-row and the generic-domain check maps denominator roots back through the
-inverse of the same map, so the two cannot disagree.
+triality group composed with it.  Every curve is built by one
+constructor, ``_family_curve``, from that row: the master at the shifted
+(n, m) with psi through the route's map, times the identity's own map on
+the right-hand side of a triality identity, as one 2x2 integer product.
+The generic-domain check maps denominator roots back through the inverse
+of the route's map, so the two cannot disagree.
 
 Data that depends only on (family, n, m) is built once and reused for
 every psi; every such memo is a ``functools.cache`` on the function that
 builds it.  A numeric curve is specialized from the master's cached
 integer forms into integer lists in psi, reduced by one gcd and composed
 with the degree-one psi map without another; ``TruncationCurve.values``
-dots its four integer lists with one table of powers of psi.
+dots its four integer lists with one table of powers of psi.  A symbolic
+curve substitutes n, m and psi in one pass on the polynomial dicts and
+is canonicalized once.
 The generic-domain check looks psi up in the set of excluded values,
 built from the rational roots of the specialized denominator factors.
 """
@@ -57,9 +62,7 @@ from .exact import (
     _int_list_deflate,
     _int_list_moebius,
     _int_list_quotient,
-    _int_list_to_dict,
     _int_lists_at,
-    _ratfunc_canonical,
 )
 from .liedata import HookFamily
 
@@ -139,9 +142,9 @@ class TruncationCurve:
         """Integer lists in psi of c.num, c.den, lam.num and lam.den.
 
         Read off the curve's own RatFuncs, whose canonical coefficients
-        are integers, once per curve: numeric curves come from the integer
-        lists of ``_numeric_2B`` and from the polynomial dicts of
-        ``_compose_psi`` alike, and the RatFuncs are what they share.
+        are integers, once per curve: the RatFuncs are all a curve holds,
+        whether ``_numeric_2B`` built it, a symbolic build with constant
+        parameters, or a caller of the public constructor.
         """
         polys = (self.c.num, self.c.den, self.lam.num, self.lam.den)
         return [[c.numerator for c in _dict_to_int_list(p._d, _PSI)] for p in polys]
@@ -353,48 +356,28 @@ def _coerce_param(value):
     return _coerce_fraction(value)
 
 
-_TEMP_VARS = ("psi1", "psi2", "s")
+def _substituted(rf: RatFunc, mapping: dict) -> RatFunc:
+    """rf with every variable of mapping replaced by its value, all at once.
 
-
-def _subst_simultaneous(expr: RatFunc, mapping: dict) -> RatFunc:
-    """Substitute several variables at once, without capture.
-
-    Scalar values commute with everything and are specialized first, in one
-    pass; ZeroDenominatorError marks a slice where the denominator then
+    Values are RatFuncs or exact scalars and may mention the replaced
+    variables themselves, as in an n <-> m swap.  One nested Horner pass
+    on the polynomial dicts (``_dcompose``) and one canonicalization.
+    Raises ZeroDenominatorError on a slice where the denominator then
     vanishes identically.
-    Symbolic values (which may mention the very variables being replaced,
-    as in an n <-> m swap) are routed through unused temporary variables.
     """
-    symbolic = {}
-    scalars = {}
+    subs = []
     for var, value in mapping.items():
-        if isinstance(value, RatFunc):
-            if value == RatFunc.var(var):
-                continue
-            symbolic[var] = value
-        else:
-            scalars[var] = value
-    if scalars:
-        expr = expr.specialize(scalars)
-    if not symbolic:
-        return expr
-    if len(symbolic) > len(_TEMP_VARS):
-        raise ValueError("too many simultaneous symbolic substitutions")
-    forbidden = set(expr.variables())
-    for value in symbolic.values():
-        forbidden |= value.variables()
-    temps = []
-    for tmp in _TEMP_VARS:
-        if tmp not in forbidden:
-            temps.append(tmp)
-    if len(temps) < len(symbolic):
-        raise ValueError("no free temporary variables for substitution")
-    items = list(symbolic.items())
-    for (var, _), tmp in zip(items, temps):
-        expr = expr.substitute(var, RatFunc.var(tmp))
-    for (_, value), tmp in zip(items, temps):
-        expr = expr.substitute(tmp, value)
-    return expr
+        if not isinstance(value, RatFunc):
+            value = RatFunc.const(value)
+        elif value == RatFunc.var(var):
+            continue
+        subs.append((_VAR_INDEX[var], value.num._d, value.den._d))
+    if not subs:
+        return rf
+    num, den = _dcompose(rf.num._d, rf.den._d, subs)
+    if not den:
+        raise ZeroDenominatorError("substitution makes the denominator vanish identically")
+    return RatFunc(MultiPoly._raw(num), MultiPoly._raw(den))
 
 
 def _residual_symbols(c: RatFunc, lam: Optional[RatFunc]) -> Tuple[str, ...]:
@@ -413,7 +396,7 @@ def _psi_part(num, den, w) -> RatFunc:
 
     w = (a, b, c, d) is psi -> (a psi + b)/(c psi + d), or None.  The gcd
     is taken before composing; the composite of the coprime pair needs
-    none (``_ratfunc_canonical`` has the proof).
+    none (``_int_list_quotient`` has the proof).
     """
     num, den = _int_list_quotient(num, den)
     if w is not None:
@@ -436,48 +419,61 @@ def _numeric_2B(n: Fraction, m: Fraction, w, source: str) -> TruncationCurve:
     return _curve(c_out, lam_out, source)
 
 
+def _psi_map(tag: str, w):
+    """The route map of tag composed with w, as one integer (a, b, c, d).
+
+    A map (a, b, c, d) is psi -> (a psi + b)/(c psi + d) and None the
+    identity; tag(n, m) o w takes the master at psi -> route(w(psi)),
+    whose matrix is the product route . w.  Raises ValueError unless
+    ad - bc != 0.
+    """
+    a, b, c, d = _ROUTES[tag][3] or (1, 0, 0, 1)
+    e, f, g, h = w or (1, 0, 0, 1)
+    a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    if a * d == b * c:
+        raise ValueError(f"not an invertible degree-one map: {(a, b, c, d)}")
+    return None if b == c == 0 and a == d else (a, b, c, d)
+
+
+def _family_curve(tag: str, n, m, w=None) -> TruncationCurve:
+    """tag(n, m) o w: the master at the route's (n, m), psi through route . w.
+
+    Every curve is built here, in one step from the master: n and m go
+    to ``_inner_params(tag, n, m)`` and psi to the map of ``_psi_map``.
+    Rational (n, m) are specialized, reduced and composed on integer
+    lists in psi (``_numeric_2B``); otherwise n, m and psi are
+    substituted in one pass on the polynomial dicts (``_substituted``).
+    On the slices where the lambda denominator vanishes identically (the
+    free-field orbifold cosets) the lambda component is None.
+    """
+    label = _ROUTES[tag][4]
+    psi_map = _psi_map(tag, w)
+    n, m = _coerce_param(n), _coerce_param(m)
+    inner_n, inner_m = _inner_params(tag, n, m)
+    if not isinstance(n, RatFunc) and not isinstance(m, RatFunc):
+        return _numeric_2B(inner_n, inner_m, psi_map, label)
+    mapping = {"n": inner_n, "m": inner_m}
+    if psi_map is not None:
+        a, b, c, d = psi_map
+        psi = RatFunc.var("psi")
+        mapping["psi"] = (a * psi + b) / (c * psi + d)
+    c_master, lam_master = _master_2B()
+    try:
+        lam = _substituted(lam_master, mapping)
+    except ZeroDenominatorError:
+        lam = None
+    return _curve(_substituted(c_master, mapping), lam, label)
+
+
 def phi_2B(n, m) -> TruncationCurve:
     """The 2B curve at parameters n, m (rationals or symbolic expressions).
 
     Half-integer and negative parameters are meaningful: the other seven
     families are this curve at shifted arguments.  On the slices where
     the lambda denominator vanishes identically (the free-field orbifold
-    cosets) the lambda component is None.  Rational (n, m) take the
-    integer-list route of ``_numeric_2B``; symbolic ones are specialized
-    and substituted on polynomial dicts.
+    cosets) the lambda component is None.  Built by ``_family_curve``.
     """
-    n = _coerce_param(n)
-    m = _coerce_param(m)
-    if not isinstance(n, RatFunc) and not isinstance(m, RatFunc):
-        return _numeric_2B(n, m, None, "2B")
-    c, lam = _master_2B()
-    mapping = {"n": n, "m": m}
-    c_out = _subst_simultaneous(c, mapping)
-    try:
-        lam_out = _subst_simultaneous(lam, mapping)
-    except ZeroDenominatorError:
-        lam_out = None
-    return _curve(c_out, lam_out, "2B")
-
-
-def _compose_psi(curve: TruncationCurve, w: tuple, source: str) -> TruncationCurve:
-    """curve o (a psi + b)/(c psi + d) for w = (a, b, c, d) with ad - bc != 0.
-
-    Composing a canonical quotient with such a map keeps it coprime, so
-    the cleared pair is canonicalized without a gcd (``_ratfunc_canonical``
-    has the proof).
-    """
-    a, b, c, d = w
-    if a * d == b * c:
-        raise ValueError(f"not an invertible degree-one map: {w}")
-    w_num, w_den = _int_list_to_dict([b, a], _PSI), _int_list_to_dict([d, c], _PSI)
-
-    def compose(rf: RatFunc) -> RatFunc:
-        num, den = _dcompose(rf.num._d, rf.den._d, _PSI, w_num, w_den)
-        return RatFunc._raw_canonical(*_ratfunc_canonical(num, den, coprime=True))
-
-    lam = None if curve.lam is None else compose(curve.lam)
-    return _curve(compose(curve.c), lam, source)
+    return _family_curve("2B", n, m)
 
 
 def phi_family(tag: str, n, m) -> TruncationCurve:
@@ -488,21 +484,13 @@ def phi_family(tag: str, n, m) -> TruncationCurve:
     the triality group that is composed with it: 1O, 2D, 1C are
     half-integer shifts of the master, and 1B, 1D, 2C, 2O also invert psi.
     n and m may be any rationals (the internal shifts leave the lattice)
-    or symbolic expressions.  At rational (n, m) the curve is specialized,
-    reduced and composed on integer lists in psi (``_numeric_2B``) and
-    converted to RatFuncs once; symbolic parameters take the polynomial
-    dict route of ``RatFunc.specialize`` and ``_dcompose``.
+    or symbolic expressions.  ``_family_curve`` builds the curve in one
+    step from the master: on integer lists in psi at rational (n, m), by
+    one simultaneous substitution on polynomial dicts otherwise.
     """
     if tag not in _ROUTES:
         raise ValueError(f"unknown family {tag!r}")
-    *_, w, source = _ROUTES[tag]
-    n, m = _coerce_param(n), _coerce_param(m)
-    if not isinstance(n, RatFunc) and not isinstance(m, RatFunc):
-        return _numeric_2B(*_inner_params(tag, n, m), w, source)
-    inner = phi_2B(*_inner_params(tag, n, m))
-    if w is None:
-        return _curve(inner.c, inner.lam, source)
-    return _compose_psi(inner, w, source)
+    return _family_curve(tag, n, m)
 
 
 def phi(fam: HookFamily) -> TruncationCurve:
@@ -516,25 +504,32 @@ def phi(fam: HookFamily) -> TruncationCurve:
 
 
 def _identity_specs(n, m):
-    """The eight pairwise identities: (name, left curve, right curve)."""
+    """The eight pairwise identities: (name, left curve, right curve).
 
-    def at(tag, a, b, w):
-        # w = (a, b, c, d) is the psi map named after "o" in the identity.
-        return _compose_psi(phi_family(tag, a, b), w, tag)
-
+    A right-hand side tag(a, b) o w is one ``_family_curve`` build, with
+    w = (a, b, c, d) the psi map named after "o".
+    """
     specs = []
-    left = phi_family("2B", n, m)
-    specs.append(("2B(n,m) = 2O(n,m-n) o 1/(4psi)", left, at("2O", n, m - n, (0, 1, 4, 0))))
-    specs.append(("2B(n,m) = 2B(m,n) o psi/(2psi-1)", left, at("2B", m, n, (1, 0, 2, -1))))
-    left = phi_family("1C", n, m)
-    specs.append(("1C(n,m) = 2C(n,m-n) o 1/(2psi)", left, at("2C", n, m - n, (0, 1, 2, 0))))
-    specs.append(("1C(n,m) = 1C(m,n) o psi/(psi-1)", left, at("1C", m, n, (1, 0, 1, -1))))
-    left = phi_family("2D", n, m)
-    specs.append(("2D(n,m) = 1D(n,m-n) o 1/(2psi)", left, at("1D", n, m - n, (0, 1, 2, 0))))
-    specs.append(("2D(n,m) = 1O(m,n-1) o 2psi/(2psi-1)", left, at("1O", m, n - 1, (2, 0, 2, -1))))
-    left = phi_family("1O", n, m)
-    specs.append(("1O(n,m) = 1B(n,m-n) o 1/psi", left, at("1B", n, m - n, (0, 1, 1, 0))))
-    specs.append(("1O(n,m) = 2D(m+1,n) o psi/(2(psi-1))", left, at("2D", m + 1, n, (1, 0, 2, -2))))
+    left = _family_curve("2B", n, m)
+    specs.append(("2B(n,m) = 2O(n,m-n) o 1/(4psi)", left,
+                  _family_curve("2O", n, m - n, (0, 1, 4, 0))))
+    specs.append(("2B(n,m) = 2B(m,n) o psi/(2psi-1)", left,
+                  _family_curve("2B", m, n, (1, 0, 2, -1))))
+    left = _family_curve("1C", n, m)
+    specs.append(("1C(n,m) = 2C(n,m-n) o 1/(2psi)", left,
+                  _family_curve("2C", n, m - n, (0, 1, 2, 0))))
+    specs.append(("1C(n,m) = 1C(m,n) o psi/(psi-1)", left,
+                  _family_curve("1C", m, n, (1, 0, 1, -1))))
+    left = _family_curve("2D", n, m)
+    specs.append(("2D(n,m) = 1D(n,m-n) o 1/(2psi)", left,
+                  _family_curve("1D", n, m - n, (0, 1, 2, 0))))
+    specs.append(("2D(n,m) = 1O(m,n-1) o 2psi/(2psi-1)", left,
+                  _family_curve("1O", m, n - 1, (2, 0, 2, -1))))
+    left = _family_curve("1O", n, m)
+    specs.append(("1O(n,m) = 1B(n,m-n) o 1/psi", left,
+                  _family_curve("1B", n, m - n, (0, 1, 1, 0))))
+    specs.append(("1O(n,m) = 2D(m+1,n) o psi/(2(psi-1))", left,
+                  _family_curve("2D", m + 1, n, (1, 0, 2, -2))))
     return specs
 
 
@@ -556,15 +551,15 @@ def verify_trialities(n, m) -> Tuple[IdentityCheck, ...]:
     for name, left, right in _identity_specs(n, m):
         if left.lam is None or right.lam is None:
             raise ValueError(f"identity {name!r} involves a curve with no finite lambda")
-        dc = left.c - right.c
-        dl = left.lam - right.lam
-        holds = dc.num.is_zero() and dl.num.is_zero()
+        # Canonical forms are unique, so equality is structural; the
+        # differences are built only for an identity that fails.
+        holds = left.c == right.c and left.lam == right.lam
         checks.append(
             IdentityCheck(
                 name=name,
                 holds=holds,
-                c_difference=None if holds else dc,
-                lambda_difference=None if holds else dl,
+                c_difference=None if holds else left.c - right.c,
+                lambda_difference=None if holds else left.lam - right.lam,
             )
         )
     return tuple(checks)
@@ -646,7 +641,7 @@ def compose_cleared(rf: RatFunc, psi_value: RatFunc) -> Tuple[MultiPoly, MultiPo
     exactly when the composition is a pole.
     """
     num_star, den_star = _dcompose(
-        rf.num._d, rf.den._d, _VAR_INDEX["psi"], psi_value.num._d, psi_value.den._d
+        rf.num._d, rf.den._d, [(_PSI, psi_value.num._d, psi_value.den._d)]
     )
     return MultiPoly._raw(num_star), MultiPoly._raw(den_star)
 
@@ -674,8 +669,8 @@ def known_point_2B_sp(n, m, r) -> CurvePoint:
     r = _coerce_param(r)
     c_raw, lam_raw = _printed_point()
     mapping = {"n": n, "m": m, "r": r}
-    c_pt = _subst_simultaneous(c_raw, mapping)
-    lam_pt = _subst_simultaneous(lam_raw, mapping)
+    c_pt = _substituted(c_raw, mapping)
+    lam_pt = _substituted(lam_raw, mapping)
     curve = phi_2B(n, m)
     if curve.lam is None:
         raise ZeroDenominatorError("the 2B curve has no finite lambda at these n, m")
@@ -769,7 +764,7 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
         # A curve with no finite lambda meets nothing in the (c, lambda)
         # plane; two such curves coincide iff their constant charges do.
         both = A.lam is None and B.lam is None
-        same = both and (A.c - B.c).num.is_zero()
+        same = both and A.c == B.c
         return IntersectionReport(points=(), identity_component=same, residual_degree=0)
     ec = _cross_difference(A.c, B.c)
     el = _cross_difference(A.lam, B.lam)

@@ -60,6 +60,12 @@ composed with a degree-one map x -> (a x + b)/(c x + d) by
 ``_int_list_moebius`` without a gcd, and normalized by
 ``_int_list_quotient``.
 
+Substitution of rational functions for variables runs on the polynomial
+dicts (``_dsubst``, ``_dcompose``): several variables at once by nested
+Horner, sliced by the first variable, the rest substituted into each
+slice, and the slices combined by Horner, so no value is captured by a
+later substitution.  ``RatFunc.substitute`` is the one-variable case.
+
 The parser builds an expression as one uncanonicalized quotient of
 polynomial dicts and canonicalizes it once, at the end.
 """
@@ -304,17 +310,25 @@ def _dprimitive(a):
     return c, {k: int(v * inv) for k, v in a.items()}
 
 
-def _dsubst_one(a, idx, num, den):
-    """Substitute variable idx -> num/den (dicts) into dict a.
+def _dsubst(a, subs):
+    """Substitute several variables at once into dict a: subs lists (idx, num, den).
 
-    Returns (result, d) where result == a(var := num/den) * den**d and
-    d is the degree of a in the variable.  Horner from the top degree keeps
-    the factor count low.
+    Returns (result, degrees) where result == a(idx_j := num_j/den_j for
+    all j) * prod(den_j**degrees[j]) and degrees[j] is the degree of a in
+    idx_j.  Nested Horner: a is sliced by the power of the first variable,
+    with the variable removed, the rest are substituted into each slice,
+    each cleared to a's own degree in them, and the slices are combined
+    by Horner from the top degree, which keeps the factor count low.  A
+    value may mention any variable, one substituted later included: it
+    enters only after its variable is gone from what it multiplies, so
+    nothing is captured.
     """
+    if not subs:
+        return dict(a), []
+    (idx, num, den), rest = subs[0], subs[1:]
     d = _ddeg_var(a, idx)
-    if d <= 0 and all(k[idx] == 0 for k in a):
-        return dict(a), 0
-    # Slice a by the power of the variable, with the variable removed.
+    if d <= 0 and not rest:
+        return dict(a), [0]
     slices = {}
     for k, c in a.items():
         e = k[idx]
@@ -322,28 +336,42 @@ def _dsubst_one(a, idx, num, den):
         sl = slices.setdefault(e, {})
         v = sl.get(kk)
         sl[kk] = c if v is None else v + c
+    degrees = [0] * len(rest)
+    if rest:
+        done = {e: _dsubst(sl, rest) for e, sl in slices.items()}
+        for _, ds in done.values():
+            degrees = [max(x, y) for x, y in zip(degrees, ds)]
+        for e, (sl, ds) in done.items():
+            for (_, _, b), have, want in zip(rest, ds, degrees):
+                if have < want:
+                    sl = _dmul(sl, _dpow(b, want - have))
+            slices[e] = sl
+    d = max(d, 0)
     acc = slices.get(d, {})
     for e in range(d - 1, -1, -1):
         acc = _dmul(acc, num)
         coeff = slices.get(e)
         if coeff:
             acc = _dadd(acc, _dmul(coeff, _dpow(den, d - e)))
-    return acc, d
+    return acc, [d] + degrees
 
 
-def _dcompose(num, den, idx, a, b):
-    """Cleared composition of the quotient num/den with variable idx -> a/b.
+def _dcompose(num, den, subs):
+    """Cleared composition of the quotient num/den with idx_j -> a_j/b_j.
 
-    Returns uncanonicalized (num', den') with num'/den' the composed value:
-    both sides are cleared by the same power of b.  den' is empty exactly
-    when the composition makes the denominator vanish identically.
+    ``subs`` lists (idx, a, b), substituted simultaneously (``_dsubst``).
+    Returns uncanonicalized (num', den') with num'/den' the composed
+    value: for each variable both sides are cleared by the same power of
+    its b.  den' is empty exactly when the composition makes the
+    denominator vanish identically.
     """
-    nn, dn = _dsubst_one(num, idx, a, b)
-    dd, dd_deg = _dsubst_one(den, idx, a, b)
-    if dn < dd_deg:
-        nn = _dmul(nn, _dpow(b, dd_deg - dn))
-    elif dd_deg < dn:
-        dd = _dmul(dd, _dpow(b, dn - dd_deg))
+    nn, n_degs = _dsubst(num, subs)
+    dd, d_degs = _dsubst(den, subs)
+    for (_, _, b), dn, dd_deg in zip(subs, n_degs, d_degs):
+        if dn < dd_deg:
+            nn = _dmul(nn, _dpow(b, dd_deg - dn))
+        elif dd_deg < dn:
+            dd = _dmul(dd, _dpow(b, dn - dd_deg))
     return nn, dd
 
 
@@ -711,8 +739,16 @@ def _int_list_quotient(num, den, coprime=False):
 
     ``_ratfunc_canonical`` on the kernel: no common factor, coprime integer
     contents, positive leading denominator coefficient.  ``coprime=True``
-    vouches that the lists share no nonconstant factor, as after
-    ``_int_list_moebius`` of a canonical pair, and skips the gcd.
+    vouches that the lists share no nonconstant factor and skips the gcd.
+    The pair ``_int_list_moebius`` makes from a canonical N/D and a map
+    x -> (a x + b)/(c x + d) with ad - bc != 0 is such a pair.  Proof: let
+    k = max(deg N, deg D) and homogenize, N~(X, Y) = Y^k N(X/Y), likewise
+    D~; the pair is (N~(L), D~(L)) at Y = 1, where L = (aX + bY, cX + dY).
+    N~ and D~ are coprime: a common factor would dehomogenize to a common
+    factor of N and D, or be Y, which cannot divide the one of degree k.
+    L is an invertible linear change of (X, Y), a ring automorphism, so
+    N~(L) and D~(L) stay coprime, and a common factor of their
+    dehomogenizations would homogenize to a common factor of theirs.
     """
     if not den:
         raise ZeroDenominatorError("zero denominator")
@@ -1141,7 +1177,7 @@ class MultiPoly:
             value = MultiPoly.const(value)
         if not isinstance(value, MultiPoly):
             raise ExactError("substitute into MultiPoly needs a MultiPoly value")
-        res, _ = _dsubst_one(self._d, i, value._d, {_ZERO_KEY: Fraction(1)})
+        res, _ = _dsubst(self._d, [(i, value._d, {_ZERO_KEY: Fraction(1)})])
         return MultiPoly._raw(res)
 
     def _int_form(self):
@@ -1412,7 +1448,7 @@ class RatFunc:
             value = RatFunc._raw_canonical(value._d, {_ZERO_KEY: Fraction(1)})
         if not isinstance(value, RatFunc):
             raise ExactError("substitute needs a RatFunc, MultiPoly, or scalar")
-        nn, dd = _dcompose(self.num._d, self.den._d, i, value.num._d, value.den._d)
+        nn, dd = _dcompose(self.num._d, self.den._d, [(i, value.num._d, value.den._d)])
         if not dd:
             raise ZeroDenominatorError(
                 "composition makes the denominator vanish identically"
@@ -1505,37 +1541,18 @@ def _is_atomic_text(poly):
     return c == 1 and len(nz) == 1
 
 
-def _ratfunc_canonical(num_d, den_d, coprime=False):
-    """Canonicalize a raw quotient of Fraction dicts.
-
-    ``coprime=True`` vouches that num and den share no nonconstant factor,
-    so only integer content and sign are normalized and no gcd is taken.
-    The cleared pair ``_dcompose`` makes from a canonical N/D and a map
-    x -> (a*x + b)/(c*x + d) with constant a, b, c, d and ad - bc != 0 is
-    such a pair.  Proof: let k = max(deg_x N, deg_x D) and homogenize,
-    N~(X, Y) = Y^k N(X/Y), likewise D~; the pair is (N~(L), D~(L)) at
-    Y = 1, where L = (aX + bY, cX + dY).  N~ and D~ are coprime: a common
-    factor would dehomogenize to a common factor of N and D, or be Y,
-    which cannot divide the one of degree k.  L is an invertible linear
-    change of (X, Y) with rational entries, a ring automorphism over the
-    other variables, so N~(L) and D~(L) stay coprime.  A common factor of
-    their dehomogenizations would homogenize to a common factor of theirs.
-    The content in the other variables is covered too: an irreducible p
-    in them divides a form exactly when it divides its image under L,
-    and divides a form in (X, Y) exactly when it divides its
-    dehomogenization, whose coefficient list is the same.
-    """
+def _ratfunc_canonical(num_d, den_d):
+    """Canonicalize a raw quotient of Fraction dicts."""
     if not den_d:
         raise ZeroDenominatorError("zero denominator")
     if not num_d:
         return {}, {_ZERO_KEY: Fraction(1)}
     cn, pn = _dprimitive(num_d)
     cd, pd = _dprimitive(den_d)
-    if not coprime:
-        g = _int_poly_gcd(pn, pd)
-        if len(g) != 1 or _ZERO_KEY not in g or g[_ZERO_KEY] != 1:
-            pn = _divexact_int(pn, g)
-            pd = _divexact_int(pd, g)
+    g = _int_poly_gcd(pn, pd)
+    if len(g) != 1 or _ZERO_KEY not in g or g[_ZERO_KEY] != 1:
+        pn = _divexact_int(pn, g)
+        pd = _divexact_int(pd, g)
     scale = cn / cd
     p, q = scale.numerator, scale.denominator
     _, lead = _dleading(pd)

@@ -152,10 +152,9 @@ _FAMILY = {
 class HookFamily:
     """One member of the eight hook-type series, with parameters n, m >= 0.
 
-    The public constructor requires integer parameters.  Half-integer
-    parameters arise internally when one series is rewritten in terms of
-    another; those instances are built with _with_half_steps and only feed
-    the closed-form curve machinery.
+    The constructor requires integer parameters.  Curves at half-integer
+    or negative shifts are built from a family tag and (n, m) directly
+    (``curves.phi_family``), with no HookFamily.
     """
 
     __slots__ = ("i", "x", "n", "m")
@@ -184,31 +183,9 @@ class HookFamily:
             raise ValueError(f"unknown family {tag!r}")
         return cls(int(tag[0]), tag[1], n, m)
 
-    @classmethod
-    def _with_half_steps(cls, tag: str, n, m) -> "HookFamily":
-        # Internal constructor: allows n, m in (1/2)Z, still >= 0.
-        if tag not in _FAMILY:
-            raise ValueError(f"unknown family {tag!r}")
-        n = Fraction(n)
-        m = Fraction(m)
-        if n < 0 or m < 0:
-            raise ValueError("parameters must be non-negative")
-        if n.denominator not in (1, 2) or m.denominator not in (1, 2):
-            raise ValueError("parameters must be half-integers")
-        fam = cls.__new__(cls)
-        object.__setattr__(fam, "i", int(tag[0]))
-        object.__setattr__(fam, "x", tag[1])
-        object.__setattr__(fam, "n", n)
-        object.__setattr__(fam, "m", m)
-        return fam
-
     @property
     def tag(self) -> str:
         return f"{self.i}{self.x}"
-
-    @property
-    def is_integral(self) -> bool:
-        return self.n.denominator == 1 and self.m.denominator == 1
 
     def __repr__(self) -> str:
         return f"HookFamily({self.tag!r}, n={self.n}, m={self.m})"
@@ -220,11 +197,6 @@ class HookFamily:
 
     def __hash__(self) -> int:
         return hash((self.i, self.x, self.n, self.m))
-
-
-def _require_integral(fam: HookFamily, what: str):
-    if not fam.is_integral:
-        raise ValueError(f"{what} requires integer parameters, got {fam!r}")
 
 
 def _ints(fam: HookFamily):
@@ -276,7 +248,6 @@ def affine_level_expr(tag: str, n) -> RatFunc:
 
 def ambient_algebra(fam: HookFamily) -> AlgebraDesc:
     """The algebra g the hook-type W-algebra is built from."""
-    _require_integral(fam, "ambient_algebra")
     n, m = _ints(fam)
     tag = fam.tag
     if tag == "1B":
@@ -298,7 +269,6 @@ def ambient_algebra(fam: HookFamily) -> AlgebraDesc:
 
 def affine_subalgebra(fam: HookFamily) -> AlgebraDesc:
     """The algebra a of the affine subalgebra V^t(a)."""
-    _require_integral(fam, "affine_subalgebra")
     n, _ = _ints(fam)
     if fam.x == "B":
         return AlgebraDesc.so(2 * n + 1)
@@ -311,7 +281,6 @@ def affine_subalgebra(fam: HookFamily) -> AlgebraDesc:
 
 def reduction_algebra(fam: HookFamily) -> AlgebraDesc:
     """The algebra b whose principal nilpotent defines the reduction."""
-    _require_integral(fam, "reduction_algebra")
     _, m = _ints(fam)
     if fam.i == 1:
         return AlgebraDesc.so(2 * m + 1)
@@ -320,14 +289,12 @@ def reduction_algebra(fam: HookFamily) -> AlgebraDesc:
 
 def d_a(fam: HookFamily) -> int:
     """Dimension of the standard a-module rho_a."""
-    _require_integral(fam, "d_a")
     n, _ = _ints(fam)
     return 2 * n + 1 if fam.x in ("B", "O") else 2 * n
 
 
 def d_b(fam: HookFamily) -> int:
     """Dimension of the standard b-module rho_b."""
-    _require_integral(fam, "d_b")
     _, m = _ints(fam)
     return 2 * m + 1 if fam.i == 1 else 2 * m
 
@@ -348,7 +315,6 @@ class LevelDictionary:
 
 
 def level_dictionary(fam: HookFamily) -> LevelDictionary:
-    _require_integral(fam, "level_dictionary")
     dat = _FAMILY[fam.tag]
     return LevelDictionary(
         h_dual_g=Fraction(h_dual_g(fam.tag, fam.n, fam.m)),
@@ -451,7 +417,6 @@ def assemble_central_charge(fam: HookFamily) -> RatFunc:
     eps = -1 for 1C, 1O, 2B, 2D (odd pairing); sd_a = d_a - 2 when a is
     osp(1|2n), else d_a.
     """
-    _require_integral(fam, "assemble_central_charge")
     dat = _FAMILY[fam.tag]
     n, m = fam.n, fam.m
     if n + m < 1:
@@ -517,7 +482,6 @@ def _psi_shift(c) -> str:
 
 def describe(fam: HookFamily) -> CaseDescription:
     """Case analysis of W^psi_iX(n, m) and its coset at the given n, m."""
-    _require_integral(fam, "describe")
     n, m = _ints(fam)
     tag = fam.tag
     psi = RatFunc.var("psi")
@@ -685,7 +649,6 @@ def generator_profile(fam: HookFamily) -> tuple:
     coinciding weights merge.  Returned as ((weight, count), ...) sorted
     by weight.
     """
-    _require_integral(fam, "generator_profile")
     n, m = _ints(fam)
     counts = Counter()
     dim_a = _dim_plain(affine_subalgebra(fam))

@@ -224,8 +224,6 @@ def max_generator_weight(fam: HookFamily) -> int:
     Every generic coset is of type W(2, 4, ..., 2N) as a one-parameter
     vertex algebra; the table of 2N values is family-specific.
     """
-    if not fam.is_integral:
-        raise ValueError(f"strong generating type needs integer n, m, got {fam!r}")
     n, m = int(fam.n), int(fam.m)
     if n + m < 1:
         raise ValueError("n + m must be at least 1")

@@ -13,6 +13,7 @@ import pytest
 
 import hookw
 import hookw.cli as cli
+from hookw.curves import TruncationCurve
 from hookw.exact import PoleError, parse_ratfunc
 
 
@@ -335,6 +336,21 @@ class TestVerify:
         assert payload["ok"] is False
         assert (payload["passed"], payload["skipped"], payload["failed"]) == (0, 0, 48)
         assert all("denominator vanishes" in f for f in payload["failures"])
+
+    def test_value_error_is_a_failure_not_a_skip(self, capsys, monkeypatch):
+        def broken(self, psi):
+            raise ValueError("evaluation broke")
+
+        monkeypatch.setattr(TruncationCurve, "values", broken)
+        code, out, _ = run(
+            capsys,
+            "verify", "coincidences", "--sweep", "n=0..1,m=0..1,r=1..2", "--json",
+        )
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["ok"] is False
+        assert payload["passed"] == 0 and payload["failed"] > 0
+        assert all("evaluation broke" in f for f in payload["failures"])
 
     def test_worker_pool_is_deterministic(self, capsys, monkeypatch):
         argv = ["verify", "coincidences", "--sweep", "n=0..1,m=0..1,r=1..1", "--json"]

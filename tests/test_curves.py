@@ -79,11 +79,14 @@ class TestPhiRoutes:
             C.phi_family("3B", 0, 1)
 
     def test_composition_needs_an_invertible_degree_one_map(self):
-        # Only such maps keep a canonical quotient coprime without a gcd.
+        # Only such maps keep a canonical quotient coprime without a gcd,
+        # so every composed map is checked, numeric or symbolic.
         # (2 psi + 2)/(psi + 1) has ad - bc == 0.
-        crv = C.phi_family("2B", 0, 1)
-        with pytest.raises(ValueError):
-            C._compose_psi(crv, (2, 2, 1, 1), "x")
+        for n, m in ((0, 1), (N, M)):
+            with pytest.raises(ValueError, match="not an invertible"):
+                C._family_curve("2B", n, m, (2, 2, 1, 1))
+            with pytest.raises(ValueError, match="not an invertible"):
+                C._family_curve("2O", n, m, (2, 2, 1, 1))
 
     def test_source_traces_route(self):
         # `hookw curve` prints these as its route line.
@@ -99,24 +102,27 @@ class TestPhiRoutes:
         }
 
     def test_one_map_equals_the_two_step_triality_routes(self):
-        # 1B, 1D and 2C are reached through 1O, 2D and 1C; their route
-        # table rows compose the two triality maps into one.
+        # 1B, 1D and 2C are reached through 1O, 2D and 1C, and a triality
+        # right-hand side composes one more map: each is built with one
+        # product map, against the maps substituted one at a time.
         half = F(1, 2)
-
-        def two_step(tag, n, m):
-            # Maps (a psi + b)/(c psi + d) as (a, b, c, d): psi/2, 1/psi, 1/(2psi).
-            if tag == "1B":
-                inner = C._compose_psi(C.phi_2B(n, m + n + half), (1, 0, 0, 2), "1O")
-                return C._compose_psi(inner, (0, 1, 1, 0), "1B")
-            if tag == "1D":
-                return C._compose_psi(C.phi_2B(n - half, m + n), (0, 1, 2, 0), "1D")
-            inner = C._compose_psi(C.phi_2B(n + half, m + n + half), (1, 0, 0, 2), "1C")
-            return C._compose_psi(inner, (0, 1, 2, 0), "2C")
-
-        for tag in ("1B", "1D", "2C"):
+        cases = (
+            # (tag, w, the master's (n, m), psi maps in the order applied)
+            ("1B", None, lambda n, m: (n, m + n + half), (PSI / 2, 1 / PSI)),
+            ("1D", None, lambda n, m: (n - half, m + n), (1 / (2 * PSI),)),
+            ("2C", None, lambda n, m: (n + half, m + n + half), (PSI / 2, 1 / (2 * PSI))),
+            ("2O", (0, 1, 4, 0), lambda n, m: (n, m + n), (1 / (4 * PSI), 1 / (4 * PSI))),
+            ("1O", (2, 0, 2, -1), lambda n, m: (n, m + half), (PSI / 2, 2 * PSI / (2 * PSI - 1))),
+            ("2D", (1, 0, 2, -2), lambda n, m: (n - half, m), (PSI / (2 * (PSI - 1)),)),
+        )
+        for tag, w, master_at, maps in cases:
             for n, m in ((N, M), (0, 0), (F(1, 2), 1), (F(-1, 2), F(3, 2)), (2, 3)):
-                got, want = C.phi_family(tag, n, m), two_step(tag, n, m)
-                assert (got.c, got.lam, got.symbols) == (want.c, want.lam, want.symbols)
+                master = C.phi_2B(*master_at(n, m))
+                want = [master.c, master.lam]
+                for x in maps:
+                    want = [None if rf is None else rf.substitute("psi", x) for rf in want]
+                got = C._family_curve(tag, n, m, w)
+                assert [got.c, got.lam] == want, (tag, n, m)
 
     def test_charge_agreement_all_families(self):
         for tag in L.FAMILY_TAGS:
@@ -156,7 +162,7 @@ def _reference_family(tag, n, m):
         if w is not None:
             a, b, c, d = w
             num, den = E._dcompose(
-                num, den, E._VAR_INDEX["psi"], (a * psi + b)._d, (c * psi + d)._d
+                num, den, [(E._VAR_INDEX["psi"], (a * psi + b)._d, (c * psi + d)._d)]
             )
         return RatFunc._raw_canonical(*E._ratfunc_canonical(num, den))
 
@@ -195,6 +201,30 @@ class TestNumericBuilds:
                 assert got.lam.to_text() == lam.to_text(), (tag, n, m)
         # Both kinds of slice are on the grid.
         assert 0 < slices < len(built)
+
+    def test_trialities_stay_on_the_integer_lists(self, monkeypatch):
+        # A numeric right-hand side composes the identity's map into its
+        # route's, so both sides of every identity are integer-list builds.
+        def forbidden(*args):
+            raise AssertionError("numeric triality left the integer-list kernel")
+
+        for module in (C, E):
+            monkeypatch.setattr(module, "_dcompose", forbidden)
+        monkeypatch.setattr(RatFunc, "specialize", forbidden)
+        monkeypatch.setattr(RatFunc, "substitute", forbidden)
+        pairs = [(n, m) for n in _GRID for m in _GRID if m >= n >= 0 and n + m >= 1]
+        lambda_less = []
+        for n, m in pairs:
+            try:
+                checks = C.verify_trialities(n, m)
+            except ValueError as exc:
+                # Raised after the curves are built, by the lambda check.
+                assert "no finite lambda" in str(exc), (n, m)
+                lambda_less.append((n, m))
+                continue
+            assert all(check.holds for check in checks), (n, m)
+        assert len(pairs) == 13
+        assert lambda_less == [(F(1, 2), F(1, 2))]
 
 
 class TestOrbifoldSlices:

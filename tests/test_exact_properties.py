@@ -12,7 +12,7 @@ from itertools import count
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import hookw
 from hookw import exact as E
@@ -121,18 +121,6 @@ def test_specialize_matches_stepwise_substitution(f, x, y):
 @given(ratfuncs())
 def test_text_round_trip(f):
     assert E.parse_ratfunc(f.to_text()) == f
-
-
-@settings(max_examples=80, deadline=None)
-@given(ratfuncs(), small_fractions, small_fractions, small_fractions, small_fractions)
-def test_moebius_composition_is_canonical_without_gcd(f, a, b, c, d):
-    # Composing a canonical quotient with psi -> (a psi + b)/(c psi + d),
-    # ad - bc != 0, leaves only content and sign to normalize.
-    assume(a * d != b * c)
-    psi = MultiPoly.var("psi")
-    w_num, w_den = (a * psi + b)._d, (c * psi + d)._d
-    num, den = E._dcompose(f.num._d, f.den._d, 0, w_num, w_den)
-    assert E._ratfunc_canonical(num, den, coprime=True) == E._ratfunc_canonical(num, den)
 
 
 def _to_sympy(p, symbols):
@@ -649,12 +637,78 @@ def test_int_list_moebius_matches_dict_composition(num, den, common, a, b, c, d)
     rn, rd = E._dcompose(
         {k: Fraction(v) for k, v in num_d.items()},
         {k: Fraction(v) for k, v in den_d.items()},
-        0,
-        (a * psi + b)._d,
-        (c * psi + d)._d,
+        [(0, (a * psi + b)._d, (c * psi + d)._d)],
     )
     rn, rd = E._ratfunc_canonical(rn, rd)
     assert (kn, kd) == (_psi_list(rn), _psi_list(rd))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.just([]), int_lists), int_lists, small_ints, small_ints, small_ints, small_ints)
+def test_moebius_composition_is_canonical_without_gcd(num, den, a, b, c, d):
+    # Composing a canonical quotient with x -> (a x + b)/(c x + d),
+    # ad - bc != 0, leaves only content and sign to normalize.
+    assume(a * d != b * c)
+    num, den = E._int_list_quotient(num, den)
+    pair = E._int_list_moebius(num, den, (a, b, c, d))
+    assert E._int_list_quotient(*pair, coprime=True) == E._int_list_quotient(*pair)
+
+
+# ---------------------------------------------------------------------------
+# Several variables substituted at once, against one at a time.
+# ---------------------------------------------------------------------------
+
+_TRIVARIATE = ("psi", "n", "m")
+
+
+@st.composite
+def trivariate_ratfuncs(draw, max_terms=3, max_exp=2):
+    num = draw(polys(vars=_TRIVARIATE, max_terms=max_terms, max_exp=max_exp))
+    den = draw(polys(vars=_TRIVARIATE, max_terms=max_terms, max_exp=max_exp, zero_ok=False))
+    return RatFunc(num, MultiPoly.one() if den.is_zero() else den)
+
+
+@st.composite
+def simultaneous_maps(draw):
+    names = draw(st.lists(st.sampled_from(_TRIVARIATE), min_size=1, max_size=3, unique=True))
+    return {name: draw(trivariate_ratfuncs(max_terms=2, max_exp=1)) for name in names}
+
+
+def _sequential_reference(f, mapping):
+    """Substitute one variable at a time, through fresh variables."""
+    fresh = dict(zip(mapping, ("psi1", "psi2", "s")))
+    for var, tmp in fresh.items():
+        f = f.substitute(var, RatFunc.var(tmp))
+    for var, tmp in fresh.items():
+        f = f.substitute(tmp, mapping[var])
+    return f
+
+
+_N, _M, _PSI = (RatFunc.var(v) for v in ("n", "m", "psi"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(trivariate_ratfuncs(), simultaneous_maps())
+@example(E.parse_ratfunc("(n^2*m - psi*m + 3)/(2*n - m^2 + psi)"), {"n": _M, "m": _N})
+@example(
+    E.parse_ratfunc("(n*m^2 + psi^2*n)/(psi*m - n + 1)"),
+    {"n": _M * _PSI + 1, "psi": (_N - _M) / (_PSI + 2), "m": _N / 3},
+)
+def test_simultaneous_substitution_matches_sequential(f, mapping):
+    # The n <-> m swap and a value that mentions a variable substituted
+    # later are pinned as examples: nothing may be captured.
+    subs = [(E._VAR_INDEX[v], x.num._d, x.den._d) for v, x in mapping.items()]
+    for p in (f.num, f.den):
+        cleared, degrees = E._dsubst(p._d, subs)
+        assert degrees == [p.degree(v) if not p.is_zero() else 0 for v in mapping]
+        scale = RatFunc.one()
+        for x, d in zip(mapping.values(), degrees):
+            scale = scale * RatFunc(x.den) ** d
+        assert RatFunc(MultiPoly._raw(cleared)) == _sequential_reference(RatFunc(p), mapping) * scale
+    num, den = E._dcompose(f.num._d, f.den._d, subs)
+    # Where the one pass vanishes identically, no value is claimed.
+    assume(den)
+    assert RatFunc(MultiPoly._raw(num), MultiPoly._raw(den)) == _sequential_reference(f, mapping)
 
 
 @settings(max_examples=150, deadline=None)

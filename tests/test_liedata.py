@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hookw import curves as C
 from hookw import liedata as L
 from hookw.exact import RatFunc
 
@@ -110,15 +111,6 @@ class TestHookFamily:
         with pytest.raises(ValueError):
             fam("2C", -1, 0)
 
-    def test_half_steps_internal(self):
-        f = L.HookFamily._with_half_steps("2B", F(1, 2), 1)
-        assert f.n == F(1, 2)
-        assert not f.is_integral
-        with pytest.raises(ValueError):
-            L.HookFamily._with_half_steps("2B", F(1, 3), 0)
-        with pytest.raises(ValueError):
-            L.describe(f)
-
     def test_equality_and_hash(self):
         assert fam("1C", 2, 3) == fam("1C", 2, 3)
         assert fam("1C", 2, 3) != fam("1D", 2, 3)
@@ -148,11 +140,11 @@ class TestCentralCharge:
             assert c == RatFunc.const(value), tag
 
     def test_half_integer_parameters_allowed(self):
-        f = L.HookFamily._with_half_steps("2B", 0, F(1, 2))
-        c = L.central_charge(f)
-        assert c.eval({"psi": F(2)}) == L.closed_form_charge(
-            "2B", F(0), F(1, 2)
-        ).eval({"psi": F(2)})
+        # The closed form takes (n, m) off the integer lattice; at this
+        # free-field point it is constant, as is the 2B curve's charge.
+        c = L.closed_form_charge("2B", F(0), F(1, 2))
+        assert c == RatFunc.const(1)
+        assert c == C.phi_family("2B", F(0), F(1, 2)).c
 
 
 class TestAssembledCharge:

@@ -177,9 +177,6 @@ class TestMaxGeneratorWeight:
         for tag in L.FAMILY_TAGS:
             with pytest.raises(ValueError):
                 S.max_generator_weight(fam(tag, 0, 0))
-        half = L.HookFamily._with_half_steps("2B", F(1, 2), 1)
-        with pytest.raises(ValueError):
-            S.max_generator_weight(half)
 
     def test_positive_even(self):
         for tag in L.FAMILY_TAGS:
