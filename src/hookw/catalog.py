@@ -25,18 +25,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import gcd
 from typing import Dict, Optional, Tuple
 
 from .curves import (
-    DEGENERATE_CHARGES,
+    _DEGENERATE_SET,
     TruncationCurve,
     compose_cleared,
     on_generic_domain,
     phi_family,
 )
-from .exact import PoleError, RatFunc
+from .exact import _VAR_INDEX, PoleError, RatFunc, _int_form_value, _shared_tables
 from .liedata import AlgebraDesc, HookFamily
 
 __all__ = [
@@ -66,6 +66,9 @@ __all__ = [
 ]
 
 
+_N, _M, _R = (_VAR_INDEX[name] for name in ("n", "m", "r"))
+
+
 def _frac(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -75,6 +78,8 @@ def _frac(value) -> Fraction:
 
 
 def _int(value, what: str) -> int:
+    if type(value) is int:
+        return value
     f = _frac(value)
     if f.denominator != 1:
         raise ValueError(f"{what} must be an integer, got {f}")
@@ -112,10 +117,10 @@ class TargetRule:
         return AlgebraDesc.osp(1, 2 * r, "C")
 
     def m_of(self, r) -> Fraction:
-        return _rank_data(self, _frac(r))[0]
+        return _rank_data(self.kind, _frac(r))[0]
 
     def psi_of_s(self, s, r) -> Fraction:
-        return _frac(s) + _rank_data(self, _frac(r))[1]
+        return _frac(s) + _rank_data(self.kind, _frac(r))[1]
 
     def family(self, r) -> HookFamily:
         return HookFamily.from_tag(self.tag, 0, self.m_of(r))
@@ -125,8 +130,12 @@ class TargetRule:
 
 
 @cache
-def _rank_data(rule: TargetRule, r: Fraction) -> Tuple[Fraction, Fraction]:
-    """(m_expr(r), shift(r)) of a target rule, evaluated once per rank."""
+def _rank_data(kind: str, r) -> Tuple[Fraction, Fraction]:
+    """(m_expr(r), shift(r)) of the rule TARGETS[kind], evaluated once per rank.
+
+    An int r and the equal Fraction hash alike, so they share one entry.
+    """
+    rule = TARGETS[kind]
     point = {"r": r}
     return rule.m_expr.eval(point), rule.shift.eval(point)
 
@@ -161,7 +170,8 @@ class CoincidenceEntry:
     target's own psi is s + shift(r) per TARGETS.  ``exclusions`` lists
     expressions E(n, m) with the meaning "the statement requires
     r != E(n, m)"; they are decidable on integer inputs and checked
-    before anything else.
+    before anything else.  All three are evaluated from one set of
+    integer forms per entry (``_cell_forms``).
     """
 
     source: str
@@ -180,9 +190,45 @@ class CoincidenceEntry:
         return f"{self.table}({self.item})"
 
     def excluded_at(self, n, m, r) -> Optional[str]:
-        point = {"n": _frac(n), "m": _frac(m)}
-        for expr in self.exclusions:
-            if _frac(r) == expr.eval(point):
+        r = _frac(r)
+        return self._fired_exclusion(r, self._cell_values(_frac(n), _frac(m), r))
+
+    @cached_property
+    def _cell_forms(self):
+        """Integer forms of the entry's formulas, built on first use.
+
+        Numerator and denominator forms (``MultiPoly._int_form``) alternate:
+        psi, then the target psi s + shift(r) folded into one RatFunc, then
+        each exclusion.  shift is a polynomial in r, so the folded formula
+        has the denominator of s up to a constant and the same poles.
+        """
+        target_psi = self.s + TARGETS[self.target].shift
+        return tuple(
+            form
+            for rf in (self.psi, target_psi, *self.exclusions)
+            for form in (rf.num._int_form(), rf.den._int_form())
+        )
+
+    def _cell_values(self, n, m, r):
+        """The sums of ``_cell_forms`` at (n, m, r), all over one scale.
+
+        One table of homogenized powers per variable serves every form
+        (``exact._shared_tables``); at integer (n, m, r) the scale is 1
+        and the sums are the forms' integer values.
+        """
+        forms = self._cell_forms
+        tables = _shared_tables(forms, {_N: n, _M: m, _R: r})
+        return [_int_form_value(form, tables) for form in forms]
+
+    def _fired_exclusion(self, r, values) -> Optional[str]:
+        """The first exclusion r != E(n, m) that fails, read off ``_cell_values``."""
+        forms = self._cell_forms
+        for j, expr in enumerate(self.exclusions, 2):
+            num, den = values[2 * j], values[2 * j + 1]
+            if not den:
+                raise PoleError("denominator vanishes at the given point")
+            # E = (num / num_den) / (den / den_den), compared cleared.
+            if r * den * forms[2 * j][0] == num * forms[2 * j + 1][0]:
                 return f"r != {expr.to_text()}"
         return None
 
@@ -336,7 +382,12 @@ def coincidence_table(source: str, target: str) -> Tuple[CoincidenceEntry, ...]:
 
 
 @cache
-def _curve_at(tag: str, n: Fraction, m: Fraction) -> TruncationCurve:
+def _curve_at(tag: str, n, m) -> TruncationCurve:
+    """The numeric curve of tag at (n, m), built once.
+
+    Keys are ints or Fractions; the two hash alike, so an int key and
+    the equal Fraction share one entry.
+    """
     return phi_family(tag, n, m)
 
 
@@ -387,6 +438,12 @@ def verify_coincidence(entry: CoincidenceEntry, n, m, r) -> CoincidenceOutcome:
     (the printed curve denominators must not vanish, else the displayed
     identity has no content at the point and the limit is not claimed).
     Surviving points are compared as exact (c, lambda) pairs.
+
+    A cell is evaluated over the integers: the entry's psi, its target
+    psi s + shift(r) and its exclusions are integer forms built once per
+    entry (``CoincidenceEntry._cell_forms``), summed at the ints (n, m, r)
+    against one shared table of powers.  The first Fractions built are
+    psi1 and psi2, and the curve memos are keyed by ints.
     """
     rule = TARGETS[entry.target]
     n = _int(n, "n")
@@ -400,19 +457,20 @@ def verify_coincidence(entry: CoincidenceEntry, n, m, r) -> CoincidenceOutcome:
     def skipped(reason: str, **kw) -> CoincidenceOutcome:
         return CoincidenceOutcome(entry, n, m, r, "skipped", reason, **kw)
 
-    fired = entry.excluded_at(n, m, r)
+    values = entry._cell_values(n, m, r)
+    fired = entry._fired_exclusion(r, values)
     if fired is not None:
         return skipped(f"exclusion {fired} fires")
-    point = {"n": Fraction(n), "m": Fraction(m), "r": Fraction(r)}
-    try:
-        psi1 = entry.psi.eval(point)
-    except PoleError:
+    forms = entry._cell_forms
+    psi_num, psi_den, t_num, t_den = values[:4]
+    if not psi_den:
         return skipped("the displayed psi formula has a pole here")
-    m_t, shift = _rank_data(rule, point["r"])
-    try:
-        psi2 = entry.s.eval(point) + shift
-    except PoleError:
+    psi1 = Fraction(psi_num * forms[1][0], psi_den * forms[0][0])
+    if not t_den:
         return skipped("the displayed s formula has a pole here")
+    psi2 = Fraction(t_num * forms[3][0], t_den * forms[2][0])
+    # Every m_expr has integer coefficients, so m_t is an integer here.
+    m_t = _rank_data(entry.target, r)[0].numerator
     if not on_generic_domain(entry.source, n, m, psi1):
         return skipped(
             "source curve formulas are undefined at psi", psi1=psi1, psi2=psi2
@@ -423,8 +481,8 @@ def verify_coincidence(entry: CoincidenceEntry, n, m, r) -> CoincidenceOutcome:
             psi1=psi1,
             psi2=psi2,
         )
-    src = _curve_at(entry.source, Fraction(n), Fraction(m))
-    tgt = _curve_at(rule.tag, Fraction(0), m_t)
+    src = _curve_at(entry.source, n, m)
+    tgt = _curve_at(rule.tag, 0, m_t)
     try:
         sv = src.values(psi1)
         tv = tgt.values(psi2)
@@ -444,7 +502,7 @@ def verify_coincidence(entry: CoincidenceEntry, n, m, r) -> CoincidenceOutcome:
         psi2=psi2,
         source_values=sv,
         target_values=tv,
-        degenerate=sv[0] in DEGENERATE_CHARGES,
+        degenerate=sv[0] in _DEGENERATE_SET,
     )
 
 
@@ -552,7 +610,7 @@ def verify_osp_osp(m, n) -> OspOspReport:
         m=m,
         n=n,
         c=c_display,
-        degenerate=c_display in DEGENERATE_CHARGES,
+        degenerate=c_display in _DEGENERATE_SET,
         pairs=tuple(pairs),
     )
 

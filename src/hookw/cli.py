@@ -687,10 +687,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_values(argv: List[str]) -> List[str]:
+    """argv with "--psi -2/7" written as "--psi=-2/7".
+
+    argparse takes a token that starts with "-" and is not a plain
+    negative number, such as -2/7, for an option, so a negative rational
+    after --psi, the one rational option, would be refused; attached
+    with "=" it is read as the option's value.  An abbreviation of --psi,
+    which argparse accepts, is attached alike.
+    """
+    out: List[str] = []
+    for token in argv:
+        option = out[-1] if out else ""
+        after_psi = len(option) > 2 and "--psi".startswith(option)
+        if after_psi and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"{option}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(argv))
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:

@@ -94,6 +94,8 @@ DEGENERATE_CHARGES = (
     Fraction(-22, 5),
     Fraction(1, 2),
 )
+# The same charges as a set, for membership tests.
+_DEGENERATE_SET = frozenset(DEGENERATE_CHARGES)
 
 
 @dataclass(frozen=True)
@@ -308,7 +310,7 @@ def _inner_params(tag: str, n, m):
 
 
 @cache
-def _excluded_psi(tag: str, n: Fraction, m: Fraction):
+def _excluded_psi(tag: str, n, m):
     """The psi at which a printed denominator of tag(n, m) vanishes.
 
     A frozenset, or None when a factor vanishes for every psi.  Built once
@@ -346,8 +348,18 @@ def on_generic_domain(fam_or_tag, n, m, psi) -> bool:
     tag = getattr(fam_or_tag, "tag", fam_or_tag)
     if tag not in _ROUTES:
         raise ValueError("unknown family tag %r" % (tag,))
-    excluded = _excluded_psi(tag, _coerce_fraction(n), _coerce_fraction(m))
-    return excluded is not None and _coerce_fraction(psi) not in excluded
+    excluded = _excluded_psi(tag, _exact_key(n), _exact_key(m))
+    return excluded is not None and _exact_key(psi) not in excluded
+
+
+def _exact_key(value):
+    """An exact scalar as a memo key: an int as itself, else its Fraction.
+
+    An int and the equal Fraction hash and compare alike, so keys of
+    either type share one cache entry; an int key skips building and
+    hashing a Fraction.
+    """
+    return value if type(value) is int else _coerce_fraction(value)
 
 
 def _coerce_param(value):
@@ -833,7 +845,7 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
                     psi2=b,
                     c=c_val,
                     lam=lam_val,
-                    degenerate=c_val in DEGENERATE_CHARGES,
+                    degenerate=c_val in _DEGENERATE_SET,
                 )
             )
     points.sort(key=lambda p: (p.psi1, p.psi2))

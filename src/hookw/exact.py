@@ -53,12 +53,13 @@ variable, to the larger of the two degrees, so their sums carry the same
 scale; a variable on one side only multiplies the other side's sum by
 q^d.  Specialization at scalars (``_int_forms_at``) runs on the same
 forms and tables and gives integer dicts in the remaining variables over
-one scale; ``RatFunc.specialize`` canonicalizes them.  When one variable
-remains they are read as dense integer lists (``_int_lists_at``): this is
-how a curve at rational (n, m) is built, reduced with ``_int_list_gcd``,
-composed with a degree-one map x -> (a x + b)/(c x + d) by
-``_int_list_moebius`` without a gcd, and normalized by
-``_int_list_quotient``.
+one scale, grouping the terms through a term-to-slot index cached in the
+form (``_term_slots``); ``RatFunc.specialize`` canonicalizes them.  When
+one variable remains they are read as dense integer lists
+(``_int_lists_at``): this is how a curve at rational (n, m) is built,
+reduced with ``_int_list_gcd``, composed with a degree-one map
+x -> (a x + b)/(c x + d) by ``_int_list_moebius`` without a gcd, and
+normalized by ``_int_list_quotient``.
 
 Substitution of rational functions for variables runs on the polynomial
 dicts (``_dsubst``, ``_dcompose``): several variables at once by nested
@@ -417,7 +418,7 @@ def _int_form_value(form, tables):
     q**D, so forms summed against the same tables share one scale: the
     sum is den * prod(q**D) times the form's value.
     """
-    _, idxs, _, coeffs, cols = form
+    _, idxs, _, coeffs, cols, _ = form
     terms = coeffs
     for i, col in zip(idxs, cols):
         terms = map(mul, terms, map(tables[i].__getitem__, col))
@@ -426,6 +427,28 @@ def _int_form_value(form, tables):
         if i not in idxs:
             total *= table[0]
     return total
+
+
+def _term_slots(form, rest):
+    """(keys, slots): an integer form's terms grouped by their exponents in rest.
+
+    ``keys`` lists the distinct tuples of exponents of the variables of
+    rest, in order of first appearance, and term j adds to keys[slots[j]].
+    Built once per form and rest, and cached in the form.
+    """
+    cache = form[5]
+    found = cache.get(rest)
+    if found is None:
+        _, idxs, _, coeffs, cols, _ = form
+        if rest:
+            zeros = (0,) * len(coeffs)
+            exps = zip(*(cols[idxs.index(i)] if i in idxs else zeros for i in rest))
+        else:
+            exps = repeat((), len(coeffs))
+        index = {}
+        slots = tuple(index.setdefault(k, len(index)) for k in exps)
+        found = cache[rest] = (tuple(index), slots)
+    return found
 
 
 def _int_forms_at(polys, vals):
@@ -438,14 +461,16 @@ def _int_forms_at(polys, vals):
     dicts[j] / S for one positive int S: quotients of the polynomials are
     quotients of the dicts.  Returns (rest, dicts): ``rest`` holds the
     occurring variables outside vals in universe order, and each dict maps
-    a tuple of their exponents to a nonzero int.
+    a tuple of their exponents to a nonzero int.  The terms are grouped
+    through the form's cached term-to-slot index (``_term_slots``).
     """
     forms = [p._int_form() for p in polys]
     tables = _shared_tables(forms, vals)
     rest = tuple(sorted({i for form in forms for i in form[1]} - tables.keys()))
     common = lcm(*(form[0] for form in forms))
     dicts = []
-    for den, idxs, _, coeffs, cols in forms:
+    for form in forms:
+        den, idxs, _, coeffs, cols, _ = form
         scale = common // den
         terms = coeffs
         for i, table in tables.items():
@@ -454,15 +479,11 @@ def _int_forms_at(polys, vals):
             else:
                 # A variable the form lacks: its sum times q**D.
                 scale *= table[0]
-        if rest:
-            zeros = (0,) * len(coeffs)
-            keys = zip(*(cols[idxs.index(i)] if i in idxs else zeros for i in rest))
-        else:
-            keys = repeat((), len(coeffs))
-        out = {}
-        for k, c in zip(keys, terms):
-            out[k] = out.get(k, 0) + c
-        dicts.append({k: c * scale for k, c in out.items() if c})
+        keys, slots = _term_slots(form, rest)
+        sums = [0] * len(keys)
+        for j, c in zip(slots, terms):
+            sums[j] += c
+        dicts.append({k: c * scale for k, c in zip(keys, sums) if c})
     return rest, dicts
 
 
@@ -1181,13 +1202,14 @@ class MultiPoly:
         return MultiPoly._raw(res)
 
     def _int_form(self):
-        """(den, idxs, degrees, coeffs, cols), built once: the integer form.
+        """(den, idxs, degrees, coeffs, cols, slots), built once: the integer form.
 
         ``idxs`` are the occurring variable indices in universe order and
         ``degrees`` their maximum exponents.  ``cols`` holds one column
         per variable of idxs: term j is ``coeffs[j]`` times the product of
         each variable to the power ``col[j]``.  self is the sum of the terms
-        over den, a positive int.
+        over den, a positive int.  ``slots`` caches the term grouping of
+        each specialization, see ``_term_slots``.
         """
         form = self._int
         if form is None:
@@ -1195,7 +1217,7 @@ class MultiPoly:
             idxs = tuple(sorted(_dvars(ints)))
             cols = tuple(tuple(k[i] for k in ints) for i in idxs)
             degrees = tuple(max(col) for col in cols)
-            form = (den, idxs, degrees, tuple(ints.values()), cols)
+            form = (den, idxs, degrees, tuple(ints.values()), cols, {})
             object.__setattr__(self, "_int", form)
         return form
 

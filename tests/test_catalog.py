@@ -3,11 +3,13 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hookw.cli as cli
 from hookw import catalog as K
 from hookw import curves as C
 from hookw import liedata as L
-from hookw.exact import RatFunc
+from hookw.exact import PoleError, RatFunc
 
 
 F = Fraction
@@ -137,6 +139,82 @@ class TestVerifyPointwise:
             K.verify_coincidence(entry("2B", "sp", 1), 0, F(1, 2), 1)
 
 
+def _reference_cell(e, n, m, r):
+    """(status, reason, psi1, psi2, degenerate) of a cell, on RatFunc.eval.
+
+    The displayed formulas are evaluated at Fraction points, the target
+    psi as s + shift(r), and each exclusion as r == E(n, m); the curves
+    are built afresh, outside the catalog's memo.
+    """
+    rule = K.TARGETS[e.target]
+    point = {"n": F(n), "m": F(m), "r": F(r)}
+    for expr in e.exclusions:
+        if r == expr.eval(point):
+            return "skipped", f"exclusion r != {expr.to_text()} fires", None, None, False
+    try:
+        psi1 = e.psi.eval(point)
+    except PoleError:
+        return "skipped", "the displayed psi formula has a pole here", None, None, False
+    try:
+        psi2 = e.s.eval(point) + rule.shift.eval({"r": F(r)})
+    except PoleError:
+        return "skipped", "the displayed s formula has a pole here", None, None, False
+    m_t = rule.m_expr.eval({"r": F(r)})
+    if not C.on_generic_domain(e.source, F(n), F(m), psi1):
+        return "skipped", "source curve formulas are undefined at psi", psi1, psi2, False
+    if not C.on_generic_domain(rule.tag, F(0), m_t, psi2):
+        reason = "target curve formulas are undefined at the target psi"
+        return "skipped", reason, psi1, psi2, False
+    sv = C.phi_family(e.source, F(n), F(m)).values(psi1)
+    tv = C.phi_family(rule.tag, F(0), m_t).values(psi2)
+    if sv != tv:
+        return "fail", "exact (c, lambda) values differ", psi1, psi2, sv[0] in C.DEGENERATE_CHARGES
+    return "pass", None, psi1, psi2, sv[0] in C.DEGENERATE_CHARGES
+
+
+class TestCellKernel:
+    """verify_coincidence on the integer forms against the RatFunc route."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_ratfunc_reference(self, data):
+        e = data.draw(st.sampled_from(K.all_entries()))
+        if data.draw(st.booleans()):
+            # Tampered: the catalogued s never has a pole at an integer cell
+            # that no earlier skip catches, so put one in, with rational
+            # coefficients in psi and s and one more exclusion.
+            a = data.draw(st.integers(min_value=1, max_value=5))
+            b = data.draw(st.integers(min_value=1, max_value=5))
+            c = data.draw(st.integers(min_value=-5, max_value=5))
+            pole = RatFunc.const(F(1, b)) / (N + M - R + c)
+            e = replace(e, psi=e.psi * F(a, b), s=e.s + pole, exclusions=e.exclusions + (N + c,))
+        n = data.draw(st.integers(min_value=0, max_value=15))
+        m = data.draw(st.integers(min_value=0, max_value=15))
+        r = data.draw(st.integers(min_value=K.TARGETS[e.target].min_r, max_value=15))
+        out = K.verify_coincidence(e, n, m, r)
+        got = (out.status, out.reason, out.psi1, out.psi2, out.degenerate)
+        assert got == _reference_cell(e, n, m, r), (e, n, m, r)
+        assert all(type(x) is F for x in (out.psi1, out.psi2) if x is not None)
+
+    def test_folded_target_psi_has_the_denominator_of_s(self):
+        # shift(r) is a polynomial, so s + shift has the poles of s and
+        # the "s formula has a pole" skip reads the folded formula.
+        for e in K.all_entries():
+            folded = e.s + K.TARGETS[e.target].shift
+            ratio = RatFunc(folded.den, e.s.den)
+            assert not ratio.variables() and not ratio.is_zero(), e.name
+            forms = (folded.num._int_form(), folded.den._int_form())
+            assert [f[:5] for f in e._cell_forms[2:4]] == [f[:5] for f in forms]
+
+    def test_excluded_at_reads_the_cell_forms(self):
+        e = entry("1D", "sp", 6)
+        assert e.excluded_at(1, 2, 2) == "r != m"
+        assert e.excluded_at(1, 2, 3) == "r != m + n"
+        assert e.excluded_at(F(1, 2), F(3, 2), 2) == "r != m + n"
+        assert e.excluded_at(1, 2, 4) is None
+        assert entry("2B", "sp", 6).excluded_at(0, 0, 1) is None
+
+
 class TestFullSweep:
     def test_integer_sweep_never_fails(self):
         passes = skips = 0
@@ -189,6 +267,28 @@ class TestCurveMemo:
         assert compared > 0
         assert info.misses == len(curves)
         assert info.hits + info.misses == 2 * compared
+
+    def test_int_and_fraction_arguments_agree(self):
+        e = entry("2B", "sp", 6)
+        assert K.verify_coincidence(e, F(2), F(1), F(1)) == K.verify_coincidence(e, 2, 1, 1)
+        for e in K.all_entries():
+            r = K.TARGETS[e.target].min_r + 1
+            assert K.verify_coincidence(e, F(1), F(2), F(r)) == K.verify_coincidence(e, 1, 2, r)
+
+    def test_default_sweep_builds_each_curve_once(self, capsys, monkeypatch):
+        # The sweep keys the memos by ints; Fraction arguments afterwards
+        # find the same entries, so no curve or domain set is built twice.
+        monkeypatch.delenv("HOOKW_WORKERS", raising=False)
+        K._curve_at.cache_clear()
+        C._excluded_psi.cache_clear()
+        assert cli.main(["verify", "coincidences", "--json"]) == 0
+        capsys.readouterr()
+        sizes = (K._curve_at.cache_info().currsize, C._excluded_psi.cache_info().currsize)
+        assert sizes == (102, 103)
+        for e in K.all_entries():
+            K.verify_coincidence(e, F(1), F(2), F(K.TARGETS[e.target].min_r))
+        assert K._curve_at.cache_info().currsize == 102
+        assert C._excluded_psi.cache_info().currsize == 103
 
 
 class TestSymbolicSweep:

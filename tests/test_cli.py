@@ -110,6 +110,21 @@ class TestCharge:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["charge", "curve"])
+    def test_negative_rational_psi_after_a_space(self, capsys, command):
+        # argparse alone takes "-2/7" for an option and exits 2.
+        base = (command, "--family", "2B", "--n", "0", "--m", "1")
+        spaced = run(capsys, *base, "--psi", "-2/7")
+        attached = run(capsys, *base, "--psi=-2/7")
+        assert spaced[0] == attached[0] == 0
+        assert spaced[1] == attached[1] != ""
+        assert run(capsys, *base, "--psi", "-2/7", "--json")[1] == run(
+            capsys, *base, "--json", "--psi=-2/7"
+        )[1]
+        assert run(capsys, *base, "--ps", "-2/7")[1] == attached[1]
+        code, out, _ = run(capsys, *base, "--psi", "-0.5")
+        assert (code, out) == (2, "")
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "charge", "--family", "9X", "--n", "1", "--m", "1")
         assert code == 2

@@ -744,6 +744,28 @@ def test_int_lists_at_matches_fraction_substitution(polys_, data):
     assert all(s > 0 and s.denominator == 1 for s in scales)
 
 
+@settings(max_examples=100, deadline=None)
+@given(sparse_polys(zero_ok=False), assignments(), assignments())
+def test_int_forms_at_regroups_through_the_cached_slots(p, first, second):
+    # The same polynomial specialized three times, the last time at the
+    # first assignment again, so the term-to-slot index that one call
+    # caches in the integer form serves a later call with the same
+    # remaining variables.  Each dict is the substituted polynomial times
+    # one positive integer scale.
+    rests = set()
+    for vals in (first, second, first):
+        rest, (got,) = E._int_forms_at((p,), {E._VAR_INDEX[v]: x for v, x in vals.items()})
+        rests.add(rest)
+        want = p
+        for name, x in vals.items():
+            want = want.substitute(name, x)
+        assert len(got) == len(want._d)
+        scales = {got[tuple(k[i] for i in rest)] / c for k, c in want._d.items()}
+        assert len(scales) <= 1
+        assert all(s > 0 and s.denominator == 1 for s in scales)
+    assert rests <= set(p._int_form()[5])
+
+
 @settings(max_examples=150, deadline=None)
 @given(sparse_polys(), sparse_polys(zero_ok=False), assignments())
 def test_specialize_matches_fraction_substitution(num, den, vals):
