@@ -56,7 +56,6 @@ from .exact import (
     _dcompose,
     _dict_to_int_list,
     _divexact_int,
-    _dprimitive,
     _homogenized_powers,
     _int_list_at,
     _int_list_deflate,
@@ -131,9 +130,9 @@ class TruncationCurve:
             raise ValueError(f"curve has residual symbols {self.symbols}")
         if self.lam is None:
             raise PoleError("lambda has no finite value on this slice")
-        lists = self._psi_lists
+        degree, lists = self._psi_lists
         x = _coerce_fraction(psi)
-        table = _homogenized_powers(x, max(len(cs) for cs in lists) - 1)
+        table = _homogenized_powers(x, degree)
         cn, cd, ln, ld = [_int_list_at(cs, x, table) for cs in lists]
         if not cd or not ld:
             raise PoleError("denominator vanishes at the given point")
@@ -141,15 +140,18 @@ class TruncationCurve:
 
     @cached_property
     def _psi_lists(self):
-        """Integer lists in psi of c.num, c.den, lam.num and lam.den.
+        """(D, lists): integer lists in psi of c.num, c.den, lam.num, lam.den.
 
-        Read off the curve's own RatFuncs, whose canonical coefficients
-        are integers, once per curve: the RatFuncs are all a curve holds,
-        whether ``_numeric_2B`` built it, a symbolic build with constant
-        parameters, or a caller of the public constructor.
+        Read off the integer dicts of the curve's own RatFuncs, whose
+        canonical parts have denominator 1, once per curve: the RatFuncs
+        are all a curve holds, whether ``_numeric_2B`` built it, a symbolic
+        build with constant parameters, or a caller of the public
+        constructor.  D, the largest of the four degrees, is the degree of
+        the curve's one table of powers of psi.
         """
         polys = (self.c.num, self.c.den, self.lam.num, self.lam.den)
-        return [[c.numerator for c in _dict_to_int_list(p._d, _PSI)] for p in polys]
+        lists = [_dict_to_int_list(p._d, _PSI) for p in polys]
+        return max(len(cs) for cs in lists) - 1, lists
 
 
 @dataclass(frozen=True)
@@ -389,7 +391,7 @@ def _substituted(rf: RatFunc, mapping: dict) -> RatFunc:
     num, den = _dcompose(rf.num._d, rf.den._d, subs)
     if not den:
         raise ZeroDenominatorError("substitution makes the denominator vanish identically")
-    return RatFunc(MultiPoly._raw(num), MultiPoly._raw(den))
+    return RatFunc._from_dicts(num, den)
 
 
 def _residual_symbols(c: RatFunc, lam: Optional[RatFunc]) -> Tuple[str, ...]:
@@ -708,11 +710,12 @@ def known_point_2B_sp(n, m, r) -> CurvePoint:
 
 
 def _as_quotient(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """The exact quotient p / q; ExactError, a ValueError, if inexact."""
-    cp, ip = _dprimitive(p._d)
-    cq, iq = _dprimitive(q._d)
-    scale = cp / cq
-    return MultiPoly._raw({k: scale * c for k, c in _divexact_int(ip, iq).items()})
+    """The exact quotient p / q; ExactError, a ValueError, if inexact.
+
+    q is primitive with integer coefficients, as ``poly_gcd`` returns, so
+    by Gauss's lemma q divides p's integer dict whenever it divides p.
+    """
+    return MultiPoly._reduced(_divexact_int(p._d, q._d), p._den)
 
 
 def _curve_value(curve: TruncationCurve, psi: Fraction):
@@ -739,7 +742,8 @@ def _in_var(poly: MultiPoly, var: str) -> MultiPoly:
     """A polynomial in psi alone, rewritten in var by moving exponent slots."""
     i = _VAR_INDEX[var]
     return MultiPoly._raw(
-        {(0,) * i + (k[_PSI],) + (0,) * (len(k) - 1 - i): c for k, c in poly._d.items()}
+        {(0,) * i + (k[_PSI],) + (0,) * (len(k) - 1 - i): c for k, c in poly._d.items()},
+        poly._den,
     )
 
 

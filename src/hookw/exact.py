@@ -15,11 +15,20 @@ least.  The canonical text form lists terms in descending graded-lex order
 with explicit ``*`` and ``^``, which makes serialized output deterministic
 and round-trippable through :func:`parse_ratfunc`.
 
+One coefficient ring: integers over one denominator.  A ``MultiPoly`` is
+a dict from exponent keys to nonzero ints over one positive denominator,
+the lcm of its coefficient denominators, and a ``UniPoly`` an int list
+over one such denominator, so each stored form is unique.  Every ``_d*``
+helper, the gcd, the resultant and the parser work on int dicts; a
+Fraction is built only at a public view (``terms()``,
+``leading_coefficient()``, ``const_value()``, ``to_text()``,
+``UniPoly.coeffs``) and as the result of an evaluation.
+
 Canonical form of a quotient: numerator and denominator are integer
-polynomials with no common polynomial factor, the gcd of their integer
-contents is 1, and the leading coefficient of the denominator is positive.
-Structural equality of canonical forms then decides equality of rational
-functions.
+polynomials (denominator 1) with no common polynomial factor, the gcd of
+their integer contents is 1, and the leading coefficient of the
+denominator is positive.  Structural equality of canonical forms then
+decides equality of rational functions.
 
 The resultant uses a fraction-free subresultant polynomial remainder
 sequence, which keeps intermediate coefficients determinant-sized instead of
@@ -157,8 +166,8 @@ def _coerce_fraction(value):
 
 
 # ---------------------------------------------------------------------------
-# Raw dict helpers.  A polynomial is dict[key 7-tuple -> coefficient].  The
-# helpers are agnostic about int vs Fraction coefficients unless stated.
+# Raw dict helpers.  A polynomial is dict[key 7-tuple -> nonzero int]; a
+# MultiPoly is one such dict over one positive denominator.
 # ---------------------------------------------------------------------------
 
 
@@ -196,8 +205,13 @@ def _dsub(a, b):
     return out
 
 
-def _dmul_raw(a, b):
-    # Plain convolution; callers pick the smaller operand as the outer loop.
+def _dscale(a, c):
+    """a times the nonzero int c."""
+    return a if c == 1 else {k: v * c for k, v in a.items()}
+
+
+def _dmul(a, b):
+    # Plain convolution, with the smaller operand as the outer loop.
     if len(a) > len(b):
         a, b = b, a
     out = {}
@@ -225,35 +239,8 @@ def _dmul_raw(a, b):
     return out
 
 
-def _dto_int(a):
-    """Return (int dict, den) with den a positive int so a == dict/den."""
-    den = 1
-    for c in a.values():
-        if isinstance(c, Fraction):
-            den = lcm(den, c.denominator)
-    if den == 1:
-        return {k: c.numerator for k, c in a.items()}, 1
-    return {k: int(c * den) for k, c in a.items()}, den
-
-
-def _dmul(a, b):
-    # Multiply through integer scaling: the convolution inner loop runs on
-    # machine/big ints, and Fractions are rebuilt once per output term.
-    if not a or not b:
-        return {}
-    ia, da = _dto_int(a)
-    ib, db = _dto_int(b)
-    prod = _dmul_raw(ia, ib)
-    den = da * db
-    if den == 1:
-        return {k: Fraction(v) for k, v in prod.items()}
-    return {k: Fraction(v, den) for k, v in prod.items()}
-
-
 def _dpow(a, e):
-    if e < 0:
-        raise ExactError("negative power of a polynomial")
-    result = {_ZERO_KEY: Fraction(1)}
+    result = {_ZERO_KEY: 1}
     base = a
     while e:
         if e & 1:
@@ -262,6 +249,12 @@ def _dpow(a, e):
         if e:
             base = _dmul(base, base)
     return result
+
+
+def _dreduced(a, den):
+    """(a', den') with a'/den' == a/den, den' > 0 and gcd(den', content(a')) == 1."""
+    g = den if den == 1 else gcd(den, _int_content(a.values()))
+    return (a, den) if g == 1 else ({k: c // g for k, c in a.items()}, den // g)
 
 
 def _dleading(a):
@@ -287,28 +280,10 @@ def _ddeg_var(a, idx):
     return d if a else -1
 
 
-def _dcontent(a):
-    """Positive rational c with a/c integer and primitive; 0 for the zero poly."""
-    if not a:
-        return Fraction(0)
-    num = 0
-    den = 1
-    for c in a.values():
-        if isinstance(c, Fraction):
-            num = gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
-        else:
-            num = gcd(num, c)
-    return Fraction(num, den)
-
-
 def _dprimitive(a):
-    """(content, primitive int dict).  content * primitive == a."""
-    c = _dcontent(a)
-    if not c:
-        return Fraction(0), {}
-    inv = 1 / c
-    return c, {k: int(v * inv) for k, v in a.items()}
+    """(content, primitive dict): content the nonnegative gcd of a's values."""
+    c = _int_content(a.values())
+    return c, (a if c <= 1 else {k: v // c for k, v in a.items()})
 
 
 def _dsubst(a, subs):
@@ -592,11 +567,11 @@ def _dense_prem(A, B):
     for i in range(dA - dB, -1, -1):
         # Multiply the whole remainder by lc(B), then kill the x^(dB+i) term.
         top = R[dB + i]
-        R = [_dmul_raw(c, lb) if c else {} for c in R]
+        R = [_dmul(c, lb) if c else {} for c in R]
         if top:
             for j in range(dB + 1):
                 if B[j]:
-                    R[i + j] = _dsub(R[i + j], _dmul_raw(top, B[j]))
+                    R[i + j] = _dsub(R[i + j], _dmul(top, B[j]))
         R[dB + i] = {}
     del R[dB:]
     return _dense_trim(R)
@@ -904,31 +879,19 @@ def _int_poly_gcd(a, b):
             # Degree dropped to zero: the primitive parts are coprime.
             pp = None
             break
-        divisor = _dmul_raw(g, _dpow_int(h, delta))
+        divisor = _dmul(g, _dpow(h, delta))
         R = [(_divexact_int(c, divisor) if c else {}) for c in R]
         A, B = B, R
         g = A[-1]
         if delta:
-            h = _divexact_int(_dpow_int(g, delta), _dpow_int(h, delta - 1))
+            h = _divexact_int(_dpow(g, delta), _dpow(h, delta - 1))
     if pp is None:
         result = cont
     else:
         cpp = _dense_content(pp)
         pp = [(_divexact_int(c, cpp) if c else {}) for c in pp]
-        result = _dmul_raw(_dense_to_dict(pp, idx), cont)
+        result = _dmul(_dense_to_dict(pp, idx), cont)
     return _sign_normalize_int(result)
-
-
-def _dpow_int(a, e):
-    result = {_ZERO_KEY: 1}
-    base = a
-    while e:
-        if e & 1:
-            result = _dmul_raw(result, base)
-        e >>= 1
-        if e:
-            base = _dmul_raw(base, base)
-    return result
 
 
 def _sign_normalize_int(a):
@@ -1009,13 +972,18 @@ def _monomial_text(key):
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial over exact rationals.
+    """Sparse multivariate polynomial over exact rationals, held as integers.
 
-    Immutable.  Zero coefficients are never stored.  Supports ring
-    arithmetic, substitution, evaluation, and the canonical text form.
+    An integer dict (exponent key -> nonzero int) over one positive
+    denominator ``_den``, the lcm of the coefficient denominators, so
+    gcd(den, content) == 1 and the stored form is unique: equality is
+    structural and equal values hash alike, a constant as its Fraction.
+    Immutable.  Supports ring arithmetic, substitution, evaluation, and
+    the canonical text form; ``terms()``, ``leading_coefficient()``,
+    ``const_value()`` and ``eval`` return Fractions.
     """
 
-    __slots__ = ("_d", "_hash", "_int")
+    __slots__ = ("_d", "_den", "_hash", "_int")
 
     def __init__(self, terms=None):
         d = {}
@@ -1039,17 +1007,26 @@ class MultiPoly:
                         d[key] = c
                     else:
                         del d[key]
-        object.__setattr__(self, "_d", d)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_int", None)
+        den = lcm(*(c.denominator for c in d.values()))
+        self._set({k: c.numerator * (den // c.denominator) for k, c in d.items()}, den)
 
     @classmethod
-    def _raw(cls, d):
+    def _raw(cls, d, den=1):
+        """The polynomial d / den; d an int dict with gcd(den, content) == 1."""
         self = cls.__new__(cls)
+        self._set(d, den)
+        return self
+
+    @classmethod
+    def _reduced(cls, d, den):
+        """The polynomial d / den for any int dict d and positive int den."""
+        return cls._raw(*_dreduced(d, den))
+
+    def _set(self, d, den):
         object.__setattr__(self, "_d", d)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_int", None)
-        return self
 
     def __setattr__(self, *args):
         raise AttributeError("MultiPoly is immutable")
@@ -1069,20 +1046,20 @@ class MultiPoly:
         c = _coerce_fraction(value)
         if not c:
             return _POLY_ZERO
-        return cls._raw({_ZERO_KEY: c})
+        return cls._raw({_ZERO_KEY: c.numerator}, c.denominator)
 
     @classmethod
     def var(cls, name):
         i = _check_var(name)
         key = tuple(1 if j == i else 0 for j in range(_NVARS))
-        return cls._raw({key: Fraction(1)})
+        return cls._raw({key: 1})
 
     # -- inspection --------------------------------------------------------
 
     def terms(self):
         """Canonical term list: (Monomial, coefficient), descending graded-lex."""
         items = sorted(self._d.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
-        return [(Monomial._from_key(k), c) for k, c in items]
+        return [(Monomial._from_key(k), Fraction(c, self._den)) for k, c in items]
 
     def is_zero(self):
         return not self._d
@@ -1091,10 +1068,8 @@ class MultiPoly:
         return not self._d or (len(self._d) == 1 and _ZERO_KEY in self._d)
 
     def const_value(self):
-        if not self._d:
-            return Fraction(0)
         if self.is_const():
-            return self._d[_ZERO_KEY]
+            return Fraction(self._d.get(_ZERO_KEY, 0), self._den)
         raise ExactError("not a constant polynomial")
 
     def variables(self):
@@ -1114,7 +1089,7 @@ class MultiPoly:
     def leading_coefficient(self):
         if not self._d:
             return Fraction(0)
-        return _dleading(self._d)[1]
+        return Fraction(_dleading(self._d)[1], self._den)
 
     def coefficient_of(self, var, power):
         """Coefficient of var**power, as a polynomial in the other variables."""
@@ -1122,10 +1097,8 @@ class MultiPoly:
         out = {}
         for k, c in self._d.items():
             if k[i] == power:
-                kk = k[:i] + (0,) + k[i + 1 :]
-                v = out.get(kk)
-                out[kk] = c if v is None else v + c
-        return MultiPoly._raw({k: c for k, c in out.items() if c})
+                out[k[:i] + (0,) + k[i + 1 :]] = c
+        return MultiPoly._reduced(out, self._den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -1136,11 +1109,20 @@ class MultiPoly:
             return MultiPoly.const(other)
         return None
 
+    def _combine(self, o, combine):
+        # combine(self, o) on the dicts over the lcm of the two denominators.
+        a, b, den = self._d, o._d, self._den
+        if den != o._den:
+            den = lcm(den, o._den)
+            a = _dscale(a, den // self._den)
+            b = _dscale(b, den // o._den)
+        return MultiPoly._reduced(combine(a, b), den)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return MultiPoly._raw(_dadd(self._d, o._d))
+        return self._combine(o, _dadd)
 
     __radd__ = __add__
 
@@ -1148,36 +1130,37 @@ class MultiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return MultiPoly._raw(_dsub(self._d, o._d))
+        return self._combine(o, _dsub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return MultiPoly._raw(_dsub(o._d, self._d))
+        return o._combine(self, _dsub)
 
     def __neg__(self):
-        return MultiPoly._raw(_dneg(self._d))
+        return MultiPoly._raw(_dneg(self._d), self._den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return MultiPoly._raw(_dmul(self._d, o._d))
+        return MultiPoly._reduced(_dmul(self._d, o._d), self._den * o._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ExactError("polynomial power must be a non-negative int")
-        return MultiPoly._raw(_dpow(self._d, e))
+        # Gauss's lemma: content(a**e) == content(a)**e, still coprime to den**e.
+        return MultiPoly._raw(_dpow(self._d, e), self._den**e)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.is_const() and self.const_value() == other
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self._d == other._d
+        return self._den == other._den and self._d == other._d
 
     def __hash__(self):
         h = self._hash
@@ -1185,7 +1168,7 @@ class MultiPoly:
             if self.is_const():
                 h = hash(self.const_value())
             else:
-                h = hash(frozenset(self._d.items()))
+                h = hash((frozenset(self._d.items()), self._den))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -1198,8 +1181,10 @@ class MultiPoly:
             value = MultiPoly.const(value)
         if not isinstance(value, MultiPoly):
             raise ExactError("substitute into MultiPoly needs a MultiPoly value")
-        res, _ = _dsubst(self._d, [(i, value._d, {_ZERO_KEY: Fraction(1)})])
-        return MultiPoly._raw(res)
+        # The value is value._d / v: _dsubst clears v**d, d the degree in var.
+        v = value._den
+        res, (d,) = _dsubst(self._d, [(i, value._d, {_ZERO_KEY: v})])
+        return MultiPoly._reduced(res, self._den * v**d)
 
     def _int_form(self):
         """(den, idxs, degrees, coeffs, cols, slots), built once: the integer form.
@@ -1208,16 +1193,16 @@ class MultiPoly:
         ``degrees`` their maximum exponents.  ``cols`` holds one column
         per variable of idxs: term j is ``coeffs[j]`` times the product of
         each variable to the power ``col[j]``.  self is the sum of the terms
-        over den, a positive int.  ``slots`` caches the term grouping of
-        each specialization, see ``_term_slots``.
+        over den, its positive denominator.  ``slots`` caches the term
+        grouping of each specialization, see ``_term_slots``.
         """
         form = self._int
         if form is None:
-            ints, den = _dto_int(self._d)
-            idxs = tuple(sorted(_dvars(ints)))
-            cols = tuple(tuple(k[i] for k in ints) for i in idxs)
+            d = self._d
+            idxs = tuple(sorted(_dvars(d)))
+            cols = tuple(tuple(k[i] for k in d) for i in idxs)
             degrees = tuple(max(col) for col in cols)
-            form = (den, idxs, degrees, tuple(ints.values()), cols, {})
+            form = (self._den, idxs, degrees, tuple(d.values()), cols, {})
             object.__setattr__(self, "_int", form)
         return form
 
@@ -1247,7 +1232,7 @@ class MultiPoly:
         items = sorted(self._d.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
         for pos, (k, c) in enumerate(items):
             mono = _monomial_text(k)
-            mag = abs(c)
+            mag = Fraction(abs(c), self._den)
             if mono and mag == 1:
                 body = mono
             elif mono:
@@ -1268,11 +1253,10 @@ class MultiPoly:
 
 
 _POLY_ZERO = MultiPoly._raw({})
-_POLY_ONE = MultiPoly._raw({_ZERO_KEY: Fraction(1)})
+_POLY_ONE = MultiPoly._raw({_ZERO_KEY: 1})
 
 
 def _rat_text(q):
-    q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
@@ -1282,9 +1266,10 @@ class RatFunc:
     """Quotient of two multivariate polynomials in canonical form.
 
     The constructor always canonicalizes: polynomial gcd and shared integer
-    content removed, denominator leading coefficient positive.  Equality is
-    structural equality of the canonical parts, which is a decision procedure
-    for equality of rational functions.
+    content removed, denominator leading coefficient positive.  ``num`` and
+    ``den`` have integer coefficients (denominator 1).  Equality is
+    structural equality of the canonical parts, which is a decision
+    procedure for equality of rational functions.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -1298,18 +1283,26 @@ class RatFunc:
             den = MultiPoly.const(den)
         if not isinstance(num, MultiPoly) or not isinstance(den, MultiPoly):
             raise ExactError("RatFunc needs MultiPoly or scalar arguments")
-        nd, dd = _ratfunc_canonical(num._d, den._d)
+        # (N/a) / (D/b) == (N*b) / (D*a).
+        nd, dd = _ratfunc_canonical(_dscale(num._d, den._den), _dscale(den._d, num._den))
         object.__setattr__(self, "num", MultiPoly._raw(nd))
         object.__setattr__(self, "den", MultiPoly._raw(dd))
         object.__setattr__(self, "_hash", None)
 
     @classmethod
+    def _from_dicts(cls, num_d, den_d):
+        """The canonical form of the quotient of two int dicts."""
+        return cls._raw_canonical(*_ratfunc_canonical(num_d, den_d))
+
+    @classmethod
     def _from_int_lists(cls, num, den, idx):
         """The RatFunc of a canonical pair of integer lists in variable idx."""
-        return cls._raw_canonical(
-            {k: Fraction(c) for k, c in _int_list_to_dict(num, idx).items()},
-            {k: Fraction(c) for k, c in _int_list_to_dict(den, idx).items()},
-        )
+        return cls._raw_canonical(_int_list_to_dict(num, idx), _int_list_to_dict(den, idx))
+
+    @classmethod
+    def _from_poly(cls, p):
+        # p is p._d / p._den with gcd(p._den, content) == 1: already canonical.
+        return cls._raw_canonical(p._d, {_ZERO_KEY: p._den})
 
     @classmethod
     def _raw_canonical(cls, num_d, den_d):
@@ -1327,12 +1320,12 @@ class RatFunc:
     @classmethod
     def const(cls, value):
         c = _coerce_fraction(value)
-        num = {} if not c else {_ZERO_KEY: Fraction(c.numerator)}
-        return cls._raw_canonical(num, {_ZERO_KEY: Fraction(c.denominator)})
+        num = {} if not c else {_ZERO_KEY: c.numerator}
+        return cls._raw_canonical(num, {_ZERO_KEY: c.denominator})
 
     @classmethod
     def var(cls, name):
-        return cls._raw_canonical(MultiPoly.var(name)._d, {_ZERO_KEY: Fraction(1)})
+        return cls._raw_canonical(MultiPoly.var(name)._d, {_ZERO_KEY: 1})
 
     @classmethod
     def zero(cls):
@@ -1353,9 +1346,7 @@ class RatFunc:
     def const_value(self):
         if not self.is_const():
             raise ExactError("not a constant rational function")
-        if self.num.is_zero():
-            return Fraction(0)
-        return self.num.const_value() / self.den.const_value()
+        return Fraction(self.num._d.get(_ZERO_KEY, 0), self.den._d[_ZERO_KEY])
 
     def variables(self):
         return self.num.variables() | self.den.variables()
@@ -1368,7 +1359,7 @@ class RatFunc:
         if isinstance(other, (int, Fraction)):
             return RatFunc.const(other)
         if isinstance(other, MultiPoly):
-            return RatFunc._raw_canonical(other._d, {_ZERO_KEY: Fraction(1)})
+            return RatFunc._from_poly(other)
         return None
 
     def __add__(self, other):
@@ -1376,7 +1367,7 @@ class RatFunc:
         if o is None:
             return NotImplemented
         num = _dadd(_dmul(self.num._d, o.den._d), _dmul(o.num._d, self.den._d))
-        return RatFunc(MultiPoly._raw(num), MultiPoly._raw(_dmul(self.den._d, o.den._d)))
+        return RatFunc._from_dicts(num, _dmul(self.den._d, o.den._d))
 
     __radd__ = __add__
 
@@ -1385,7 +1376,7 @@ class RatFunc:
         if o is None:
             return NotImplemented
         num = _dsub(_dmul(self.num._d, o.den._d), _dmul(o.num._d, self.den._d))
-        return RatFunc(MultiPoly._raw(num), MultiPoly._raw(_dmul(self.den._d, o.den._d)))
+        return RatFunc._from_dicts(num, _dmul(self.den._d, o.den._d))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -1394,16 +1385,13 @@ class RatFunc:
         return o - self
 
     def __neg__(self):
-        return RatFunc._raw_canonical(_dneg(self.num._d), dict(self.den._d))
+        return RatFunc._raw_canonical(_dneg(self.num._d), self.den._d)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(
-            MultiPoly._raw(_dmul(self.num._d, o.num._d)),
-            MultiPoly._raw(_dmul(self.den._d, o.den._d)),
-        )
+        return RatFunc._from_dicts(_dmul(self.num._d, o.num._d), _dmul(self.den._d, o.den._d))
 
     __rmul__ = __mul__
 
@@ -1413,10 +1401,7 @@ class RatFunc:
             return NotImplemented
         if o.is_zero():
             raise ZeroDenominatorError("division by the zero rational function")
-        return RatFunc(
-            MultiPoly._raw(_dmul(self.num._d, o.den._d)),
-            MultiPoly._raw(_dmul(self.den._d, o.num._d)),
-        )
+        return RatFunc._from_dicts(_dmul(self.num._d, o.den._d), _dmul(self.den._d, o.num._d))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -1427,7 +1412,7 @@ class RatFunc:
     def inverse(self):
         if self.is_zero():
             raise ZeroDenominatorError("inverse of the zero rational function")
-        return RatFunc(self.den, self.num)
+        return RatFunc._from_dicts(self.den._d, self.num._d)
 
     def __pow__(self, e):
         if not isinstance(e, int):
@@ -1440,11 +1425,17 @@ class RatFunc:
         # positive-leading sign survive exponentiation.
         return RatFunc._raw_canonical(_dpow(self.num._d, e), _dpow(self.den._d, e))
 
+    def _poly_den(self):
+        """The denominator as a positive int when it is constant, else None."""
+        d = self.den._d
+        return d[_ZERO_KEY] if len(d) == 1 and _ZERO_KEY in d else None
+
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.is_const() and self.const_value() == other
         if isinstance(other, MultiPoly):
-            return self.den == 1 and self.num == other
+            # A quotient by a constant is canonical exactly as a MultiPoly is.
+            return self._poly_den() == other._den and self.num._d == other._d
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num._d == other.num._d and self.den._d == other.den._d
@@ -1452,10 +1443,12 @@ class RatFunc:
     def __hash__(self):
         h = self._hash
         if h is None:
-            if self.is_const():
-                h = hash(self.const_value())
-            else:
+            den = self._poly_den()
+            if den is None:
                 h = hash((self.num, self.den))
+            else:
+                # Hash as the equal MultiPoly, a constant as its Fraction.
+                h = hash(MultiPoly._raw(self.num._d, den))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -1467,7 +1460,7 @@ class RatFunc:
         if isinstance(value, (int, Fraction)):
             value = RatFunc.const(value)
         elif isinstance(value, MultiPoly):
-            value = RatFunc._raw_canonical(value._d, {_ZERO_KEY: Fraction(1)})
+            value = RatFunc._from_poly(value)
         if not isinstance(value, RatFunc):
             raise ExactError("substitute needs a RatFunc, MultiPoly, or scalar")
         nn, dd = _dcompose(self.num._d, self.den._d, [(i, value.num._d, value.den._d)])
@@ -1475,7 +1468,7 @@ class RatFunc:
             raise ZeroDenominatorError(
                 "composition makes the denominator vanish identically"
             )
-        return RatFunc(MultiPoly._raw(nn), MultiPoly._raw(dd))
+        return RatFunc._from_dicts(nn, dd)
 
     def specialize(self, assignment):
         """Substitute exact scalars for several variables in one pass.
@@ -1501,10 +1494,10 @@ class RatFunc:
                 key = list(_ZERO_KEY)
                 for i, e in zip(rest, k):
                     key[i] = e
-                out[tuple(key)] = Fraction(c)
+                out[tuple(key)] = c
             return out
 
-        return RatFunc._raw_canonical(*_ratfunc_canonical(widen(num), widen(den)))
+        return RatFunc._from_dicts(widen(num), widen(den))
 
     def eval(self, assignment):
         """Exact value; pole and missing-variable failures are distinct.
@@ -1554,37 +1547,33 @@ def _is_atomic_text(poly):
     # A denominator can drop parentheses only when it prints as a bare
     # positive integer, a bare variable, or var^k.
     d = poly._d
-    if len(d) != 1:
+    if len(d) != 1 or poly._den != 1:
         return False
     k, c = next(iter(d.items()))
     if k == _ZERO_KEY:
-        return c > 0 and c.denominator == 1
+        return c > 0
     nz = [e for e in k if e]
     return c == 1 and len(nz) == 1
 
 
 def _ratfunc_canonical(num_d, den_d):
-    """Canonicalize a raw quotient of Fraction dicts."""
+    """Canonicalize a raw quotient of int dicts into a pair of int dicts."""
     if not den_d:
         raise ZeroDenominatorError("zero denominator")
     if not num_d:
-        return {}, {_ZERO_KEY: Fraction(1)}
+        return {}, {_ZERO_KEY: 1}
     cn, pn = _dprimitive(num_d)
     cd, pd = _dprimitive(den_d)
     g = _int_poly_gcd(pn, pd)
-    if len(g) != 1 or _ZERO_KEY not in g or g[_ZERO_KEY] != 1:
+    if g != {_ZERO_KEY: 1}:
         pn = _divexact_int(pn, g)
         pd = _divexact_int(pd, g)
-    scale = cn / cd
-    p, q = scale.numerator, scale.denominator
+    s = gcd(cn, cd)
+    p, q = cn // s, cd // s
     _, lead = _dleading(pd)
     if lead < 0:
-        p, q = -p, q
-        pd = {k: -c for k, c in pd.items()}
-    return (
-        {k: Fraction(c * p) for k, c in pn.items()},
-        {k: Fraction(c * q) for k, c in pd.items()},
-    )
+        p, q = -p, -q
+    return _dscale(pn, p), _dscale(pd, q)
 
 
 def normalize(num, den):
@@ -1601,8 +1590,7 @@ def poly_gcd(p, q):
     """
     if not isinstance(p, MultiPoly) or not isinstance(q, MultiPoly):
         raise ExactError("poly_gcd needs MultiPoly arguments")
-    g = _int_poly_gcd(_dprimitive(p._d)[1], _dprimitive(q._d)[1])
-    return MultiPoly._raw({k: Fraction(c) for k, c in g.items()})
+    return MultiPoly._raw(_int_poly_gcd(_dprimitive(p._d)[1], _dprimitive(q._d)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -1613,9 +1601,9 @@ def poly_gcd(p, q):
 def resultant(p, q, var):
     """Resultant of two polynomials with respect to one variable.
 
-    Fraction-free subresultant remainder sequence over the integer forms;
-    the rational scaling introduced by clearing denominators is divided back
-    out exactly, so the result is the true resultant of the inputs.
+    Fraction-free subresultant remainder sequence over the primitive
+    integer dicts; their contents and the denominators come back as one
+    scale, so the result is the true resultant of the inputs.
     """
     if not isinstance(p, MultiPoly) or not isinstance(q, MultiPoly):
         raise ExactError("resultant needs MultiPoly arguments")
@@ -1626,10 +1614,8 @@ def resultant(p, q, var):
         raise DegreeError("resultant needs positive degree in %s on both sides" % var)
     sp, ip = _dprimitive(p._d)
     sq, iq = _dprimitive(q._d)
-    res_int = _resultant_int(_dense_from_dict(ip, i), _dense_from_dict(iq, i))
-    scale = sp**dq * sq**dp
-    return MultiPoly._raw({k: scale * c for k, c in res_int.items()} if scale != 1
-                          else {k: Fraction(c) for k, c in res_int.items()})
+    res = _resultant_int(_dense_from_dict(ip, i), _dense_from_dict(iq, i))
+    return MultiPoly._reduced(_dscale(res, sp**dq * sq**dp), p._den**dq * q._den**dp)
 
 
 def _resultant_int(A, B):
@@ -1643,7 +1629,7 @@ def _resultant_int(A, B):
     cb = _dense_content(B)
     A = [(_divexact_int(c, ca) if c else {}) for c in A]
     B = [(_divexact_int(c, cb) if c else {}) for c in B]
-    t = _dmul_raw(_dpow_int(ca, len(B) - 1), _dpow_int(cb, len(A) - 1))
+    t = _dmul(_dpow(ca, len(B) - 1), _dpow(cb, len(A) - 1))
     g = {_ZERO_KEY: 1}
     h = {_ZERO_KEY: 1}
     while True:
@@ -1655,16 +1641,16 @@ def _resultant_int(A, B):
         R = _dense_prem(A, B)
         if not R:
             return {}
-        divisor = _dmul_raw(g, _dpow_int(h, delta))
+        divisor = _dmul(g, _dpow(h, delta))
         R = [(_divexact_int(c, divisor) if c else {}) for c in R]
         A, B = B, R
         g = A[-1]
         if delta:
-            h = _divexact_int(_dpow_int(g, delta), _dpow_int(h, delta - 1))
+            h = _divexact_int(_dpow(g, delta), _dpow(h, delta - 1))
         if len(B) == 1:
             dA = len(A) - 1
-            final = _divexact_int(_dpow_int(B[0], dA), _dpow_int(h, dA - 1))
-            out = _dmul_raw(t, final)
+            final = _divexact_int(_dpow(B[0], dA), _dpow(h, dA - 1))
+            out = _dmul(t, final)
             return out if s > 0 else {k: -c for k, c in out.items()}
 
 
@@ -1719,12 +1705,10 @@ class UniPoly:
             var = next(iter(vs)) if vs else "psi"
         elif vs - {var}:
             raise ExactError("polynomial involves extra variables: %s" % sorted(vs - {var}))
-        ints, den = _dto_int(p._d)
-        return cls._view(var, _dict_to_int_list(ints, _VAR_INDEX[var]), den)
+        return cls._view(var, _dict_to_int_list(p._d, _VAR_INDEX[var]), p._den)
 
     def to_multipoly(self):
-        d = _int_list_to_dict(self._ints, _VAR_INDEX[self.var])
-        return MultiPoly._raw({k: Fraction(c, self._den) for k, c in d.items()})
+        return MultiPoly._raw(_int_list_to_dict(self._ints, _VAR_INDEX[self.var]), self._den)
 
     @property
     def coeffs(self):
@@ -1909,7 +1893,7 @@ class _Parser:
         num, den = self.expr()
         if self.pos != len(self.tokens):
             raise ParseError("trailing tokens in %r" % self.text)
-        return RatFunc._raw_canonical(*_ratfunc_canonical(num, den))
+        return RatFunc._from_dicts(num, den)
 
     def expr(self):
         num, den = self.term()
@@ -1961,7 +1945,7 @@ class _Parser:
     def atom(self):
         kind, val = self.take()
         if kind == "int":
-            return ({_ZERO_KEY: Fraction(val)} if val else {}), _POLY_ONE._d
+            return ({_ZERO_KEY: val} if val else {}), _POLY_ONE._d
         if kind == "var":
             return MultiPoly.var(val)._d, _POLY_ONE._d
         if kind == "op" and val == "(":

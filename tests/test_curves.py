@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -138,14 +139,20 @@ _GRID = (F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2), F(3))
 def _fraction_specialize(poly, vals):
     """The dict of poly at scalars {index: Fraction}, term by term over Fractions."""
     out = {}
-    for key, c in poly._d.items():
-        key = list(key)
+    for mono, c in poly.terms():
+        key = list(mono.key)
         for i, v in vals.items():
             c *= v ** key[i]
             key[i] = 0
         key = tuple(key)
         out[key] = out.get(key, 0) + c
     return {k: c for k, c in out.items() if c}
+
+
+def _cleared(num, den):
+    """Two Fraction dicts times the lcm of all their denominators, as int dicts."""
+    scale = lcm(*(c.denominator for c in (*num.values(), *den.values())))
+    return tuple({k: int(c * scale) for k, c in d.items()} for d in (num, den))
 
 
 def _reference_family(tag, n, m):
@@ -159,6 +166,7 @@ def _reference_family(tag, n, m):
         den = _fraction_specialize(rf.den, inner)
         if not den:
             return None
+        num, den = _cleared(num, den)
         if w is not None:
             a, b, c, d = w
             num, den = E._dcompose(

@@ -320,6 +320,18 @@ class TestTypes:
         assert MultiPoly.const(3) == 3
         assert {RatFunc(PSI, 2), RatFunc(PSI, 2)} == {RatFunc(PSI, 2)}
 
+    def test_equal_ratfunc_and_multipoly_hash_alike(self):
+        # A RatFunc over a constant denominator equals, and hashes as, the
+        # MultiPoly with the same value.
+        third = Fraction(1, 3)
+        for poly in (PSI, 3 * PSI * N - 1, third * PSI + 1, MultiPoly.const(Fraction(5, 4))):
+            rf = RatFunc(poly)
+            assert rf == poly and poly == rf
+            assert hash(rf) == hash(poly)
+            assert len({poly, rf}) == 1
+        assert len({MultiPoly.var("psi"), RatFunc.var("psi")}) == 1
+        assert RatFunc(PSI, N) != PSI and RatFunc(PSI, 2) != PSI
+
 
 class TestUniPoly:
     def test_round_trip_and_eval(self):
