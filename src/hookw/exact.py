@@ -19,10 +19,10 @@ One coefficient ring: integers over one denominator.  A ``MultiPoly`` is
 a dict from exponent keys to nonzero ints over one positive denominator,
 the lcm of its coefficient denominators, and a ``UniPoly`` an int list
 over one such denominator, so each stored form is unique.  Every ``_d*``
-helper, the gcd, the resultant and the parser work on int dicts; a
-Fraction is built only at a public view (``terms()``,
-``leading_coefficient()``, ``const_value()``, ``to_text()``,
-``UniPoly.coeffs``) and as the result of an evaluation.
+helper and the parser work on int dicts, the gcd and the resultant on int
+dicts or int lists (see below); a Fraction is built only at a public view
+(``terms()``, ``leading_coefficient()``, ``const_value()``,
+``to_text()``, ``UniPoly.coeffs``) and as the result of an evaluation.
 
 Canonical form of a quotient: numerator and denominator are integer
 polynomials (denominator 1) with no common polynomial factor, the gcd of
@@ -30,9 +30,19 @@ their integer contents is 1, and the leading coefficient of the
 denominator is positive.  Structural equality of canonical forms then
 decides equality of rational functions.
 
-The resultant uses a fraction-free subresultant polynomial remainder
-sequence, which keeps intermediate coefficients determinant-sized instead of
-letting naive Euclidean division blow them up.
+The resultant and the multivariate gcd use a fraction-free subresultant
+polynomial remainder sequence (Brown and Traub, J. ACM 18, 1971), which
+keeps intermediate coefficients determinant-sized instead of letting naive
+Euclidean division blow them up.  The sequence runs on a polynomial dense
+in one main variable, and its pseudo-remainder (``_dense_prem``), content,
+coprimality probe and the two loops (``_dense_gcd``, ``_resultant_int``)
+are written once over a coefficient ring that the shape of the inputs
+picks (``_ring_for``): integer lists in the other variable when the
+coefficients involve at most one (``_Lists``; the bivariate eliminations
+of ``curves.intersect``, in psi1 over psi2), integer dicts when they
+involve two or more (``_Dicts``; the trivariate master and the catalog's
+canonicalizations), whose content gcds recurse through ``_int_poly_gcd``
+and so reach the lists ring one variable down.
 
 Univariate work runs on dense integer coefficient lists, low to high: the
 gcd over Z (a primitive remainder sequence, W. S. Brown 1971), exact
@@ -42,15 +52,15 @@ squarefree test over GF(q), with one pseudo-remainder loop,
 such list over one positive denominator, evaluated over the integers and
 read by the root finder as it is.  The polynomial gcd and exact division
 take this kernel whenever their two arguments together involve exactly
-one variable, which includes the univariate content gcds inside the
-multivariate remainder sequence.  Rational roots come from the
-squarefree part g of the primitive integer form: its roots modulo the
-smallest prime q with q not dividing lc(g) and g squarefree mod q are
-Newton-lifted p-adically past the bound on any rational root, and every
-candidate is verified by exact evaluation.  For q not dividing lc(g), g
-is squarefree mod q exactly when q does not divide Res(g, g'), so this is
-the smallest prime dividing neither lc(g) nor that resultant, found
-without forming it.  No integer is factored and no step is probabilistic.
+one variable, and the lists ring of the remainder sequence is made of
+its gcd, exact division and product (``_int_list_mul``).  Rational roots
+come from the squarefree part g of the primitive integer form: its roots
+modulo the smallest prime q with q not dividing lc(g) and g squarefree
+mod q are Newton-lifted p-adically past the bound on any rational root,
+and every candidate is verified by exact evaluation.  For q not dividing
+lc(g), g is squarefree mod q exactly when q does not divide Res(g, g'),
+so this is the smallest prime dividing neither lc(g) nor that resultant,
+found without forming it.  No integer is factored and no step is probabilistic.
 
 Evaluation runs over the integers.  Each polynomial builds its integer form
 once, on first use: a common denominator, the occurring variables with
@@ -92,6 +102,7 @@ VARIABLES = ("psi", "psi1", "psi2", "n", "m", "r", "s")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _NVARS = len(VARIABLES)
 _ZERO_KEY = (0,) * _NVARS
+_UNIT = {_ZERO_KEY: 1}
 
 __all__ = [
     "VARIABLES",
@@ -319,7 +330,7 @@ def _dsubst(a, subs):
             degrees = [max(x, y) for x, y in zip(degrees, ds)]
         for e, (sl, ds) in done.items():
             for (_, _, b), have, want in zip(rest, ds, degrees):
-                if have < want:
+                if have < want and b != _UNIT:
                     sl = _dmul(sl, _dpow(b, want - have))
             slices[e] = sl
     d = max(d, 0)
@@ -328,7 +339,7 @@ def _dsubst(a, subs):
         acc = _dmul(acc, num)
         coeff = slices.get(e)
         if coeff:
-            acc = _dadd(acc, _dmul(coeff, _dpow(den, d - e)))
+            acc = _dadd(acc, coeff if den == _UNIT else _dmul(coeff, _dpow(den, d - e)))
     return acc, [d] + degrees
 
 
@@ -344,6 +355,8 @@ def _dcompose(num, den, subs):
     nn, n_degs = _dsubst(num, subs)
     dd, d_degs = _dsubst(den, subs)
     for (_, _, b), dn, dd_deg in zip(subs, n_degs, d_degs):
+        if b == _UNIT:
+            continue
         if dn < dd_deg:
             nn = _dmul(nn, _dpow(b, dd_deg - dn))
         elif dd_deg < dn:
@@ -484,32 +497,10 @@ def _int_lists_at(polys, idx, vals):
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate layer over multivariate integer-dict coefficients, used by
-# the subresultant machinery.  A dense poly is a list of dicts, low to high,
-# with a nonzero leading dict.
+# Exact division of integer dicts.  A dense polynomial is a list of
+# coefficients, low to high, with a nonzero last entry; _dense_trim drops
+# zero leading entries, whatever the coefficients are.
 # ---------------------------------------------------------------------------
-
-
-def _dense_from_dict(a, idx):
-    d = _ddeg_var(a, idx)
-    coeffs = [dict() for _ in range(d + 1)]
-    for k, c in a.items():
-        e = k[idx]
-        kk = k[:idx] + (0,) + k[idx + 1 :]
-        sl = coeffs[e]
-        v = sl.get(kk)
-        sl[kk] = c if v is None else v + c
-    return _dense_trim(coeffs)
-
-
-def _dense_to_dict(coeffs, idx):
-    out = {}
-    for e, sl in enumerate(coeffs):
-        for k, c in sl.items():
-            kk = k[:idx] + (e,) + k[idx + 1 :]
-            v = out.get(kk)
-            out[kk] = c if v is None else v + c
-    return {k: c for k, c in out.items() if c}
 
 
 def _dense_trim(coeffs):
@@ -557,54 +548,6 @@ def _divexact_int(a, b):
     return quo
 
 
-def _dense_prem(A, B):
-    """Pseudo-remainder: lc(B)^(degA-degB+1) * A  mod  B."""
-    dA = len(A) - 1
-    dB = len(B) - 1
-    assert dB >= 0 and dA >= dB
-    lb = B[-1]
-    R = [dict(c) for c in A]
-    for i in range(dA - dB, -1, -1):
-        # Multiply the whole remainder by lc(B), then kill the x^(dB+i) term.
-        top = R[dB + i]
-        R = [_dmul(c, lb) if c else {} for c in R]
-        if top:
-            for j in range(dB + 1):
-                if B[j]:
-                    R[i + j] = _dsub(R[i + j], _dmul(top, B[j]))
-        R[dB + i] = {}
-    del R[dB:]
-    return _dense_trim(R)
-
-
-def _dense_content(A):
-    g = {}
-    for c in A:
-        if c:
-            g = _int_poly_gcd(g, c)
-            if g == {_ZERO_KEY: 1}:
-                break
-    return g
-
-
-# Probe points for the coprimality certificate: any tuple whose entries keep
-# both leading coefficients nonzero preserves the gcd degree bound.
-_PROBE_SEEDS = ((2, 3, 5, 7, 11, 13, 17), (5, 7, 11, 13, 17, 19, 23),
-                (-3, 4, -7, 9, -11, 15, -13))
-
-
-def _dint_eval(c, point):
-    """Integer value of an int-coefficient dict at an integer point."""
-    total = 0
-    for k, v in c.items():
-        term = v
-        for i, e in enumerate(k):
-            if e:
-                term *= point[i] ** e
-        total += term
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Dense univariate integer kernel.  A polynomial is a list of ints, low to
 # high, with a nonzero last entry; [] is zero.  Every univariate gcd, exact
@@ -641,11 +584,14 @@ def _int_content(values):
 
 
 def _int_list_gcd(a, b):
-    """Gcd over Z of nonzero integer lists, content included, positive leading.
+    """Gcd over Z of integer lists, not both zero: content included, positive leading.
 
     Primitive remainder sequence (W. S. Brown, J. ACM 18, 1971): each
     pseudo-remainder is divided by its integer content before the next step.
     """
+    if not a or not b:
+        c = a or b
+        return c if c[-1] > 0 else [-v for v in c]
     ca = _int_content(a)
     cb = _int_content(b)
     cont = gcd(ca, cb)
@@ -681,6 +627,34 @@ def _int_list_divexact(a, b):
     if any(r[:db]):
         raise ExactError("inexact polynomial division")
     return q
+
+
+def _int_list_mul(a, b):
+    """Product of integer lists."""
+    if not a or not b:
+        return []
+    nb = len(b)
+    out = [0] * (len(a) + nb - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + nb] = [o + x * y for o, y in zip(out[i : i + nb], b)]
+    return out
+
+
+def _int_list_sub(a, b):
+    """Difference a - b of integer lists, trimmed."""
+    out = a + [0] * (len(b) - len(a))
+    for j, c in enumerate(b):
+        out[j] -= c
+    return _dense_trim(out)
+
+
+def _int_list_pow(a, e):
+    """a**e by repeated products; the remainder sequences raise to small e."""
+    out = [1]
+    for _ in range(e):
+        out = _int_list_mul(out, a)
+    return out
 
 
 def _int_list_at(cs, x, table=None):
@@ -807,36 +781,266 @@ def _int_list_to_dict(cs, idx):
     return out
 
 
-def _coprime_by_probe(A, B, others):
-    """Certify two primitive dense polynomials coprime in their main variable.
+# ---------------------------------------------------------------------------
+# Dense remainder layer over a coefficient ring.  The resultant and the
+# multivariate gcd read a polynomial as dense in one main variable, its
+# coefficients in the ring that ``_ring_for`` picks from the other variables
+# that occur: integer lists in the one other variable when there is at most
+# one (``_Lists``), integer dicts over the universe when there are more
+# (``_Dicts``).  Both rings offer the same operations, so the
+# pseudo-remainder, the content, the probe and the two remainder sequences
+# are written once.  No ring operation mutates its arguments, so ``zero``
+# and ``one`` are shared values.
+# ---------------------------------------------------------------------------
 
-    Specializing the remaining variables at integers where both leading
-    coefficients survive cannot lower the gcd degree in the main variable,
-    so one constant specialized gcd is a proof.  Probe failure proves
-    nothing and the caller falls back to the full remainder sequence.
-    """
-    for seed in _PROBE_SEEDS:
+
+class _Lists:
+    """Coefficients as integer lists, low to high, in the variable y."""
+
+    zero = []
+    one = [1]
+    mul = staticmethod(_int_list_mul)
+    sub = staticmethod(_int_list_sub)
+    power = staticmethod(_int_list_pow)
+    divexact = staticmethod(_int_list_divexact)
+    gcd = staticmethod(_int_list_gcd)
+
+    def __init__(self, y):
+        self.y = y
+
+    def dense(self, a, idx):
+        """Dict a, in idx and at most y, as a dense polynomial in idx."""
+        y = self.y
+        rows = [[] for _ in range(_ddeg_var(a, idx) + 1)]
+        for k, c in a.items():
+            row = rows[k[idx]]
+            f = k[y]
+            if len(row) <= f:
+                row.extend([0] * (f + 1 - len(row)))
+            row[f] = c
+        return rows
+
+    def undense(self, A, idx):
+        """The dict of a dense polynomial in idx."""
+        key = list(_ZERO_KEY)
+        out = {}
+        for e, cs in enumerate(A):
+            key[idx] = e
+            for f, c in enumerate(cs):
+                if c:
+                    key[self.y] = f
+                    out[tuple(key)] = c
+        return out
+
+    @staticmethod
+    def probe(seed, others):
+        """Evaluation of a coefficient at y = seed[0], by Horner."""
+        x = seed[0]
+
+        def at(cs):
+            acc = 0
+            for c in reversed(cs):
+                acc = acc * x + c
+            return acc
+
+        return at
+
+
+class _Dicts:
+    """Coefficients as integer dicts over the universe."""
+
+    zero = {}
+    one = _UNIT
+    mul = staticmethod(_dmul)
+    sub = staticmethod(_dsub)
+    power = staticmethod(_dpow)
+    divexact = staticmethod(_divexact_int)
+
+    @staticmethod
+    def gcd(a, b):
+        return _int_poly_gcd(a, b)
+
+    @staticmethod
+    def dense(a, idx):
+        """Dict a as a dense polynomial in idx."""
+        coeffs = [{} for _ in range(_ddeg_var(a, idx) + 1)]
+        for k, c in a.items():
+            coeffs[k[idx]][k[:idx] + (0,) + k[idx + 1 :]] = c
+        return coeffs
+
+    @staticmethod
+    def undense(A, idx):
+        """The dict of a dense polynomial in idx."""
+        return {k[:idx] + (e,) + k[idx + 1 :]: c
+                for e, sl in enumerate(A) for k, c in sl.items()}
+
+    @staticmethod
+    def probe(seed, others):
+        """Evaluation of a coefficient with the others at seed's entries, in order."""
         point = [0] * _NVARS
         for slot, i in enumerate(sorted(others)):
             point[i] = seed[slot % len(seed)]
-        if _dint_eval(A[-1], point) == 0 or _dint_eval(B[-1], point) == 0:
+        return lambda c: _dint_eval(c, point)
+
+
+_LISTS = tuple(_Lists(y) for y in range(_NVARS))
+_DICTS = _Dicts()
+
+
+def _ring_for(idx, others):
+    """The coefficient ring for main variable idx when the variables others occur."""
+    if len(others) > 1:
+        return _DICTS
+    # Constant coefficients are lists in any variable but idx.
+    return _LISTS[min(others, default=(idx + 1) % _NVARS)]
+
+
+def _dint_eval(c, point):
+    """Integer value of an int-coefficient dict at an integer point."""
+    total = 0
+    for k, v in c.items():
+        term = v
+        for i, e in enumerate(k):
+            if e:
+                term *= point[i] ** e
+        total += term
+    return total
+
+
+def _dense_prem(A, B, ring):
+    """Pseudo-remainder: lc(B)^(degA-degB+1) * A  mod  B."""
+    mul, sub = ring.mul, ring.sub
+    dB = len(B) - 1
+    assert dB >= 0 and len(A) - 1 >= dB
+    lb = B[-1]
+    R = list(A)
+    for i in range(len(A) - 1 - dB, -1, -1):
+        # Multiply the rest of the remainder by lc(B), then cancel the
+        # x^(dB+i) term against top * B.
+        top = R.pop()
+        R = [mul(c, lb) if c else c for c in R]
+        if top:
+            for j in range(dB):
+                if B[j]:
+                    R[i + j] = sub(R[i + j], mul(top, B[j]))
+    return _dense_trim(R)
+
+
+def _dense_content(A, ring):
+    """Gcd of the coefficients of a dense polynomial, positive leading."""
+    g = ring.zero
+    for c in A:
+        if c:
+            g = ring.gcd(g, c)
+            if g == ring.one:
+                break
+    return g
+
+
+# Probe points for the coprimality certificate: any tuple whose entries keep
+# both leading coefficients nonzero preserves the gcd degree bound.
+_PROBE_SEEDS = ((2, 3, 5, 7, 11, 13, 17), (5, 7, 11, 13, 17, 19, 23),
+                (-3, 4, -7, 9, -11, 15, -13))
+
+
+def _coprime_by_probe(A, B, ring, others):
+    """Certify two primitive dense polynomials coprime in their main variable.
+
+    Specializing the coefficient variables ``others`` at integers where both
+    leading coefficients survive cannot lower the gcd degree in the main
+    variable, so one constant specialized gcd is a proof.  Probe failure
+    proves nothing and the caller runs the full remainder sequence.
+    """
+    for seed in _PROBE_SEEDS:
+        at = ring.probe(seed, others)
+        if at(A[-1]) == 0 or at(B[-1]) == 0:
             continue
-        a = [_dint_eval(c, point) if c else 0 for c in A]
-        b = [_dint_eval(c, point) if c else 0 for c in B]
-        if len(_int_list_gcd(a, b)) == 1:
+        if len(_int_list_gcd([at(c) for c in A], [at(c) for c in B])) == 1:
             return True
     return False
+
+
+def _dense_gcd(A, B, ring, others):
+    """Gcd of dense polynomials over ring, as a dense polynomial, up to sign.
+
+    The contents are stripped and their gcd taken in the ring; the
+    primitive parts are certified coprime by ``_coprime_by_probe`` when it
+    can, and otherwise run through the subresultant remainder sequence,
+    whose last nonzero member has the gcd as its primitive part.
+    """
+    divexact, mul, power = ring.divexact, ring.mul, ring.power
+    ca = _dense_content(A, ring)
+    cb = _dense_content(B, ring)
+    A = [divexact(c, ca) if c else c for c in A]
+    B = [divexact(c, cb) if c else c for c in B]
+    cont = ring.gcd(ca, cb)
+    if _coprime_by_probe(A, B, ring, others):
+        return [cont]
+    if len(A) < len(B):
+        A, B = B, A
+    g = h = ring.one
+    while True:
+        delta = len(A) - len(B)
+        R = _dense_prem(A, B, ring)
+        if not R:
+            break
+        if len(R) == 1:
+            # Degree dropped to zero: the primitive parts are coprime.
+            return [cont]
+        divisor = mul(g, power(h, delta))
+        R = [divexact(c, divisor) if c else c for c in R]
+        A, B = B, R
+        g = A[-1]
+        if delta:
+            h = divexact(power(g, delta), power(h, delta - 1))
+    cpp = _dense_content(B, ring)
+    return [mul(divexact(c, cpp), cont) if c else c for c in B]
+
+
+def _resultant_int(A, B, ring):
+    """Resultant of dense polynomials over ring (degrees >= 1), in the ring."""
+    divexact, mul, power = ring.divexact, ring.mul, ring.power
+    s = 1
+    if len(A) < len(B):
+        A, B = B, A
+        if ((len(A) - 1) * (len(B) - 1)) % 2:
+            s = -s
+    ca = _dense_content(A, ring)
+    cb = _dense_content(B, ring)
+    A = [divexact(c, ca) if c else c for c in A]
+    B = [divexact(c, cb) if c else c for c in B]
+    t = mul(power(ca, len(B) - 1), power(cb, len(A) - 1))
+    g = h = ring.one
+    while True:
+        d = len(A) - 1
+        e = len(B) - 1
+        delta = d - e
+        if d % 2 and e % 2:
+            s = -s
+        R = _dense_prem(A, B, ring)
+        if not R:
+            return ring.zero
+        divisor = mul(g, power(h, delta))
+        R = [divexact(c, divisor) if c else c for c in R]
+        A, B = B, R
+        g = A[-1]
+        if delta:
+            h = divexact(power(g, delta), power(h, delta - 1))
+        if len(B) == 1:
+            dA = len(A) - 1
+            out = mul(t, divexact(power(B[0], dA), power(h, dA - 1)))
+            return out if s > 0 else ring.sub(ring.zero, out)
 
 
 def _int_poly_gcd(a, b):
     """Gcd of integer-coefficient dicts over Z, positive leading coefficient.
 
-    Integer content is part of the answer: gcd(6*psi, 4) == 2.  Recursive
-    primitive-PRS algorithm: strip contents, run a subresultant remainder
-    sequence in the lowest shared variable, recurse on the coefficients for
-    the contents.  A degree-preserving specialization probe certifies the
-    common coprime case without running the multivariate sequence.  When a
-    and b together involve one variable, the integer-list kernel answers.
+    Integer content is part of the answer: gcd(6*psi, 4) == 2.  When a and
+    b together involve one variable, the integer-list kernel answers.
+    Otherwise the lowest shared variable is the main one and ``_dense_gcd``
+    runs the primitive remainder sequence over the ring ``_ring_for``
+    picks: integer lists when the coefficients involve one other variable,
+    integer dicts when they involve more, whose content gcds recurse here.
     """
     if not a:
         return _sign_normalize_int(dict(b))
@@ -848,50 +1052,18 @@ def _int_poly_gcd(a, b):
         # A constant side, or no shared variable: only the integer contents
         # can divide both.
         return {_ZERO_KEY: gcd(_int_content(a.values()), _int_content(b.values()))}
-    common = va & vb
-    if len(va | vb) == 1:
-        (idx,) = common
+    vs = va | vb
+    if len(vs) == 1:
+        (idx,) = vs
         return _int_list_to_dict(_int_list_gcd(
             _dict_to_int_list(a, idx), _dict_to_int_list(b, idx)), idx)
     if a == b:
         return _sign_normalize_int(dict(a))
-    idx = min(common)
-    A = _dense_from_dict(a, idx)
-    B = _dense_from_dict(b, idx)
-    ca = _dense_content(A)
-    cb = _dense_content(B)
-    A = [(_divexact_int(c, ca) if c else {}) for c in A]
-    B = [(_divexact_int(c, cb) if c else {}) for c in B]
-    cont = _int_poly_gcd(ca, cb)
-    if (va | vb) - {idx} and _coprime_by_probe(A, B, (va | vb) - {idx}):
-        return _sign_normalize_int(cont)
-    if len(A) < len(B):
-        A, B = B, A
-    g = {_ZERO_KEY: 1}
-    h = {_ZERO_KEY: 1}
-    while True:
-        delta = (len(A) - 1) - (len(B) - 1)
-        R = _dense_prem(A, B)
-        if not R:
-            pp = B
-            break
-        if len(R) == 1:
-            # Degree dropped to zero: the primitive parts are coprime.
-            pp = None
-            break
-        divisor = _dmul(g, _dpow(h, delta))
-        R = [(_divexact_int(c, divisor) if c else {}) for c in R]
-        A, B = B, R
-        g = A[-1]
-        if delta:
-            h = _divexact_int(_dpow(g, delta), _dpow(h, delta - 1))
-    if pp is None:
-        result = cont
-    else:
-        cpp = _dense_content(pp)
-        pp = [(_divexact_int(c, cpp) if c else {}) for c in pp]
-        result = _dmul(_dense_to_dict(pp, idx), cont)
-    return _sign_normalize_int(result)
+    idx = min(va & vb)
+    others = vs - {idx}
+    ring = _ring_for(idx, others)
+    G = _dense_gcd(ring.dense(a, idx), ring.dense(b, idx), ring, others)
+    return _sign_normalize_int(ring.undense(G, idx))
 
 
 def _sign_normalize_int(a):
@@ -1565,7 +1737,7 @@ def _ratfunc_canonical(num_d, den_d):
     cn, pn = _dprimitive(num_d)
     cd, pd = _dprimitive(den_d)
     g = _int_poly_gcd(pn, pd)
-    if g != {_ZERO_KEY: 1}:
+    if g != _UNIT:
         pn = _divexact_int(pn, g)
         pd = _divexact_int(pd, g)
     s = gcd(cn, cd)
@@ -1586,7 +1758,11 @@ def poly_gcd(p, q):
 
     The result is primitive with integer coefficients and positive leading
     coefficient (constant 1 for coprime inputs); gcd(0, q) is q normalized
-    the same way.
+    the same way.  Computed by ``_int_poly_gcd`` on the primitive integer
+    forms: the integer-list kernel when they involve one variable, else a
+    subresultant remainder sequence in their lowest shared variable, over
+    integer-list coefficients when the other variables number one and
+    integer-dict coefficients when they number more.
     """
     if not isinstance(p, MultiPoly) or not isinstance(q, MultiPoly):
         raise ExactError("poly_gcd needs MultiPoly arguments")
@@ -1601,9 +1777,13 @@ def poly_gcd(p, q):
 def resultant(p, q, var):
     """Resultant of two polynomials with respect to one variable.
 
-    Fraction-free subresultant remainder sequence over the primitive
-    integer dicts; their contents and the denominators come back as one
-    scale, so the result is the true resultant of the inputs.
+    Fraction-free subresultant remainder sequence (``_resultant_int``) on
+    the primitive integer forms, dense in var.  Their coefficients are
+    integer lists when, besides var, the inputs involve at most one
+    variable (the bivariate eliminations of ``curves.intersect``), and
+    integer dicts when they involve two or more.  The contents and the
+    denominators come back as one scale, so the result is the true
+    resultant of the inputs.
     """
     if not isinstance(p, MultiPoly) or not isinstance(q, MultiPoly):
         raise ExactError("resultant needs MultiPoly arguments")
@@ -1614,44 +1794,9 @@ def resultant(p, q, var):
         raise DegreeError("resultant needs positive degree in %s on both sides" % var)
     sp, ip = _dprimitive(p._d)
     sq, iq = _dprimitive(q._d)
-    res = _resultant_int(_dense_from_dict(ip, i), _dense_from_dict(iq, i))
+    ring = _ring_for(i, (_dvars(ip) | _dvars(iq)) - {i})
+    res = ring.undense([_resultant_int(ring.dense(ip, i), ring.dense(iq, i), ring)], i)
     return MultiPoly._reduced(_dscale(res, sp**dq * sq**dp), p._den**dq * q._den**dp)
-
-
-def _resultant_int(A, B):
-    """Resultant of dense integer-dict polynomials (degrees >= 1)."""
-    s = 1
-    if len(A) < len(B):
-        A, B = B, A
-        if ((len(A) - 1) * (len(B) - 1)) % 2:
-            s = -s
-    ca = _dense_content(A)
-    cb = _dense_content(B)
-    A = [(_divexact_int(c, ca) if c else {}) for c in A]
-    B = [(_divexact_int(c, cb) if c else {}) for c in B]
-    t = _dmul(_dpow(ca, len(B) - 1), _dpow(cb, len(A) - 1))
-    g = {_ZERO_KEY: 1}
-    h = {_ZERO_KEY: 1}
-    while True:
-        d = len(A) - 1
-        e = len(B) - 1
-        delta = d - e
-        if d % 2 and e % 2:
-            s = -s
-        R = _dense_prem(A, B)
-        if not R:
-            return {}
-        divisor = _dmul(g, _dpow(h, delta))
-        R = [(_divexact_int(c, divisor) if c else {}) for c in R]
-        A, B = B, R
-        g = A[-1]
-        if delta:
-            h = _divexact_int(_dpow(g, delta), _dpow(h, delta - 1))
-        if len(B) == 1:
-            dA = len(A) - 1
-            final = _divexact_int(_dpow(B[0], dA), _dpow(h, dA - 1))
-            out = _dmul(t, final)
-            return out if s > 0 else {k: -c for k, c in out.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import hookw
+from hookw import curves as C
 from hookw import exact as E
 from hookw.exact import MultiPoly, RatFunc, UniPoly
 
@@ -255,6 +256,91 @@ def _assert_gcd_matches_sympy(p, q, common, names):
     assert g.leading_coefficient() > 0
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    polys(vars=("psi", "n", "m"), max_terms=3, max_exp=2),
+    polys(vars=("psi", "n", "m"), max_terms=3, max_exp=2),
+)
+def test_trivariate_resultant_matches_sylvester_determinant(p, q):
+    # Coefficients in two variables take the dict ring, which the bivariate
+    # tests above no longer reach.
+    sympy = pytest.importorskip("sympy")
+    if p.degree("psi") < 1 or q.degree("psi") < 1:
+        return
+    symbols = {name: sympy.Symbol(name) for name in ("psi", "n", "m")}
+    ours = _to_sympy(E.resultant(p, q, "psi"), symbols)
+    theirs = _sylvester_det(p, q, symbols["psi"], symbols)
+    assert sympy.expand(ours - theirs) == 0
+
+
+# ---------------------------------------------------------------------------
+# The two coefficient rings of the dense remainder layer.
+# ---------------------------------------------------------------------------
+
+_PSI_IDX, _N_IDX = E._VAR_INDEX["psi"], E._VAR_INDEX["n"]
+
+
+def test_ring_is_chosen_by_the_coefficient_variables():
+    assert E._ring_for(_PSI_IDX, {_N_IDX}) is E._LISTS[_N_IDX]
+    assert E._ring_for(_PSI_IDX, set()) is not E._DICTS
+    assert E._ring_for(_PSI_IDX, {_N_IDX, E._VAR_INDEX["m"]}) is E._DICTS
+
+
+def _assert_rings_agree(a, b, idx, y):
+    """Gcd and resultant of int dicts a, b in idx, in both rings; the resultant.
+
+    The resultant is taken, and returned, only when both have positive
+    degree in idx; otherwise None.
+    """
+    out = []
+    for ring in (E._LISTS[y], E._DICTS):
+        A, B = ring.dense(a, idx), ring.dense(b, idx)
+        g = ring.undense(E._dense_gcd(A, B, ring, {y}), idx)
+        res = None
+        if len(A) > 1 and len(B) > 1:
+            res = ring.undense([E._resultant_int(A, B, ring)], idx)
+        out.append((g, res))
+    assert out[0] == out[1]
+    return out[0][1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    polys(max_terms=4, max_exp=3, zero_ok=False),
+    polys(max_terms=4, max_exp=3, zero_ok=False),
+    polys(max_terms=2, max_exp=2, zero_ok=False),
+)
+def test_list_and_dict_rings_agree_on_bivariate_inputs(p, q, common):
+    # A planted common factor makes some gcds nonconstant.
+    a = E._dprimitive((p * common)._d)[1]
+    b = E._dprimitive((q * common)._d)[1]
+    if a and b:
+        _assert_rings_agree(a, b, _PSI_IDX, _N_IDX)
+
+
+def test_list_and_dict_rings_agree_on_the_oracle_eliminants():
+    # The difference equations intersect() builds for the 20 pairs of the
+    # intersect-oracle benchmark, before and after their common factor goes.
+    psi1, psi2 = E._VAR_INDEX["psi1"], E._VAR_INDEX["psi2"]
+    grid = [(n, m, hookw.TARGETS[kind], r)
+            for n in (0, 1) for m in (1, 2) for kind in hookw.TARGET_KINDS for r in (1, 2)
+            if r >= hookw.TARGETS[kind].min_r]
+    assert len(grid) == 20
+    for n, m, rule, r in grid:
+        a = hookw.phi_family("2B", n, m)
+        b = hookw.phi_family(rule.tag, 0, rule.m_of(r))
+        ec = C._cross_difference(a.c, b.c)
+        el = C._cross_difference(a.lam, b.lam)
+        _assert_rings_agree(ec._d, el._d, psi1, psi2)
+        common = E.poly_gcd(ec, el)
+        ec, el = C._as_quotient(ec, common), C._as_quotient(el, common)
+        eliminant = _assert_rings_agree(ec._d, el._d, psi1, psi2)
+        if eliminant is not None:
+            dc, dl = ec.degree("psi1"), el.degree("psi1")
+            assert E.resultant(ec, el, "psi1") == MultiPoly._reduced(
+                eliminant, ec._den**dl * el._den**dc)
+
+
 # ---------------------------------------------------------------------------
 # The univariate integer-list kernel.
 # ---------------------------------------------------------------------------
@@ -319,7 +405,7 @@ def _prime_by_discriminant(g):
     disc = g[-1]
     if len(dg) > 1:
         dense = [[{E._ZERO_KEY: c} if c else {} for c in cs] for cs in (g, dg)]
-        disc *= E._resultant_int(*dense)[E._ZERO_KEY]
+        disc *= E._resultant_int(*dense, E._DICTS)[E._ZERO_KEY]
     return next(
         q for q in count(2) if disc % q and all(q % d for d in range(2, isqrt(q) + 1))
     )
