@@ -157,6 +157,12 @@ SOURCE_TAGS = ("1B", "1D", "2B", "2C")
 TARGET_KINDS = ("sp", "so_even", "osp")
 
 
+def _rank_error(kind: str, r) -> Optional[str]:
+    """Why the rank r is below the smallest of target kind, or None."""
+    min_r = TARGETS[kind].min_r
+    return f"target kind {kind!r} requires r >= {min_r}" if r < min_r else None
+
+
 # ---------------------------------------------------------------------------
 # The forty-eight coincidence entries.
 # ---------------------------------------------------------------------------
@@ -451,8 +457,8 @@ def verify_coincidence(entry: CoincidenceEntry, n, m, r) -> CoincidenceOutcome:
     r = _int(r, "r")
     if n < 0 or m < 0:
         raise ValueError("n and m must be non-negative")
-    if r < rule.min_r:
-        raise ValueError(f"target kind {entry.target!r} requires r >= {rule.min_r}")
+    if rank_error := _rank_error(entry.target, r):
+        raise ValueError(rank_error)
 
     def skipped(reason: str, **kw) -> CoincidenceOutcome:
         return CoincidenceOutcome(entry, n, m, r, "skipped", reason, **kw)

@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Tuple
 from .catalog import (
     TARGET_KINDS,
     TARGETS,
+    _rank_error,
     all_entries,
     gelfand_tsetlin_factors,
     gt_factor_json,
@@ -186,13 +187,12 @@ def _cell_charges(cell) -> Tuple[str, str]:
 def _cell_coincidences(cell) -> Tuple[str, str]:
     name, n, m, r = cell
     entry = _ENTRY_INDEX[name]
-    min_r = TARGETS[entry.target].min_r
     # The documented preconditions of verify_coincidence are the only
     # skips; an error raised past them is a defect, never a skip.
     if n < 0 or m < 0:
         return "skip", "n and m must be non-negative"
-    if r < min_r:
-        return "skip", f"target kind {entry.target!r} requires r >= {min_r}"
+    if rank_error := _rank_error(entry.target, r):
+        return "skip", rank_error
     try:
         outcome = verify_coincidence(entry, n, m, r)
     except Exception as exc:
@@ -428,6 +428,8 @@ def _cmd_intersect(args) -> int:
     if args.target is not None:
         if args.r is None:
             raise ValueError("--target needs --r")
+        if rank_error := _rank_error(args.target, args.r):
+            raise ValueError(rank_error)
         rule = TARGETS[args.target]
         target = rule.curve(args.r)
         target_id = {

@@ -17,19 +17,22 @@ triality group composed with it.  Every curve is built by one
 constructor, ``_family_curve``, from that row: the master at the shifted
 (n, m) with psi through the route's map, times the identity's own map on
 the right-hand side of a triality identity, as one 2x2 integer product.
+The master depends on (n, m) only through t = n + m(2psi - 1), so it is
+read only to derive F(t, psi), its slice at m = 0 (``_at_m0``), with
+6 + 2 terms for c and 20 + 33 for lambda against 19 + 2 and 79 + 213;
+every curve is built from F.
 The generic-domain check maps denominator roots back through the inverse
 of the route's map, so the two cannot disagree.
 
 Data that depends only on (family, n, m) is built once and reused for
 every psi; every such memo is a ``functools.cache`` on the function that
-builds it.  A numeric curve is specialized from the master's cached
-integer forms into integer lists in psi, reduced by one gcd and composed
-with the degree-one psi map without another; ``TruncationCurve.values``
-dots its four integer lists with one table of powers of psi.  A symbolic
-curve substitutes n, m and psi in one pass on the polynomial dicts and
-is canonicalized once.
+builds it.  A numeric curve runs F by Horner in t into integer lists in
+psi, reduced by one gcd and composed with the degree-one psi map
+without another; ``TruncationCurve.values`` dots its four integer lists
+with one table of powers of psi.  A symbolic curve composes F with
+n -> t, then with the psi map, and is canonicalized once.
 The generic-domain check looks psi up in the set of excluded values,
-built from the rational roots of the specialized denominator factors.
+built from the rational roots of the denominator factors, run at t.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from math import lcm
 from typing import Optional, Tuple
 
 from .exact import (
@@ -51,9 +55,11 @@ from .exact import (
     resultant,
 )
 from .exact import (
+    _LISTS,
     _VAR_INDEX,
     _coerce_fraction,
     _dcompose,
+    _dense_trim,
     _dict_to_int_list,
     _divexact_int,
     _homogenized_powers,
@@ -61,7 +67,7 @@ from .exact import (
     _int_list_deflate,
     _int_list_moebius,
     _int_list_quotient,
-    _int_lists_at,
+    _int_list_to_dict,
 )
 from .liedata import HookFamily
 
@@ -144,10 +150,9 @@ class TruncationCurve:
 
         Read off the integer dicts of the curve's own RatFuncs, whose
         canonical parts have denominator 1, once per curve: the RatFuncs
-        are all a curve holds, whether ``_numeric_2B`` built it, a symbolic
-        build with constant parameters, or a caller of the public
-        constructor.  D, the largest of the four degrees, is the degree of
-        the curve's one table of powers of psi.
+        are all a curve holds, whoever built it.  D, the largest of the
+        four degrees, is the degree of the curve's one table of powers of
+        psi.
         """
         polys = (self.c.num, self.c.den, self.lam.num, self.lam.den)
         lists = [_dict_to_int_list(p._d, _PSI) for p in polys]
@@ -283,10 +288,60 @@ def _master_domain_factors() -> Tuple[MultiPoly, ...]:
 
 _HALF = Fraction(1, 2)
 _PSI = _VAR_INDEX["psi"]
-_PSI1 = _VAR_INDEX["psi1"]
-_PSI2 = _VAR_INDEX["psi2"]
 _N = _VAR_INDEX["n"]
 _M = _VAR_INDEX["m"]
+
+
+def _at_m0(p: MultiPoly) -> dict:
+    """p's m-free terms: for a printed master polynomial, P(t, 0, psi).
+
+    Each is a polynomial in t = n + m(2psi - 1) and psi, so P(n, m, psi)
+    is this dict with n -> t.
+    """
+    return {k: c for k, c in p._d.items() if not k[_M]}
+
+
+@cache
+def _t_slices():
+    """F's (num, den) of c and of lambda, and the domain factors, at m = 0.
+
+    Each is sliced by t: [S_0, ..., S_d], S_e an integer list in psi.
+    """
+    (c, lam), factors = _master_2B(), _master_domain_factors()
+    polys = (c.num, c.den, lam.num, lam.den) + factors
+    c_num, c_den, lam_num, lam_den, *factors = [_LISTS[_PSI].dense(_at_m0(p), _N) for p in polys]
+    return (c_num, c_den), (lam_num, lam_den), factors
+
+
+def _t_coeffs(n, m):
+    """(alpha, beta, L): t = n + m(2psi - 1) is (alpha + beta psi)/L, all ints."""
+    a, b = n - m, 2 * m
+    scale = lcm(a.denominator, b.denominator)
+    return a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator), scale
+
+
+def _in_psi(polys, t):
+    """Polynomials sliced by t at t = (alpha + beta psi)/L, as integer lists in psi.
+
+    By Horner in t, slice e entering times L**(D - e), so each list is
+    L**D times its polynomial, D the top degree of polys.  A polynomial
+    that vanishes gives [].
+    """
+    alpha, beta, scale = t
+    top = max(map(len, polys)) - 1
+    out = []
+    for slices in polys:
+        acc, power = [], 1
+        for e in range(top, -1, -1):
+            acc = [alpha * x + beta * y for x, y in zip(acc + [0], [0] + acc)] if acc else []
+            cs = slices[e] if e < len(slices) else []
+            acc += [0] * (len(cs) - len(acc))
+            for i, c in enumerate(cs):
+                acc[i] += c * power
+            power *= scale
+        out.append(_dense_trim(acc))
+    return out
+
 
 # The route of each family to the master curve: tag(n, m) is
 # 2B(n + dn, m + dm [+ n]) composed with psi -> (a psi + b)/(c psi + d).
@@ -317,19 +372,19 @@ def _excluded_psi(tag: str, n, m):
 
     A frozenset, or None when a factor vanishes for every psi.  Built once
     per (tag, n, m) from the family's row of ``_ROUTES``: each master
-    factor is specialized at the inner (n, m) from its cached integer form
-    into an integer list in psi, and each rational root r in
+    factor is run at the inner t into an integer list in psi
+    (``_in_psi``), and each rational root r in
     the inner psi is mapped back through the inverse of the route's map,
     psi = (d r - b)/(a - c r).  A root with a = c r has no finite preimage;
     the pole psi = -d/c of the map itself (psi = 0 on the inverting routes)
     is excluded.  A polynomial with rational coefficients vanishes at a
     rational point exactly when that point is one of its rational roots.
     """
-    inner = dict(zip((_N, _M), _inner_params(tag, n, m)))
+    t = _t_coeffs(*_inner_params(tag, n, m))
     a, b, c, d = _ROUTES[tag][3] or (1, 0, 0, 1)
     excluded = {Fraction(-d, c)} if c else set()
-    for factor in _master_domain_factors():
-        (spec,) = _int_lists_at((factor,), _PSI, inner)
+    for factor in _t_slices()[2]:
+        (spec,) = _in_psi((factor,), t)
         if not spec:
             return None
         for root in rational_roots(UniPoly._view("psi", spec)):
@@ -421,16 +476,38 @@ def _psi_part(num, den, w) -> RatFunc:
 def _numeric_2B(n: Fraction, m: Fraction, w, source: str) -> TruncationCurve:
     """The 2B curve at rational (n, m), composed with w, on integer lists.
 
-    The master's cached integer forms are specialized straight into
-    integer lists in psi, numerator and denominator over one scale, then
-    reduced by their gcd and composed with w over the integers.
+    F is run at t = n + m(2psi - 1) into integer lists in psi over one
+    scale (``_in_psi``), then reduced and composed with w (``_psi_part``).
     """
-    vals = {_N: n, _M: m}
-    c, lam = _master_2B()
-    c_out = _psi_part(*_int_lists_at((c.num, c.den), _PSI, vals), w)
-    num, den = _int_lists_at((lam.num, lam.den), _PSI, vals)
-    lam_out = _psi_part(num, den, w) if den else None
-    return _curve(c_out, lam_out, source)
+    t = _t_coeffs(n, m)
+    out = []
+    for pair in _t_slices()[:2]:
+        num, den = _in_psi(pair, t)
+        out.append(_psi_part(num, den, w) if den else None)
+    return _curve(*out, source)
+
+
+def _symbolic_2B(n, m, w, source: str) -> TruncationCurve:
+    """The 2B curve at symbolic (n, m), composed with w, on polynomial dicts.
+
+    F is composed with n -> t = n + m(2psi - 1), then with psi -> w(psi),
+    and canonicalized once.  n and m must not mention psi, which the
+    second composition would capture.
+    """
+    if any(isinstance(x, RatFunc) and "psi" in x.variables() for x in (n, m)):
+        raise ValueError("symbolic n and m may not mention psi")
+    t = n + m * (2 * RatFunc.var("psi") - 1)
+    steps = [[(_N, t.num._d, t.den._d)]]
+    if w is not None:
+        a, b, c, d = w
+        steps.append([(_PSI, _int_list_to_dict([b, a], _PSI), _int_list_to_dict([d, c], _PSI))])
+    out = []
+    for rf in _master_2B():
+        num, den = _at_m0(rf.num), _at_m0(rf.den)
+        for subs in steps:
+            num, den = _dcompose(num, den, subs)
+        out.append(RatFunc._from_dicts(num, den) if den else None)
+    return _curve(*out, source)
 
 
 def _psi_map(tag: str, w):
@@ -452,31 +529,19 @@ def _psi_map(tag: str, w):
 def _family_curve(tag: str, n, m, w=None) -> TruncationCurve:
     """tag(n, m) o w: the master at the route's (n, m), psi through route . w.
 
-    Every curve is built here, in one step from the master: n and m go
-    to ``_inner_params(tag, n, m)`` and psi to the map of ``_psi_map``.
-    Rational (n, m) are specialized, reduced and composed on integer
-    lists in psi (``_numeric_2B``); otherwise n, m and psi are
-    substituted in one pass on the polynomial dicts (``_substituted``).
-    On the slices where the lambda denominator vanishes identically (the
-    free-field orbifold cosets) the lambda component is None.
+    Every curve is built here: F at t = n' + m'(2psi - 1), (n', m') =
+    ``_inner_params(tag, n, m)``, with psi through ``_psi_map``; on integer
+    lists at rational (n, m) (``_numeric_2B``), else on polynomial dicts
+    (``_symbolic_2B``).  Where the lambda denominator vanishes identically
+    (the free-field orbifold cosets) the lambda component is None.
     """
     label = _ROUTES[tag][4]
     psi_map = _psi_map(tag, w)
     n, m = _coerce_param(n), _coerce_param(m)
     inner_n, inner_m = _inner_params(tag, n, m)
-    if not isinstance(n, RatFunc) and not isinstance(m, RatFunc):
-        return _numeric_2B(inner_n, inner_m, psi_map, label)
-    mapping = {"n": inner_n, "m": inner_m}
-    if psi_map is not None:
-        a, b, c, d = psi_map
-        psi = RatFunc.var("psi")
-        mapping["psi"] = (a * psi + b) / (c * psi + d)
-    c_master, lam_master = _master_2B()
-    try:
-        lam = _substituted(lam_master, mapping)
-    except ZeroDenominatorError:
-        lam = None
-    return _curve(_substituted(c_master, mapping), lam, label)
+    if isinstance(n, RatFunc) or isinstance(m, RatFunc):
+        return _symbolic_2B(inner_n, inner_m, psi_map, label)
+    return _numeric_2B(inner_n, inner_m, psi_map, label)
 
 
 def phi_2B(n, m) -> TruncationCurve:
@@ -498,9 +563,8 @@ def phi_family(tag: str, n, m) -> TruncationCurve:
     the triality group that is composed with it: 1O, 2D, 1C are
     half-integer shifts of the master, and 1B, 1D, 2C, 2O also invert psi.
     n and m may be any rationals (the internal shifts leave the lattice)
-    or symbolic expressions.  ``_family_curve`` builds the curve in one
-    step from the master: on integer lists in psi at rational (n, m), by
-    one simultaneous substitution on polynomial dicts otherwise.
+    or symbolic expressions.  ``_family_curve`` builds the curve from F,
+    the master at m = 0, at the route's t = n + m(2psi - 1).
     """
     if tag not in _ROUTES:
         raise ValueError(f"unknown family {tag!r}")
@@ -828,9 +892,9 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
         value_b = _curve_value(B, b)
         if value_b is None:
             continue
-        # Both equations at psi2 = b, as integer lists in psi1 in one pass.
-        specs = _int_lists_at((ec, el), _PSI1, {_PSI2: b})
-        candidates = _root_candidates(UniPoly._view("psi1", cs) for cs in specs)
+        candidates = _root_candidates(
+            UniPoly.from_multipoly(p.substitute("psi2", b), "psi1") for p in (ec, el)
+        )
         if candidates is None:
             # Both equations vanish along psi2 = b: a free line of
             # solutions in psi1.

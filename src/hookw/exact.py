@@ -70,21 +70,19 @@ so an evaluation multiplies integers only and builds one Fraction at the
 end.  A quotient's numerator and denominator share one such table per
 variable, to the larger of the two degrees, so their sums carry the same
 scale; a variable on one side only multiplies the other side's sum by
-q^d.  Specialization at scalars (``_int_forms_at``) runs on the same
-forms and tables and gives integer dicts in the remaining variables over
-one scale, grouping the terms through a term-to-slot index cached in the
-form (``_term_slots``); ``RatFunc.specialize`` canonicalizes them.  When
-one variable remains they are read as dense integer lists
-(``_int_lists_at``): this is how a curve at rational (n, m) is built,
-reduced with ``_int_list_gcd``, composed with a degree-one map
+q^d.
+
+Substitution runs on the polynomial dicts (``_dsubst``, ``_dcompose``):
+several variables at once by nested Horner, sliced by the first
+variable, the rest substituted into each slice, and the slices combined
+by Horner, so no value is captured by a later substitution.  A value is
+a rational function or a scalar, whose Horner steps are integer
+scalings; ``RatFunc.substitute`` is the one-variable case and
+``RatFunc.specialize`` the all-scalar one.  A curve at rational parameters is
+instead read off as integer lists in psi (``hookw.curves``), reduced
+with ``_int_list_gcd``, composed with a degree-one map
 x -> (a x + b)/(c x + d) by ``_int_list_moebius`` without a gcd, and
 normalized by ``_int_list_quotient``.
-
-Substitution of rational functions for variables runs on the polynomial
-dicts (``_dsubst``, ``_dcompose``): several variables at once by nested
-Horner, sliced by the first variable, the rest substituted into each
-slice, and the slices combined by Horner, so no value is captured by a
-later substitution.  ``RatFunc.substitute`` is the one-variable case.
 
 The parser builds an expression as one uncanonicalized quotient of
 polynomial dicts and canonicalizes it once, at the end.
@@ -94,7 +92,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import count
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -251,15 +249,28 @@ def _dmul(a, b):
 
 
 def _dpow(a, e):
-    result = {_ZERO_KEY: 1}
-    base = a
+    # Square and multiply, from the first factor rather than the unit.
+    result = None
     while e:
         if e & 1:
-            result = _dmul(result, base)
+            result = a if result is None else _dmul(result, a)
         e >>= 1
         if e:
-            base = _dmul(base, base)
-    return result
+            a = _dmul(a, a)
+    return {_ZERO_KEY: 1} if result is None else result
+
+
+def _dconst(a):
+    """The int value of a constant dict, or None when a variable occurs."""
+    return None if len(a) > 1 else (a.get(_ZERO_KEY) if a else 0)
+
+
+def _dmul_pow(a, b, e):
+    """a * b**e for e >= 1, by an integer scaling when b is a constant."""
+    c = _dconst(b)
+    if c is None:
+        return _dmul(a, _dpow(b, e))
+    return _dscale(a, c**e) if c else {}
 
 
 def _dreduced(a, den):
@@ -308,14 +319,25 @@ def _dsubst(a, subs):
     by Horner from the top degree, which keeps the factor count low.  A
     value may mention any variable, one substituted later included: it
     enters only after its variable is gone from what it multiplies, so
-    nothing is captured.
+    nothing is captured.  A scalar p/q makes the Horner steps scalings,
+    and as the last value goes in by one pass, term e times p**e q**(d-e).
     """
     if not subs:
         return dict(a), []
     (idx, num, den), rest = subs[0], subs[1:]
-    d = _ddeg_var(a, idx)
-    if d <= 0 and not rest:
-        return dict(a), [0]
+    d = max(_ddeg_var(a, idx), 0)
+    p, q = _dconst(num), _dconst(den)
+    if not rest and p is not None and q is not None:
+        powers = [p**e * q ** (d - e) for e in range(d + 1)]
+        out = {}
+        for k, c in a.items():
+            kk = k[:idx] + (0,) + k[idx + 1 :]
+            v = out.get(kk, 0) + c * powers[k[idx]]
+            if v:
+                out[kk] = v
+            else:
+                out.pop(kk, None)
+        return out, [d]
     slices = {}
     for k, c in a.items():
         e = k[idx]
@@ -330,16 +352,15 @@ def _dsubst(a, subs):
             degrees = [max(x, y) for x, y in zip(degrees, ds)]
         for e, (sl, ds) in done.items():
             for (_, _, b), have, want in zip(rest, ds, degrees):
-                if have < want and b != _UNIT:
-                    sl = _dmul(sl, _dpow(b, want - have))
+                if have < want:
+                    sl = _dmul_pow(sl, b, want - have)
             slices[e] = sl
-    d = max(d, 0)
     acc = slices.get(d, {})
     for e in range(d - 1, -1, -1):
-        acc = _dmul(acc, num)
+        acc = _dmul_pow(acc, num, 1)
         coeff = slices.get(e)
         if coeff:
-            acc = _dadd(acc, coeff if den == _UNIT else _dmul(coeff, _dpow(den, d - e)))
+            acc = _dadd(acc, _dmul_pow(coeff, den, d - e))
     return acc, [d] + degrees
 
 
@@ -355,12 +376,10 @@ def _dcompose(num, den, subs):
     nn, n_degs = _dsubst(num, subs)
     dd, d_degs = _dsubst(den, subs)
     for (_, _, b), dn, dd_deg in zip(subs, n_degs, d_degs):
-        if b == _UNIT:
-            continue
         if dn < dd_deg:
-            nn = _dmul(nn, _dpow(b, dd_deg - dn))
+            nn = _dmul_pow(nn, b, dd_deg - dn)
         elif dd_deg < dn:
-            dd = _dmul(dd, _dpow(b, dn - dd_deg))
+            dd = _dmul_pow(dd, b, dn - dd_deg)
     return nn, dd
 
 
@@ -406,7 +425,7 @@ def _int_form_value(form, tables):
     q**D, so forms summed against the same tables share one scale: the
     sum is den * prod(q**D) times the form's value.
     """
-    _, idxs, _, coeffs, cols, _ = form
+    _, idxs, _, coeffs, cols = form
     terms = coeffs
     for i, col in zip(idxs, cols):
         terms = map(mul, terms, map(tables[i].__getitem__, col))
@@ -415,85 +434,6 @@ def _int_form_value(form, tables):
         if i not in idxs:
             total *= table[0]
     return total
-
-
-def _term_slots(form, rest):
-    """(keys, slots): an integer form's terms grouped by their exponents in rest.
-
-    ``keys`` lists the distinct tuples of exponents of the variables of
-    rest, in order of first appearance, and term j adds to keys[slots[j]].
-    Built once per form and rest, and cached in the form.
-    """
-    cache = form[5]
-    found = cache.get(rest)
-    if found is None:
-        _, idxs, _, coeffs, cols, _ = form
-        if rest:
-            zeros = (0,) * len(coeffs)
-            exps = zip(*(cols[idxs.index(i)] if i in idxs else zeros for i in rest))
-        else:
-            exps = repeat((), len(coeffs))
-        index = {}
-        slots = tuple(index.setdefault(k, len(index)) for k in exps)
-        found = cache[rest] = (tuple(index), slots)
-    return found
-
-
-def _int_forms_at(polys, vals):
-    """Polynomials at scalars, as integer dicts in the remaining variables.
-
-    ``vals`` maps variable indices to Fractions.  The cached integer forms
-    are summed against one table of homogenized powers per variable,
-    shared by all the polynomials (``_shared_tables``), and their
-    denominators are brought to their lcm, so polys[j] at vals is
-    dicts[j] / S for one positive int S: quotients of the polynomials are
-    quotients of the dicts.  Returns (rest, dicts): ``rest`` holds the
-    occurring variables outside vals in universe order, and each dict maps
-    a tuple of their exponents to a nonzero int.  The terms are grouped
-    through the form's cached term-to-slot index (``_term_slots``).
-    """
-    forms = [p._int_form() for p in polys]
-    tables = _shared_tables(forms, vals)
-    rest = tuple(sorted({i for form in forms for i in form[1]} - tables.keys()))
-    common = lcm(*(form[0] for form in forms))
-    dicts = []
-    for form in forms:
-        den, idxs, _, coeffs, cols, _ = form
-        scale = common // den
-        terms = coeffs
-        for i, table in tables.items():
-            if i in idxs:
-                terms = map(mul, terms, map(table.__getitem__, cols[idxs.index(i)]))
-            else:
-                # A variable the form lacks: its sum times q**D.
-                scale *= table[0]
-        keys, slots = _term_slots(form, rest)
-        sums = [0] * len(keys)
-        for j, c in zip(slots, terms):
-            sums[j] += c
-        dicts.append({k: c * scale for k, c in zip(keys, sums) if c})
-    return rest, dicts
-
-
-def _int_lists_at(polys, idx, vals):
-    """``_int_forms_at`` as dense integer lists, low to high, in variable idx.
-
-    Every occurring variable other than idx must have a value.  The lists
-    are trimmed, so a polynomial that vanishes gives [].
-    """
-    rest, dicts = _int_forms_at(polys, vals)
-    if set(rest) - {idx}:
-        raise MissingVariableError(
-            "no value for variable(s): %s" % ", ".join(VARIABLES[i] for i in rest if i != idx)
-        )
-    lists = []
-    for d in dicts:
-        # Each key is () or (e,), so its sum is the exponent of idx.
-        cs = [0] * (max(map(sum, d), default=-1) + 1)
-        for k, c in d.items():
-            cs[sum(k)] = c
-        lists.append(cs)
-    return lists
 
 
 # ---------------------------------------------------------------------------
@@ -1359,14 +1299,13 @@ class MultiPoly:
         return MultiPoly._reduced(res, self._den * v**d)
 
     def _int_form(self):
-        """(den, idxs, degrees, coeffs, cols, slots), built once: the integer form.
+        """(den, idxs, degrees, coeffs, cols), built once: the integer form.
 
         ``idxs`` are the occurring variable indices in universe order and
         ``degrees`` their maximum exponents.  ``cols`` holds one column
         per variable of idxs: term j is ``coeffs[j]`` times the product of
         each variable to the power ``col[j]``.  self is the sum of the terms
-        over den, its positive denominator.  ``slots`` caches the term
-        grouping of each specialization, see ``_term_slots``.
+        over den, its positive denominator.
         """
         form = self._int
         if form is None:
@@ -1374,7 +1313,7 @@ class MultiPoly:
             idxs = tuple(sorted(_dvars(d)))
             cols = tuple(tuple(k[i] for k in d) for i in idxs)
             degrees = tuple(max(col) for col in cols)
-            form = (self._den, idxs, degrees, tuple(d.values()), cols, {})
+            form = (self._den, idxs, degrees, tuple(d.values()), cols)
             object.__setattr__(self, "_int", form)
         return form
 
@@ -1645,31 +1584,17 @@ class RatFunc:
     def specialize(self, assignment):
         """Substitute exact scalars for several variables in one pass.
 
-        Numerator and denominator are specialized from their cached
-        integer forms over one scale (``_int_forms_at``) and the quotient
-        is canonicalized once at the end.  Raises ZeroDenominatorError when the specialized
-        denominator vanishes identically.
+        One cleared composition (``_dcompose``) and one canonicalization.
+        Raises ZeroDenominatorError when the specialized denominator
+        vanishes identically.
         """
-        vals = {}
-        for name, v in assignment.items():
-            vals[_check_var(name)] = _coerce_fraction(v)
-        rest, (num, den) = _int_forms_at((self.num, self.den), vals)
+        subs = [(_check_var(name), RatFunc.const(v)) for name, v in assignment.items()]
+        num, den = _dcompose(self.num._d, self.den._d, [(i, x.num._d, x.den._d) for i, x in subs])
         if not den:
             raise ZeroDenominatorError(
                 "specialization makes the denominator vanish identically"
             )
-
-        def widen(d):
-            # Exponent tuples over rest back to keys over the universe.
-            out = {}
-            for k, c in d.items():
-                key = list(_ZERO_KEY)
-                for i, e in zip(rest, k):
-                    key[i] = e
-                out[tuple(key)] = c
-            return out
-
-        return RatFunc._from_dicts(widen(num), widen(den))
+        return RatFunc._from_dicts(num, den)
 
     def eval(self, assignment):
         """Exact value; pole and missing-variable failures are distinct.

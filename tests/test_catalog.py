@@ -204,7 +204,7 @@ class TestCellKernel:
             ratio = RatFunc(folded.den, e.s.den)
             assert not ratio.variables() and not ratio.is_zero(), e.name
             forms = (folded.num._int_form(), folded.den._int_form())
-            assert [f[:5] for f in e._cell_forms[2:4]] == [f[:5] for f in forms]
+            assert list(e._cell_forms[2:4]) == list(forms)
 
     def test_excluded_at_reads_the_cell_forms(self):
         e = entry("1D", "sp", 6)

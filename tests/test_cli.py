@@ -271,6 +271,21 @@ class TestIntersect:
         assert "psi1=1/8 psi2=3/8 c=-21/4 lambda=4/385" in out
         assert "identity component: no" in out
 
+    def test_rank_below_the_target_minimum_is_a_usage_error(self, capsys):
+        # sp(-6) or so(0) has no curve to meet; the refusal is the one
+        # verify_coincidence gives for the same kind and rank.
+        for kind, r in (("sp", -3), ("sp", 0), ("so_even", 0), ("so_even", 1), ("osp", 0)):
+            code, out, err = run(
+                capsys,
+                "intersect", "--family", "2B", "--n", "0", "--m", "1",
+                "--target", kind, "--r", str(r),
+            )
+            entry = hookw.coincidence_table("2B", kind)[0]
+            with pytest.raises(ValueError) as info:
+                hookw.verify_coincidence(entry, 0, 1, r)
+            assert (code, out, err) == (2, "", f"error: {info.value}\n")
+            assert str(hookw.TARGETS[kind].min_r) in err
+
     def test_usage_needs_exactly_one_target(self, capsys):
         code, _, err = run(
             capsys, "intersect", "--family", "2B", "--n", "0", "--m", "1"

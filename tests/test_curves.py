@@ -79,6 +79,12 @@ class TestPhiRoutes:
         with pytest.raises(ValueError):
             C.phi_family("3B", 0, 1)
 
+    def test_symbolic_parameters_may_not_mention_psi(self):
+        # psi in n or m would be captured by the route's psi map.
+        for n, m in ((PSI, M), (N, M * PSI)):
+            with pytest.raises(ValueError, match="may not mention psi"):
+                C.phi_family("1B", n, m)
+
     def test_composition_needs_an_invertible_degree_one_map(self):
         # Only such maps keep a canonical quotient coprime without a gcd,
         # so every composed map is checked, numeric or symbolic.
@@ -131,6 +137,47 @@ class TestPhiRoutes:
                 for m in range(5):
                     f = fam(tag, n, m)
                     assert C.phi(f).c == L.central_charge(f), (tag, n, m)
+
+
+class TestTwoCoordinates:
+    """The master depends on (n, m) only through t = n + m(2psi - 1)."""
+
+    @staticmethod
+    def printed():
+        c, lam = C._master_2B()
+        return (c.num, c.den, lam.num, lam.den) + C._master_domain_factors()
+
+    def test_each_printed_polynomial_is_a_polynomial_in_t(self):
+        # P(n, m, psi) == P(n + m(2psi - 1), 0, psi), so F, the m = 0
+        # slice, is the m-free part of each dict and loses nothing.
+        psi, n, m = (MultiPoly.var(v) for v in ("psi", "n", "m"))
+        t = n + m * (2 * psi - 1)
+        polys = self.printed()
+        assert len(polys) == 11
+        for p in polys:
+            at_m0 = p.substitute("m", 0)
+            assert at_m0.substitute("n", t) == p, p
+            assert MultiPoly._raw(C._at_m0(p)) == at_m0
+
+    def test_F_is_smaller_than_the_entered_master(self):
+        c, lam = C._master_2B()
+        polys = (c.num, c.den, lam.num, lam.den)
+        assert [len(p._d) for p in polys] == [19, 2, 79, 213]
+        assert [len(C._at_m0(p)) for p in polys] == [6, 2, 20, 33]
+
+    def test_curves_agree_along_the_lines_of_constant_t(self):
+        # (n, m) and (n + m(2psi - 1), 0) give one curve, at symbolic and
+        # at rational parameters; the second needs psi in n, so it is
+        # checked on the entered master.
+        c, lam = C._master_2B()
+        t = N + M * (2 * PSI - 1)
+        for rf in (c, lam):
+            assert C._substituted(rf, {"n": t, "m": 0}) == rf
+        for n, m in ((F(1, 2), F(3)), (F(-2, 3), F(5, 2))):
+            crv = C.phi_2B(n, m)
+            for psi in (F(1, 3), F(-5, 7)):
+                point = {"psi": psi, "n": n + m * (2 * psi - 1), "m": 0}
+                assert crv.values(psi) == (c.eval(point), lam.eval(point))
 
 
 _GRID = (F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2), F(3))

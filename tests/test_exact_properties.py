@@ -793,60 +793,37 @@ def test_simultaneous_substitution_matches_sequential(f, mapping):
     assert RatFunc(MultiPoly._raw(num), MultiPoly._raw(den)) == _sequential_reference(f, mapping)
 
 
+parameters = st.builds(
+    Fraction, st.integers(min_value=-8, max_value=8), st.sampled_from([1, 2, 3])
+)
+# F, the master at m = 0: c.num, c.den, lam.num, lam.den as int dicts.
+_F = tuple(C._at_m0(p) for rf in C._master_2B() for p in (rf.num, rf.den))
+
+
+@st.composite
+def t_sliced_pairs(draw):
+    """A pair of int dicts in n and psi: c or lambda of the master's F, or drawn."""
+    if draw(st.booleans()):
+        i = draw(st.sampled_from([0, 2]))
+        return _F[i : i + 2]
+    return tuple(draw(polys(vars=("psi", "n"), max_terms=5, max_exp=4))._d for _ in "nd")
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(sparse_polys(), min_size=1, max_size=3), st.data())
-def test_int_lists_at_matches_fraction_substitution(polys_, data):
-    # The lists are the polynomials substituted one variable at a time,
-    # all times one positive integer scale, whichever variables each has.
-    names = sorted({v for p in polys_ for v in p.variables()} - {"psi"})
-    names += data.draw(st.lists(st.sampled_from(E.VARIABLES[1:]), max_size=2))
-    vals = {v: data.draw(eval_values) for v in names}
-    if names and data.draw(st.integers(min_value=0, max_value=4)) == 0:
-        del vals[data.draw(st.sampled_from(names))]
-    idx_vals = {E._VAR_INDEX[v]: x for v, x in vals.items()}
-    missing = sorted({v for p in polys_ for v in p.variables()} - set(vals) - {"psi"})
-    if missing:
-        with pytest.raises(E.MissingVariableError):
-            E._int_lists_at(polys_, 0, idx_vals)
-        return
-    lists = E._int_lists_at(polys_, 0, idx_vals)
-    scales = set()
-    for got, p in zip(lists, polys_):
-        for name, x in vals.items():
-            p = p.substitute(name, x)
-        want = _psi_list({mono.key: c for mono, c in p.terms()})
-        assert len(got) == len(want)
-        assert all(type(c) is int for c in got)
-        for g, w in zip(got, want):
-            if w:
-                scales.add(Fraction(g, w))
-            else:
-                assert g == 0
-    assert len(scales) <= 1
-    assert all(s > 0 and s.denominator == 1 for s in scales)
-
-
-@settings(max_examples=100, deadline=None)
-@given(sparse_polys(zero_ok=False), assignments(), assignments())
-def test_int_forms_at_regroups_through_the_cached_slots(p, first, second):
-    # The same polynomial specialized three times, the last time at the
-    # first assignment again, so the term-to-slot index that one call
-    # caches in the integer form serves a later call with the same
-    # remaining variables.  Each dict is the substituted polynomial times
-    # one positive integer scale.
-    rests = set()
-    for vals in (first, second, first):
-        rest, (got,) = E._int_forms_at((p,), {E._VAR_INDEX[v]: x for v, x in vals.items()})
-        rests.add(rest)
-        want = p
-        for name, x in vals.items():
-            want = want.substitute(name, x)
-        terms = want.terms()
-        assert len(got) == len(terms)
-        scales = {Fraction(got[tuple(mono.key[i] for i in rest)], c) for mono, c in terms}
-        assert len(scales) <= 1
-        assert all(s > 0 and s.denominator == 1 for s in scales)
-    assert rests <= set(p._int_form()[5])
+@given(t_sliced_pairs(), parameters, parameters)
+@example(_F[2:], Fraction(-1, 2), Fraction(3, 2))
+@example(_F[:2], Fraction(0), Fraction(0))
+def test_horner_in_t_matches_composition_of_the_slice(pair, n, m):
+    # The numeric curve builder runs each dict's slices in n by Horner at
+    # t = n + m(2psi - 1) == (alpha + beta psi)/L, both lists over one
+    # power of L; _dcompose substitutes the same t for n in the dicts and
+    # clears both sides by the same power of L.
+    alpha, beta, scale = C._t_coeffs(n, m)
+    assert (Fraction(alpha, scale), Fraction(beta, scale)) == (n - m, 2 * m)
+    t = alpha + beta * MultiPoly.var("psi")
+    want = E._dcompose(*pair, [(E._VAR_INDEX["n"], t._d, {E._ZERO_KEY: scale})])
+    slices = [E._LISTS[0].dense(d, E._VAR_INDEX["n"]) for d in pair]
+    assert C._in_psi(slices, (alpha, beta, scale)) == [_psi_list(d) for d in want]
 
 
 @settings(max_examples=150, deadline=None)
