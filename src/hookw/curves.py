@@ -849,14 +849,12 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
     ec = _cross_difference(A.c, B.c)
     el = _cross_difference(A.lam, B.lam)
 
-    identity = False
-    if ec.is_zero() and el.is_zero():
-        return IntersectionReport(points=(), identity_component=True, residual_degree=0)
     if ec.is_zero() or el.is_zero():
         # One equation is trivial: the other one's zero locus is a whole
         # family of intersections, not isolated points.
         return IntersectionReport(points=(), identity_component=True, residual_degree=0)
 
+    identity = False
     common = poly_gcd(ec, el)
     if common.total_degree() > 0:
         identity = True

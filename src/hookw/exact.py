@@ -34,33 +34,35 @@ The resultant and the multivariate gcd use a fraction-free subresultant
 polynomial remainder sequence (Brown and Traub, J. ACM 18, 1971), which
 keeps intermediate coefficients determinant-sized instead of letting naive
 Euclidean division blow them up.  The sequence runs on a polynomial dense
-in one main variable, and its pseudo-remainder (``_dense_prem``), content,
-coprimality probe and the two loops (``_dense_gcd``, ``_resultant_int``)
-are written once over a coefficient ring that the shape of the inputs
-picks (``_ring_for``): integer lists in the other variable when the
-coefficients involve at most one (``_Lists``; the bivariate eliminations
-of ``curves.intersect``, in psi1 over psi2), integer dicts when they
-involve two or more (``_Dicts``; the trivariate master and the catalog's
-canonicalizations), whose content gcds recurse through ``_int_poly_gcd``
-and so reach the lists ring one variable down.
+in one main variable, and its pseudo-remainder (``_dense_prem``), exact
+division (``_dense_divexact``), content, coprimality probe and the two
+loops (``_dense_gcd``, ``_resultant_int``) are written once over a
+coefficient ring that the shape of the inputs picks (``_ring_for``): ints
+when no other variable occurs (``_Ints``), integer lists in the one other
+variable (``_Lists``; the bivariate eliminations of ``curves.intersect``,
+in psi1 over psi2), integer dicts when there are more (``_Dicts``; the
+trivariate master and the catalog's canonicalizations).  Dict gcds and
+exact divisions (``_int_poly_gcd``, ``_divexact_int``) run on this layer,
+and their coefficient operations recurse into it, one variable down.
 
 Univariate work runs on dense integer coefficient lists, low to high: the
 gcd over Z (a primitive remainder sequence, W. S. Brown 1971), exact
 division, deflation by a rational root, the squarefree part and a
-squarefree test over GF(q), with one pseudo-remainder loop,
-``_prem_int_list``.  ``UniPoly`` is the one public univariate form: one
-such list over one positive denominator, evaluated over the integers and
-read by the root finder as it is.  The polynomial gcd and exact division
-take this kernel whenever their two arguments together involve exactly
-one variable, and the lists ring of the remainder sequence is made of
-its gcd, exact division and product (``_int_list_mul``).  Rational roots
-come from the squarefree part g of the primitive integer form: its roots
-modulo the smallest prime q with q not dividing lc(g) and g squarefree
-mod q are Newton-lifted p-adically past the bound on any rational root,
-and every candidate is verified by exact evaluation.  For q not dividing
-lc(g), g is squarefree mod q exactly when q does not divide Res(g, g'),
-so this is the smallest prime dividing neither lc(g) nor that resultant,
-found without forming it.  No integer is factored and no step is probabilistic.
+squarefree test over GF(q), all on ``_dense_prem`` and
+``_dense_divexact`` over the ints ring.  ``UniPoly`` is the one public
+univariate form: one such list over one positive denominator, evaluated
+over the integers and read by the root finder as it is.  The polynomial
+gcd takes this kernel whenever its two arguments together involve
+exactly one variable, and the lists ring of the remainder sequence is
+made of its gcd, exact division and product (``_int_list_mul``).
+Rational roots come from the squarefree part g of the primitive integer
+form: its roots modulo the smallest prime q with q not dividing lc(g) and
+g squarefree mod q are Newton-lifted p-adically past the bound on any
+rational root, and every candidate is verified by exact evaluation.  For
+q not dividing lc(g), g is squarefree mod q exactly when q does not
+divide Res(g, g'), so this is the smallest prime dividing neither lc(g)
+nor that resultant, found without forming it.  No integer is factored
+and no step is probabilistic.
 
 Evaluation runs over the integers.  Each polynomial builds its integer form
 once, on first use: a common denominator, the occurring variables with
@@ -94,7 +96,7 @@ import re
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import mul, sub
 
 VARIABLES = ("psi", "psi1", "psi2", "n", "m", "r", "s")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -452,65 +454,23 @@ def _dense_trim(coeffs):
 def _divexact_int(a, b):
     """Exact division of integer-coefficient dicts; raises if inexact.
 
-    When a and b together involve one variable the integer-list kernel
-    divides; otherwise the leading terms are cancelled in graded-lex order.
+    Dense in the lowest variable that occurs, over the coefficient ring
+    ``_ring_for`` picks from the others (``_dense_divexact``).
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return {}
     vs = _dvars(a) | _dvars(b)
-    if len(vs) == 1:
-        (idx,) = vs
-        return _int_list_to_dict(_int_list_divexact(
-            _dict_to_int_list(a, idx), _dict_to_int_list(b, idx)), idx)
-    kb, cb = _dleading(b)
-    rem = dict(a)
-    quo = {}
-    bitems = list(b.items())
-    while rem:
-        ka, ca = _dleading(rem)
-        kq = tuple(ka[i] - kb[i] for i in range(_NVARS))
-        if any(e < 0 for e in kq):
-            raise ExactError("inexact polynomial division")
-        q, rr = divmod(ca, cb)
-        if rr:
-            raise ExactError("inexact polynomial division")
-        quo[kq] = q
-        for k2, c2 in bitems:
-            kk = tuple(kq[i] + k2[i] for i in range(_NVARS))
-            v = rem.get(kk)
-            v = (0 if v is None else v) - q * c2
-            if v:
-                rem[kk] = v
-            else:
-                rem.pop(kk, None)
-    return quo
+    idx = min(vs, default=0)
+    ring = _ring_for(idx, vs - {idx})
+    return ring.undense(_dense_divexact(ring.dense(a, idx), ring.dense(b, idx), ring), idx)
 
 
 # ---------------------------------------------------------------------------
 # Dense univariate integer kernel.  A polynomial is a list of ints, low to
 # high, with a nonzero last entry; [] is zero.  Every univariate gcd, exact
-# division and squarefree test runs here, and _prem_int_list is its only
-# remainder loop.
+# division and squarefree test runs here, on the remainder layer's loops
+# _dense_prem and _dense_divexact over the ints ring _INTS.
 # ---------------------------------------------------------------------------
-
-
-def _prem_int_list(a, b):
-    """Pseudo-remainder of dense integer coefficient lists."""
-    da = len(a) - 1
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    for i in range(da - db, -1, -1):
-        top = r[db + i]
-        r = [c * lb for c in r]
-        if top:
-            for j in range(db + 1):
-                r[i + j] -= top * b[j]
-        r[db + i] = 0
-    del r[db:]
-    return _dense_trim(r)
 
 
 def _int_content(values):
@@ -540,7 +500,7 @@ def _int_list_gcd(a, b):
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
-        r = _prem_int_list(a, b)
+        r = _dense_prem(a, b, _INTS)
         if not r:
             if b[-1] < 0:
                 cont = -cont
@@ -548,25 +508,6 @@ def _int_list_gcd(a, b):
         cr = _int_content(r)
         a, b = b, [c // cr for c in r]
     return [cont]
-
-
-def _int_list_divexact(a, b):
-    """Quotient a / b of integer lists; ExactError unless it is exact."""
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    q = [0] * max(len(a) - db, 0)
-    for i in range(len(q) - 1, -1, -1):
-        c, rem = divmod(r[i + db], lb)
-        if rem:
-            raise ExactError("inexact polynomial division")
-        q[i] = c
-        if c:
-            for j in range(db):
-                r[i + j] -= c * b[j]
-    if any(r[:db]):
-        raise ExactError("inexact polynomial division")
-    return q
 
 
 def _int_list_mul(a, b):
@@ -619,7 +560,7 @@ def _int_list_deflate(cs, root):
     factor = [-root.numerator, root.denominator]
     mult = 0
     while cs and not _int_list_at(cs, root):
-        cs = _int_list_divexact(cs, factor)
+        cs = _dense_divexact(cs, factor, _INTS)
         mult += 1
     return cs, mult
 
@@ -627,7 +568,7 @@ def _int_list_deflate(cs, root):
 def _int_list_squarefree(f):
     """Squarefree part f / gcd(f, f') of a primitive list of degree >= 1."""
     df = [e * c for e, c in enumerate(f)][1:]
-    return _int_list_divexact(f, _int_list_gcd(f, df))
+    return _dense_divexact(f, _int_list_gcd(f, df), _INTS)
 
 
 def _squarefree_mod(g, q):
@@ -640,7 +581,7 @@ def _squarefree_mod(g, q):
     a = [c % q for c in g]
     b = _dense_trim([e * c % q for e, c in enumerate(g)][1:])
     while len(b) > 1:
-        a, b = b, _dense_trim([c % q for c in _prem_int_list(a, b)])
+        a, b = b, _dense_trim([c % q for c in _dense_prem(a, b, _INTS)])
     return len(b) == 1
 
 
@@ -667,8 +608,8 @@ def _int_list_quotient(num, den, coprime=False):
     if not coprime:
         g = _int_list_gcd(num, den)
         if len(g) > 1:
-            num = _int_list_divexact(num, g)
-            den = _int_list_divexact(den, g)
+            num = _dense_divexact(num, g, _INTS)
+            den = _dense_divexact(den, g, _INTS)
     c = gcd(_int_content(num), _int_content(den))
     if den[-1] < 0:
         c = -c
@@ -722,16 +663,36 @@ def _int_list_to_dict(cs, idx):
 
 
 # ---------------------------------------------------------------------------
-# Dense remainder layer over a coefficient ring.  The resultant and the
-# multivariate gcd read a polynomial as dense in one main variable, its
-# coefficients in the ring that ``_ring_for`` picks from the other variables
-# that occur: integer lists in the one other variable when there is at most
-# one (``_Lists``), integer dicts over the universe when there are more
-# (``_Dicts``).  Both rings offer the same operations, so the
-# pseudo-remainder, the content, the probe and the two remainder sequences
-# are written once.  No ring operation mutates its arguments, so ``zero``
-# and ``one`` are shared values.
+# Dense remainder layer over a coefficient ring.  The resultant, the
+# multivariate gcd and exact division read a polynomial as dense in one main
+# variable, its coefficients in the ring that ``_ring_for`` picks from the
+# other variables that occur: ints when there is none (``_Ints``), integer
+# lists in the one other variable (``_Lists``), integer dicts over the
+# universe when there are more (``_Dicts``).  The rings offer the same
+# operations, bar the gcd's probe that ``_Ints`` never needs, so every loop
+# below is written once.  No ring operation mutates its arguments, so
+# ``zero`` and ``one`` are shared values.
 # ---------------------------------------------------------------------------
+
+
+class _Ints:
+    """Coefficients as ints: a polynomial in the main variable alone, as a list."""
+
+    zero = 0
+    one = 1
+    mul = staticmethod(mul)
+    sub = staticmethod(sub)
+    power = staticmethod(pow)
+    gcd = staticmethod(gcd)
+    dense = staticmethod(_dict_to_int_list)
+    undense = staticmethod(_int_list_to_dict)
+
+    @staticmethod
+    def divexact(a, b):
+        q, r = divmod(a, b)
+        if r:
+            raise ExactError("inexact polynomial division")
+        return q
 
 
 class _Lists:
@@ -742,8 +703,11 @@ class _Lists:
     mul = staticmethod(_int_list_mul)
     sub = staticmethod(_int_list_sub)
     power = staticmethod(_int_list_pow)
-    divexact = staticmethod(_int_list_divexact)
     gcd = staticmethod(_int_list_gcd)
+
+    @staticmethod
+    def divexact(a, b):
+        return _dense_divexact(a, b, _INTS)
 
     def __init__(self, y):
         self.y = y
@@ -823,16 +787,16 @@ class _Dicts:
         return lambda c: _dint_eval(c, point)
 
 
+_INTS = _Ints()
 _LISTS = tuple(_Lists(y) for y in range(_NVARS))
 _DICTS = _Dicts()
 
 
 def _ring_for(idx, others):
     """The coefficient ring for main variable idx when the variables others occur."""
-    if len(others) > 1:
-        return _DICTS
-    # Constant coefficients are lists in any variable but idx.
-    return _LISTS[min(others, default=(idx + 1) % _NVARS)]
+    if not others:
+        return _INTS
+    return _DICTS if len(others) > 1 else _LISTS[min(others)]
 
 
 def _dint_eval(c, point):
@@ -864,6 +828,29 @@ def _dense_prem(A, B, ring):
                 if B[j]:
                     R[i + j] = sub(R[i + j], mul(top, B[j]))
     return _dense_trim(R)
+
+
+def _dense_divexact(A, B, ring):
+    """Quotient A / B of dense polynomials over ring; ExactError unless exact.
+
+    Each quotient coefficient is an exact division of leading coefficients
+    in the ring, which raises when it is inexact there; a remainder left
+    below B's degree raises here.
+    """
+    divexact, mul, sub = ring.divexact, ring.mul, ring.sub
+    lb = B[-1]
+    low = [(j, c) for j, c in enumerate(B[:-1]) if c]
+    R = list(A)
+    Q = [ring.zero] * max(len(A) - len(B) + 1, 0)
+    for i in range(len(Q) - 1, -1, -1):
+        top = R.pop()
+        if top:
+            q = Q[i] = divexact(top, lb)
+            for j, c in low:
+                R[i + j] = sub(R[i + j], mul(q, c))
+    if any(R):
+        raise ExactError("inexact polynomial division")
+    return Q
 
 
 def _dense_content(A, ring):
@@ -1687,7 +1674,8 @@ def poly_gcd(p, q):
     forms: the integer-list kernel when they involve one variable, else a
     subresultant remainder sequence in their lowest shared variable, over
     integer-list coefficients when the other variables number one and
-    integer-dict coefficients when they number more.
+    integer-dict coefficients when they number more, with the one
+    pseudo-remainder and exact division of that ring's dense layer.
     """
     if not isinstance(p, MultiPoly) or not isinstance(q, MultiPoly):
         raise ExactError("poly_gcd needs MultiPoly arguments")
@@ -1703,12 +1691,11 @@ def resultant(p, q, var):
     """Resultant of two polynomials with respect to one variable.
 
     Fraction-free subresultant remainder sequence (``_resultant_int``) on
-    the primitive integer forms, dense in var.  Their coefficients are
-    integer lists when, besides var, the inputs involve at most one
-    variable (the bivariate eliminations of ``curves.intersect``), and
-    integer dicts when they involve two or more.  The contents and the
-    denominators come back as one scale, so the result is the true
-    resultant of the inputs.
+    the primitive integer forms, dense in var, over the ring the other
+    variables pick: ints when there are none, integer lists when there is
+    one (the bivariate eliminations of ``curves.intersect``), integer
+    dicts when there are more.  The contents and the denominators come
+    back as one scale, so the result is the true resultant of the inputs.
     """
     if not isinstance(p, MultiPoly) or not isinstance(q, MultiPoly):
         raise ExactError("resultant needs MultiPoly arguments")

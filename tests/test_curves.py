@@ -179,6 +179,29 @@ class TestTwoCoordinates:
                 point = {"psi": psi, "n": n + m * (2 * psi - 1), "m": 0}
                 assert crv.values(psi) == (c.eval(point), lam.eval(point))
 
+    def test_fiber_at_three_sevenths_splits_into_orbit_factors(self):
+        # The fiber theorem at one rung: Res_t of F(t, psi) - F(t0, x0),
+        # t in n and t0 in m, at x0 = 3/7.  In psi it is psi^6 (2psi - 1)^6
+        # times one linear factor for each S3 image of x0, by y = 2psi:
+        # y, 1 - y, y/(y - 1), 1/(1 - y), 1/y, (y - 1)/y.  What is left is
+        # free of psi.
+        x0 = F(3, 7)
+        pair = []
+        for rf in C._master_2B():
+            f = RatFunc(MultiPoly._raw(C._at_m0(rf.num)), MultiPoly._raw(C._at_m0(rf.den)))
+            pair.append((f - f.substitute("psi", x0).substitute("n", M)).num)
+        res = resultant(*pair, "n")
+        assert (len(res.terms()), res.degree("psi"), res.degree("m")) == (403, 18, 33)
+        y = 2 * x0
+        images = [z / 2 for z in (y, 1 - y, y / (y - 1), 1 / (1 - y), 1 / y, (y - 1) / y)]
+        assert images == [F(3, 7), F(1, 14), F(-3), F(7, 2), F(7, 12), F(-1, 12)]
+        psi = MultiPoly.var("psi")
+        orbit = psi**6 * (2 * psi - 1) ** 6
+        for z in images:
+            orbit = orbit * (z.denominator * psi - z.numerator)
+        rest = MultiPoly._raw(E._divexact_int(res._d, orbit._d))
+        assert rest.variables() == {"m"} and rest.degree("m") == 33
+
 
 _GRID = (F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2), F(3))
 

@@ -274,7 +274,7 @@ def test_trivariate_resultant_matches_sylvester_determinant(p, q):
 
 
 # ---------------------------------------------------------------------------
-# The two coefficient rings of the dense remainder layer.
+# The coefficient rings of the dense remainder layer.
 # ---------------------------------------------------------------------------
 
 _PSI_IDX, _N_IDX = E._VAR_INDEX["psi"], E._VAR_INDEX["n"]
@@ -282,7 +282,7 @@ _PSI_IDX, _N_IDX = E._VAR_INDEX["psi"], E._VAR_INDEX["n"]
 
 def test_ring_is_chosen_by_the_coefficient_variables():
     assert E._ring_for(_PSI_IDX, {_N_IDX}) is E._LISTS[_N_IDX]
-    assert E._ring_for(_PSI_IDX, set()) is not E._DICTS
+    assert E._ring_for(_PSI_IDX, set()) is E._INTS
     assert E._ring_for(_PSI_IDX, {_N_IDX, E._VAR_INDEX["m"]}) is E._DICTS
 
 
@@ -339,6 +339,70 @@ def test_list_and_dict_rings_agree_on_the_oracle_eliminants():
             dc, dl = ec.degree("psi1"), el.degree("psi1")
             assert E.resultant(ec, el, "psi1") == MultiPoly._reduced(
                 eliminant, ec._den**dl * el._den**dc)
+
+
+# One exact division for every ring: ints in psi alone, integer lists in n,
+# integer dicts in n and m; each polynomial is dense in psi.
+_DIVISION_RINGS = {
+    "ints": (E._INTS, ("psi",)),
+    "lists": (E._LISTS[_N_IDX], ("psi", "n")),
+    "dicts": (E._DICTS, ("psi", "n", "m")),
+}
+
+
+@pytest.mark.parametrize("ring_name", sorted(_DIVISION_RINGS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dense_divexact_in_every_ring(ring_name, data):
+    ring, names = _DIVISION_RINGS[ring_name]
+    a = data.draw(polys(vars=names, max_terms=4, max_exp=3), "a")._d
+    b = data.draw(polys(vars=names, max_terms=3, max_exp=2, zero_ok=False), "b")._d
+    assume(b)
+
+    def dense(d):
+        return ring.dense(d, _PSI_IDX)
+
+    B = dense(b)
+    assert E._dense_divexact(dense(E._dmul(a, b)), B, ring) == dense(a)
+    # A nonzero constant added to a*b leaves a remainder, unless b is a
+    # constant that divides it.
+    bump = data.draw(st.integers(min_value=1, max_value=30), "bump") * 31
+    if E._dvars(b) or bump % b[E._ZERO_KEY]:
+        with pytest.raises(E.ExactError):
+            E._dense_divexact(dense(E._dadd(E._dmul(a, b), {E._ZERO_KEY: bump})), B, ring)
+    # psi^deg(b) over 2b: the leading coefficient 2 lc(b) does not divide 1.
+    B2 = dense(E._dscale(b, 2))
+    with pytest.raises(E.ExactError):
+        E._dense_divexact([ring.zero] * (len(B2) - 1) + [ring.one], B2, ring)
+    # A nonzero dividend of lower degree than the divisor.
+    if a:
+        shifted = {(k[0] + len(dense(a)),) + k[1:]: c for k, c in b.items()}
+        with pytest.raises(E.ExactError):
+            E._dense_divexact(dense(a), dense(shifted), ring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    polys(vars=("psi", "n", "m"), max_terms=4, max_exp=2),
+    polys(vars=("psi", "n", "m"), max_terms=3, max_exp=2, zero_ok=False),
+    polys(vars=("psi", "n", "m"), max_terms=1, max_exp=2),
+)
+def test_trivariate_divexact_matches_sympy_div(a, b, bump):
+    # The dividend is a*b, or a*b plus one term; sympy divides over Q, so
+    # an exact integer quotient is ours and anything else raises.
+    sympy = pytest.importorskip("sympy")
+    assume(not b.is_zero())
+    symbols = {name: sympy.Symbol(name) for name in ("psi", "n", "m")}
+    dividend = E._dadd(E._dmul(a._d, b._d), bump._d)
+    exprs = [_to_sympy(MultiPoly._raw(d), symbols) for d in (dividend, b._d)]
+    quotient, remainder = sympy.div(*exprs, *symbols.values())
+    integral = all(c.is_integer for c in sympy.Poly(quotient, *symbols.values()).coeffs())
+    if remainder == 0 and integral:
+        ours = E._divexact_int(dividend, b._d)
+        assert sympy.expand(_to_sympy(MultiPoly._raw(ours), symbols) - quotient) == 0
+    else:
+        with pytest.raises(E.ExactError):
+            E._divexact_int(dividend, b._d)
 
 
 # ---------------------------------------------------------------------------
