@@ -19,6 +19,10 @@ Three bodies of exact data about the hook-type cosets live here:
 Verification maps a coincidence's target to a degenerate member of the
 eight families (TARGETS) and compares truncation-curve data exactly, so
 everything reduces to statements about the curves of ``curves``.
+
+The coincidence table is built on first use (``all_entries``), with one
+canonicalization per printed formula, so ``import hookw`` does no exact
+arithmetic for it; the curves are memoized on first use as well.
 """
 
 from __future__ import annotations
@@ -36,7 +40,14 @@ from .curves import (
     on_generic_domain,
     phi_family,
 )
-from .exact import _VAR_INDEX, PoleError, RatFunc, _int_form_value, _shared_tables
+from .exact import (
+    _VAR_INDEX,
+    PoleError,
+    RatFunc,
+    _Cleared,
+    _int_form_value,
+    _shared_tables,
+)
 from .liedata import AlgebraDesc, HookFamily
 
 __all__ = [
@@ -239,10 +250,18 @@ class CoincidenceEntry:
         return None
 
 
-def _build_entries() -> Tuple[CoincidenceEntry, ...]:
-    n = RatFunc.var("n")
-    m = RatFunc.var("m")
-    r = RatFunc.var("r")
+@cache
+def all_entries() -> Tuple[CoincidenceEntry, ...]:
+    """All forty-eight coincidence entries, in table order.
+
+    Built on the first call and memoized, so ``import hookw`` does no
+    exact arithmetic for the table.  Each row is evaluated as printed on
+    uncanonicalized quotients of int dicts (``exact._Cleared``), and each
+    printed formula, psi, s and every exclusion, is canonicalized once.
+    """
+    n = _Cleared.var("n")
+    m = _Cleared.var("m")
+    r = _Cleared.var("r")
     half = Fraction(1, 2)
     sp = -(r + 1)
     so = -(2 * r - 2)
@@ -357,19 +376,11 @@ def _build_entries() -> Tuple[CoincidenceEntry, ...]:
         ("2C", "osp", 3, (1 + 2 * m + 2 * n - 2 * r) / (4 * (m - r)),
          osp + (r - m) / (2 * r - 2 * m - 2 * n - 1), (m,)),
     ]
-    entries = []
-    for source, target, item, psi, s, excl in rows:
-        excl = tuple(e if isinstance(e, RatFunc) else RatFunc.const(e) for e in excl)
-        entries.append(CoincidenceEntry(source, target, item, psi, s, excl))
-    return tuple(entries)
-
-
-_ENTRIES: Tuple[CoincidenceEntry, ...] = _build_entries()
-
-
-def all_entries() -> Tuple[CoincidenceEntry, ...]:
-    """All forty-eight coincidence entries, in table order."""
-    return _ENTRIES
+    return tuple(
+        CoincidenceEntry(source, target, item, psi.canonical(), s.canonical(),
+                         tuple(e.canonical() for e in excl))
+        for source, target, item, psi, s, excl in rows
+    )
 
 
 def coincidence_table(source: str, target: str) -> Tuple[CoincidenceEntry, ...]:
@@ -379,7 +390,7 @@ def coincidence_table(source: str, target: str) -> Tuple[CoincidenceEntry, ...]:
             f"no coincidence table for ({source!r}, {target!r}); sources are "
             f"{'/'.join(SOURCE_TAGS)} and targets {'/'.join(TARGET_KINDS)}"
         )
-    return tuple(e for e in _ENTRIES if e.source == source and e.target == target)
+    return tuple(e for e in all_entries() if e.source == source and e.target == target)
 
 
 # ---------------------------------------------------------------------------

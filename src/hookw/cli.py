@@ -41,12 +41,14 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from .catalog import (
     TARGET_KINDS,
     TARGETS,
+    CoincidenceEntry,
     _rank_error,
     all_entries,
     gelfand_tsetlin_factors,
@@ -161,7 +163,11 @@ _SUITE_DEFAULTS: Dict[str, Dict[str, Tuple[int, int]]] = {
     "singular": {"n": (1, 4), "u": (2, 12), "v": (1, 6)},
 }
 
-_ENTRY_INDEX = {e.name: e for e in all_entries()}
+
+@cache
+def _entry_index() -> Dict[str, CoincidenceEntry]:
+    """The coincidence entries by name, built on first use."""
+    return {e.name: e for e in all_entries()}
 
 
 def _cell_trialities(cell) -> Tuple[str, str]:
@@ -186,7 +192,7 @@ def _cell_charges(cell) -> Tuple[str, str]:
 
 def _cell_coincidences(cell) -> Tuple[str, str]:
     name, n, m, r = cell
-    entry = _ENTRY_INDEX[name]
+    entry = _entry_index()[name]
     # The documented preconditions of verify_coincidence are the only
     # skips; an error raised past them is a defect, never a skip.
     if n < 0 or m < 0:

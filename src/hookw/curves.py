@@ -57,11 +57,13 @@ from .exact import (
 from .exact import (
     _LISTS,
     _VAR_INDEX,
+    _ZERO_KEY,
     _coerce_fraction,
     _dcompose,
     _dense_trim,
     _dict_to_int_list,
     _divexact_int,
+    _dsubst,
     _homogenized_powers,
     _int_list_at,
     _int_list_deflate,
@@ -288,6 +290,8 @@ def _master_domain_factors() -> Tuple[MultiPoly, ...]:
 
 _HALF = Fraction(1, 2)
 _PSI = _VAR_INDEX["psi"]
+_PSI1 = _VAR_INDEX["psi1"]
+_PSI2 = _VAR_INDEX["psi2"]
 _N = _VAR_INDEX["n"]
 _M = _VAR_INDEX["m"]
 
@@ -890,8 +894,12 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
         value_b = _curve_value(B, b)
         if value_b is None:
             continue
+        # ec and el at psi2 = b, as integer lists in psi1: one scalar pass
+        # each, cleared by a positive power of b's denominator.
+        at_b = [(_PSI2, {_ZERO_KEY: b.numerator} if b else {}, {_ZERO_KEY: b.denominator})]
         candidates = _root_candidates(
-            UniPoly.from_multipoly(p.substitute("psi2", b), "psi1") for p in (ec, el)
+            UniPoly._view("psi1", _dict_to_int_list(_dsubst(p._d, at_b)[0], _PSI1))
+            for p in (ec, el)
         )
         if candidates is None:
             # Both equations vanish along psi2 = b: a free line of

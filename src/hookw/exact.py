@@ -87,7 +87,8 @@ x -> (a x + b)/(c x + d) by ``_int_list_moebius`` without a gcd, and
 normalized by ``_int_list_quotient``.
 
 The parser builds an expression as one uncanonicalized quotient of
-polynomial dicts and canonicalizes it once, at the end.
+polynomial dicts (``_Cleared``) and canonicalizes it once, at the end;
+the coincidence table builds its printed formulas the same way.
 """
 
 from __future__ import annotations
@@ -963,11 +964,15 @@ def _int_poly_gcd(a, b):
     """Gcd of integer-coefficient dicts over Z, positive leading coefficient.
 
     Integer content is part of the answer: gcd(6*psi, 4) == 2.  When a and
-    b together involve one variable, the integer-list kernel answers.
-    Otherwise the lowest shared variable is the main one and ``_dense_gcd``
-    runs the primitive remainder sequence over the ring ``_ring_for``
-    picks: integer lists when the coefficients involve one other variable,
-    integer dicts when they involve more, whose content gcds recurse here.
+    b together involve one variable, the integer-list kernel answers.  When
+    one of them is linear (total degree 1), its primitive part p is
+    irreducible, so the gcd is p times the gcd of the two integer contents
+    if p divides the other (one exact division), and that content gcd
+    alone if not.  Otherwise the lowest shared variable is the main one
+    and ``_dense_gcd`` runs the primitive remainder sequence over the ring
+    ``_ring_for`` picks: integer lists when the coefficients involve one
+    other variable, integer dicts when they involve more, whose content
+    gcds recurse here.
     """
     if not a:
         return _sign_normalize_int(dict(b))
@@ -984,6 +989,15 @@ def _int_poly_gcd(a, b):
         (idx,) = vs
         return _int_list_to_dict(_int_list_gcd(
             _dict_to_int_list(a, idx), _dict_to_int_list(b, idx)), idx)
+    for lin, other in ((a, b), (b, a)):
+        if all(sum(k) <= 1 for k in lin):
+            content, p = _dprimitive(lin)
+            g = gcd(content, _int_content(other.values()))
+            try:
+                _divexact_int(other, p)
+            except ExactError:
+                return {_ZERO_KEY: g}
+            return _sign_normalize_int(_dscale(p, g))
     if a == b:
         return _sign_normalize_int(dict(a))
     idx = min(va & vb)
@@ -1648,10 +1662,12 @@ def _ratfunc_canonical(num_d, den_d):
         return {}, {_ZERO_KEY: 1}
     cn, pn = _dprimitive(num_d)
     cd, pd = _dprimitive(den_d)
-    g = _int_poly_gcd(pn, pd)
-    if g != _UNIT:
-        pn = _divexact_int(pn, g)
-        pd = _divexact_int(pd, g)
+    if _dconst(pn) is None and _dconst(pd) is None:
+        # Only two non-constant primitive parts can share a factor.
+        g = _int_poly_gcd(pn, pd)
+        if g != _UNIT:
+            pn = _divexact_int(pn, g)
+            pd = _divexact_int(pd, g)
     s = gcd(cn, cd)
     p, q = cn // s, cd // s
     _, lead = _dleading(pd)
@@ -1906,10 +1922,75 @@ def parse_rational(text):
     return Fraction(int(body))
 
 
-class _Parser:
-    """Recursive descent to one uncanonicalized (num, den) pair of dicts.
+class _Cleared:
+    """An uncanonicalized quotient num / den of two int dicts.
 
-    ``parse`` canonicalizes once; terms over one denominator add directly.
+    Ring operations on the cleared pair, with no gcd: terms over one
+    denominator add directly.  Ints and Fractions are coerced.  The parser
+    and the coincidence table build formulas this way and canonicalize
+    each once (``canonical``).
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=_UNIT):
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def var(cls, name):
+        return cls(MultiPoly.var(name)._d)
+
+    @staticmethod
+    def _of(value):
+        if isinstance(value, _Cleared):
+            return value
+        c = _coerce_fraction(value)
+        return _Cleared({_ZERO_KEY: c.numerator} if c else {}, {_ZERO_KEY: c.denominator})
+
+    def canonical(self):
+        return RatFunc._from_dicts(self.num, self.den)
+
+    def _combine(self, o, combine):
+        if o.den == self.den:
+            return _Cleared(combine(self.num, o.num), self.den)
+        num = combine(_dmul(self.num, o.den), _dmul(o.num, self.den))
+        return _Cleared(num, _dmul(self.den, o.den))
+
+    def __add__(self, other):
+        return self._combine(self._of(other), _dadd)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combine(self._of(other), _dsub)
+
+    def __rsub__(self, other):
+        return self._of(other)._combine(self, _dsub)
+
+    def __neg__(self):
+        return _Cleared(_dneg(self.num), self.den)
+
+    def __mul__(self, other):
+        o = self._of(other)
+        return _Cleared(_dmul(self.num, o.num), _dmul(self.den, o.den))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._of(other)
+        if not o.num:
+            raise ZeroDenominatorError("division by zero")
+        return _Cleared(_dmul(self.num, o.den), _dmul(self.den, o.num))
+
+    def __pow__(self, e):
+        return _Cleared(_dpow(self.num, e), _dpow(self.den, e))
+
+
+class _Parser:
+    """Recursive descent to one uncanonicalized quotient (``_Cleared``).
+
+    ``parse`` canonicalizes once.
     """
 
     def __init__(self, text):
@@ -1947,64 +2028,60 @@ class _Parser:
             raise ParseError("expected %r in %r" % (op, self.text))
 
     def parse(self):
-        num, den = self.expr()
+        value = self.expr()
         if self.pos != len(self.tokens):
             raise ParseError("trailing tokens in %r" % self.text)
-        return RatFunc._from_dicts(num, den)
+        return value.canonical()
 
     def expr(self):
-        num, den = self.term()
+        value = self.term()
         while True:
             kind, val = self.peek()
             if kind != "op" or val not in "+-":
-                return num, den
+                return value
             self.pos += 1
-            rnum, rden = self.term()
-            combine = _dadd if val == "+" else _dsub
-            if rden == den:
-                num = combine(num, rnum)
-            else:
-                num = combine(_dmul(num, rden), _dmul(rnum, den))
-                den = _dmul(den, rden)
+            rhs = self.term()
+            value = value + rhs if val == "+" else value - rhs
 
     def term(self):
-        num, den = self.unary()
+        value = self.unary()
         while True:
             kind, val = self.peek()
             if kind != "op" or val not in "*/":
-                return num, den
+                return value
             self.pos += 1
-            rnum, rden = self.unary()
-            if val == "/":
-                if not rnum:
-                    raise ZeroDenominatorError("division by zero in %r" % self.text)
-                rnum, rden = rden, rnum
-            num, den = _dmul(num, rnum), _dmul(den, rden)
+            rhs = self.unary()
+            if val == "*":
+                value = value * rhs
+            elif not rhs.num:
+                raise ZeroDenominatorError("division by zero in %r" % self.text)
+            else:
+                value = value / rhs
 
     def unary(self):
         negate = False
         while self.peek() in (("op", "+"), ("op", "-")):
             negate ^= self.take()[1] == "-"
-        num, den = self.power()
-        return (_dneg(num), den) if negate else (num, den)
+        value = self.power()
+        return -value if negate else value
 
     def power(self):
-        num, den = self.atom()
+        value = self.atom()
         kind, val = self.peek()
         if kind == "op" and val == "^":
             self.pos += 1
             ekind, e = self.take()
             if ekind != "int":
                 raise ParseError("exponent must be an integer literal in %r" % self.text)
-            return _dpow(num, e), _dpow(den, e)
-        return num, den
+            return value**e
+        return value
 
     def atom(self):
         kind, val = self.take()
         if kind == "int":
-            return ({_ZERO_KEY: val} if val else {}), _POLY_ONE._d
+            return _Cleared({_ZERO_KEY: val} if val else {})
         if kind == "var":
-            return MultiPoly.var(val)._d, _POLY_ONE._d
+            return _Cleared.var(val)
         if kind == "op" and val == "(":
             value = self.expr()
             self.expect_op(")")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -39,6 +41,23 @@ class TestTableShape:
             for kind in K.TARGET_KINDS:
                 items = [e.item for e in K.coincidence_table(src, kind)]
                 assert items == list(range(1, len(items) + 1))
+
+    def test_table_pinned(self):
+        # The canonical texts of all 48 entries, recorded when the rows were
+        # still built by canonical RatFunc arithmetic; any change to how the
+        # table is built must reproduce them exactly.
+        rows = [
+            [e.name, e.psi.to_text(), e.s.to_text(), [x.to_text() for x in e.exclusions]]
+            for e in K.all_entries()
+        ]
+        blob = json.dumps(rows, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "e0e091792e204c82e966935d85487027618fe05e14b7632562a80f0d31e926d9"
+        )
+        sizes = {(s, t): len(K.coincidence_table(s, t))
+                 for s in K.SOURCE_TAGS for t in K.TARGET_KINDS}
+        assert sizes == {(s, t): 6 if t == "sp" else 3
+                         for s in K.SOURCE_TAGS for t in K.TARGET_KINDS}
 
     def test_unknown_pair_rejected(self):
         with pytest.raises(ValueError):

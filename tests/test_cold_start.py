@@ -1,0 +1,68 @@
+"""A cold ``import hookw`` builds no table, no curve and runs no polynomial gcd.
+
+The import runs in a fresh interpreter, with a profile hook counting the
+calls of ``exact._int_poly_gcd``; afterwards the memos of the coincidence
+table and of the master curve must still be empty.  A positive control in
+the same interpreter then builds the table and sees both counters move.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBE = """
+import json, sys
+
+gcd_calls = 0
+
+
+def profile(frame, event, arg):
+    global gcd_calls
+    code = frame.f_code
+    if event == "call" and code.co_name == "_int_poly_gcd" and code.co_filename.endswith("exact.py"):
+        gcd_calls += 1
+
+
+def snapshot():
+    from hookw import catalog, curves
+    memos = (catalog.all_entries, curves._master_2B, curves._t_slices)
+    return {"gcd_calls": gcd_calls,
+            "misses": {f.__name__: f.cache_info().misses for f in memos}}
+
+
+sys.setprofile(profile)
+import hookw, hookw.cli
+sys.setprofile(None)
+cold = snapshot()
+sys.setprofile(profile)
+hookw.all_entries()[0]._cell_forms
+sys.setprofile(None)
+print(json.dumps({"file": hookw.__file__, "cold": cold, "built": snapshot()}))
+"""
+
+
+def _probe():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("HOOKW_WORKERS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout)
+
+
+def test_import_fills_no_memo_and_runs_no_gcd():
+    report = _probe()
+    assert Path(report["file"]).resolve().is_relative_to(SRC)
+    assert report["cold"] == {
+        "gcd_calls": 0,
+        "misses": {"all_entries": 0, "_master_2B": 0, "_t_slices": 0},
+    }
+    # The probe sees the work once the table is asked for.
+    built = report["built"]
+    assert built["misses"]["all_entries"] == 1
+    assert built["gcd_calls"] > 0

@@ -256,6 +256,70 @@ def _assert_gcd_matches_sympy(p, q, common, names):
     assert g.leading_coefficient() > 0
 
 
+_LINEAR_VARS = ("n", "m", "r")
+
+
+def _linear_dict(const, coeffs):
+    # const + sum(coeffs[i] * _LINEAR_VARS[i]), as an int dict.
+    out = {E._ZERO_KEY: const} if const else {}
+    for name, c in zip(_LINEAR_VARS, coeffs):
+        if c:
+            key = [0] * len(E._ZERO_KEY)
+            key[E._VAR_INDEX[name]] = 1
+            out[tuple(key)] = c
+    return out
+
+
+@st.composite
+def linear_gcd_cases(draw):
+    """(a, b): a = c * lin, lin linear in one to three variables, c an int.
+
+    b is an int times one of: lin times another polynomial, lin itself
+    (proportional to a), a constant, or an unrelated polynomial, which lin
+    rarely divides.
+    """
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=nvars, max_size=nvars).filter(any))
+    lin = _linear_dict(draw(st.integers(-4, 4)), coeffs)
+    a = E._dscale(lin, draw(st.sampled_from([1, 2, 3, 6, -1, -4])))
+    other = draw(polys(vars=_LINEAR_VARS, max_terms=3, max_exp=2))._d
+    scale = draw(st.sampled_from([1, 2, 4, 9, -6]))
+    b = E._dscale(draw(st.sampled_from([
+        E._dmul(lin, other),
+        lin,
+        {E._ZERO_KEY: 1},
+        other,
+    ])), scale)
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_gcd_cases())
+# gcd(6(n + m), 4(n + m)r) = 2(n + m): the integer contents count.
+@example((_linear_dict(0, (6, 6)), E._dmul(_linear_dict(0, (4, 4)), _linear_dict(0, (0, 0, 1)))))
+# A negative leading coefficient, and proportional operands.
+@example((_linear_dict(3, (0, -2, 0)), _linear_dict(-9, (0, 6, 0))))
+# A linear operand that divides the other only up to its content.
+@example((_linear_dict(2, (4, 0, 0)), E._dmul(_linear_dict(1, (2, 0, 0)), _linear_dict(0, (0, 3, 3)))))
+# A linear operand that does not divide the other.
+@example((_linear_dict(1, (1, 1, 0)), E._dadd(E._dmul(_linear_dict(1, (1, 1, 0)),
+                                                      _linear_dict(0, (0, 0, 2))), {E._ZERO_KEY: 2})))
+# Constant operands.
+@example((_linear_dict(2, (0, 2, 2)), {E._ZERO_KEY: 6}))
+@example(({E._ZERO_KEY: -4}, _linear_dict(0, (3, 0, 0))))
+def test_gcd_with_a_linear_operand_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    a, b = case
+    symbols = {name: sympy.Symbol(name) for name in _LINEAR_VARS}
+    theirs = sympy.gcd(*(_to_sympy(MultiPoly._raw(d), symbols) for d in (a, b)))
+    for x, y in ((a, b), (b, a)):
+        g = E._int_poly_gcd(x, y)
+        ours = _to_sympy(MultiPoly._raw(g), symbols)
+        # sympy keeps the integer content too; its sign follows its own order.
+        assert sympy.expand(ours - theirs) == 0 or sympy.expand(ours + theirs) == 0
+        assert not g or E._dleading(g)[1] > 0
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     polys(vars=("psi", "n", "m"), max_terms=3, max_exp=2),
