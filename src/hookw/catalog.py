@@ -42,11 +42,11 @@ from .curves import (
 )
 from .exact import (
     _VAR_INDEX,
+    VARIABLES,
     PoleError,
     RatFunc,
     _Cleared,
-    _int_form_value,
-    _shared_tables,
+    _homogenized_powers,
 )
 from .liedata import AlgebraDesc, HookFamily
 
@@ -78,6 +78,7 @@ __all__ = [
 
 
 _N, _M, _R = (_VAR_INDEX[name] for name in ("n", "m", "r"))
+_CELL_VARS = frozenset((_N, _M, _R))
 
 
 def _frac(value) -> Fraction:
@@ -188,7 +189,7 @@ class CoincidenceEntry:
     expressions E(n, m) with the meaning "the statement requires
     r != E(n, m)"; they are decidable on integer inputs and checked
     before anything else.  All three are evaluated from one set of
-    integer forms per entry (``_cell_forms``).
+    integer term rows per entry (``_cell_forms``), built on first use.
     """
 
     source: str
@@ -212,40 +213,67 @@ class CoincidenceEntry:
 
     @cached_property
     def _cell_forms(self):
-        """Integer forms of the entry's formulas, built on first use.
+        """((dn, dm, dr), rows): the entry's formulas as integer term rows.
 
-        Numerator and denominator forms (``MultiPoly._int_form``) alternate:
+        Built on first use.  (dn, dm, dr) are the highest degrees of n, m
+        and r in any row.  ``rows`` alternates numerator and denominator:
         psi, then the target psi s + shift(r) folded into one RatFunc, then
-        each exclusion.  shift is a polynomial in r, so the folded formula
-        has the denominator of s up to a constant and the same poles.
+        each exclusion.  A row is a tuple of terms (c, a, b, e), each
+        c * n**a * m**b * r**e; each side of a pair is scaled by the other
+        side's denominator, so a pair's quotient is the formula.  shift is
+        a polynomial in r, so the folded formula has the denominator of s
+        up to a constant and the same poles.  A formula in any variable
+        but n, m, r raises ValueError.
         """
         target_psi = self.s + TARGETS[self.target].shift
-        return tuple(
-            form
+        rows = tuple(
+            row
             for rf in (self.psi, target_psi, *self.exclusions)
-            for form in (rf.num._int_form(), rf.den._int_form())
+            for row in (
+                self._term_row(rf.num, rf.den._den),
+                self._term_row(rf.den, rf.num._den),
+            )
+        )
+        degrees = tuple(
+            max((term[k] for row in rows for term in row), default=0)
+            for k in (1, 2, 3)
+        )
+        return degrees, rows
+
+    def _term_row(self, poly, scale):
+        """The terms (c * scale, a, b, e) of poly's integer dict."""
+        for key in poly._d:
+            for i, d in enumerate(key):
+                if d and i not in _CELL_VARS:
+                    raise ValueError(
+                        f"{self.name}: a formula mentions {VARIABLES[i]}; "
+                        "coincidence formulas are in n, m, r only"
+                    )
+        return tuple(
+            (c * scale, key[_N], key[_M], key[_R]) for key, c in poly._d.items()
         )
 
     def _cell_values(self, n, m, r):
-        """The sums of ``_cell_forms`` at (n, m, r), all over one scale.
+        """The sums of the ``_cell_forms`` rows at (n, m, r), all over one scale.
 
-        One table of homogenized powers per variable serves every form
-        (``exact._shared_tables``); at integer (n, m, r) the scale is 1
-        and the sums are the forms' integer values.
+        One list of homogenized powers per variable, up to its degree in
+        the entry (``exact._homogenized_powers``), serves every row; at
+        integer (n, m, r) the lists are [1, x, x**2, ...], the scale is 1
+        and the sums are the rows' integer values.
         """
-        forms = self._cell_forms
-        tables = _shared_tables(forms, {_N: n, _M: m, _R: r})
-        return [_int_form_value(form, tables) for form in forms]
+        (dn, dm, dr), rows = self._cell_forms
+        pn = _homogenized_powers(n, dn)
+        pm = _homogenized_powers(m, dm)
+        pr = _homogenized_powers(r, dr)
+        return [sum([c * pn[a] * pm[b] * pr[e] for c, a, b, e in row]) for row in rows]
 
     def _fired_exclusion(self, r, values) -> Optional[str]:
         """The first exclusion r != E(n, m) that fails, read off ``_cell_values``."""
-        forms = self._cell_forms
         for j, expr in enumerate(self.exclusions, 2):
             num, den = values[2 * j], values[2 * j + 1]
             if not den:
                 raise PoleError("denominator vanishes at the given point")
-            # E = (num / num_den) / (den / den_den), compared cleared.
-            if r * den * forms[2 * j][0] == num * forms[2 * j + 1][0]:
+            if r * den == num:
                 return f"r != {expr.to_text()}"
         return None
 
@@ -457,10 +485,13 @@ def verify_coincidence(entry: CoincidenceEntry, n, m, r) -> CoincidenceOutcome:
     Surviving points are compared as exact (c, lambda) pairs.
 
     A cell is evaluated over the integers: the entry's psi, its target
-    psi s + shift(r) and its exclusions are integer forms built once per
-    entry (``CoincidenceEntry._cell_forms``), summed at the ints (n, m, r)
-    against one shared table of powers.  The first Fractions built are
-    psi1 and psi2, and the curve memos are keyed by ints.
+    psi s + shift(r) and its exclusions are integer term rows built once
+    per entry (``CoincidenceEntry._cell_forms``), each term summed as
+    c * n**a * m**b * r**e against three lists of powers of the ints
+    (n, m, r).  A row pair's quotient is its formula, so the first
+    Fractions built are psi1 and psi2; the curve memos are keyed by ints
+    and each curve is evaluated by one homogeneous Horner loop
+    (``TruncationCurve.values``).
     """
     rule = TARGETS[entry.target]
     n = _int(n, "n")
@@ -478,14 +509,13 @@ def verify_coincidence(entry: CoincidenceEntry, n, m, r) -> CoincidenceOutcome:
     fired = entry._fired_exclusion(r, values)
     if fired is not None:
         return skipped(f"exclusion {fired} fires")
-    forms = entry._cell_forms
     psi_num, psi_den, t_num, t_den = values[:4]
     if not psi_den:
         return skipped("the displayed psi formula has a pole here")
-    psi1 = Fraction(psi_num * forms[1][0], psi_den * forms[0][0])
+    psi1 = Fraction(psi_num, psi_den)
     if not t_den:
         return skipped("the displayed s formula has a pole here")
-    psi2 = Fraction(t_num * forms[3][0], t_den * forms[2][0])
+    psi2 = Fraction(t_num, t_den)
     # Every m_expr has integer coefficients, so m_t is an integer here.
     m_t = _rank_data(entry.target, r)[0].numerator
     if not on_generic_domain(entry.source, n, m, psi1):

@@ -42,6 +42,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
@@ -88,11 +89,19 @@ class SweepSpec:
     """Inclusive integer ranges per sweep variable, e.g. n=0..4, m=0..4.
 
     Ranges are non-empty by construction and the total cell count is
-    capped, so a typo cannot launch an unbounded sweep.
+    capped, so a typo cannot launch an unbounded sweep.  A suite that
+    checks several cells at each grid point (one per coincidence entry,
+    family tag or algebra) passes that number as ``cells_per_point``, and
+    ``size`` is the number of cells the sweep runs.
     """
 
-    def __init__(self, ranges: Dict[str, Tuple[int, int]], max_cells: int = 100000):
-        size = 1
+    def __init__(
+        self,
+        ranges: Dict[str, Tuple[int, int]],
+        max_cells: int = 100000,
+        cells_per_point: int = 1,
+    ):
+        size = cells_per_point
         for name, (lo, hi) in ranges.items():
             if lo > hi:
                 raise ValueError(f"empty range for {name}: {lo}..{hi}")
@@ -236,32 +245,25 @@ def _run_cell(task):
     return _RUNNERS[suite](cell)
 
 
-def _suite_cells(suite: str, spec: SweepSpec) -> List[tuple]:
-    if suite == "trialities":
-        return [(n, m) for n in spec.values("n") for m in spec.values("m")]
-    if suite == "charges":
-        return [
-            (tag, n, m)
-            for tag in FAMILY_TAGS
-            for n in spec.values("n")
-            for m in spec.values("m")
-        ]
+_SINGULAR_KINDS = tuple(
+    (alg, obj) for alg in ("sp", "so_odd") for obj in (AFFINE, PRINCIPAL_W)
+)
+
+
+def _suite_labels(suite: str) -> Tuple[tuple, ...]:
+    """What a suite checks at each grid point: one cell per label."""
     if suite == "coincidences":
-        return [
-            (entry.name, n, m, r)
-            for entry in all_entries()
-            for n in spec.values("n")
-            for m in spec.values("m")
-            for r in spec.values("r")
-        ]
-    return [
-        (alg, obj, n, u, v)
-        for alg in ("sp", "so_odd")
-        for obj in (AFFINE, PRINCIPAL_W)
-        for n in spec.values("n")
-        for u in spec.values("u")
-        for v in spec.values("v")
-    ]
+        return tuple((entry.name,) for entry in all_entries())
+    if suite == "charges":
+        return tuple((tag,) for tag in FAMILY_TAGS)
+    if suite == "singular":
+        return _SINGULAR_KINDS
+    return ((),)
+
+
+def _suite_cells(suite: str, spec: SweepSpec) -> List[tuple]:
+    grid = list(product(*(spec.values(name) for name in _SUITE_VARS[suite])))
+    return [label + point for label in _suite_labels(suite) for point in grid]
 
 
 def _worker_count() -> int:
@@ -474,7 +476,9 @@ def _cmd_intersect(args) -> int:
 def _cmd_verify(args) -> int:
     ranges = dict(_SUITE_DEFAULTS[args.suite])
     ranges.update(parse_sweep(args.sweep, _SUITE_VARS[args.suite]))
-    spec = SweepSpec(ranges, max_cells=args.max_cells)
+    spec = SweepSpec(
+        ranges, max_cells=args.max_cells, cells_per_point=len(_suite_labels(args.suite))
+    )
     tally, failures = _run_suite(args.suite, spec)
     ok = tally["fail"] == 0
     if args.json:

@@ -28,11 +28,12 @@ Data that depends only on (family, n, m) is built once and reused for
 every psi; every such memo is a ``functools.cache`` on the function that
 builds it.  A numeric curve runs F by Horner in t into integer lists in
 psi, reduced by one gcd and composed with the degree-one psi map
-without another; ``TruncationCurve.values`` dots its four integer lists
-with one table of powers of psi.  A symbolic curve composes F with
-n -> t, then with the psi map, and is canonicalized once.
-The generic-domain check looks psi up in the set of excluded values,
-built from the rational roots of the denominator factors, run at t.
+without another; ``TruncationCurve.values`` sums its four integer lists
+at psi = p/q by one homogeneous Horner loop over ints.  A symbolic curve
+composes F with n -> t, then with the psi map, and is canonicalized once.
+The generic-domain check looks psi up, as its (numerator, denominator)
+pair, in the set of excluded values, built from the rational roots of
+the denominator factors, run at t.
 """
 
 from __future__ import annotations
@@ -64,8 +65,6 @@ from .exact import (
     _dict_to_int_list,
     _divexact_int,
     _dsubst,
-    _homogenized_powers,
-    _int_list_at,
     _int_list_deflate,
     _int_list_moebius,
     _int_list_quotient,
@@ -128,20 +127,30 @@ class TruncationCurve:
         """(c, lambda) at a rational psi on a fully numeric curve.
 
         The four polynomials are read once per curve as dense integer
-        lists in psi (``_psi_lists``); each is dotted with one shared table
-        of homogenized powers of psi (``_int_list_at``), so the common
-        power of psi's denominator cancels in each quotient.  Raises
-        PoleError where either denominator vanishes, and everywhere when
-        ``lam`` is None.
+        lists in psi (``_psi_lists``).  At psi = p/q each list is summed
+        as sum(c_e p**e q**(D - e)) by one homogeneous Horner loop over
+        ints, with D the largest of the four degrees, so the common power
+        q**D cancels in each quotient.  Raises PoleError where either
+        denominator vanishes, and everywhere when ``lam`` is None.
         """
         if self.symbols:
             raise ValueError(f"curve has residual symbols {self.symbols}")
         if self.lam is None:
             raise PoleError("lambda has no finite value on this slice")
         degree, lists = self._psi_lists
-        x = _coerce_fraction(psi)
-        table = _homogenized_powers(x, degree)
-        cn, cd, ln, ld = [_int_list_at(cs, x, table) for cs in lists]
+        x = psi if isinstance(psi, (int, Fraction)) else _coerce_fraction(psi)
+        p, q = x.numerator, x.denominator
+        sums = []
+        for cs in lists:
+            # The top coefficient c_(k-1) of a list of length k carries
+            # q**(D + 1 - k); each step down multiplies in one more q.
+            acc = 0
+            qe = q ** (degree + 1 - len(cs))
+            for c in reversed(cs):
+                acc = acc * p + c * qe
+                qe *= q
+            sums.append(acc)
+        cn, cd, ln, ld = sums
         if not cd or not ld:
             raise PoleError("denominator vanishes at the given point")
         return Fraction(cn, cd), Fraction(ln, ld)
@@ -153,8 +162,8 @@ class TruncationCurve:
         Read off the integer dicts of the curve's own RatFuncs, whose
         canonical parts have denominator 1, once per curve: the RatFuncs
         are all a curve holds, whoever built it.  D, the largest of the
-        four degrees, is the degree of the curve's one table of powers of
-        psi.
+        four degrees, is the degree to which ``values`` homogenizes all
+        four sums.
         """
         polys = (self.c.num, self.c.den, self.lam.num, self.lam.den)
         lists = [_dict_to_int_list(p._d, _PSI) for p in polys]
@@ -374,10 +383,11 @@ def _inner_params(tag: str, n, m):
 def _excluded_psi(tag: str, n, m):
     """The psi at which a printed denominator of tag(n, m) vanishes.
 
-    A frozenset, or None when a factor vanishes for every psi.  Built once
-    per (tag, n, m) from the family's row of ``_ROUTES``: each master
-    factor is run at the inner t into an integer list in psi
-    (``_in_psi``), and each rational root r in
+    A frozenset of (numerator, denominator) int pairs in lowest terms, so
+    a lookup hashes a tuple of ints rather than a Fraction; or None when a
+    factor vanishes for every psi.  Built once per (tag, n, m) from the
+    family's row of ``_ROUTES``: each master factor is run at the inner t
+    into an integer list in psi (``_in_psi``), and each rational root r in
     the inner psi is mapped back through the inverse of the route's map,
     psi = (d r - b)/(a - c r).  A root with a = c r has no finite preimage;
     the pole psi = -d/c of the map itself (psi = 0 on the inverting routes)
@@ -394,7 +404,7 @@ def _excluded_psi(tag: str, n, m):
         for root in rational_roots(UniPoly._view("psi", spec)):
             if a != c * root:
                 excluded.add((d * root - b) / (a - c * root))
-    return frozenset(excluded)
+    return frozenset((x.numerator, x.denominator) for x in excluded)
 
 
 def on_generic_domain(fam_or_tag, n, m, psi) -> bool:
@@ -410,7 +420,10 @@ def on_generic_domain(fam_or_tag, n, m, psi) -> bool:
     if tag not in _ROUTES:
         raise ValueError("unknown family tag %r" % (tag,))
     excluded = _excluded_psi(tag, _exact_key(n), _exact_key(m))
-    return excluded is not None and _exact_key(psi) not in excluded
+    if excluded is None:
+        return False
+    x = psi if isinstance(psi, (int, Fraction)) else _coerce_fraction(psi)
+    return (x.numerator, x.denominator) not in excluded
 
 
 def _exact_key(value):

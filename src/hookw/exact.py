@@ -539,16 +539,9 @@ def _int_list_pow(a, e):
     return out
 
 
-def _int_list_at(cs, x, table=None):
-    """q**D times the value of an integer list at x == p/q.
-
-    D is the list's degree, or, when ``table`` is given, its top index:
-    ``table`` is ``_homogenized_powers(x, D)`` for a D at least the degree,
-    shared by several lists evaluated at the same x.
-    """
-    if table is None:
-        table = _homogenized_powers(x, len(cs) - 1)
-    return sum(map(mul, cs, table))
+def _int_list_at(cs, x):
+    """q**D times the value of an integer list at x == p/q, D its degree."""
+    return sum(map(mul, cs, _homogenized_powers(x, len(cs) - 1)))
 
 
 def _int_list_deflate(cs, root):

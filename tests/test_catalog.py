@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -10,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 import hookw.cli as cli
 from hookw import catalog as K
 from hookw import curves as C
+from hookw import exact as E
 from hookw import liedata as L
-from hookw.exact import PoleError, RatFunc
+from hookw.exact import MultiPoly, PoleError, RatFunc
 
 
 F = Fraction
@@ -222,8 +224,62 @@ class TestCellKernel:
             folded = e.s + K.TARGETS[e.target].shift
             ratio = RatFunc(folded.den, e.s.den)
             assert not ratio.variables() and not ratio.is_zero(), e.name
-            forms = (folded.num._int_form(), folded.den._int_form())
-            assert list(e._cell_forms[2:4]) == list(forms)
+            for point in ((0, 0, 1), (2, 1, 3), (1, 4, 4),
+                          (F(1, 2), F(3, 2), F(5, 2)), (F(-1, 2), 2, F(7, 2))):
+                n, m, r = map(F, point)
+                values = e._cell_values(n, m, r)
+                try:
+                    expected = folded.eval({"n": n, "m": m, "r": r})
+                except PoleError:
+                    assert values[3] == 0, (e.name, point)
+                else:
+                    assert F(values[2], values[3]) == expected, (e.name, point)
+
+    @pytest.mark.parametrize(
+        "field, var", [("psi", "psi"), ("s", "s"), ("exclusions", "psi1")]
+    )
+    def test_formula_outside_n_m_r_names_the_variable(self, field, var):
+        e = entry("1D", "sp", 6)
+        X = RatFunc.var(var)
+        tampered = replace(e, **{
+            "psi": {"psi": e.psi * X},
+            "s": {"s": e.s + X},
+            "exclusions": {"exclusions": e.exclusions + (N + X,)},
+        }[field])
+        message = f"1D-sp\\(6\\): a formula mentions {var}; coincidence formulas are in n, m, r"
+        with pytest.raises(ValueError, match=message):
+            K.verify_coincidence(tampered, 1, 2, 4)
+        with pytest.raises(ValueError, match=message):
+            tampered.excluded_at(1, 2, 4)
+
+    def test_cell_path_calls_no_generic_evaluator(self):
+        # Once an entry's rows and the curves are built, a cell is integer
+        # sums and Horner loops: no table of forms and no RatFunc.eval.
+        cells = [
+            (e, n, m, r)
+            for e in K.all_entries()
+            for n in range(3)
+            for m in range(3)
+            for r in range(K.TARGETS[e.target].min_r, 4)
+        ]
+        warm = [K.verify_coincidence(*cell) for cell in cells]
+        watched = {
+            f.__code__
+            for f in (E._shared_tables, E._int_form_value, RatFunc.eval, MultiPoly.eval)
+        }
+        seen = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                seen.add(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            again = [K.verify_coincidence(*cell) for cell in cells]
+        finally:
+            sys.setprofile(None)
+        assert again == warm and seen == set()
+        assert sum(out.passed for out in warm) > 0
 
     def test_excluded_at_reads_the_cell_forms(self):
         e = entry("1D", "sp", 6)

@@ -7,6 +7,7 @@ table mode is checked to be a projection of the same data.
 """
 
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 import hookw
 import hookw.cli as cli
 from hookw.curves import TruncationCurve
-from hookw.exact import PoleError, parse_ratfunc
+from hookw.exact import PoleError, RatFunc, parse_ratfunc
 
 
 def run(capsys, *argv):
@@ -340,6 +341,41 @@ class TestVerify:
             "verify", "trialities", "--sweep", "n=0..99,m=0..99", "--max-cells", "100",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "suite, sweep, cells",
+        [
+            ("coincidences", "n=0..1,m=0..1,r=1..1", 48 * 4),
+            ("charges", "n=0..1,m=0..1", 8 * 4),
+            ("singular", "n=1..1,u=2..3,v=1..2", 4 * 4),
+        ],
+    )
+    def test_cell_cap_counts_cells_not_grid_points(self, capsys, suite, sweep, cells):
+        # Each grid point of these suites is one cell per entry, tag or
+        # algebra; the cap and its message count the cells.
+        argv = ["verify", suite, "--sweep", sweep, "--json", "--max-cells"]
+        payload = run_json(capsys, *argv, str(cells))
+        assert payload["passed"] + payload["skipped"] + payload["failed"] == cells
+        code, out, err = run(capsys, *argv, str(cells - 1))
+        assert code == 2 and out == ""
+        assert f"sweep has {cells} cells, above the cap of {cells - 1}" in err
+
+    def test_out_of_universe_formula_is_a_failure_not_a_skip(self, capsys, monkeypatch):
+        index = dict(cli._entry_index())
+        name = "1B-sp(1)"
+        index[name] = replace(index[name], psi=index[name].psi * RatFunc.var("psi"))
+        monkeypatch.setattr(cli, "_entry_index", lambda: index)
+        monkeypatch.delenv("HOOKW_WORKERS", raising=False)
+        code, out, _ = run(
+            capsys,
+            "verify", "coincidences", "--sweep", "n=1..1,m=1..1,r=2..2", "--json",
+        )
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["failed"] == 1 and payload["passed"] + payload["skipped"] == 47
+        (failure,) = payload["failures"]
+        assert failure.startswith(f"{name} at (n=1, m=1, r=2): ")
+        assert "mentions psi" in failure
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setitem(

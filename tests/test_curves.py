@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hookw import curves as C
 from hookw import exact as E
@@ -28,6 +29,29 @@ R = RatFunc.var("r")
 
 def fam(tag, n, m):
     return L.HookFamily.from_tag(tag, n, m)
+
+
+# Rationals with numerators and denominators up to 10**6, of either sign.
+RATIONALS = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+def _eval_or_pole(crv, psi):
+    """(c, lambda) of crv at psi by RatFunc.eval, or PoleError."""
+    try:
+        return crv.c.eval({"psi": psi}), crv.lam.eval({"psi": psi})
+    except PoleError:
+        return PoleError
+
+
+def _values_or_pole(crv, psi):
+    try:
+        return crv.values(psi)
+    except PoleError:
+        return PoleError
+
+
+def _psi_poly(coeffs):
+    return sum((c * PSI**e for e, c in enumerate(coeffs)), RatFunc.const(0))
 
 
 class TestMasterTranscription:
@@ -461,6 +485,40 @@ class TestValues:
                     continue
                 assert crv.values(psi) == expected
         assert poles > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tag=st.sampled_from(L.FAMILY_TAGS),
+        n=st.integers(0, 3),
+        m=st.integers(0, 3),
+        psi=RATIONALS,
+    )
+    @example(tag="2B", n=0, m=0, psi=F(0))
+    @example(tag="2C", n=0, m=1, psi=F(-1))
+    @example(tag="1D", n=1, m=2, psi=F(-999999, 1000000))
+    def test_family_curves_match_eval(self, tag, n, m, psi):
+        crv = C.phi_family(tag, n, m)
+        assume(crv.lam is not None)
+        assert _values_or_pole(crv, psi) == _eval_or_pole(crv, psi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lists=st.lists(
+            st.lists(st.integers(-30, 30), max_size=4), min_size=4, max_size=4
+        ),
+        psi=RATIONALS,
+    )
+    @example(lists=[[], [3], [5], [-2]], psi=F(-1))
+    @example(lists=[[1, 1], [7], [], [0, 2]], psi=F(0))
+    @example(lists=[[4], [1, 0, 0, 1], [2], [1, 1, 1]], psi=F(-5, 3))
+    @example(lists=[[0, 0, 1], [-3], [1], [1, 2, 3, 4]], psi=F(2, 999983))
+    def test_short_and_empty_lists_match_eval(self, lists, psi):
+        # Numerators may be zero (an empty list) and any list may have
+        # length 1; each is read top-first against the largest degree.
+        c_num, c_den, l_num, l_den = map(_psi_poly, lists)
+        assume(not c_den.is_zero() and not l_den.is_zero())
+        crv = C.TruncationCurve(c_num / c_den, l_num / l_den, "test", ())
+        assert _values_or_pole(crv, psi) == _eval_or_pole(crv, psi)
 
     def test_pole_of_each_component(self):
         crv = C.phi_family("2B", 1, 2)

@@ -4,6 +4,10 @@ Every private function, class and method (one leading underscore, not a
 dunder) defined in the package must be referenced somewhere in the
 package outside its own body: as a name, an attribute or an imported
 name.  A helper whose last caller went away fails here.
+
+Every name a module imports from the package (``from .x import name``)
+must also be used in that module; ``__init__.py``, which re-exports, is
+exempt.  An import left behind by a refactor fails here.
 """
 
 import ast
@@ -53,12 +57,53 @@ def dead_helpers(sources):
     return sorted(dead)
 
 
+def unused_relative_imports(sources):
+    """(module, line, name) of each name imported by ``from .x import`` and unused.
+
+    A use is a name or attribute reference anywhere in the importing
+    module, other than the import itself.
+    """
+    unused = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        used = _references(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    # _references counts an alias under its imported name.
+                    own = 0 if alias.asname else 1
+                    name = alias.asname or alias.name
+                    if used[name] == own:
+                        unused.append((module, node.lineno, name))
+    return sorted(unused)
+
+
 def test_scans_the_whole_package():
     assert {p.name for p in MODULES} >= {"exact.py", "curves.py", "catalog.py", "cli.py"}
 
 
 def test_every_private_helper_is_referenced():
     assert dead_helpers({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_every_relative_import_is_used():
+    sources = {p.name: p.read_text() for p in MODULES if p.name != "__init__.py"}
+    assert unused_relative_imports(sources) == []
+
+
+def test_import_scan_catches_planted_imports():
+    planted = {
+        "a.py": (
+            "from .exact import _used, _dropped\n"
+            "from .curves import values as _alias, _gone as _renamed\n"
+            "from os import path\n"
+            "def f():\n    return _used() + _alias()\n"
+        ),
+    }
+    assert unused_relative_imports(planted) == [
+        ("a.py", 1, "_dropped"),
+        ("a.py", 2, "_renamed"),
+    ]
 
 
 def test_scan_catches_planted_helpers():
