@@ -1,0 +1,8 @@
+"""``python -m hookw``: the command line of ``hookw.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,8 +36,8 @@ from typing import Dict, Optional, Tuple
 from .curves import (
     _DEGENERATE_SET,
     TruncationCurve,
+    _excluded_psi,
     compose_cleared,
-    on_generic_domain,
     phi_family,
 )
 from .exact import (
@@ -269,13 +269,18 @@ class CoincidenceEntry:
 
     def _fired_exclusion(self, r, values) -> Optional[str]:
         """The first exclusion r != E(n, m) that fails, read off ``_cell_values``."""
-        for j, expr in enumerate(self.exclusions, 2):
+        for j, text in enumerate(self._exclusion_texts, 2):
             num, den = values[2 * j], values[2 * j + 1]
             if not den:
                 raise PoleError("denominator vanishes at the given point")
             if r * den == num:
-                return f"r != {expr.to_text()}"
+                return text
         return None
+
+    @cached_property
+    def _exclusion_texts(self) -> Tuple[str, ...]:
+        """The reason text "r != E" of each exclusion E, printed once per entry."""
+        return tuple(f"r != {expr.to_text()}" for expr in self.exclusions)
 
 
 @cache
@@ -484,16 +489,10 @@ def verify_coincidence(entry: CoincidenceEntry, n, m, r) -> CoincidenceOutcome:
     identity has no content at the point and the limit is not claimed).
     Surviving points are compared as exact (c, lambda) pairs.
 
-    A cell is evaluated over the integers: the entry's psi, its target
-    psi s + shift(r) and its exclusions are integer term rows built once
-    per entry (``CoincidenceEntry._cell_forms``), each term summed as
-    c * n**a * m**b * r**e against three lists of powers of the ints
-    (n, m, r).  A row pair's quotient is its formula, so the first
-    Fractions built are psi1 and psi2; the curve memos are keyed by ints
-    and each curve is evaluated by one homogeneous Horner loop
-    (``TruncationCurve.values``).
+    The checks are those of the integer cell kernel ``_cell_check``; this
+    wrapper validates the arguments and turns the kernel's int pairs and
+    sums into the outcome's Fractions.
     """
-    rule = TARGETS[entry.target]
     n = _int(n, "n")
     m = _int(m, "m")
     r = _int(r, "r")
@@ -501,56 +500,90 @@ def verify_coincidence(entry: CoincidenceEntry, n, m, r) -> CoincidenceOutcome:
         raise ValueError("n and m must be non-negative")
     if rank_error := _rank_error(entry.target, r):
         raise ValueError(rank_error)
-
-    def skipped(reason: str, **kw) -> CoincidenceOutcome:
-        return CoincidenceOutcome(entry, n, m, r, "skipped", reason, **kw)
-
-    values = entry._cell_values(n, m, r)
-    fired = entry._fired_exclusion(r, values)
-    if fired is not None:
-        return skipped(f"exclusion {fired} fires")
-    psi_num, psi_den, t_num, t_den = values[:4]
-    if not psi_den:
-        return skipped("the displayed psi formula has a pole here")
-    psi1 = Fraction(psi_num, psi_den)
-    if not t_den:
-        return skipped("the displayed s formula has a pole here")
-    psi2 = Fraction(t_num, t_den)
-    # Every m_expr has integer coefficients, so m_t is an integer here.
-    m_t = _rank_data(entry.target, r)[0].numerator
-    if not on_generic_domain(entry.source, n, m, psi1):
-        return skipped(
-            "source curve formulas are undefined at psi", psi1=psi1, psi2=psi2
-        )
-    if not on_generic_domain(rule.tag, 0, m_t, psi2):
-        return skipped(
-            "target curve formulas are undefined at the target psi",
-            psi1=psi1,
-            psi2=psi2,
-        )
-    src = _curve_at(entry.source, n, m)
-    tgt = _curve_at(rule.tag, 0, m_t)
-    try:
-        sv = src.values(psi1)
-        tv = tgt.values(psi2)
-    except PoleError:
-        # The canonical denominators divide the printed ones, so this
-        # is unreachable unless a curve degenerates; report, not crash.
-        return skipped("curve evaluation hit a pole", psi1=psi1, psi2=psi2)
-    status = "pass" if sv == tv else "fail"
+    status, reason, psi1, psi2, sums = _cell_check(entry, n, m, r)
+    if psi1 is not None:
+        psi1, psi2 = Fraction(*psi1), Fraction(*psi2)
+    if sums is None:
+        return CoincidenceOutcome(entry, n, m, r, status, reason, psi1, psi2)
+    sv, tv = ((Fraction(cn, cd), Fraction(ln, ld)) for cn, cd, ln, ld in sums)
+    c = sv[0]
     return CoincidenceOutcome(
         entry,
         n,
         m,
         r,
         status,
-        None if status == "pass" else "exact (c, lambda) values differ",
-        psi1=psi1,
-        psi2=psi2,
+        reason,
+        psi1,
+        psi2,
         source_values=sv,
         target_values=tv,
-        degenerate=sv[0] in _DEGENERATE_SET,
+        degenerate=(c.numerator, c.denominator) in _DEGENERATE_SET,
     )
+
+
+def _cell_check(entry: CoincidenceEntry, n: int, m: int, r: int):
+    """(status, reason, psi1, psi2, sums) of one cell, over the integers.
+
+    The one cell kernel: ``verify_coincidence`` wraps it, and the CLI's
+    coincidence sweep calls it directly.  n, m, r are ints with n, m >= 0
+    and r at least the target's ``min_r``; the checks, their order and the
+    reasons are those documented on ``verify_coincidence``.
+
+    The entry's integer term rows (``CoincidenceEntry._cell_forms``) are
+    summed at (n, m, r).  psi1 and psi2 are the two psi values as reduced
+    (p, q) int pairs with q > 0, looked up as they are in the excluded
+    pairs of each curve (``curves._excluded_psi``); both are None when a
+    displayed formula has a pole.  sums is None unless both curves were
+    evaluated, and otherwise holds the four ``TruncationCurve._sums`` of
+    each curve at its psi.  The cell passes when the c and the lambda
+    quotients agree by cross-multiplication.  No Fraction is built.
+    """
+    values = entry._cell_values(n, m, r)
+    fired = entry._fired_exclusion(r, values)
+    if fired is not None:
+        return "skipped", f"exclusion {fired} fires", None, None, None
+    psi_num, psi_den, t_num, t_den = values[:4]
+    if not psi_den:
+        return "skipped", "the displayed psi formula has a pole here", None, None, None
+    if not t_den:
+        return "skipped", "the displayed s formula has a pole here", None, None, None
+    psi1 = _lowest_terms(psi_num, psi_den)
+    psi2 = _lowest_terms(t_num, t_den)
+    tag = TARGETS[entry.target].tag
+    # Every m_expr has integer coefficients, so m_t is an integer here.
+    m_t = _rank_data(entry.target, r)[0].numerator
+    excluded = _excluded_psi(entry.source, n, m)
+    if excluded is None or psi1 in excluded:
+        reason = "source curve formulas are undefined at psi"
+        return "skipped", reason, psi1, psi2, None
+    excluded = _excluded_psi(tag, 0, m_t)
+    if excluded is None or psi2 in excluded:
+        reason = "target curve formulas are undefined at the target psi"
+        return "skipped", reason, psi1, psi2, None
+    try:
+        src = _curve_at(entry.source, n, m)._sums(*psi1)
+        tgt = _curve_at(tag, 0, m_t)._sums(*psi2)
+        pole = not (src[1] and src[3] and tgt[1] and tgt[3])
+    except PoleError:
+        pole = True
+    if pole:
+        # The canonical denominators divide the printed ones, so this
+        # is unreachable unless a curve degenerates; report, not crash.
+        return "skipped", "curve evaluation hit a pole", psi1, psi2, None
+    cn, cd, ln, ld = src
+    tcn, tcd, tln, tld = tgt
+    if cn * tcd == tcn * cd and ln * tld == tln * ld:
+        return "pass", None, psi1, psi2, (src, tgt)
+    return "fail", "exact (c, lambda) values differ", psi1, psi2, (src, tgt)
+
+
+def _lowest_terms(num: int, den: int) -> Tuple[int, int]:
+    """num/den as a reduced (numerator, denominator) pair, denominator > 0."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
 
 
 def verify_coincidence_symbolic(entry: CoincidenceEntry) -> bool:
@@ -657,7 +690,7 @@ def verify_osp_osp(m, n) -> OspOspReport:
         m=m,
         n=n,
         c=c_display,
-        degenerate=c_display in _DEGENERATE_SET,
+        degenerate=(c_display.numerator, c_display.denominator) in _DEGENERATE_SET,
         pairs=tuple(pairs),
     )
 

@@ -29,7 +29,9 @@ at 100, ``gt-factors --n`` and ``--k`` at 1000, ``sing --rank`` at 200 and
 
 Sweeps are single-threaded by default; set the environment variable
 ``HOOKW_WORKERS`` to fan a ``verify`` sweep out over a process pool of at
-most that many workers, capped at the CPU count.
+most that many workers, capped at the CPU count.  The pool is imported
+only when a sweep uses it, so the command line otherwise loads no
+``multiprocessing``.
 Output ordering is deterministic either way.
 """
 
@@ -39,7 +41,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -50,12 +51,12 @@ from .catalog import (
     TARGET_KINDS,
     TARGETS,
     CoincidenceEntry,
+    _cell_check,
     _rank_error,
     all_entries,
     gelfand_tsetlin_factors,
     gt_factor_json,
     rational_points,
-    verify_coincidence,
     witness_json,
 )
 from .curves import curve_json, intersect, intersection_json, phi, verify_trialities
@@ -200,22 +201,27 @@ def _cell_charges(cell) -> Tuple[str, str]:
 
 
 def _cell_coincidences(cell) -> Tuple[str, str]:
+    """One coincidence cell, checked by the integer cell kernel.
+
+    The documented preconditions of ``verify_coincidence`` are the only
+    skips taken here; past them the kernel ``catalog._cell_check`` runs
+    directly, so the cell builds no outcome and no Fraction.  An error
+    raised by the kernel is a defect, never a skip.
+    """
     name, n, m, r = cell
     entry = _entry_index()[name]
-    # The documented preconditions of verify_coincidence are the only
-    # skips; an error raised past them is a defect, never a skip.
     if n < 0 or m < 0:
         return "skip", "n and m must be non-negative"
     if rank_error := _rank_error(entry.target, r):
         return "skip", rank_error
     try:
-        outcome = verify_coincidence(entry, n, m, r)
+        status, reason = _cell_check(entry, n, m, r)[:2]
     except Exception as exc:
         return "fail", f"{name} at (n={n}, m={m}, r={r}): {exc}"
-    if outcome.status == "fail":
+    if status == "fail":
         return "fail", f"{name} at (n={n}, m={m}, r={r})"
-    if outcome.status == "skipped":
-        return "skip", outcome.reason or ""
+    if status == "skipped":
+        return "skip", reason
     return "pass", ""
 
 
@@ -284,6 +290,8 @@ def _run_suite(suite: str, spec: SweepSpec) -> Tuple[Dict[str, int], List[str]]:
     tasks = [(suite, cell) for cell in cells]
     workers = _worker_count()
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, tasks, chunksize=chunk))

@@ -28,9 +28,10 @@ Data that depends only on (family, n, m) is built once and reused for
 every psi; every such memo is a ``functools.cache`` on the function that
 builds it.  A numeric curve runs F by Horner in t into integer lists in
 psi, reduced by one gcd and composed with the degree-one psi map
-without another; ``TruncationCurve.values`` sums its four integer lists
-at psi = p/q by one homogeneous Horner loop over ints.  A symbolic curve
-composes F with n -> t, then with the psi map, and is canonicalized once.
+without another; ``TruncationCurve._sums`` sums its four integer lists
+at psi = p/q by one homogeneous Horner loop over ints, and ``values``
+divides them.  A symbolic curve composes F with n -> t, then with the
+psi map, and is canonicalized once.
 The generic-domain check looks psi up, as its (numerator, denominator)
 pair, in the set of excluded values, built from the rational roots of
 the denominator factors, run at t.
@@ -100,8 +101,9 @@ DEGENERATE_CHARGES = (
     Fraction(-22, 5),
     Fraction(1, 2),
 )
-# The same charges as a set, for membership tests.
-_DEGENERATE_SET = frozenset(DEGENERATE_CHARGES)
+# The same charges as reduced (numerator, denominator) int pairs, so a
+# membership test hashes a tuple of ints rather than a Fraction.
+_DEGENERATE_SET = frozenset((c.numerator, c.denominator) for c in DEGENERATE_CHARGES)
 
 
 @dataclass(frozen=True)
@@ -126,20 +128,32 @@ class TruncationCurve:
     def values(self, psi) -> Tuple[Fraction, Fraction]:
         """(c, lambda) at a rational psi on a fully numeric curve.
 
+        The quotients of the four sums of ``_sums`` at psi = p/q in lowest
+        terms.  Raises PoleError where either denominator vanishes, and
+        everywhere when ``lam`` is None.
+        """
+        x = psi if isinstance(psi, (int, Fraction)) else _coerce_fraction(psi)
+        cn, cd, ln, ld = self._sums(x.numerator, x.denominator)
+        if not cd or not ld:
+            raise PoleError("denominator vanishes at the given point")
+        return Fraction(cn, cd), Fraction(ln, ld)
+
+    def _sums(self, p: int, q: int) -> Tuple[int, int, int, int]:
+        """c.num, c.den, lam.num, lam.den at psi = p/q, all over one scale.
+
         The four polynomials are read once per curve as dense integer
-        lists in psi (``_psi_lists``).  At psi = p/q each list is summed
-        as sum(c_e p**e q**(D - e)) by one homogeneous Horner loop over
-        ints, with D the largest of the four degrees, so the common power
-        q**D cancels in each quotient.  Raises PoleError where either
-        denominator vanishes, and everywhere when ``lam`` is None.
+        lists in psi (``_psi_lists``).  Each list is summed as
+        sum(c_e p**e q**(D - e)) by one homogeneous Horner loop over ints,
+        with D the largest of the four degrees, so the common power q**D
+        cancels in each quotient and q may be any nonzero int.  Raises
+        ValueError on a curve with residual symbols and PoleError when
+        ``lam`` is None; a vanishing denominator is the caller's to check.
         """
         if self.symbols:
             raise ValueError(f"curve has residual symbols {self.symbols}")
         if self.lam is None:
             raise PoleError("lambda has no finite value on this slice")
         degree, lists = self._psi_lists
-        x = psi if isinstance(psi, (int, Fraction)) else _coerce_fraction(psi)
-        p, q = x.numerator, x.denominator
         sums = []
         for cs in lists:
             # The top coefficient c_(k-1) of a list of length k carries
@@ -150,10 +164,7 @@ class TruncationCurve:
                 acc = acc * p + c * qe
                 qe *= q
             sums.append(acc)
-        cn, cd, ln, ld = sums
-        if not cd or not ld:
-            raise PoleError("denominator vanishes at the given point")
-        return Fraction(cn, cd), Fraction(ln, ld)
+        return tuple(sums)
 
     @cached_property
     def _psi_lists(self):
@@ -926,13 +937,10 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
             if value_a != value_b:
                 continue
             c_val, lam_val = value_a
+            degenerate = (c_val.numerator, c_val.denominator) in _DEGENERATE_SET
             points.append(
                 Intersection(
-                    psi1=a,
-                    psi2=b,
-                    c=c_val,
-                    lam=lam_val,
-                    degenerate=c_val in _DEGENERATE_SET,
+                    psi1=a, psi2=b, c=c_val, lam=lam_val, degenerate=degenerate
                 )
             )
     points.sort(key=lambda p: (p.psi1, p.psi2))

@@ -281,6 +281,100 @@ class TestCellKernel:
         assert again == warm and seen == set()
         assert sum(out.passed for out in warm) > 0
 
+    def test_cli_kernel_and_public_api_agree(self, monkeypatch):
+        # Every cell of the default sweep, and the cells of one tampered
+        # entry: the CLI runs the kernel alone, verify_coincidence wraps it.
+        default = cli._SUITE_DEFAULTS["coincidences"]
+        grid = [range(lo, hi + 1) for lo, hi in (default[v] for v in "nmr")]
+        tampered = replace(K.all_entries()[0], s=K.all_entries()[0].s + 1)
+        statuses = Counter()
+        for e in (*K.all_entries(), tampered):
+            monkeypatch.setattr(cli, "_entry_index", lambda e=e: {e.name: e})
+            for n in grid[0]:
+                for m in grid[1]:
+                    for r in grid[2]:
+                        got = cli._cell_coincidences((e.name, n, m, r))
+                        if rank_error := K._rank_error(e.target, r):
+                            assert got == ("skip", rank_error)
+                            with pytest.raises(ValueError, match=rank_error):
+                                K.verify_coincidence(e, n, m, r)
+                            continue
+                        out = K.verify_coincidence(e, n, m, r)
+                        statuses[e is tampered, out.status] += 1
+                        assert got == {
+                            "pass": ("pass", ""),
+                            "skipped": ("skip", out.reason),
+                            "fail": ("fail", f"{e.name} at (n={n}, m={m}, r={r})"),
+                        }[out.status], (e.name, n, m, r)
+                        status, reason, psi1, psi2, sums = K._cell_check(e, n, m, r)
+                        assert (status, reason) == (out.status, out.reason)
+                        assert (out.psi1, out.psi2) == tuple(
+                            None if pair is None else F(*pair) for pair in (psi1, psi2)
+                        )
+                        if sums is None:
+                            assert out.source_values is out.target_values is None
+                            continue
+                        rule = K.TARGETS[e.target]
+                        m_t = int(rule.m_of(r))
+                        for pair, values, curve, psi in (
+                            (sums[0], out.source_values, K._curve_at(e.source, n, m), out.psi1),
+                            (sums[1], out.target_values, K._curve_at(rule.tag, 0, m_t), out.psi2),
+                        ):
+                            cn, cd, ln, ld = pair
+                            assert values == (F(cn, cd), F(ln, ld)) == curve.values(psi)
+        assert statuses[False, "fail"] == 0 and statuses[False, "pass"] == 3663
+        assert statuses[True, "fail"] > 0
+
+    def test_lambda_alone_can_fail_a_cell(self, monkeypatch):
+        # Every target curve keeps its c and gets lambda + 1: cells that
+        # passed now fail on lambda alone, in the kernel and in the wrapper.
+        e = entry("2B", "sp", 6)
+        real = K._curve_at
+        target_tag = K.TARGETS[e.target].tag
+
+        def shifted(tag, n, m):
+            curve = real(tag, n, m)
+            if tag != target_tag:
+                return curve
+            return C.TruncationCurve(curve.c, curve.lam + 1, curve.source, curve.symbols)
+
+        assert K.verify_coincidence(e, 0, 1, 1).passed
+        monkeypatch.setattr(K, "_curve_at", shifted)
+        out = K.verify_coincidence(e, 0, 1, 1)
+        assert (out.status, out.reason) == ("fail", "exact (c, lambda) values differ")
+        assert out.source_values[0] == out.target_values[0]
+        assert out.source_values[1] + 1 == out.target_values[1]
+        assert K._cell_check(e, 0, 1, 1)[0] == "fail"
+
+    def test_warm_cli_cell_builds_no_fraction(self, monkeypatch):
+        # Once the rows, excluded sets and curves are built, a CLI cell is
+        # ints end to end: not one Fraction is constructed.
+        monkeypatch.delenv("HOOKW_WORKERS", raising=False)
+        cells = [(e.name, 1, 1, 2) for e in K.all_entries()]
+        warm = [cli._cell_coincidences(cell) for cell in cells]
+        fraction_new = F.__new__.__code__
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code is fraction_new:
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            again = [cli._cell_coincidences(cell) for cell in cells]
+        finally:
+            sys.setprofile(None)
+        assert again == warm and calls == 0
+        assert ("pass", "") in warm
+        # The hook does see the Fractions of the public wrapper.
+        sys.setprofile(profile)
+        try:
+            K.verify_coincidence(K.all_entries()[0], 1, 1, 2)
+        finally:
+            sys.setprofile(None)
+        assert calls > 0
+
     def test_excluded_at_reads_the_cell_forms(self):
         e = entry("1D", "sp", 6)
         assert e.excluded_at(1, 2, 2) == "r != m"

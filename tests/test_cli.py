@@ -7,8 +7,12 @@ table mode is checked to be a projection of the same data.
 """
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -392,7 +396,7 @@ class TestVerify:
         def pole(entry, n, m, r):
             raise PoleError("denominator vanishes")
 
-        monkeypatch.setattr(cli, "verify_coincidence", pole)
+        monkeypatch.setattr(cli, "_cell_check", pole)
         code, out, _ = run(
             capsys,
             "verify", "coincidences", "--sweep", "n=1..1,m=1..1,r=2..2", "--json",
@@ -404,10 +408,10 @@ class TestVerify:
         assert all("denominator vanishes" in f for f in payload["failures"])
 
     def test_value_error_is_a_failure_not_a_skip(self, capsys, monkeypatch):
-        def broken(self, psi):
+        def broken(self, p, q):
             raise ValueError("evaluation broke")
 
-        monkeypatch.setattr(TruncationCurve, "values", broken)
+        monkeypatch.setattr(TruncationCurve, "_sums", broken)
         code, out, _ = run(
             capsys,
             "verify", "coincidences", "--sweep", "n=0..1,m=0..1,r=1..2", "--json",
@@ -602,3 +606,23 @@ class TestTopLevel:
         assert code == 2
         assert out == ""
         assert err != ""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["verify", "trialities", "--sweep", "n=1..1,m=1..1"], 0), (["verify", "bogus"], 2)],
+    )
+    def test_python_dash_m_hookw_is_the_cli(self, argv, code):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        env.pop("HOOKW_WORKERS", None)
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True
+            )
+            for module in ("hookw", "hookw.cli")
+        ]
+        assert [(done.stdout, done.returncode) for done in runs] == [
+            (runs[1].stdout, code)
+        ] * 2
+        assert code == 2 or "result: ok" in runs[0].stdout

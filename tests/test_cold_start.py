@@ -2,8 +2,9 @@
 
 The import runs in a fresh interpreter, with a profile hook counting the
 calls of ``exact._int_poly_gcd``; afterwards the memos of the coincidence
-table and of the master curve must still be empty.  A positive control in
-the same interpreter then builds the table and sees both counters move.
+table and of the master curve must still be empty, and the process pool
+of ``HOOKW_WORKERS`` sweeps must not be loaded.  A positive control in the
+same interpreter then builds the table and sees both counters move.
 """
 
 import json
@@ -38,10 +39,12 @@ sys.setprofile(profile)
 import hookw, hookw.cli
 sys.setprofile(None)
 cold = snapshot()
+pool_modules = [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules]
 sys.setprofile(profile)
 hookw.all_entries()[0]._cell_forms
 sys.setprofile(None)
-print(json.dumps({"file": hookw.__file__, "cold": cold, "built": snapshot()}))
+print(json.dumps({"file": hookw.__file__, "cold": cold, "built": snapshot(),
+                  "pool_modules": pool_modules}))
 """
 
 
@@ -62,6 +65,7 @@ def test_import_fills_no_memo_and_runs_no_gcd():
         "gcd_calls": 0,
         "misses": {"all_entries": 0, "_master_2B": 0, "_t_slices": 0},
     }
+    assert report["pool_modules"] == []
     # The probe sees the work once the table is asked for.
     built = report["built"]
     assert built["misses"]["all_entries"] == 1
