@@ -17,8 +17,9 @@ Three bodies of exact data about the hook-type cosets live here:
   principal W-algebras and orbifolds at explicitly displayed levels.
 
 Verification maps a coincidence's target to a degenerate member of the
-eight families (TARGETS) and compares truncation-curve data exactly, so
-everything reduces to statements about the curves of ``curves``.
+eight families (TARGETS): at integer (n, m, r) the two curves' values are
+compared exactly, and with n, m, r symbolic a map of the S3 orbit of the
+master curve must take the source's point to the target's (``curves``).
 
 The coincidence table is built on first use (``all_entries``), with one
 canonicalization per printed formula, so ``import hookw`` does no exact
@@ -37,7 +38,8 @@ from .curves import (
     _DEGENERATE_SET,
     TruncationCurve,
     _excluded_psi,
-    compose_cleared,
+    _orbit_maps,
+    _point,
     phi_family,
 )
 from .exact import (
@@ -219,20 +221,15 @@ class CoincidenceEntry:
         and r in any row.  ``rows`` alternates numerator and denominator:
         psi, then the target psi s + shift(r) folded into one RatFunc, then
         each exclusion.  A row is a tuple of terms (c, a, b, e), each
-        c * n**a * m**b * r**e; each side of a pair is scaled by the other
-        side's denominator, so a pair's quotient is the formula.  shift is
-        a polynomial in r, so the folded formula has the denominator of s
-        up to a constant and the same poles.  A formula in any variable
-        but n, m, r raises ValueError.
+        c * n**a * m**b * r**e.  shift is a polynomial in r, so the folded
+        formula has the denominator of s up to a constant and the same
+        poles.  A formula in any variable but n, m, r raises ValueError.
         """
         target_psi = self.s + TARGETS[self.target].shift
         rows = tuple(
             row
             for rf in (self.psi, target_psi, *self.exclusions)
-            for row in (
-                self._term_row(rf.num, rf.den._den),
-                self._term_row(rf.den, rf.num._den),
-            )
+            for row in (self._term_row(rf.num), self._term_row(rf.den))
         )
         degrees = tuple(
             max((term[k] for row in rows for term in row), default=0)
@@ -240,8 +237,8 @@ class CoincidenceEntry:
         )
         return degrees, rows
 
-    def _term_row(self, poly, scale):
-        """The terms (c * scale, a, b, e) of poly's integer dict."""
+    def _term_row(self, poly):
+        """The terms (c, a, b, e) of poly's integer dict."""
         for key in poly._d:
             for i, d in enumerate(key):
                 if d and i not in _CELL_VARS:
@@ -250,7 +247,7 @@ class CoincidenceEntry:
                         "coincidence formulas are in n, m, r only"
                     )
         return tuple(
-            (c * scale, key[_N], key[_M], key[_R]) for key, c in poly._d.items()
+            (c, key[_N], key[_M], key[_R]) for key, c in poly._d.items()
         )
 
     def _cell_values(self, n, m, r):
@@ -441,17 +438,6 @@ def _curve_at(tag: str, n, m) -> TruncationCurve:
     return phi_family(tag, n, m)
 
 
-@cache
-def _source_curve_symbolic(tag: str) -> TruncationCurve:
-    return phi_family(tag, RatFunc.var("n"), RatFunc.var("m"))
-
-
-@cache
-def _target_curve_symbolic(kind: str) -> TruncationCurve:
-    rule = TARGETS[kind]
-    return phi_family(rule.tag, Fraction(0), rule.m_expr)
-
-
 @dataclass(frozen=True)
 class CoincidenceOutcome:
     """Result of checking one entry at integers (n, m, r).
@@ -589,22 +575,13 @@ def _lowest_terms(num: int, den: int) -> Tuple[int, int]:
 def verify_coincidence_symbolic(entry: CoincidenceEntry) -> bool:
     """Check one entry as a trivariate identity in (n, m, r).
 
-    Both curve components are composed with the displayed formulas as
-    cleared polynomial pairs and compared by cross-multiplication; no
-    canonicalization of the composites is needed.
+    The entry holds when a map of the S3 orbit of F takes the source's
+    point at psi to the target's at s + shift(r) (``curves._orbit_maps``).
     """
     rule = TARGETS[entry.target]
-    src = _source_curve_symbolic(entry.source)
-    tgt = _target_curve_symbolic(entry.target)
-    psi2 = entry.s + rule.shift
-    for a, b in ((src.c, tgt.c), (src.lam, tgt.lam)):
-        na, da = compose_cleared(a, entry.psi)
-        nb, db = compose_cleared(b, psi2)
-        if da.is_zero() or db.is_zero():
-            return False
-        if not (na * db - nb * da).is_zero():
-            return False
-    return True
+    source = _point(entry.source, RatFunc.var("n"), RatFunc.var("m"))
+    target = _point(rule.tag, 0, rule.m_expr)
+    return bool(_orbit_maps(source, target, (entry.psi, entry.s + rule.shift)))
 
 
 # ---------------------------------------------------------------------------

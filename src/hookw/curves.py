@@ -14,15 +14,12 @@ verbatim, and guarded by value checks in the test suite.
 Each family's route to the master curve is one row of ``_ROUTES``: the
 shifted (n, m) at which 2B is taken and the one degree-one psi map of the
 triality group composed with it.  Every curve is built by one
-constructor, ``_family_curve``, from that row: the master at the shifted
-(n, m) with psi through the route's map, times the identity's own map on
-the right-hand side of a triality identity, as one 2x2 integer product.
+constructor, ``phi_family``, from that row: the master at the shifted
+(n, m) with psi through the route's map.
 The master depends on (n, m) only through t = n + m(2psi - 1), so it is
 read only to derive F(t, psi), its slice at m = 0 (``_at_m0``), with
 6 + 2 terms for c and 20 + 33 for lambda against 19 + 2 and 79 + 213;
 every curve is built from F.
-The generic-domain check maps denominator roots back through the inverse
-of the route's map, so the two cannot disagree.
 
 Data that depends only on (family, n, m) is built once and reused for
 every psi; every such memo is a ``functools.cache`` on the function that
@@ -33,8 +30,14 @@ at psi = p/q by one homogeneous Horner loop over ints, and ``values``
 divides them.  A symbolic curve composes F with n -> t, then with the
 psi map, and is canonicalized once.
 The generic-domain check looks psi up, as its (numerator, denominator)
-pair, in the set of excluded values, built from the rational roots of
-the denominator factors, run at t.
+pair, in the set of excluded values: the rational roots of the
+denominator factors, run at t, mapped back through the inverse of the
+route's map, so the two cannot disagree.
+
+Every curve identity is certified by the S3 orbit of F, the six maps of
+(t, x) that fix F, each proved once (``_orbit``): each side is read from
+its ``_ROUTES`` row as a point (t, x) of F (``_point``), and the identity
+holds when a map takes the left point to the right one (``_orbit_maps``).
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ from .exact import (
     _coerce_fraction,
     _dcompose,
     _dense_trim,
+    _dmul,
+    _dsub,
     _dict_to_int_list,
     _divexact_int,
     _dsubst,
@@ -338,8 +343,11 @@ def _t_slices():
 
 
 def _t_coeffs(n, m):
-    """(alpha, beta, L): t = n + m(2psi - 1) is (alpha + beta psi)/L, all ints."""
+    """(alpha, beta, L): t = n + m(2psi - 1) is (alpha + beta psi)/L, ints or polynomials."""
     a, b = n - m, 2 * m
+    if isinstance(a, RatFunc) or isinstance(b, RatFunc):
+        a, b = (x if isinstance(x, RatFunc) else RatFunc.const(x) for x in (a, b))
+        return a.num * b.den, b.num * a.den, a.den * b.den
     scale = lcm(a.denominator, b.denominator)
     return a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator), scale
 
@@ -385,7 +393,12 @@ _ROUTES = {
 
 
 def _inner_params(tag: str, n, m):
-    """The master curve's (n, m) on the route of family tag."""
+    """The master curve's (n, m) on the route of family tag.
+
+    Symbolic n and m may not mention psi, which the route's map would capture.
+    """
+    if any(isinstance(x, RatFunc) and "psi" in x.variables() for x in (n, m)):
+        raise ValueError("symbolic n and m may not mention psi")
     dn, dm, m_gains_n, _, _ = _ROUTES[tag]
     return n + dn, (m + dm + n if m_gains_n else m + dm)
 
@@ -477,41 +490,27 @@ def _substituted(rf: RatFunc, mapping: dict) -> RatFunc:
     return RatFunc._from_dicts(num, den)
 
 
-def _residual_symbols(c: RatFunc, lam: Optional[RatFunc]) -> Tuple[str, ...]:
-    names = set(c.variables())
-    if lam is not None:
-        names |= lam.variables()
-    return tuple(sorted(names - {"psi"}))
-
-
 def _curve(c: RatFunc, lam: Optional[RatFunc], source: str) -> TruncationCurve:
-    return TruncationCurve(c=c, lam=lam, source=source, symbols=_residual_symbols(c, lam))
-
-
-def _psi_part(num, den, w) -> RatFunc:
-    """The RatFunc in psi of the quotient of integer lists, composed with w.
-
-    w = (a, b, c, d) is psi -> (a psi + b)/(c psi + d), or None.  The gcd
-    is taken before composing; the composite of the coprime pair needs
-    none (``_int_list_quotient`` has the proof).
-    """
-    num, den = _int_list_quotient(num, den)
-    if w is not None:
-        num, den = _int_list_quotient(*_int_list_moebius(num, den, w), coprime=True)
-    return RatFunc._from_int_lists(num, den, _PSI)
+    names = c.variables() | (set() if lam is None else lam.variables())
+    return TruncationCurve(c=c, lam=lam, source=source, symbols=tuple(sorted(names - {"psi"})))
 
 
 def _numeric_2B(n: Fraction, m: Fraction, w, source: str) -> TruncationCurve:
     """The 2B curve at rational (n, m), composed with w, on integer lists.
 
-    F is run at t = n + m(2psi - 1) into integer lists in psi over one
-    scale (``_in_psi``), then reduced and composed with w (``_psi_part``).
+    F is run at t = n + m(2psi - 1) into integer lists in psi (``_in_psi``),
+    reduced by their gcd and composed with w = (a, b, c, d), psi ->
+    (a psi + b)/(c psi + d) or None, with no second gcd (``_int_list_quotient``).
     """
     t = _t_coeffs(n, m)
     out = []
     for pair in _t_slices()[:2]:
         num, den = _in_psi(pair, t)
-        out.append(_psi_part(num, den, w) if den else None)
+        if den:
+            num, den = _int_list_quotient(num, den)
+            if w is not None:
+                num, den = _int_list_quotient(*_int_list_moebius(num, den, w), coprime=True)
+        out.append(RatFunc._from_int_lists(num, den, _PSI) if den else None)
     return _curve(*out, source)
 
 
@@ -522,8 +521,6 @@ def _symbolic_2B(n, m, w, source: str) -> TruncationCurve:
     and canonicalized once.  n and m must not mention psi, which the
     second composition would capture.
     """
-    if any(isinstance(x, RatFunc) and "psi" in x.variables() for x in (n, m)):
-        raise ValueError("symbolic n and m may not mention psi")
     t = n + m * (2 * RatFunc.var("psi") - 1)
     steps = [[(_N, t.num._d, t.den._d)]]
     if w is not None:
@@ -538,65 +535,35 @@ def _symbolic_2B(n, m, w, source: str) -> TruncationCurve:
     return _curve(*out, source)
 
 
-def _psi_map(tag: str, w):
-    """The route map of tag composed with w, as one integer (a, b, c, d).
-
-    A map (a, b, c, d) is psi -> (a psi + b)/(c psi + d) and None the
-    identity; tag(n, m) o w takes the master at psi -> route(w(psi)),
-    whose matrix is the product route . w.  Raises ValueError unless
-    ad - bc != 0.
-    """
-    a, b, c, d = _ROUTES[tag][3] or (1, 0, 0, 1)
-    e, f, g, h = w or (1, 0, 0, 1)
-    a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-    if a * d == b * c:
-        raise ValueError(f"not an invertible degree-one map: {(a, b, c, d)}")
-    return None if b == c == 0 and a == d else (a, b, c, d)
-
-
-def _family_curve(tag: str, n, m, w=None) -> TruncationCurve:
-    """tag(n, m) o w: the master at the route's (n, m), psi through route . w.
-
-    Every curve is built here: F at t = n' + m'(2psi - 1), (n', m') =
-    ``_inner_params(tag, n, m)``, with psi through ``_psi_map``; on integer
-    lists at rational (n, m) (``_numeric_2B``), else on polynomial dicts
-    (``_symbolic_2B``).  Where the lambda denominator vanishes identically
-    (the free-field orbifold cosets) the lambda component is None.
-    """
-    label = _ROUTES[tag][4]
-    psi_map = _psi_map(tag, w)
-    n, m = _coerce_param(n), _coerce_param(m)
-    inner_n, inner_m = _inner_params(tag, n, m)
-    if isinstance(n, RatFunc) or isinstance(m, RatFunc):
-        return _symbolic_2B(inner_n, inner_m, psi_map, label)
-    return _numeric_2B(inner_n, inner_m, psi_map, label)
-
-
 def phi_2B(n, m) -> TruncationCurve:
     """The 2B curve at parameters n, m (rationals or symbolic expressions).
 
     Half-integer and negative parameters are meaningful: the other seven
     families are this curve at shifted arguments.  On the slices where
     the lambda denominator vanishes identically (the free-field orbifold
-    cosets) the lambda component is None.  Built by ``_family_curve``.
+    cosets) the lambda component is None.
     """
-    return _family_curve("2B", n, m)
+    return phi_family("2B", n, m)
 
 
 def phi_family(tag: str, n, m) -> TruncationCurve:
     """Truncation curve of any of the eight families, one fixed route each.
 
-    The family's row of ``_ROUTES`` gives the shifted (n, m) at which the
-    2B master curve is taken and the one degree-one psi substitution of
-    the triality group that is composed with it: 1O, 2D, 1C are
-    half-integer shifts of the master, and 1B, 1D, 2C, 2O also invert psi.
-    n and m may be any rationals (the internal shifts leave the lattice)
-    or symbolic expressions.  ``_family_curve`` builds the curve from F,
-    the master at m = 0, at the route's t = n + m(2psi - 1).
+    Every curve is built here: F at t = n' + m'(2psi - 1), psi through the
+    route's map, with (n', m') and the map from the family's row of
+    ``_ROUTES``: 1O, 2D, 1C are half-integer shifts of the master, and 1B,
+    1D, 2C, 2O also invert psi.  n and m may be any rationals, on integer
+    lists (``_numeric_2B``), or symbolic, on polynomial dicts
+    (``_symbolic_2B``).
     """
     if tag not in _ROUTES:
         raise ValueError(f"unknown family {tag!r}")
-    return _family_curve(tag, n, m)
+    _, _, _, route, label = _ROUTES[tag]
+    n, m = _coerce_param(n), _coerce_param(m)
+    inner_n, inner_m = _inner_params(tag, n, m)
+    if isinstance(n, RatFunc) or isinstance(m, RatFunc):
+        return _symbolic_2B(inner_n, inner_m, route, label)
+    return _numeric_2B(inner_n, inner_m, route, label)
 
 
 def phi(fam: HookFamily) -> TruncationCurve:
@@ -605,69 +572,124 @@ def phi(fam: HookFamily) -> TruncationCurve:
 
 
 # ---------------------------------------------------------------------------
-# Triality identities.
+# The S3 orbit of F and the triality identities.
 # ---------------------------------------------------------------------------
 
+# The six maps of (t, x) that fix F, the anharmonic group S3 on y = 2x: a row
+# (k, (a, b, c, d)) is (t, x) -> (k t/(c x + d), (a x + b)/(c x + d)).
+_S3 = (
+    (1, (1, 0, 0, 1)),  # (t, x)
+    (2, (-2, 1, 0, 2)),  # (t, 1/2 - x)
+    (1, (1, 0, 2, -1)),  # (t/(2x - 1), x/(2x - 1))
+    (-2, (0, 1, -4, 2)),  # (t/(2x - 1), -1/(2(2x - 1)))
+    (-2, (0, 1, 4, 0)),  # (-t/(2x), 1/(4x))
+    (-2, (2, -1, 4, 0)),  # (-t/(2x), (2x - 1)/(4x))
+)
 
-def _identity_specs(n, m):
-    """The eight pairwise identities: (name, left curve, right curve).
 
-    A right-hand side tag(a, b) o w is one ``_family_curve`` build, with
-    w = (a, b, c, d) the psi map named after "o".
+@cache
+def _orbit():
+    """The maps of ``_S3`` that fix F, each proved once, on first use.
+
+    F is the master at m = 0, n standing for t.  g is kept when F o g, one
+    ``_dcompose``, cross-multiplies to F; a map that fails certifies nothing.
     """
-    specs = []
-    left = _family_curve("2B", n, m)
-    specs.append(("2B(n,m) = 2O(n,m-n) o 1/(4psi)", left,
-                  _family_curve("2O", n, m - n, (0, 1, 4, 0))))
-    specs.append(("2B(n,m) = 2B(m,n) o psi/(2psi-1)", left,
-                  _family_curve("2B", m, n, (1, 0, 2, -1))))
-    left = _family_curve("1C", n, m)
-    specs.append(("1C(n,m) = 2C(n,m-n) o 1/(2psi)", left,
-                  _family_curve("2C", n, m - n, (0, 1, 2, 0))))
-    specs.append(("1C(n,m) = 1C(m,n) o psi/(psi-1)", left,
-                  _family_curve("1C", m, n, (1, 0, 1, -1))))
-    left = _family_curve("2D", n, m)
-    specs.append(("2D(n,m) = 1D(n,m-n) o 1/(2psi)", left,
-                  _family_curve("1D", n, m - n, (0, 1, 2, 0))))
-    specs.append(("2D(n,m) = 1O(m,n-1) o 2psi/(2psi-1)", left,
-                  _family_curve("1O", m, n - 1, (2, 0, 2, -1))))
-    left = _family_curve("1O", n, m)
-    specs.append(("1O(n,m) = 1B(n,m-n) o 1/psi", left,
-                  _family_curve("1B", n, m - n, (0, 1, 1, 0))))
-    specs.append(("1O(n,m) = 2D(m+1,n) o psi/(2(psi-1))", left,
-                  _family_curve("2D", m + 1, n, (1, 0, 2, -2))))
-    return specs
+    pairs = [(_at_m0(rf.num), _at_m0(rf.den)) for rf in _master_2B()]
+    kept = []
+    for k, (a, b, c, d) in _S3:
+        z = _int_list_to_dict([d, c], _PSI)
+        subs = [(_N, _int_list_to_dict([0, k], _N), z), (_PSI, _int_list_to_dict([b, a], _PSI), z)]
+        moved = [(_dcompose(num, den, subs), num, den) for num, den in pairs]
+        if all(not _dsub(_dmul(gn, den), _dmul(gd, num)) for (gn, gd), num, den in moved):
+            kept.append((k, (a, b, c, d)))
+    return tuple(kept)
+
+
+def _product(x, y):
+    """The 2x2 product x y of matrices (a, b, c, d)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _point(tag: str, n, m, w=(1, 0, 0, 1)):
+    """tag(n, m) o w as a point of F, linear in psi: (T, (a, b, c, d)).
+
+    x = (a psi + b)/(c psi + d) is the route's map after w, and t at the
+    route's (n', m') is n' + m'(2x - 1) = (T1 psi + T0)/(c psi + d), T = (T1, T0).
+    """
+    a, b, c, d = _product(_ROUTES[tag][3] or (1, 0, 0, 1), w)
+    n, m = _inner_params(tag, n, m)
+    return (n * c + m * (2 * a - c), n * d + m * (2 * b - d)), (a, b, c, d)
+
+
+def _orbit_maps(left, right, at=None):
+    """The maps of ``_orbit`` that take the point left to the point right.
+
+    Points of ``_point`` are read at one free psi, or at psi = p on the
+    left and q on the right when at = (p, q).  With N = adj(M_right) G
+    M_left, g = (k, G) fits when (q, 1) is proportional to N (p, 1) and
+    (det(M_right) k T_left - T_right N) (p, 1) == 0; at a free psi, when N
+    is a multiple of the identity and that row is zero.
+    """
+    (tl, ml), (tr, (a, b, c, d)) = left, right
+    p, q = at or (None, None)
+    found = []
+    for k, G in _orbit():
+        n11, n12, n21, n22 = _product((d, -b, -c, a), _product(G, ml))
+        # The x-part first: at one free psi it needs integer work alone.
+        scalar = n12 == n21 == 0 and n11 == n22
+        if not (scalar if at is None else q * (n21 * p + n22) == n11 * p + n12):
+            continue
+        d1 = (a * d - b * c) * k * tl[0] - (tr[0] * n11 + tr[1] * n21)
+        d0 = (a * d - b * c) * k * tl[1] - (tr[0] * n12 + tr[1] * n22)
+        if d1 == d0 == 0 if at is None else d1 * p + d0 == 0:
+            found.append((k, G))
+    return tuple(found)
+
+
+def _lambda_less(tag: str, n, m) -> bool:
+    """Whether F's lambda denominator vanishes on tag(n, m)'s line t = n' + m'(2psi - 1)."""
+    (spec,) = _in_psi((_t_slices()[1][1],), _t_coeffs(*_inner_params(tag, n, m)))
+    return all(v == 0 for v in spec)
+
+
+# The eight triality identities: name, left family, right family, its (n, m), psi map.
+_TRIALITIES = (
+    ("2B(n,m) = 2O(n,m-n) o 1/(4psi)", "2B", "2O", lambda n, m: (n, m - n), (0, 1, 4, 0)),
+    ("2B(n,m) = 2B(m,n) o psi/(2psi-1)", "2B", "2B", lambda n, m: (m, n), (1, 0, 2, -1)),
+    ("1C(n,m) = 2C(n,m-n) o 1/(2psi)", "1C", "2C", lambda n, m: (n, m - n), (0, 1, 2, 0)),
+    ("1C(n,m) = 1C(m,n) o psi/(psi-1)", "1C", "1C", lambda n, m: (m, n), (1, 0, 1, -1)),
+    ("2D(n,m) = 1D(n,m-n) o 1/(2psi)", "2D", "1D", lambda n, m: (n, m - n), (0, 1, 2, 0)),
+    ("2D(n,m) = 1O(m,n-1) o 2psi/(2psi-1)", "2D", "1O", lambda n, m: (m, n - 1), (2, 0, 2, -1)),
+    ("1O(n,m) = 1B(n,m-n) o 1/psi", "1O", "1B", lambda n, m: (n, m - n), (0, 1, 1, 0)),
+    ("1O(n,m) = 2D(m+1,n) o psi/(2(psi-1))", "1O", "2D", lambda n, m: (m + 1, n), (1, 0, 2, -2)),
+)
 
 
 def verify_trialities(n, m) -> Tuple[IdentityCheck, ...]:
     """Check the eight triality identities at (n, m), numeric or symbolic.
 
     For numeric parameters the precondition m >= n >= 0, n + m >= 1 is
-    enforced; symbolic parameters are checked as multivariate identities.
-    Each result carries the (c, lambda) differences when the identity
-    fails.
+    enforced.  An identity holds when a map of F's orbit takes its left
+    point to its right one (``_orbit_maps``), with no curve built; a
+    failing one builds its curves and carries the (c, lambda) differences.
     """
-    numeric = not (isinstance(n, RatFunc) or isinstance(m, RatFunc))
-    if numeric:
-        n = _coerce_fraction(n)
-        m = _coerce_fraction(m)
-        if not (m >= n >= 0 and n + m >= 1):
-            raise ValueError(f"need m >= n >= 0 and n + m >= 1, got n={n}, m={m}")
+    n, m = _coerce_param(n), _coerce_param(m)
+    if not (isinstance(n, RatFunc) or isinstance(m, RatFunc) or m >= n >= 0 and n + m >= 1):
+        raise ValueError(f"need m >= n >= 0 and n + m >= 1, got n={n}, m={m}")
     checks = []
-    for name, left, right in _identity_specs(n, m):
-        if left.lam is None or right.lam is None:
+    for name, left_tag, right_tag, right_at, w in _TRIALITIES:
+        left, right = (left_tag, n, m), (right_tag, *right_at(n, m))
+        if _lambda_less(*left) or _lambda_less(*right):
             raise ValueError(f"identity {name!r} involves a curve with no finite lambda")
-        # Canonical forms are unique, so equality is structural; the
-        # differences are built only for an identity that fails.
-        holds = left.c == right.c and left.lam == right.lam
-        checks.append(
-            IdentityCheck(
-                name=name,
-                holds=holds,
-                c_difference=None if holds else left.c - right.c,
-                lambda_difference=None if holds else left.lam - right.lam,
-            )
-        )
+        diffs = None, None
+        if not _orbit_maps(_point(*left), _point(*right, w)):
+            psi = RatFunc.var("psi")
+            at_w = {"psi": (w[0] * psi + w[1]) / (w[2] * psi + w[3])}
+            lhs, rhs = phi_family(*left), phi_family(*right)
+            diffs = [x - _substituted(y, at_w) for x, y in ((lhs.c, rhs.c), (lhs.lam, rhs.lam))]
+        checks.append(IdentityCheck(name, diffs[0] is None, *diffs))
     return tuple(checks)
 
 

@@ -460,6 +460,31 @@ class TestCurveMemo:
         assert C._excluded_psi.cache_info().currsize == 103
 
 
+def _composed_oracle(e, curves):
+    """The entry as a trivariate identity by composing both curves.
+
+    Each curve component is composed with its displayed psi formula as a
+    cleared polynomial pair (``compose_cleared``) and the two pairs are
+    compared by cross-multiplication: an independent check of the orbit
+    certificate.  ``curves`` memoizes the symbolic curves, a source by its
+    family and a target by its kind.
+    """
+    rule = K.TARGETS[e.target]
+    if e.source not in curves:
+        curves[e.source] = C.phi_family(e.source, N, M)
+    if e.target not in curves:
+        curves[e.target] = C.phi_family(rule.tag, 0, rule.m_expr)
+    src, tgt = curves[e.source], curves[e.target]
+    for a, b in ((src.c, tgt.c), (src.lam, tgt.lam)):
+        na, da = C.compose_cleared(a, e.psi)
+        nb, db = C.compose_cleared(b, e.s + rule.shift)
+        if da.is_zero() or db.is_zero():
+            return False
+        if not (na * db - nb * da).is_zero():
+            return False
+    return True
+
+
 class TestSymbolicSweep:
     @pytest.mark.parametrize("idx", range(48))
     def test_trivariate_identity(self, idx):
@@ -472,6 +497,48 @@ class TestSymbolicSweep:
         assert not K.verify_coincidence_symbolic(
             replace(e, psi=e.psi * F(35, 36))
         )
+
+    def test_each_entry_is_one_map_of_the_orbit(self):
+        # Every entry is certified by exactly one of the six maps; each sp
+        # table uses all six and each so_even and osp table three, so
+        # 4 * (6 + 3 + 3) = 48.
+        used = {}
+        for e in K.all_entries():
+            rule = K.TARGETS[e.target]
+            maps = C._orbit_maps(
+                C._point(e.source, N, M),
+                C._point(rule.tag, 0, rule.m_expr),
+                (e.psi, e.s + rule.shift),
+            )
+            assert len(maps) == 1, e.name
+            used.setdefault(e.table, set()).add(maps[0])
+        assert {table: len(maps) for table, maps in used.items()} == {
+            f"{source}-{target}": 6 if target == "sp" else 3
+            for source in K.SOURCE_TAGS
+            for target in K.TARGET_KINDS
+        }
+        assert set.union(*used.values()) == set(C._orbit())
+
+    def test_orbit_certificate_agrees_with_the_composed_oracle(self):
+        # The 48 entries, psi + 1 and s -> -s of each, and the two tampered
+        # variants of 2C-osp(1): the two checks agree on all 146.  1B and
+        # 1D share their route's psi map, so with the source swapped
+        # between them only the t-part of the orbit check can refuse an
+        # entry: 24 more, all refused by both.
+        e = entry("2C", "osp", 1)
+        variants = [replace(e, s=e.s + 1), replace(e, psi=e.psi * F(35, 36))]
+        for e in K.all_entries():
+            variants += [e, replace(e, psi=e.psi + 1), replace(e, s=-e.s)]
+        swapped = {"1B": "1D", "1D": "1B"}
+        variants += [replace(e, source=swapped[e.source])
+                     for e in K.all_entries() if e.source in swapped]
+        curves = {}
+        verdicts = Counter()
+        for v in variants:
+            verdict = K.verify_coincidence_symbolic(v)
+            assert _composed_oracle(v, curves) == verdict, (v.name, v.psi, v.s)
+            verdicts[verdict] += 1
+        assert verdicts == {True: 48, False: 122}
 
 
 class TestOspOsp:

@@ -2,9 +2,10 @@
 
 The import runs in a fresh interpreter, with a profile hook counting the
 calls of ``exact._int_poly_gcd``; afterwards the memos of the coincidence
-table and of the master curve must still be empty, and the process pool
-of ``HOOKW_WORKERS`` sweeps must not be loaded.  A positive control in the
-same interpreter then builds the table and sees both counters move.
+table, of the master curve and of the orbit certificate must still be
+empty, and the process pool of ``HOOKW_WORKERS`` sweeps must not be
+loaded.  A positive control in the same interpreter then builds the table
+and certifies one entry, and sees the counters move.
 """
 
 import json
@@ -30,7 +31,7 @@ def profile(frame, event, arg):
 
 def snapshot():
     from hookw import catalog, curves
-    memos = (catalog.all_entries, curves._master_2B, curves._t_slices)
+    memos = (catalog.all_entries, curves._master_2B, curves._t_slices, curves._orbit)
     return {"gcd_calls": gcd_calls,
             "misses": {f.__name__: f.cache_info().misses for f in memos}}
 
@@ -42,6 +43,7 @@ cold = snapshot()
 pool_modules = [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules]
 sys.setprofile(profile)
 hookw.all_entries()[0]._cell_forms
+hookw.verify_coincidence_symbolic(hookw.all_entries()[0])
 sys.setprofile(None)
 print(json.dumps({"file": hookw.__file__, "cold": cold, "built": snapshot(),
                   "pool_modules": pool_modules}))
@@ -63,10 +65,11 @@ def test_import_fills_no_memo_and_runs_no_gcd():
     assert Path(report["file"]).resolve().is_relative_to(SRC)
     assert report["cold"] == {
         "gcd_calls": 0,
-        "misses": {"all_entries": 0, "_master_2B": 0, "_t_slices": 0},
+        "misses": {"all_entries": 0, "_master_2B": 0, "_t_slices": 0, "_orbit": 0},
     }
     assert report["pool_modules"] == []
     # The probe sees the work once the table is asked for.
     built = report["built"]
     assert built["misses"]["all_entries"] == 1
+    assert built["misses"]["_orbit"] == 1
     assert built["gcd_calls"] > 0

@@ -109,16 +109,6 @@ class TestPhiRoutes:
             with pytest.raises(ValueError, match="may not mention psi"):
                 C.phi_family("1B", n, m)
 
-    def test_composition_needs_an_invertible_degree_one_map(self):
-        # Only such maps keep a canonical quotient coprime without a gcd,
-        # so every composed map is checked, numeric or symbolic.
-        # (2 psi + 2)/(psi + 1) has ad - bc == 0.
-        for n, m in ((0, 1), (N, M)):
-            with pytest.raises(ValueError, match="not an invertible"):
-                C._family_curve("2B", n, m, (2, 2, 1, 1))
-            with pytest.raises(ValueError, match="not an invertible"):
-                C._family_curve("2O", n, m, (2, 2, 1, 1))
-
     def test_source_traces_route(self):
         # `hookw curve` prints these as its route line.
         assert {tag: C.phi_family(tag, 0, 1).source for tag in L.FAMILY_TAGS} == {
@@ -133,9 +123,10 @@ class TestPhiRoutes:
         }
 
     def test_one_map_equals_the_two_step_triality_routes(self):
-        # 1B, 1D and 2C are reached through 1O, 2D and 1C, and a triality
-        # right-hand side composes one more map: each is built with one
-        # product map, against the maps substituted one at a time.
+        # 1B, 1D and 2C are reached through 1O, 2D and 1C in one product
+        # map, and a triality right-hand side reads one more map w into
+        # its point: each against the maps substituted one at a time.
+        # Curves are route-only builds, composed with w by substitution.
         half = F(1, 2)
         cases = (
             # (tag, w, the master's (n, m), psi maps in the order applied)
@@ -148,12 +139,26 @@ class TestPhiRoutes:
         )
         for tag, w, master_at, maps in cases:
             for n, m in ((N, M), (0, 0), (F(1, 2), 1), (F(-1, 2), F(3, 2)), (2, 3)):
-                master = C.phi_2B(*master_at(n, m))
+                inner_n, inner_m = master_at(n, m)
+                master = C.phi_2B(inner_n, inner_m)
                 want = [master.c, master.lam]
-                for x in maps:
-                    want = [None if rf is None else rf.substitute("psi", x) for rf in want]
-                got = C._family_curve(tag, n, m, w)
-                assert [got.c, got.lam] == want, (tag, n, m)
+                x = PSI
+                for step in maps:
+                    want = [None if rf is None else rf.substitute("psi", step) for rf in want]
+                    x = x.substitute("psi", step)
+                crv = C.phi_family(tag, n, m)
+                got = [crv.c, crv.lam]
+                if w is not None:
+                    a, b, c, d = w
+                    at_w = (a * PSI + b) / (c * PSI + d)
+                    got = [None if rf is None else rf.substitute("psi", at_w) for rf in got]
+                assert got == want, (tag, n, m)
+                # The point of F that the orbit check reads: x, and t on
+                # the master's line, over the denominator c psi + d.
+                (t1, t0), (a, b, c, d) = C._point(tag, n, m, w or (1, 0, 0, 1))
+                assert (a * PSI + b) / (c * PSI + d) == x, (tag, n, m)
+                t = (t1 * PSI + t0) / (c * PSI + d)
+                assert t == inner_n + inner_m * (2 * x - 1), (tag, n, m)
 
     def test_charge_agreement_all_families(self):
         for tag in L.FAMILY_TAGS:
@@ -304,15 +309,15 @@ class TestNumericBuilds:
         # Both kinds of slice are on the grid.
         assert 0 < slices < len(built)
 
-    def test_trialities_stay_on_the_integer_lists(self, monkeypatch):
-        # A numeric right-hand side composes the identity's map into its
-        # route's, so both sides of every identity are integer-list builds.
+    def test_numeric_trialities_build_no_curve(self, monkeypatch):
+        # An identity that holds is read off its two points of F and the
+        # orbit of F; a curve without lambda is found on the lambda
+        # denominator's t-slices, without the excluded-psi root finding.
         def forbidden(*args):
-            raise AssertionError("numeric triality left the integer-list kernel")
+            raise AssertionError("a triality that holds built a curve")
 
-        for module in (C, E):
-            monkeypatch.setattr(module, "_dcompose", forbidden)
-        monkeypatch.setattr(RatFunc, "specialize", forbidden)
+        for name in ("_curve", "_numeric_2B", "_symbolic_2B", "_excluded_psi", "rational_roots"):
+            monkeypatch.setattr(C, name, forbidden)
         monkeypatch.setattr(RatFunc, "substitute", forbidden)
         pairs = [(n, m) for n in _GRID for m in _GRID if m >= n >= 0 and n + m >= 1]
         lambda_less = []
@@ -320,7 +325,6 @@ class TestNumericBuilds:
             try:
                 checks = C.verify_trialities(n, m)
             except ValueError as exc:
-                # Raised after the curves are built, by the lambda check.
                 assert "no finite lambda" in str(exc), (n, m)
                 lambda_less.append((n, m))
                 continue
@@ -577,11 +581,52 @@ class TestTrialities:
         with pytest.raises(ValueError):
             C.verify_trialities(-1, 2)
 
-    def test_failing_check_reports_differences(self):
-        # Compare 2B(0,1) against the wrong partner by hand through the
-        # public entry point: a failing IdentityCheck carries both diffs.
-        checks = C.verify_trialities(0, 2)
-        assert all(c.holds for c in checks)
+    def test_failing_check_reports_differences(self, monkeypatch):
+        # The first identity with 1/(2psi) for its map 1/(4psi): no map of
+        # the orbit fits, and the check carries both curve differences.
+        name, left, right, right_at, _ = C._TRIALITIES[0]
+        wrong = ((name, left, right, right_at, (0, 1, 2, 0)),) + C._TRIALITIES[1:]
+        monkeypatch.setattr(C, "_TRIALITIES", wrong)
+        for n, m in ((0, 2), (N, M)):
+            first, *rest = C.verify_trialities(n, m)
+            assert first.name == name and not first.holds
+            assert not first.c_difference.is_zero()
+            assert not first.lambda_difference.is_zero()
+            assert all(c.holds and c.c_difference is None for c in rest)
+
+
+class TestOrbit:
+    """The six maps of (t, x) that fix F, and the trialities they certify."""
+
+    def test_all_six_maps_are_certified(self):
+        assert C._orbit() == C._S3
+        assert len(set(C._S3)) == 6
+
+    def test_a_map_that_fails_is_dropped(self, monkeypatch):
+        # (t, x) -> (t, 1 - x) does not fix F.
+        monkeypatch.setattr(C, "_S3", C._S3 + ((1, (-1, 1, 0, 1)),))
+        C._orbit.cache_clear()
+        try:
+            assert C._orbit() == C._S3[:-1]
+        finally:
+            C._orbit.cache_clear()
+
+    def test_trialities_use_the_identity_and_the_inversion(self):
+        # Four identities read one point twice; the other four move it by
+        # (t, x) -> (t/(2x - 1), x/(2x - 1)).
+        used = []
+        for _, left, right, right_at, w in C._TRIALITIES:
+            maps = C._orbit_maps(C._point(left, N, M), C._point(right, *right_at(N, M), w))
+            assert len(maps) == 1
+            used.append(maps[0])
+        assert sorted(used) == sorted([(1, (1, 0, 0, 1))] * 4 + [(1, (1, 0, 2, -1))] * 4)
+
+    def test_a_wrong_t_finds_no_map(self):
+        # The x-parts of 2B(n, m) and 2B(m + 1, n) o psi/(2psi - 1) still
+        # match, so the t-part alone refuses the pair.
+        left = C._point("2B", N, M)
+        assert not C._orbit_maps(left, C._point("2B", M + 1, N, (1, 0, 2, -1)))
+        assert C._orbit_maps(left, C._point("2B", M, N, (1, 0, 2, -1)))
 
 
 class TestKnownPoint:
