@@ -48,6 +48,7 @@ from .exact import (
     PoleError,
     RatFunc,
     _Cleared,
+    _coerce_fraction,
     _homogenized_powers,
 )
 from .liedata import AlgebraDesc, HookFamily
@@ -83,18 +84,10 @@ _N, _M, _R = (_VAR_INDEX[name] for name in ("n", "m", "r"))
 _CELL_VARS = frozenset((_N, _M, _R))
 
 
-def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an integer or Fraction, got {value!r}")
-
-
 def _int(value, what: str) -> int:
     if type(value) is int:
         return value
-    f = _frac(value)
+    f = _coerce_fraction(value)
     if f.denominator != 1:
         raise ValueError(f"{what} must be an integer, got {f}")
     return int(f)
@@ -131,13 +124,10 @@ class TargetRule:
         return AlgebraDesc.osp(1, 2 * r, "C")
 
     def m_of(self, r) -> Fraction:
-        return _rank_data(self.kind, _frac(r))[0]
+        return _rank_data(self.kind, _coerce_fraction(r))[0]
 
     def psi_of_s(self, s, r) -> Fraction:
-        return _frac(s) + _rank_data(self.kind, _frac(r))[1]
-
-    def family(self, r) -> HookFamily:
-        return HookFamily.from_tag(self.tag, 0, self.m_of(r))
+        return _coerce_fraction(s) + _rank_data(self.kind, _coerce_fraction(r))[1]
 
     def curve(self, r) -> TruncationCurve:
         return _curve_at(self.tag, Fraction(0), self.m_of(r))
@@ -210,8 +200,8 @@ class CoincidenceEntry:
         return f"{self.table}({self.item})"
 
     def excluded_at(self, n, m, r) -> Optional[str]:
-        r = _frac(r)
-        return self._fired_exclusion(r, self._cell_values(_frac(n), _frac(m), r))
+        n, m, r = (_coerce_fraction(x) for x in (n, m, r))
+        return self._fired_exclusion(r, self._cell_values(n, m, r))
 
     @cached_property
     def _cell_forms(self):
@@ -591,8 +581,8 @@ def verify_coincidence_symbolic(entry: CoincidenceEntry) -> bool:
 
 def osp_osp_charge(m, n) -> Fraction:
     """The displayed common central charge of the osp-osp coincidences."""
-    m = _frac(m)
-    n = _frac(n)
+    m = _coerce_fraction(m)
+    n = _coerce_fraction(n)
     if m + n == 0:
         raise ValueError("m + n must be positive")
     return -((1 + 2 * m) * (1 + 2 * n) * (2 * m * n - m - n)) / (2 * (m + n))
@@ -727,11 +717,11 @@ def _w(family, n, m, psi, tag, conditions, alg=None, s=None, status="certified",
         family=family,
         n=n,
         m=m,
-        psi=_frac(psi),
+        psi=_coerce_fraction(psi),
         theorem=tag,
         conditions=tuple(conditions),
         partner_algebra=None if alg is None else str(alg),
-        partner_s=None if s is None else _frac(s),
+        partner_s=None if s is None else _coerce_fraction(s),
         status=status,
         aux=tuple(sorted(aux.items())),
     )
@@ -1160,7 +1150,7 @@ def is_admissible_nondegenerate(alg, s) -> str:
     criterion is implemented, so "unknown" carries no information.
     """
     alg = parse_algebra(alg)
-    s = _frac(s)
+    s = _coerce_fraction(s)
     if alg.kind == "sp":
         r = alg.size // 2
         if r < 1:

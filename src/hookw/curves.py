@@ -466,30 +466,6 @@ def _coerce_param(value):
     return _coerce_fraction(value)
 
 
-def _substituted(rf: RatFunc, mapping: dict) -> RatFunc:
-    """rf with every variable of mapping replaced by its value, all at once.
-
-    Values are RatFuncs or exact scalars and may mention the replaced
-    variables themselves, as in an n <-> m swap.  One nested Horner pass
-    on the polynomial dicts (``_dcompose``) and one canonicalization.
-    Raises ZeroDenominatorError on a slice where the denominator then
-    vanishes identically.
-    """
-    subs = []
-    for var, value in mapping.items():
-        if not isinstance(value, RatFunc):
-            value = RatFunc.const(value)
-        elif value == RatFunc.var(var):
-            continue
-        subs.append((_VAR_INDEX[var], value.num._d, value.den._d))
-    if not subs:
-        return rf
-    num, den = _dcompose(rf.num._d, rf.den._d, subs)
-    if not den:
-        raise ZeroDenominatorError("substitution makes the denominator vanish identically")
-    return RatFunc._from_dicts(num, den)
-
-
 def _curve(c: RatFunc, lam: Optional[RatFunc], source: str) -> TruncationCurve:
     names = c.variables() | (set() if lam is None else lam.variables())
     return TruncationCurve(c=c, lam=lam, source=source, symbols=tuple(sorted(names - {"psi"})))
@@ -648,6 +624,7 @@ def _orbit_maps(left, right, at=None):
     return tuple(found)
 
 
+@cache
 def _lambda_less(tag: str, n, m) -> bool:
     """Whether F's lambda denominator vanishes on tag(n, m)'s line t = n' + m'(2psi - 1)."""
     (spec,) = _in_psi((_t_slices()[1][1],), _t_coeffs(*_inner_params(tag, n, m)))
@@ -688,7 +665,7 @@ def verify_trialities(n, m) -> Tuple[IdentityCheck, ...]:
             psi = RatFunc.var("psi")
             at_w = {"psi": (w[0] * psi + w[1]) / (w[2] * psi + w[3])}
             lhs, rhs = phi_family(*left), phi_family(*right)
-            diffs = [x - _substituted(y, at_w) for x, y in ((lhs.c, rhs.c), (lhs.lam, rhs.lam))]
+            diffs = [x - y.specialize(at_w) for x, y in ((lhs.c, rhs.c), (lhs.lam, rhs.lam))]
         checks.append(IdentityCheck(name, diffs[0] is None, *diffs))
     return tuple(checks)
 
@@ -797,8 +774,8 @@ def known_point_2B_sp(n, m, r) -> CurvePoint:
     r = _coerce_param(r)
     c_raw, lam_raw = _printed_point()
     mapping = {"n": n, "m": m, "r": r}
-    c_pt = _substituted(c_raw, mapping)
-    lam_pt = _substituted(lam_raw, mapping)
+    c_pt = c_raw.specialize(mapping)
+    lam_pt = lam_raw.specialize(mapping)
     curve = phi_2B(n, m)
     if curve.lam is None:
         raise ZeroDenominatorError("the 2B curve has no finite lambda at these n, m")

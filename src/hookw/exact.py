@@ -64,23 +64,16 @@ divide Res(g, g'), so this is the smallest prime dividing neither lc(g)
 nor that resultant, found without forming it.  No integer is factored
 and no step is probabilistic.
 
-Evaluation runs over the integers.  Each polynomial builds its integer form
-once, on first use: a common denominator, the occurring variables with
-their degrees, integer coefficients and one exponent column per variable.
-A value p/q of a variable of degree d enters term x^e as p^e * q^(d - e),
-so an evaluation multiplies integers only and builds one Fraction at the
-end.  A quotient's numerator and denominator share one such table per
-variable, to the larger of the two degrees, so their sums carry the same
-scale; a variable on one side only multiplies the other side's sum by
-q^d.
-
 Substitution runs on the polynomial dicts (``_dsubst``, ``_dcompose``):
 several variables at once by nested Horner, sliced by the first
 variable, the rest substituted into each slice, and the slices combined
 by Horner, so no value is captured by a later substitution.  A value is
-a rational function or a scalar, whose Horner steps are integer
-scalings; ``RatFunc.substitute`` is the one-variable case and
-``RatFunc.specialize`` the all-scalar one.  A curve at rational parameters is
+a rational function or a scalar p/q; once only scalars remain, they go
+in by one pass over the terms, term x^e times p^e * q^(d - e) for d the
+degree, so the pass multiplies integers only.  ``RatFunc.specialize`` is
+the one entry: ``RatFunc.substitute`` is its one-variable case, and
+``RatFunc.eval`` and ``MultiPoly.eval`` are its composition at a full
+scalar assignment, read as one Fraction.  A curve at rational parameters is
 instead read off as integer lists in psi (``hookw.curves``), reduced
 with ``_int_list_gcd``, composed with a degree-one map
 x -> (a x + b)/(c x + d) by ``_int_list_moebius`` without a gcd, and
@@ -95,14 +88,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
 from math import gcd, isqrt, lcm
-from operator import mul, sub
+from operator import add, itemgetter, mul, sub
 
 VARIABLES = ("psi", "psi1", "psi2", "n", "m", "r", "s")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _NVARS = len(VARIABLES)
 _ZERO_KEY = (0,) * _NVARS
+_VAR_KEYS = tuple(tuple(int(j == i) for j in range(_NVARS)) for i in range(_NVARS))
 _UNIT = {_ZERO_KEY: 1}
 
 __all__ = [
@@ -289,12 +283,7 @@ def _dleading(a):
 
 
 def _dvars(a):
-    present = [False] * _NVARS
-    for k in a:
-        for i in range(_NVARS):
-            if k[i]:
-                present[i] = True
-    return frozenset(i for i in range(_NVARS) if present[i])
+    return frozenset(i for i, column in enumerate(zip(*a)) if any(column))
 
 
 def _ddeg_var(a, idx):
@@ -322,25 +311,31 @@ def _dsubst(a, subs):
     by Horner from the top degree, which keeps the factor count low.  A
     value may mention any variable, one substituted later included: it
     enters only after its variable is gone from what it multiplies, so
-    nothing is captured.  A scalar p/q makes the Horner steps scalings,
-    and as the last value goes in by one pass, term e times p**e q**(d-e).
+    nothing is captured.  Once every remaining value is a scalar p/q they
+    go in by one pass over the terms, with one table of p**e q**(d-e) per
+    variable; a scalar before a polynomial value makes its Horner steps
+    integer scalings.
     """
     if not subs:
         return dict(a), []
+    scalars = [(_dconst(num), _dconst(den)) for _, num, den in subs]
+    if all(p is not None and q is not None for p, q in scalars):
+        degrees = [max(map(itemgetter(idx), a), default=0) for idx, _, _ in subs]
+        coeffs = a.values()
+        picks = list(range(_NVARS))
+        for (idx, _, _), (p, q), d in zip(subs, scalars, degrees):
+            if d:
+                powers = [p**e * q ** (d - e) for e in range(d + 1)]
+                coeffs = map(mul, coeffs, map(powers.__getitem__, map(itemgetter(idx), a)))
+            picks[idx] = _NVARS
+        # Each key is read from k + (0,), a substituted exponent from the 0.
+        strip = itemgetter(*picks)
+        out = {}
+        for kk, c in zip(map(strip, map(add, a, repeat((0,)))), coeffs):
+            out[kk] = out.get(kk, 0) + c
+        return {k: c for k, c in out.items() if c}, degrees
     (idx, num, den), rest = subs[0], subs[1:]
     d = max(_ddeg_var(a, idx), 0)
-    p, q = _dconst(num), _dconst(den)
-    if not rest and p is not None and q is not None:
-        powers = [p**e * q ** (d - e) for e in range(d + 1)]
-        out = {}
-        for k, c in a.items():
-            kk = k[:idx] + (0,) + k[idx + 1 :]
-            v = out.get(kk, 0) + c * powers[k[idx]]
-            if v:
-                out[kk] = v
-            else:
-                out.pop(kk, None)
-        return out, [d]
     slices = {}
     for k, c in a.items():
         e = k[idx]
@@ -386,6 +381,27 @@ def _dcompose(num, den, subs):
     return nn, dd
 
 
+def _substitutions(assignment):
+    """The (idx, num, den) rows of ``_dsubst`` for a map of names to values.
+
+    Values are exact scalars, MultiPolys or RatFuncs; an entry that maps
+    a variable to itself is dropped.
+    """
+    subs = []
+    for name, value in assignment.items():
+        i = _check_var(name)
+        if isinstance(value, RatFunc):
+            num, den = value.num._d, value.den._d
+        elif isinstance(value, MultiPoly):
+            num, den = value._d, {_ZERO_KEY: value._den}
+        else:
+            c = _coerce_fraction(value)
+            num, den = {_ZERO_KEY: c.numerator} if c else {}, {_ZERO_KEY: c.denominator}
+        if den != _UNIT or num != {_VAR_KEYS[i]: 1}:
+            subs.append((i, num, den))
+    return subs
+
+
 def _homogenized_powers(value, d):
     """[p**e * q**(d - e) for e in 0..d], where value == p/q in lowest terms.
 
@@ -402,41 +418,6 @@ def _homogenized_powers(value, d):
             qe *= q
             table[e] *= qe
     return table
-
-
-def _shared_tables(forms, vals):
-    """One table of homogenized powers per variable of vals the forms involve.
-
-    ``forms`` are ``MultiPoly._int_form()``s; each table reaches the highest
-    degree the variable has in any of them, so all forms summed against
-    the tables (``_int_form_value``) carry the same power of its denominator.
-    """
-    degree = {}
-    for form in forms:
-        for i, d in zip(form[1], form[2]):
-            if degree.get(i, -1) < d:
-                degree[i] = d
-    return {i: _homogenized_powers(vals[i], d) for i, d in degree.items() if i in vals}
-
-
-def _int_form_value(form, tables):
-    """The terms of an integer form summed against tables of homogenized powers.
-
-    ``tables`` maps every variable of the form, and possibly others, to
-    ``_homogenized_powers(p/q, D)`` with D at least the form's degree in
-    it.  A variable the form lacks multiplies the sum by its table[0],
-    q**D, so forms summed against the same tables share one scale: the
-    sum is den * prod(q**D) times the form's value.
-    """
-    _, idxs, _, coeffs, cols = form
-    terms = coeffs
-    for i, col in zip(idxs, cols):
-        terms = map(mul, terms, map(tables[i].__getitem__, col))
-    total = sum(terms)
-    for i, table in tables.items():
-        if i not in idxs:
-            total *= table[0]
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -1084,12 +1065,14 @@ class MultiPoly:
     denominator ``_den``, the lcm of the coefficient denominators, so
     gcd(den, content) == 1 and the stored form is unique: equality is
     structural and equal values hash alike, a constant as its Fraction.
-    Immutable.  Supports ring arithmetic, substitution, evaluation, and
-    the canonical text form; ``terms()``, ``leading_coefficient()``,
-    ``const_value()`` and ``eval`` return Fractions.
+    Immutable.  Supports ring arithmetic, substitution and the canonical
+    text form; ``eval`` is the polynomial as a quotient by its
+    denominator, evaluated by ``RatFunc.eval``.  ``terms()``,
+    ``leading_coefficient()``, ``const_value()`` and ``eval`` return
+    Fractions.
     """
 
-    __slots__ = ("_d", "_den", "_hash", "_int")
+    __slots__ = ("_d", "_den", "_hash")
 
     def __init__(self, terms=None):
         d = {}
@@ -1132,7 +1115,6 @@ class MultiPoly:
         object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_int", None)
 
     def __setattr__(self, *args):
         raise AttributeError("MultiPoly is immutable")
@@ -1156,9 +1138,7 @@ class MultiPoly:
 
     @classmethod
     def var(cls, name):
-        i = _check_var(name)
-        key = tuple(1 if j == i else 0 for j in range(_NVARS))
-        return cls._raw({key: 1})
+        return cls._raw({_VAR_KEYS[_check_var(name)]: 1})
 
     # -- inspection --------------------------------------------------------
 
@@ -1292,41 +1272,9 @@ class MultiPoly:
         res, (d,) = _dsubst(self._d, [(i, value._d, {_ZERO_KEY: v})])
         return MultiPoly._reduced(res, self._den * v**d)
 
-    def _int_form(self):
-        """(den, idxs, degrees, coeffs, cols), built once: the integer form.
-
-        ``idxs`` are the occurring variable indices in universe order and
-        ``degrees`` their maximum exponents.  ``cols`` holds one column
-        per variable of idxs: term j is ``coeffs[j]`` times the product of
-        each variable to the power ``col[j]``.  self is the sum of the terms
-        over den, its positive denominator.
-        """
-        form = self._int
-        if form is None:
-            d = self._d
-            idxs = tuple(sorted(_dvars(d)))
-            cols = tuple(tuple(k[i] for k in d) for i in idxs)
-            degrees = tuple(max(col) for col in cols)
-            form = (self._den, idxs, degrees, tuple(d.values()), cols)
-            object.__setattr__(self, "_int", form)
-        return form
-
     def eval(self, assignment):
-        """Exact value at a full assignment of the occurring variables."""
-        vals = {}
-        for name, v in assignment.items():
-            vals[_check_var(name)] = _coerce_fraction(v)
-        form = self._int_form()
-        missing = [VARIABLES[i] for i in form[1] if i not in vals]
-        if missing:
-            raise MissingVariableError(
-                "no value for variable(s): %s" % ", ".join(missing)
-            )
-        tables = _shared_tables((form,), vals)
-        bottom = form[0]
-        for i, table in tables.items():
-            bottom *= vals[i].denominator ** (len(table) - 1)
-        return Fraction(_int_form_value(form, tables), bottom)
+        """Exact value at a full assignment of the occurring variables (``RatFunc.eval``)."""
+        return RatFunc._from_poly(self).eval(assignment)
 
     # -- text ----------------------------------------------------------------
 
@@ -1560,30 +1508,23 @@ class RatFunc:
     # -- substitution and evaluation ------------------------------------------
 
     def substitute(self, var, value):
-        """Exact composition: replace a variable by a rational function."""
-        i = _check_var(var)
-        if isinstance(value, (int, Fraction)):
-            value = RatFunc.const(value)
-        elif isinstance(value, MultiPoly):
-            value = RatFunc._from_poly(value)
-        if not isinstance(value, RatFunc):
-            raise ExactError("substitute needs a RatFunc, MultiPoly, or scalar")
-        nn, dd = _dcompose(self.num._d, self.den._d, [(i, value.num._d, value.den._d)])
-        if not dd:
-            raise ZeroDenominatorError(
-                "composition makes the denominator vanish identically"
-            )
-        return RatFunc._from_dicts(nn, dd)
+        """Exact composition: replace a variable by a rational function (``specialize``)."""
+        return self.specialize({var: value})
 
     def specialize(self, assignment):
-        """Substitute exact scalars for several variables in one pass.
+        """Substitute several variables at once, each by its value.
 
-        One cleared composition (``_dcompose``) and one canonicalization.
-        Raises ZeroDenominatorError when the specialized denominator
-        vanishes identically.
+        Values are exact scalars, MultiPolys or RatFuncs and may mention
+        the replaced variables themselves, as in an n <-> m swap; an entry
+        that maps a variable to itself is skipped.  One cleared
+        composition (``_dcompose``) and one canonicalization.  Raises
+        ZeroDenominatorError when the specialized denominator vanishes
+        identically.
         """
-        subs = [(_check_var(name), RatFunc.const(v)) for name, v in assignment.items()]
-        num, den = _dcompose(self.num._d, self.den._d, [(i, x.num._d, x.den._d) for i, x in subs])
+        subs = _substitutions(assignment)
+        if not subs:
+            return self
+        num, den = _dcompose(self.num._d, self.den._d, subs)
         if not den:
             raise ZeroDenominatorError(
                 "specialization makes the denominator vanish identically"
@@ -1591,28 +1532,26 @@ class RatFunc:
         return RatFunc._from_dicts(num, den)
 
     def eval(self, assignment):
-        """Exact value; pole and missing-variable failures are distinct.
+        """Exact value at a full scalar assignment of the occurring variables.
 
-        Names outside the universe raise UnknownVariableError, as in
-        ``MultiPoly.eval``.  Numerator and denominator are summed over the
-        integers against one table of homogenized powers per variable,
-        so the two sums share their scale and their quotient is the value.
+        A name outside the universe raises UnknownVariableError, a value
+        that is not an int or a Fraction ExactError, a variable left
+        without a value MissingVariableError and a vanishing denominator
+        PoleError, in that order.  The value is ``specialize``'s
+        composition at the scalars, read as a constant quotient.
         """
         vals = {}
         for name, v in assignment.items():
-            vals[_check_var(name)] = _coerce_fraction(v)
-        num_form = self.num._int_form()
-        den_form = self.den._int_form()
-        missing = sorted({i for i in num_form[1] + den_form[1] if i not in vals})
+            _check_var(name)
+            vals[name] = _coerce_fraction(v)
+        names = self.variables()
+        missing = [name for name in VARIABLES if name in names and name not in vals]
         if missing:
-            raise MissingVariableError(
-                "no value for variable(s): %s" % ", ".join(VARIABLES[i] for i in missing)
-            )
-        tables = _shared_tables((num_form, den_form), vals)
-        bottom = _int_form_value(den_form, tables)
-        if not bottom:
+            raise MissingVariableError("no value for variable(s): %s" % ", ".join(missing))
+        num, den = _dcompose(self.num._d, self.den._d, _substitutions(vals))
+        if not den:
             raise PoleError("denominator vanishes at the given point")
-        return Fraction(_int_form_value(num_form, tables) * den_form[0], bottom * num_form[0])
+        return Fraction(_dconst(num), _dconst(den))
 
     # -- text ------------------------------------------------------------------
 

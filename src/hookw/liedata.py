@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import RatFunc
+from .exact import RatFunc, _coerce_fraction
 
 FAMILY_TAGS = ("1B", "1C", "1D", "1O", "2B", "2C", "2D", "2O")
 
@@ -163,8 +163,8 @@ class HookFamily:
         tag = f"{i}{x}"
         if tag not in _FAMILY:
             raise ValueError(f"unknown family {tag!r}")
-        n = Fraction(n)
-        m = Fraction(m)
+        n = _coerce_fraction(n)
+        m = _coerce_fraction(m)
         if n < 0 or m < 0:
             raise ValueError("parameters must be non-negative")
         if n.denominator != 1 or m.denominator != 1:

@@ -254,7 +254,7 @@ class TestCellKernel:
 
     def test_cell_path_calls_no_generic_evaluator(self):
         # Once an entry's rows and the curves are built, a cell is integer
-        # sums and Horner loops: no table of forms and no RatFunc.eval.
+        # sums and Horner loops: no substitution and no RatFunc.eval.
         cells = [
             (e, n, m, r)
             for e in K.all_entries()
@@ -265,7 +265,7 @@ class TestCellKernel:
         warm = [K.verify_coincidence(*cell) for cell in cells]
         watched = {
             f.__code__
-            for f in (E._shared_tables, E._int_form_value, RatFunc.eval, MultiPoly.eval)
+            for f in (E._dsubst, RatFunc.eval, MultiPoly.eval)
         }
         seen = set()
 

@@ -2,10 +2,11 @@
 
 The import runs in a fresh interpreter, with a profile hook counting the
 calls of ``exact._int_poly_gcd``; afterwards the memos of the coincidence
-table, of the master curve and of the orbit certificate must still be
-empty, and the process pool of ``HOOKW_WORKERS`` sweeps must not be
-loaded.  A positive control in the same interpreter then builds the table
-and certifies one entry, and sees the counters move.
+table, of the master curve, of the orbit certificate and of the test for
+a curve without finite lambda must still be empty, and the process pool
+of ``HOOKW_WORKERS`` sweeps must not be loaded.  A positive control in
+the same interpreter then builds the table and certifies one entry, and
+sees the counters move.
 """
 
 import json
@@ -31,7 +32,8 @@ def profile(frame, event, arg):
 
 def snapshot():
     from hookw import catalog, curves
-    memos = (catalog.all_entries, curves._master_2B, curves._t_slices, curves._orbit)
+    memos = (catalog.all_entries, curves._master_2B, curves._t_slices, curves._orbit,
+             curves._lambda_less)
     return {"gcd_calls": gcd_calls,
             "misses": {f.__name__: f.cache_info().misses for f in memos}}
 
@@ -65,7 +67,9 @@ def test_import_fills_no_memo_and_runs_no_gcd():
     assert Path(report["file"]).resolve().is_relative_to(SRC)
     assert report["cold"] == {
         "gcd_calls": 0,
-        "misses": {"all_entries": 0, "_master_2B": 0, "_t_slices": 0, "_orbit": 0},
+        "misses": {
+            "all_entries": 0, "_master_2B": 0, "_t_slices": 0, "_orbit": 0, "_lambda_less": 0
+        },
     }
     assert report["pool_modules"] == []
     # The probe sees the work once the table is asked for.

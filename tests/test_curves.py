@@ -4,6 +4,7 @@ from math import lcm
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from hookw import catalog as K
 from hookw import curves as C
 from hookw import exact as E
 from hookw import liedata as L
@@ -201,7 +202,7 @@ class TestTwoCoordinates:
         c, lam = C._master_2B()
         t = N + M * (2 * PSI - 1)
         for rf in (c, lam):
-            assert C._substituted(rf, {"n": t, "m": 0}) == rf
+            assert rf.specialize({"n": t, "m": 0}) == rf
         for n, m in ((F(1, 2), F(3)), (F(-2, 3), F(5, 2))):
             crv = C.phi_2B(n, m)
             for psi in (F(1, 3), F(-5, 7)):
@@ -319,6 +320,7 @@ class TestNumericBuilds:
         for name in ("_curve", "_numeric_2B", "_symbolic_2B", "_excluded_psi", "rational_roots"):
             monkeypatch.setattr(C, name, forbidden)
         monkeypatch.setattr(RatFunc, "substitute", forbidden)
+        monkeypatch.setattr(RatFunc, "specialize", forbidden)
         pairs = [(n, m) for n in _GRID for m in _GRID if m >= n >= 0 and n + m >= 1]
         lambda_less = []
         for n, m in pairs:
@@ -766,6 +768,14 @@ class TestExactParameters:
             pytest.param(lambda: C.on_generic_domain("2B", 0, 1, 0.3), id="domain-psi"),
             pytest.param(lambda: C.verify_trialities(1.0, 2), id="trialities-n"),
             pytest.param(lambda: C.verify_trialities(N, 2.0), id="trialities-symbolic-n"),
+            pytest.param(
+                lambda: K.verify_coincidence(K.all_entries()[0], 1.0, 2, 1), id="coincidence-n"
+            ),
+            pytest.param(lambda: K.all_entries()[0].excluded_at(1, 2.0, 1), id="excluded_at-m"),
+            pytest.param(lambda: K.TARGETS["sp"].m_of(1.0), id="m_of-r"),
+            pytest.param(lambda: K.osp_osp_charge(1, 0.5), id="osp_osp_charge-n"),
+            pytest.param(lambda: K.is_admissible_nondegenerate("sp(4)", 0.5), id="admissible-s"),
+            pytest.param(lambda: L.HookFamily.from_tag("2B", 1.0, 2), id="hook_family-n"),
         ],
     )
     def test_float_is_rejected(self, call):

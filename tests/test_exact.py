@@ -117,6 +117,16 @@ class TestSubstitute:
         assert f.specialize({"n": 1, "r": Fraction(1, 2)}) == Fraction(1, 3)
         assert f.specialize({"n": 2}) == RatFunc(MultiPoly.var("r"), MultiPoly.var("r") + 2)
 
+    def test_specialize_takes_every_exact_value(self):
+        # A MultiPoly, a RatFunc and a scalar at once; an entry that maps a
+        # variable to itself substitutes nothing.
+        f = RatFunc(PSI + N, PSI - M)
+        got = f.specialize({"psi": 2 * N, "n": RatFunc.var("n"), "m": Fraction(1, 2)})
+        assert got == RatFunc(3 * N, 2 * N - Fraction(1, 2))
+        assert f.specialize({"n": N, "m": RatFunc.var("m")}) is f
+        with pytest.raises(E.ExactError):
+            f.specialize({"psi": 0.5})
+
 
 class TestEval:
     def test_simple(self):
