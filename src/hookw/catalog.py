@@ -919,14 +919,14 @@ def check_witness(w: RationalityWitness) -> bool:
     """Re-derive a witness from its certificate tag and auxiliary data.
 
     True when the witness is reproduced exactly (same psi, partner, and
-    conditions) by a fresh sweep that covers its auxiliary integers.
+    conditions) by a fresh sweep that covers its auxiliary integers: the
+    rank r sizes r_bound, and p, q size pq_bound.
     """
     aux = dict(w.aux)
-    bound = max([4] + [v for v in aux.values()])
     fresh = rational_points(
         HookFamily.from_tag(w.family, w.n, w.m),
-        r_bound=bound,
-        pq_bound=bound,
+        r_bound=max(4, aux.get("r", 0)),
+        pq_bound=max(4, aux.get("p", 0), aux.get("q", 0)),
         include_conjectural=(w.status == "conjectural"),
     )
     return w in fresh

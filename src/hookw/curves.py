@@ -23,16 +23,18 @@ every curve is built from F.
 
 Data that depends only on (family, n, m) is built once and reused for
 every psi; every such memo is a ``functools.cache`` on the function that
-builds it.  A numeric curve runs F by Horner in t into integer lists in
-psi, reduced by one gcd and composed with the degree-one psi map
-without another; ``TruncationCurve._sums`` sums its four integer lists
-at psi = p/q by one homogeneous Horner loop over ints, and ``values``
-divides them.  A symbolic curve composes F with n -> t, then with the
-psi map, and is canonicalized once.
+builds it.  A numeric curve and the generic-domain check read F's
+polynomials in the family's own psi through one helper
+(``_in_family_psi``): by Horner in t into integer lists in psi, then
+through the route's degree-one psi map, every list cleared alike.  A
+numeric curve is reduced by one gcd; ``TruncationCurve._sums`` sums its
+four integer lists at psi = p/q by one homogeneous Horner loop over
+ints, and ``values`` divides them.  A symbolic curve composes F with
+n -> t, then with the psi map, and is canonicalized once.
 The generic-domain check looks psi up, as its (numerator, denominator)
 pair, in the set of excluded values: the rational roots of the
-denominator factors, run at t, mapped back through the inverse of the
-route's map, so the two cannot disagree.
+denominator factors in that psi, and the pole of the map, so the curve
+and the check cannot disagree.
 
 Every curve identity is certified by the S3 orbit of F, the six maps of
 (t, x) that fix F, each proved once (``_orbit``): each side is read from
@@ -375,6 +377,18 @@ def _in_psi(polys, t):
     return out
 
 
+def _in_family_psi(polys, t, w):
+    """Polynomials sliced by t, run at t and then through w, as integer lists in psi.
+
+    ``_in_psi`` along the line t = (alpha + beta psi)/L, then
+    ``_int_list_moebius`` through the route's map w = (a, b, c, d),
+    psi -> (a psi + b)/(c psi + d), or None for the identity.  Every list
+    is cleared alike, so the quotient of any two is their composite.
+    """
+    lists = _in_psi(polys, t)
+    return lists if w is None else _int_list_moebius(lists, w)
+
+
 # The route of each family to the master curve: tag(n, m) is
 # 2B(n + dn, m + dm [+ n]) composed with psi -> (a psi + b)/(c psi + d).
 # A row is (dn, dm, whether m gains +n, (a, b, c, d) or None for the
@@ -410,24 +424,20 @@ def _excluded_psi(tag: str, n, m):
     A frozenset of (numerator, denominator) int pairs in lowest terms, so
     a lookup hashes a tuple of ints rather than a Fraction; or None when a
     factor vanishes for every psi.  Built once per (tag, n, m) from the
-    family's row of ``_ROUTES``: each master factor is run at the inner t
-    into an integer list in psi (``_in_psi``), and each rational root r in
-    the inner psi is mapped back through the inverse of the route's map,
-    psi = (d r - b)/(a - c r).  A root with a = c r has no finite preimage;
-    the pole psi = -d/c of the map itself (psi = 0 on the inverting routes)
-    is excluded.  A polynomial with rational coefficients vanishes at a
-    rational point exactly when that point is one of its rational roots.
+    family's row of ``_ROUTES``: the master factors are read in the
+    family's psi (``_in_family_psi``), and their rational roots are
+    excluded, with the pole psi = -d/c of the route's map (psi = 0 on the
+    inverting routes).  A polynomial with rational coefficients vanishes
+    at a rational point exactly when that point is one of its rational
+    roots.
     """
     t = _t_coeffs(*_inner_params(tag, n, m))
-    a, b, c, d = _ROUTES[tag][3] or (1, 0, 0, 1)
-    excluded = {Fraction(-d, c)} if c else set()
-    for factor in _t_slices()[2]:
-        (spec,) = _in_psi((factor,), t)
+    w = _ROUTES[tag][3]
+    excluded = {Fraction(-w[3], w[2])} if w and w[2] else set()
+    for spec in _in_family_psi(_t_slices()[2], t, w):
         if not spec:
             return None
-        for root in rational_roots(UniPoly._view("psi", spec)):
-            if a != c * root:
-                excluded.add((d * root - b) / (a - c * root))
+        excluded.update(rational_roots(UniPoly._view("psi", spec)))
     return frozenset((x.numerator, x.denominator) for x in excluded)
 
 
@@ -474,19 +484,15 @@ def _curve(c: RatFunc, lam: Optional[RatFunc], source: str) -> TruncationCurve:
 def _numeric_2B(n: Fraction, m: Fraction, w, source: str) -> TruncationCurve:
     """The 2B curve at rational (n, m), composed with w, on integer lists.
 
-    F is run at t = n + m(2psi - 1) into integer lists in psi (``_in_psi``),
-    reduced by their gcd and composed with w = (a, b, c, d), psi ->
-    (a psi + b)/(c psi + d) or None, with no second gcd (``_int_list_quotient``).
+    F is run at t = n + m(2psi - 1) and through w = (a, b, c, d), psi ->
+    (a psi + b)/(c psi + d) or None, into integer lists in psi
+    (``_in_family_psi``), and reduced by one gcd (``_int_list_quotient``).
     """
     t = _t_coeffs(n, m)
     out = []
     for pair in _t_slices()[:2]:
-        num, den = _in_psi(pair, t)
-        if den:
-            num, den = _int_list_quotient(num, den)
-            if w is not None:
-                num, den = _int_list_quotient(*_int_list_moebius(num, den, w), coprime=True)
-        out.append(RatFunc._from_int_lists(num, den, _PSI) if den else None)
+        num, den = _in_family_psi(pair, t, w)
+        out.append(RatFunc._from_int_lists(*_int_list_quotient(num, den), _PSI) if den else None)
     return _curve(*out, source)
 
 

@@ -74,10 +74,9 @@ degree, so the pass multiplies integers only.  ``RatFunc.specialize`` is
 the one entry: ``RatFunc.substitute`` is its one-variable case, and
 ``RatFunc.eval`` and ``MultiPoly.eval`` are its composition at a full
 scalar assignment, read as one Fraction.  A curve at rational parameters is
-instead read off as integer lists in psi (``hookw.curves``), reduced
-with ``_int_list_gcd``, composed with a degree-one map
-x -> (a x + b)/(c x + d) by ``_int_list_moebius`` without a gcd, and
-normalized by ``_int_list_quotient``.
+instead read off as integer lists in psi (``hookw.curves``), composed
+with a degree-one map x -> (a x + b)/(c x + d) by ``_int_list_moebius``,
+and put in canonical form, with one gcd, by ``_int_list_quotient``.
 
 The parser builds an expression as one uncanonicalized quotient of
 polynomial dicts (``_Cleared``) and canonicalizes it once, at the end;
@@ -560,53 +559,45 @@ def _squarefree_mod(g, q):
     return len(b) == 1
 
 
-def _int_list_quotient(num, den, coprime=False):
+def _int_list_quotient(num, den):
     """The canonical form of the quotient num/den of integer lists.
 
     ``_ratfunc_canonical`` on the kernel: no common factor, coprime integer
-    contents, positive leading denominator coefficient.  ``coprime=True``
-    vouches that the lists share no nonconstant factor and skips the gcd.
-    The pair ``_int_list_moebius`` makes from a canonical N/D and a map
-    x -> (a x + b)/(c x + d) with ad - bc != 0 is such a pair.  Proof: let
-    k = max(deg N, deg D) and homogenize, N~(X, Y) = Y^k N(X/Y), likewise
-    D~; the pair is (N~(L), D~(L)) at Y = 1, where L = (aX + bY, cX + dY).
-    N~ and D~ are coprime: a common factor would dehomogenize to a common
-    factor of N and D, or be Y, which cannot divide the one of degree k.
-    L is an invertible linear change of (X, Y), a ring automorphism, so
-    N~(L) and D~(L) stay coprime, and a common factor of their
-    dehomogenizations would homogenize to a common factor of theirs.
+    contents, positive leading denominator coefficient.
     """
     if not den:
         raise ZeroDenominatorError("zero denominator")
     if not num:
         return [], [1]
-    if not coprime:
-        g = _int_list_gcd(num, den)
-        if len(g) > 1:
-            num = _dense_divexact(num, g, _INTS)
-            den = _dense_divexact(den, g, _INTS)
+    g = _int_list_gcd(num, den)
+    if len(g) > 1:
+        num = _dense_divexact(num, g, _INTS)
+        den = _dense_divexact(den, g, _INTS)
     c = gcd(_int_content(num), _int_content(den))
     if den[-1] < 0:
         c = -c
     return [v // c for v in num], [v // c for v in den]
 
 
-def _int_list_moebius(num, den, w):
-    """Cleared composition of num/den with x -> (a x + b)/(c x + d), w = (a, b, c, d).
+def _int_list_moebius(lists, w):
+    """Cleared composition of integer lists with x -> (a x + b)/(c x + d), w = (a, b, c, d).
 
-    Both lists are homogenized to k, the larger degree: each becomes
+    All lists are homogenized to k, the largest degree: each becomes
     sum(cs[i] * (a x + b)**i * (c x + d)**(k - i)), by Horner in the
-    ratio of the two linear forms.  The pair's quotient is the composite.
+    ratio of the two linear forms, so the quotient of any two is their
+    composite.  An empty list stays empty, and so does all-empty input.
     """
     a, b, c, d = w
-    k = max(len(num), len(den)) - 1
+    k = max(map(len, lists)) - 1
+    if k < 0:
+        return lists
 
     def times(p, lo, hi):
         # p * (hi x + lo)
         return [lo * x + hi * y for x, y in zip(p + [0], [0] + p)]
 
     out = []
-    for cs in (num, den):
+    for cs in lists:
         acc = [cs[k]] if k < len(cs) else [0]
         power = [1]
         for i in range(k - 1, -1, -1):
@@ -943,10 +934,11 @@ def _int_poly_gcd(a, b):
     irreducible, so the gcd is p times the gcd of the two integer contents
     if p divides the other (one exact division), and that content gcd
     alone if not.  Otherwise the lowest shared variable is the main one
-    and ``_dense_gcd`` runs the primitive remainder sequence over the ring
-    ``_ring_for`` picks: integer lists when the coefficients involve one
-    other variable, integer dicts when they involve more, whose content
-    gcds recurse here.
+    and ``_dense_gcd`` runs the subresultant remainder sequence (the
+    primitive one is ``_int_list_gcd``'s) over the ring ``_ring_for``
+    picks: integer lists when the coefficients involve one other
+    variable, integer dicts when they involve more, whose content gcds
+    recurse here.
     """
     if not a:
         return _sign_normalize_int(dict(b))

@@ -10,8 +10,11 @@ the component group of a contributes one.
 The module records, per family: the algebras g, a, b; the level maps
 k <-> psi, ell(k), t(psi); dual Coxeter numbers and superdimensions; the
 coset central charge both as a closed form and as an assembled sum of
-building blocks; the degenerate-case identifications at small n, m; and
-the strong-generator weight profiles.
+building blocks; the case analysis of each member (``describe``); and
+the strong-generator weight profiles.  ``describe`` derives W from that
+data, as W^k(g, f_b) with k = psi - h^vee(g), or W^k(g) at n = 0.  It
+tabulates only the n = m = 0 and m = 0 members, the orbifold at n = 0,
+and the two members at n = 1 whose V^t(so(2)) is H(1).
 
 All arithmetic is exact.  Formulas are written generically so that n and
 m may be Fractions or symbolic RatFunc values; results carrying psi are
@@ -475,171 +478,83 @@ def _lvl(expr: RatFunc) -> str:
     return expr.to_text().replace(" ", "")
 
 
-def _psi_shift(c) -> str:
-    # Text for psi + c.
-    return _lvl(RatFunc.var("psi") + Fraction(c))
+def _algebra_text(g: AlgebraDesc) -> str:
+    # osp(M|0) is so(M) and osp(0|2N) is sp(2N).
+    if g.kind == "osp" and not g.even:
+        return str(AlgebraDesc.so(g.odd))
+    if g.kind == "osp" and not g.odd:
+        return str(AlgebraDesc.sp(g.even))
+    return str(g)
+
+
+# The n = m = 0 members other than C, as (kind, text); each is its own coset.
+_BOTTOM = {
+    "1B": ("heisenberg", "H(1)"),
+    "1O": ("heisenberg", "H(1)"),
+    "2B": ("free_fermion", "F(1)"),
+    "2O": ("free_fermion", "F(1)"),
+}
+
+# The m = 0 members, n >= 1, are V^{scale k}(g) (x) free fields: a row is
+# (scale, free fields, orbifold).
+_AFFINE_ROWS = {
+    "1B": (1, "", True),
+    "1C": (1, "", False),
+    "1D": (1, "", True),
+    "1O": (1, "", False),
+    "2B": (-2, " (x) F({d_a})", True),
+    "2C": (1, " (x) S({n})", False),
+    "2D": (-2, " (x) F({d_a})", True),
+    "2O": (1, " (x) S({n}) (x) F(1)", True),
+}
 
 
 def describe(fam: HookFamily) -> CaseDescription:
-    """Case analysis of W^psi_iX(n, m) and its coset at the given n, m."""
+    """Case analysis of W^psi_iX(n, m) and its coset at the given n, m.
+
+    f_b is written f_min when b is sp(2).  A coset is the commutant of
+    V^t(a), orbifolded unless X is C.
+    """
     n, m = _ints(fam)
     tag = fam.tag
-    psi = RatFunc.var("psi")
-    t_text = _lvl(affine_level_expr(tag, n))
-    a_text = str(affine_subalgebra(fam))
-
-    def com(inner: str, orbifold: bool, affine: str = "") -> tuple:
-        base = affine if affine else f"V^{{{t_text}}}({a_text})"
-        text = f"Com({base}, {inner})"
-        if orbifold:
-            text += "^Z2"
-        return "commutant", text, orbifold
+    k = RatFunc.var("psi") - h_dual_g(tag, n, m)
+    g = _algebra_text(ambient_algebra(fam))
 
     def done(w_kind, w_text, coset_kind, coset_text, orbifold, notes=()):
+        if orbifold:
+            coset_text += "^Z2"
         return CaseDescription(
             tag=tag, n=n, m=m, w_kind=w_kind, w_text=w_text,
             coset_kind=coset_kind, coset_text=coset_text,
-            orbifold=orbifold, notes=tuple(notes),
+            orbifold=orbifold, notes=notes,
         )
 
-    if tag == "1B":
-        if n == 0 and m == 0:
-            return done("heisenberg", "H(1)", "heisenberg", "H(1)^Z2", True)
-        if n == 0:
-            w = f"W^{{{_psi_shift(-2 * m)}}}(so({2 * m + 2}))"
-            return done("principal", w, "walgebra", w + "^Z2", True)
-        if m == 0:
-            w = f"V^{{{_psi_shift(-2 * n)}}}(so({2 * n + 2}))"
-            kind, text, orb = com(w, True)
-            return done("affine", w, kind, text, orb)
-        w = f"W^{{{_lvl(psi - (2 * n + 2 * m))}}}(so({2 * n + 2 * m + 2}), f_so({2 * m + 1}))"
-        kind, text, orb = com(f"W^psi_1B({n},{m})", True)
-        return done("generic", w, kind, text, orb)
-
-    if tag == "1C":
-        if n == 0 and m == 0:
-            return done("trivial", "C", "trivial", "C", False)
-        if n == 0:
-            w = f"W^{{{_psi_shift(-2 * m + 1)}}}(so({2 * m + 1}))"
-            return done("principal", w, "walgebra", w, False)
-        if m == 0:
-            w = f"V^{{{_psi_shift(2 * n + 1)}}}(osp(1|{2 * n}))"
-            kind, text, orb = com(w, False)
-            return done("affine", w, kind, text, orb)
-        w = f"W^{{{_lvl(psi - (2 * m - 2 * n - 1))}}}(osp({2 * m + 1}|{2 * n}), f_so({2 * m + 1}))"
-        kind, text, orb = com(f"W^psi_1C({n},{m})", False)
-        return done("generic", w, kind, text, orb)
-
-    if tag == "1D":
-        if n == 0 and m == 0:
-            return done("trivial", "C", "trivial", "C", False)
-        if n == 0:
-            w = f"W^{{{_psi_shift(-2 * m + 1)}}}(so({2 * m + 1}))"
-            return done("principal", w, "walgebra", w, False)
-        if m == 0:
-            w = f"V^{{{_psi_shift(-2 * n + 1)}}}(so({2 * n + 1}))"
-            kind, text, orb = com(w, True)
-            return done("affine", w, kind, text, orb)
-        if n == 1:
-            w = f"W^{{{_psi_shift(-2 * m - 1)}}}(so({2 * m + 3}), f_subreg)"
-            kind, text, orb = com(w, True, affine="H(1)")
-            note = f"affine part V^{{{_psi_shift(-1)}}}(so(2)) = H(1)"
-            return done("subregular", w, kind, text, orb, (note,))
-        w = f"W^{{{_lvl(psi - (2 * n + 2 * m - 1))}}}(so({2 * n + 2 * m + 1}), f_so({2 * m + 1}))"
-        kind, text, orb = com(f"W^psi_1D({n},{m})", True)
-        return done("generic", w, kind, text, orb)
-
-    if tag == "1O":
-        if n == 0 and m == 0:
-            return done("heisenberg", "H(1)", "heisenberg", "H(1)^Z2", True)
-        if n == 0:
-            w = f"W^{{{_psi_shift(-2 * m)}}}(so({2 * m + 2}))"
-            return done("principal", w, "walgebra", w + "^Z2", True)
-        if m == 0:
-            # The coset identity at m = 0 is printed without the orbifold.
-            w = f"V^{{{_psi_shift(2 * n)}}}(osp(2|{2 * n}))"
-            kind, text, orb = com(w, False)
-            return done("affine", w, kind, text, orb)
-        w = f"W^{{{_lvl(psi - (2 * m - 2 * n))}}}(osp({2 * m + 2}|{2 * n}), f_so({2 * m + 1}))"
-        kind, text, orb = com(f"W^psi_1O({n},{m})", True)
-        return done("generic", w, kind, text, orb)
-
-    if tag == "2B":
-        if n == 0 and m == 0:
-            return done("free_fermion", "F(1)", "free_fermion", "F(1)^Z2", True)
-        if n == 0:
-            w = f"W^{{{_lvl(psi - m - _HALF)}}}(osp(1|{2 * m}))"
-            return done("principal", w, "walgebra", w + "^Z2", True)
-        if m == 0:
-            w = f"V^{{{_lvl(-2 * psi - 2 * n + 1)}}}(so({2 * n + 1})) (x) F({2 * n + 1})"
-            kind, text, orb = com(w, True)
-            return done("affine_free", w, kind, text, orb)
-        if m == 1:
-            w = f"W^{{{_lvl(psi + n - Fraction(3, 2))}}}(osp({2 * n + 1}|2), f_min)"
-            kind, text, orb = com(f"W^psi_2B({n},{m})", True)
-            return done("minimal", w, kind, text, orb)
-        w = f"W^{{{_lvl(psi - (m - n + _HALF))}}}(osp({2 * n + 1}|{2 * m}), f_sp({2 * m}))"
-        kind, text, orb = com(f"W^psi_2B({n},{m})", True)
-        return done("generic", w, kind, text, orb)
-
-    if tag == "2C":
-        if n == 0 and m == 0:
-            return done("trivial", "C", "trivial", "C", False)
-        if n == 0:
-            w = f"W^{{{_psi_shift(-m - 1)}}}(sp({2 * m}))"
-            return done("principal", w, "walgebra", w, False)
-        if m == 0:
-            w = f"V^{{{_psi_shift(-n - 1)}}}(sp({2 * n})) (x) S({n})"
-            kind, text, orb = com(w, False)
-            return done("affine_free", w, kind, text, orb)
-        if m == 1:
-            w = f"W^{{{_psi_shift(-n - 2)}}}(sp({2 * n + 2}), f_min)"
-            kind, text, orb = com(f"W^psi_2C({n},{m})", False)
-            return done("minimal", w, kind, text, orb)
-        w = f"W^{{{_lvl(psi - (n + m + 1))}}}(sp({2 * n + 2 * m}), f_sp({2 * m}))"
-        kind, text, orb = com(f"W^psi_2C({n},{m})", False)
-        return done("generic", w, kind, text, orb)
-
-    if tag == "2D":
-        if n == 0 and m == 0:
-            return done("trivial", "C", "trivial", "C", False)
-        if n == 0:
-            w = f"W^{{{_psi_shift(-m - 1)}}}(sp({2 * m}))"
-            return done("principal", w, "walgebra", w, False)
-        if m == 0:
-            w = f"V^{{{_lvl(-2 * psi - 2 * n + 2)}}}(so({2 * n})) (x) F({2 * n})"
-            kind, text, orb = com(w, True)
-            return done("affine_free", w, kind, text, orb)
-        if n == 1:
-            w = f"W^{{{_psi_shift(-m)}}}(osp(2|{2 * m}))"
-            kind, text, orb = com(w, True, affine="H(1)")
-            note = f"affine part V^{{{_lvl(-2 * psi + 1)}}}(so(2)) = H(1)"
-            return done("principal", w, kind, text, orb, (note,))
-        if m == 1:
-            w = f"W^{{{_psi_shift(n - 2)}}}(osp({2 * n}|2), f_min)"
-            kind, text, orb = com(f"W^psi_2D({n},{m})", True)
-            return done("minimal", w, kind, text, orb)
-        w = f"W^{{{_lvl(psi - (m - n + 1))}}}(osp({2 * n}|{2 * m}), f_sp({2 * m}))"
-        kind, text, orb = com(f"W^psi_2D({n},{m})", True)
-        return done("generic", w, kind, text, orb)
-
-    # 2O
-    if n == 0 and m == 0:
-        return done("free_fermion", "F(1)", "free_fermion", "F(1)^Z2", True)
     if n == 0:
-        w = f"W^{{{_lvl(psi - m - _HALF)}}}(osp(1|{2 * m}))"
-        return done("principal", w, "walgebra", w + "^Z2", True)
+        orbifold = fam.x in ("B", "O")
+        if m == 0:
+            kind, w = _BOTTOM.get(tag, ("trivial", "C"))
+            return done(kind, w, kind, w, orbifold)
+        w = f"W^{{{_lvl(k)}}}({g})"
+        return done("principal", w, "walgebra", w, orbifold)
+    affine = f"V^{{{_lvl(affine_level_expr(tag, n))}}}({affine_subalgebra(fam)})"
     if m == 0:
-        w = f"V^{{{_lvl(psi - n - _HALF)}}}(osp(1|{2 * n})) (x) S({n}) (x) F(1)"
-        kind, text, orb = com(w, True)
-        return done("affine_free", w, kind, text, orb)
-    if m == 1:
-        w = f"W^{{{_lvl(psi - n - Fraction(3, 2))}}}(osp(1|{2 * n + 2}), f_min)"
-        kind, text, orb = com(f"W^psi_2O({n},{m})", True)
-        return done("minimal", w, kind, text, orb)
-    w = f"W^{{{_lvl(psi - (m + n + _HALF))}}}(osp(1|{2 * n + 2 * m}), f_sp({2 * m}))"
-    kind, text, orb = com(f"W^psi_2O({n},{m})", True)
-    return done("generic", w, kind, text, orb)
+        scale, free, orbifold = _AFFINE_ROWS[tag]
+        w = f"V^{{{_lvl(scale * k)}}}({g})" + free.format(n=n, d_a=d_a(fam))
+        return done("affine_free" if free else "affine", w, "commutant",
+                    f"Com({affine}, {w})", orbifold)
+    orbifold = fam.x != "C"
+    if n == 1 and fam.x == "D":
+        # a = so(2), and V^t(so(2)) is the Heisenberg algebra H(1).
+        kind, f = ("subregular", ", f_subreg") if fam.i == 1 else ("principal", "")
+        w = f"W^{{{_lvl(k)}}}({g}{f})"
+        return done(kind, w, "commutant", f"Com(H(1), {w})", orbifold,
+                    (f"affine part {affine} = H(1)",))
+    if fam.i == 2 and m == 1:
+        kind, f = "minimal", "f_min"
+    else:
+        kind, f = "generic", f"f_{reduction_algebra(fam)}"
+    w = f"W^{{{_lvl(k)}}}({g}, {f})"
+    return done(kind, w, "commutant", f"Com({affine}, W^psi_{tag}({n},{m}))", orbifold)
 
 
 def generator_profile(fam: HookFamily) -> tuple:

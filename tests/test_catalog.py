@@ -697,6 +697,23 @@ class TestRationalPoints:
         for w in conj:
             assert K.check_witness(w), w
 
+    def test_check_witness_sizes_each_bound_from_its_own_aux(self, monkeypatch):
+        # A rank-200 witness re-derives the ranks up to 200 but only the
+        # floor of 4 for the p, q pairs.
+        (w,) = [x for x in K.rational_points(fam("2B", 0, 1), r_bound=200, pq_bound=2)
+                if dict(x.aux).get("r") == 200 and x.theorem == "osp-principal-1"]
+        bounds = []
+        real = K.rational_points
+
+        def recording(f, **kwargs):
+            bounds.append((kwargs["r_bound"], kwargs["pq_bound"]))
+            return real(f, **kwargs)
+
+        monkeypatch.setattr(K, "rational_points", recording)
+        assert K.check_witness(w)
+        assert not K.check_witness(replace(w, psi=w.psi + 1))
+        assert bounds == [(200, 4), (200, 4)]
+
     def test_witnesses_lie_on_catalogued_coincidences(self):
         # Each certified witness with a W-algebra partner reproduces an
         # exact curve-value match at (psi, partner psi).

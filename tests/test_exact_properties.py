@@ -841,29 +841,18 @@ small_ints = st.integers(min_value=-5, max_value=5)
     small_ints,
 )
 def test_int_list_moebius_matches_dict_composition(num, den, common, a, b, c, d):
-    # A quotient with a planted common factor: the kernel takes one gcd,
-    # composes with psi -> (a psi + b)/(c psi + d) and normalizes without
-    # another; the dict route composes and takes the full canonical form.
+    # A quotient with a planted common factor: the kernel composes with
+    # psi -> (a psi + b)/(c psi + d) and then takes one gcd; the dict route
+    # composes and takes the full canonical form.
     assume(a * d != b * c)
     num_d = E._dmul(_psi_dict(num), _psi_dict(common))
     den_d = E._dmul(_psi_dict(den), _psi_dict(common))
-    kn, kd = E._int_list_quotient(_psi_list(num_d), _psi_list(den_d))
-    kn, kd = E._int_list_quotient(*E._int_list_moebius(kn, kd, (a, b, c, d)), coprime=True)
+    pair = E._int_list_moebius([_psi_list(num_d), _psi_list(den_d)], (a, b, c, d))
+    kn, kd = E._int_list_quotient(*pair)
     psi = MultiPoly.var("psi")
     rn, rd = E._dcompose(num_d, den_d, [(0, (a * psi + b)._d, (c * psi + d)._d)])
     rn, rd = E._ratfunc_canonical(rn, rd)
     assert (kn, kd) == (_psi_list(rn), _psi_list(rd))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.one_of(st.just([]), int_lists), int_lists, small_ints, small_ints, small_ints, small_ints)
-def test_moebius_composition_is_canonical_without_gcd(num, den, a, b, c, d):
-    # Composing a canonical quotient with x -> (a x + b)/(c x + d),
-    # ad - bc != 0, leaves only content and sign to normalize.
-    assume(a * d != b * c)
-    num, den = E._int_list_quotient(num, den)
-    pair = E._int_list_moebius(num, den, (a, b, c, d))
-    assert E._int_list_quotient(*pair, coprime=True) == E._int_list_quotient(*pair)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -337,6 +339,21 @@ class TestDescribe:
         assert d.w_kind == "generic"
         assert d.coset_kind == "commutant"
         assert d.coset_text == "Com(V^{psi-4}(so(5)), W^psi_1B(2,2))^Z2"
+
+    def test_grid_is_pinned(self):
+        # Every field of every member, 8 tags x n, m in 0..7, against the
+        # sha256 of the hand-written case analysis it replaced.
+        rows = {}
+        for tag in L.FAMILY_TAGS:
+            for n in range(8):
+                for m in range(8):
+                    d = L.describe(fam(tag, n, m))
+                    rows[f"{tag}({n},{m})"] = [
+                        d.w_kind, d.w_text, d.coset_kind, d.coset_text,
+                        d.orbifold, list(d.notes),
+                    ]
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert digest == "ffbe94cc7a3e231d6475755b6ad99234f05679fef939be155833b563f7492246"
 
 
 class TestGeneratorProfile:

@@ -5,6 +5,10 @@ dunder) defined in the package must be referenced somewhere in the
 package outside its own body: as a name, an attribute or an imported
 name.  A helper whose last caller went away fails here.
 
+Every public module-level function and class that ``__init__.py`` does
+not re-export must be referenced the same way.  A public name with no
+caller and no place in the package's interface fails here.
+
 Every name a module imports from the package (``from .x import name``)
 must also be used in that module; ``__init__.py``, which re-exports, is
 exempt.  An import left behind by a refactor fails here.
@@ -38,8 +42,9 @@ def _references(node):
     return found
 
 
-def dead_helpers(sources):
-    """(module, line, name) of each private definition nothing else refers to.
+def _unreferenced(sources, select):
+    """(module, line, name) of each definition select(tree) yields that
+    nothing else refers to.
 
     ``sources`` maps module names to source text.  A reference inside the
     definition itself, as in a recursive call, does not count.
@@ -48,13 +53,40 @@ def dead_helpers(sources):
     total = Counter()
     for tree in trees.values():
         total += _references(tree)
-    dead = []
-    for module, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, DEFINITIONS) and _is_private(node.name):
-                if total[node.name] == _references(node)[node.name]:
-                    dead.append((module, node.lineno, node.name))
-    return sorted(dead)
+    return sorted(
+        (module, node.lineno, node.name)
+        for module, tree in trees.items()
+        for node in select(tree)
+        if total[node.name] == _references(node)[node.name]
+    )
+
+
+def dead_helpers(sources):
+    """(module, line, name) of each private definition nothing else refers to."""
+    return _unreferenced(sources, lambda tree: (
+        node for node in ast.walk(tree)
+        if isinstance(node, DEFINITIONS) and _is_private(node.name)
+    ))
+
+
+def reexported(init_text):
+    """The names ``__init__.py`` imports from the package's modules."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init_text))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+
+
+def unused_public(sources, exported):
+    """(module, line, name) of each public module-level definition that is
+    not in ``exported`` and that nothing else refers to."""
+    return _unreferenced(sources, lambda tree: (
+        node for node in tree.body
+        if isinstance(node, DEFINITIONS)
+        and not node.name.startswith("_") and node.name not in exported
+    ))
 
 
 def unused_relative_imports(sources):
@@ -84,6 +116,30 @@ def test_scans_the_whole_package():
 
 def test_every_private_helper_is_referenced():
     assert dead_helpers({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_every_unexported_public_definition_is_referenced():
+    exported = reexported((PACKAGE / "__init__.py").read_text())
+    assert unused_public({p.name: p.read_text() for p in MODULES}, exported) == []
+
+
+def test_public_scan_catches_planted_definitions():
+    planted = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": (
+            "def exported():\n    return 1\n"
+            "def called():\n    return 2\n"
+            "class Orphan:\n    def method(self):\n        return called()\n"
+            "def recursive(k):\n    return recursive(k - 1)\n"
+            "def _private():\n    return 3\n"
+        ),
+    }
+    exported = reexported(planted["__init__.py"])
+    assert exported == {"exported"}
+    assert unused_public(planted, exported) == [
+        ("a.py", 5, "Orphan"),
+        ("a.py", 8, "recursive"),
+    ]
 
 
 def test_every_relative_import_is_used():
