@@ -25,7 +25,9 @@ or domain errors.
 Every option that sizes a loop is capped, as ``verify --max-cells`` caps a
 sweep: ``rational-points --r`` at an upper end of 1000 and ``--pq-bound``
 at 100, ``gt-factors --n`` and ``--k`` at 1000, ``sing --rank`` at 200 and
-``--u``/``--v`` at 10**6.  A larger value is a usage error (exit 2).
+``--u``/``--v`` at 10**6.  A larger value is a usage error (exit 2), and
+so is a sweep range that starts below its variable's least value
+(``_SUITE_SWEEPS``), reported before any cell runs.
 
 Sweeps are single-threaded by default; set the environment variable
 ``HOOKW_WORKERS`` to fan a ``verify`` sweep out over a process pool of at
@@ -159,18 +161,13 @@ def _parse_span(text: str) -> Tuple[int, int]:
 
 SUITES = ("trialities", "coincidences", "charges", "singular")
 
-_SUITE_VARS: Dict[str, Tuple[str, ...]] = {
-    "trialities": ("n", "m"),
-    "charges": ("n", "m"),
-    "coincidences": ("n", "m", "r"),
-    "singular": ("n", "u", "v"),
-}
-
-_SUITE_DEFAULTS: Dict[str, Dict[str, Tuple[int, int]]] = {
-    "trialities": {"n": (0, 5), "m": (0, 5)},
-    "charges": {"n": (0, 4), "m": (0, 4)},
-    "coincidences": {"n": (0, 4), "m": (0, 4), "r": (1, 4)},
-    "singular": {"n": (1, 4), "u": (2, 12), "v": (1, 6)},
+# Each suite's sweep variables, in grid order, as name -> (default range,
+# least allowed value); None allows any value, and the cells skip the low ones.
+_SUITE_SWEEPS: Dict[str, Dict[str, Tuple[Tuple[int, int], Optional[int]]]] = {
+    "trialities": {"n": ((0, 5), 0), "m": ((0, 5), 0)},
+    "charges": {"n": ((0, 4), 0), "m": ((0, 4), 0)},
+    "coincidences": {"n": ((0, 4), 0), "m": ((0, 4), 0), "r": ((1, 4), None)},
+    "singular": {"n": ((1, 4), 1), "u": ((2, 12), None), "v": ((1, 6), None)},
 }
 
 
@@ -210,8 +207,6 @@ def _cell_coincidences(cell) -> Tuple[str, str]:
     """
     name, n, m, r = cell
     entry = _entry_index()[name]
-    if n < 0 or m < 0:
-        return "skip", "n and m must be non-negative"
     if rank_error := _rank_error(entry.target, r):
         return "skip", rank_error
     try:
@@ -268,7 +263,7 @@ def _suite_labels(suite: str) -> Tuple[tuple, ...]:
 
 
 def _suite_cells(suite: str, spec: SweepSpec) -> List[tuple]:
-    grid = list(product(*(spec.values(name) for name in _SUITE_VARS[suite])))
+    grid = list(product(*(spec.values(name) for name in _SUITE_SWEEPS[suite])))
     return [label + point for label in _suite_labels(suite) for point in grid]
 
 
@@ -482,8 +477,13 @@ def _cmd_intersect(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ranges = dict(_SUITE_DEFAULTS[args.suite])
-    ranges.update(parse_sweep(args.sweep, _SUITE_VARS[args.suite]))
+    sweeps = _SUITE_SWEEPS[args.suite]
+    ranges = {name: default for name, (default, _) in sweeps.items()}
+    ranges.update(parse_sweep(args.sweep, tuple(sweeps)))
+    for name, (lo, _) in ranges.items():
+        least = sweeps[name][1]
+        if least is not None and lo < least:
+            raise ValueError(f"{name} must be at least {least}, got {lo}")
     spec = SweepSpec(
         ranges, max_cells=args.max_cells, cells_per_point=len(_suite_labels(args.suite))
     )

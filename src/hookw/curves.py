@@ -8,8 +8,9 @@ for the 2B family, derives the other seven families from it by exact
 substitutions, verifies the triality identities, and finds rational
 intersection points of two curves by resultant elimination.
 
-All arithmetic is exact; the master-curve polynomials are entered once,
-verbatim, and guarded by value checks in the test suite.
+All arithmetic is exact; the master's polynomials and factors are entered
+once, verbatim, its c is ``liedata.closed_form_charge("2B")``, and value
+checks in the test suite guard them.
 
 Each family's route to the master curve is one row of ``_ROUTES``: the
 shifted (n, m) at which 2B is taken and the one degree-one psi map of the
@@ -47,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import lcm
+from math import lcm, prod
 from typing import Optional, Tuple
 
 from .exact import (
@@ -78,7 +79,7 @@ from .exact import (
     _int_list_quotient,
     _int_list_to_dict,
 )
-from .liedata import HookFamily
+from .liedata import HookFamily, closed_form_charge
 
 __all__ = [
     "TruncationCurve",
@@ -274,35 +275,21 @@ _H_2B = """
 
 @cache
 def _master_2B() -> Tuple[RatFunc, RatFunc]:
-    """The symbolic 2B curve in the three variables psi, n, m."""
-    psi = RatFunc.var("psi")
-    n = RatFunc.var("n")
-    m = RatFunc.var("m")
-    c = -(
-        (-m + n - psi + 2 * m * psi)
-        * (1 - 2 * m + 2 * n + 4 * m * psi)
-        * (-1 - 2 * m + 2 * n + 2 * psi + 4 * m * psi)
-    ) / (2 * psi * (2 * psi - 1))
-    f = parse_ratfunc(_F_2B)
-    g = parse_ratfunc(_G_2B)
-    h = parse_ratfunc(_H_2B)
-    lam = -(2 * psi * (2 * psi - 1) * f) / (
-        7
-        * (-m + n + psi + 2 * m * psi)
-        * (-1 - 2 * m + 2 * n + 4 * m * psi)
-        * (1 - 2 * m + 2 * n - 2 * psi + 4 * m * psi)
-        * g
-        * h
-    )
+    """The symbolic 2B curve in the three variables psi, n, m.
+
+    c is the closed-form 2B charge.  lambda is -(2psi)(2psi - 1) F over 7
+    times the other five domain factors.
+    """
+    c = closed_form_charge("2B", RatFunc.var("n"), RatFunc.var("m"))
+    two_psi, two_psi_less_one, *den = _master_domain_factors()
+    lam = -RatFunc(two_psi * two_psi_less_one * parse_ratfunc(_F_2B).num, 7 * prod(den))
     return c, lam
 
 
 @cache
 def _master_domain_factors() -> Tuple[MultiPoly, ...]:
     """Every printed denominator factor of the master curve, in psi, n, m."""
-    psi = RatFunc.var("psi")
-    n = RatFunc.var("n")
-    m = RatFunc.var("m")
+    psi, n, m = (RatFunc.var(v) for v in ("psi", "n", "m"))
     factors = (
         2 * psi,
         2 * psi - 1,

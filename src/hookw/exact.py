@@ -35,15 +35,19 @@ polynomial remainder sequence (Brown and Traub, J. ACM 18, 1971), which
 keeps intermediate coefficients determinant-sized instead of letting naive
 Euclidean division blow them up.  The sequence runs on a polynomial dense
 in one main variable, and its pseudo-remainder (``_dense_prem``), exact
-division (``_dense_divexact``), content, coprimality probe and the two
-loops (``_dense_gcd``, ``_resultant_int``) are written once over a
-coefficient ring that the shape of the inputs picks (``_ring_for``): ints
+division (``_dense_divexact``), content, coprimality probe and sequence
+step are written once over a coefficient ring that the shape of the
+inputs picks (``_ring_for``): ints
 when no other variable occurs (``_Ints``), integer lists in the one other
 variable (``_Lists``; the bivariate eliminations of ``curves.intersect``,
 in psi1 over psi2), integer dicts when there are more (``_Dicts``; the
 trivariate master and the catalog's canonicalizations).  Dict gcds and
 exact divisions (``_int_poly_gcd``, ``_divexact_int``) run on this layer,
 and their coefficient operations recurse into it, one variable down.
+The step, the pseudo-remainder of the last two members divided exactly
+by g h^delta and the update of g and h, is one generator
+(``_subresultants``); the gcd (``_dense_gcd``) reads the last member and
+the resultant (``_resultant_int``) the last two, h and a sign.
 
 Univariate work runs on dense integer coefficient lists, low to high: the
 gcd over Z (a primitive remainder sequence, W. S. Brown 1971), exact
@@ -747,10 +751,9 @@ class _Dicts:
     @staticmethod
     def probe(seed, others):
         """Evaluation of a coefficient with the others at seed's entries, in order."""
-        point = [0] * _NVARS
-        for slot, i in enumerate(sorted(others)):
-            point[i] = seed[slot % len(seed)]
-        return lambda c: _dint_eval(c, point)
+        subs = [(i, {_ZERO_KEY: seed[slot % len(seed)]}, _UNIT)
+                for slot, i in enumerate(sorted(others))]
+        return lambda c: _dsubst(c, subs)[0].get(_ZERO_KEY, 0)
 
 
 _INTS = _Ints()
@@ -763,18 +766,6 @@ def _ring_for(idx, others):
     if not others:
         return _INTS
     return _DICTS if len(others) > 1 else _LISTS[min(others)]
-
-
-def _dint_eval(c, point):
-    """Integer value of an int-coefficient dict at an integer point."""
-    total = 0
-    for k, v in c.items():
-        term = v
-        for i, e in enumerate(k):
-            if e:
-                term *= point[i] ** e
-        total += term
-    return total
 
 
 def _dense_prem(A, B, ring):
@@ -819,15 +810,15 @@ def _dense_divexact(A, B, ring):
     return Q
 
 
-def _dense_content(A, ring):
-    """Gcd of the coefficients of a dense polynomial, positive leading."""
+def _dense_primitive(A, ring):
+    """(content, primitive part) of a dense polynomial over ring, content positive leading."""
     g = ring.zero
     for c in A:
         if c:
             g = ring.gcd(g, c)
             if g == ring.one:
                 break
-    return g
+    return g, [ring.divexact(c, g) if c else c for c in A]
 
 
 # Probe points for the coprimality certificate: any tuple whose entries keep
@@ -853,76 +844,78 @@ def _coprime_by_probe(A, B, ring, others):
     return False
 
 
+def _subresultants(A, B, ring):
+    """The subresultant remainder sequence of dense A, B over ring, len(A) >= len(B).
+
+    One step: the pseudo-remainder of the last two members, divided exactly
+    by g h^delta, and the update of g and h (Brown and Traub).  Yields
+    (A, B, h) after each step, B the newest member; stops when B is a
+    constant or the next pseudo-remainder is zero.
+    """
+    divexact, mul, power = ring.divexact, ring.mul, ring.power
+    g = h = ring.one
+    while len(B) > 1:
+        delta = len(A) - len(B)
+        R = _dense_prem(A, B, ring)
+        if not R:
+            return
+        divisor = mul(g, power(h, delta))
+        A, B = B, [divexact(c, divisor) if c else c for c in R]
+        g = A[-1]
+        if delta:
+            h = divexact(power(g, delta), power(h, delta - 1))
+        yield A, B, h
+
+
 def _dense_gcd(A, B, ring, others):
     """Gcd of dense polynomials over ring, as a dense polynomial, up to sign.
 
     The contents are stripped and their gcd taken in the ring; the
     primitive parts are certified coprime by ``_coprime_by_probe`` when it
-    can, and otherwise run through the subresultant remainder sequence,
-    whose last nonzero member has the gcd as its primitive part.
+    can, and otherwise run through ``_subresultants``, whose last member
+    has the gcd as its primitive part (none when it is a constant).
     """
-    divexact, mul, power = ring.divexact, ring.mul, ring.power
-    ca = _dense_content(A, ring)
-    cb = _dense_content(B, ring)
-    A = [divexact(c, ca) if c else c for c in A]
-    B = [divexact(c, cb) if c else c for c in B]
+    ca, A = _dense_primitive(A, ring)
+    cb, B = _dense_primitive(B, ring)
     cont = ring.gcd(ca, cb)
     if _coprime_by_probe(A, B, ring, others):
         return [cont]
     if len(A) < len(B):
         A, B = B, A
-    g = h = ring.one
-    while True:
-        delta = len(A) - len(B)
-        R = _dense_prem(A, B, ring)
-        if not R:
-            break
-        if len(R) == 1:
-            # Degree dropped to zero: the primitive parts are coprime.
-            return [cont]
-        divisor = mul(g, power(h, delta))
-        R = [divexact(c, divisor) if c else c for c in R]
-        A, B = B, R
-        g = A[-1]
-        if delta:
-            h = divexact(power(g, delta), power(h, delta - 1))
-    cpp = _dense_content(B, ring)
-    return [mul(divexact(c, cpp), cont) if c else c for c in B]
+    for _, B, _ in _subresultants(A, B, ring):
+        pass
+    if len(B) == 1:
+        return [cont]
+    _, B = _dense_primitive(B, ring)
+    return [ring.mul(c, cont) if c else c for c in B]
 
 
 def _resultant_int(A, B, ring):
-    """Resultant of dense polynomials over ring (degrees >= 1), in the ring."""
-    divexact, mul, power = ring.divexact, ring.mul, ring.power
+    """Resultant of dense polynomials over ring (degrees >= 1), in the ring.
+
+    The resultant of the primitive parts is read off ``_subresultants``:
+    zero unless the sequence ends in a constant B, and then
+    B^deg(A) / h^(deg(A) - 1), signed by the degrees of the members.
+    """
+    mul, power = ring.mul, ring.power
     s = 1
     if len(A) < len(B):
         A, B = B, A
         if ((len(A) - 1) * (len(B) - 1)) % 2:
             s = -s
-    ca = _dense_content(A, ring)
-    cb = _dense_content(B, ring)
-    A = [divexact(c, ca) if c else c for c in A]
-    B = [divexact(c, cb) if c else c for c in B]
+    ca, A = _dense_primitive(A, ring)
+    cb, B = _dense_primitive(B, ring)
     t = mul(power(ca, len(B) - 1), power(cb, len(A) - 1))
-    g = h = ring.one
-    while True:
-        d = len(A) - 1
-        e = len(B) - 1
-        delta = d - e
-        if d % 2 and e % 2:
+    d = len(A) - 1
+    for A, B, h in _subresultants(A, B, ring):
+        # A is the member before B: the step just taken paired degrees d, deg A.
+        if d % 2 and (len(A) - 1) % 2:
             s = -s
-        R = _dense_prem(A, B, ring)
-        if not R:
-            return ring.zero
-        divisor = mul(g, power(h, delta))
-        R = [divexact(c, divisor) if c else c for c in R]
-        A, B = B, R
-        g = A[-1]
-        if delta:
-            h = divexact(power(g, delta), power(h, delta - 1))
-        if len(B) == 1:
-            dA = len(A) - 1
-            out = mul(t, divexact(power(B[0], dA), power(h, dA - 1)))
-            return out if s > 0 else ring.sub(ring.zero, out)
+        d = len(A) - 1
+    if len(B) > 1:
+        return ring.zero
+    out = mul(t, ring.divexact(power(B[0], d), power(h, d - 1)))
+    return out if s > 0 else ring.sub(ring.zero, out)
 
 
 def _int_poly_gcd(a, b):
@@ -1614,8 +1607,8 @@ def poly_gcd(p, q):
     forms: the integer-list kernel when they involve one variable, else a
     subresultant remainder sequence in their lowest shared variable, over
     integer-list coefficients when the other variables number one and
-    integer-dict coefficients when they number more, with the one
-    pseudo-remainder and exact division of that ring's dense layer.
+    integer-dict coefficients when they number more, each member made by
+    the one step of ``_subresultants``.
     """
     if not isinstance(p, MultiPoly) or not isinstance(q, MultiPoly):
         raise ExactError("poly_gcd needs MultiPoly arguments")
@@ -1630,12 +1623,13 @@ def poly_gcd(p, q):
 def resultant(p, q, var):
     """Resultant of two polynomials with respect to one variable.
 
-    Fraction-free subresultant remainder sequence (``_resultant_int``) on
-    the primitive integer forms, dense in var, over the ring the other
-    variables pick: ints when there are none, integer lists when there is
-    one (the bivariate eliminations of ``curves.intersect``), integer
-    dicts when there are more.  The contents and the denominators come
-    back as one scale, so the result is the true resultant of the inputs.
+    Fraction-free subresultant remainder sequence on the primitive integer
+    forms, dense in var, by the gcd's one step (``_subresultants``), over
+    the ring the other variables pick: ints when there are none, integer
+    lists when there is one (the bivariate eliminations of
+    ``curves.intersect``), integer dicts when there are more.  The
+    contents and the denominators come back as one scale, so the result
+    is the true resultant of the inputs.
     """
     if not isinstance(p, MultiPoly) or not isinstance(q, MultiPoly):
         raise ExactError("resultant needs MultiPoly arguments")

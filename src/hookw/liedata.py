@@ -7,18 +7,20 @@ the critically shifted level psi = k + h^vee(g).  The coset of interest is
 the commutant of the affine subalgebra V^t(a), orbifolded by Z_2 whenever
 the component group of a contributes one.
 
-The module records, per family: the algebras g, a, b; the level maps
-k <-> psi, ell(k), t(psi); dual Coxeter numbers and superdimensions; the
-coset central charge both as a closed form and as an assembled sum of
-building blocks; the case analysis of each member (``describe``); and
-the strong-generator weight profiles.  ``describe`` derives W from that
-data, as W^k(g, f_b) with k = psi - h^vee(g), or W^k(g) at n = 0.  It
-tabulates only the n = m = 0 and m = 0 members, the orbifold at n = 0,
-and the two members at n = 1 whose V^t(so(2)) is H(1).
+The module tabulates, per family, the algebras g, a, b and one row of
+``_FAMILY``: ell(k) (k, -k/2 or -2k), the parity of rho_a (x) rho_b and
+the scale xi.  The levels are derived from it, each by one rule:
+h^vee(g) = ``dual_coxeter(ambient_algebra(fam))``, k = psi - h^vee(g), and
+t = ell(k) + sigma (d_b - 1) xi, sigma = +1 for an even pairing and -1
+for an odd one (``affine_subalgebra_level``).  The coset central charge
+is tabulated as a closed form and rebuilt from building blocks.
+``describe`` derives W from the same data, as W^k(g, f_b), or W^k(g) at
+n = 0.  It tabulates only the n = m = 0 and m = 0 members, the orbifold
+at n = 0, and the two members at n = 1 whose V^t(so(2)) is H(1).
 
-All arithmetic is exact.  Formulas are written generically so that n and
-m may be Fractions or symbolic RatFunc values; results carrying psi are
-always RatFunc.
+All arithmetic is exact.  ``closed_form_charge`` is written generically,
+so that n and m may be Fractions or symbolic RatFunc values; results
+carrying psi are always RatFunc.
 """
 
 from __future__ import annotations
@@ -206,49 +208,6 @@ def _ints(fam: HookFamily):
     return int(fam.n), int(fam.m)
 
 
-def h_dual_g(tag: str, n, m):
-    """Dual Coxeter number of the ambient algebra g, as a function of n, m."""
-    if tag == "1B":
-        return 2 * n + 2 * m
-    if tag == "1C":
-        return 2 * m - 2 * n - 1
-    if tag == "1D":
-        return 2 * n + 2 * m - 1
-    if tag == "1O":
-        return 2 * m - 2 * n
-    if tag == "2B":
-        return m - n + _HALF
-    if tag == "2C":
-        return n + m + 1
-    if tag == "2D":
-        return m - n + 1
-    if tag == "2O":
-        return m + n + _HALF
-    raise ValueError(f"unknown family {tag!r}")
-
-
-def affine_level_expr(tag: str, n) -> RatFunc:
-    """Level t of the affine subalgebra V^t(a), as a RatFunc in psi."""
-    psi = RatFunc.var("psi")
-    if tag == "1B":
-        return psi - 2 * n
-    if tag == "1C":
-        return -psi / 2 - n - _HALF
-    if tag == "1D":
-        return psi - 2 * n + 1
-    if tag == "1O":
-        return -psi / 2 - n
-    if tag == "2B":
-        return -2 * psi - 2 * n + 2
-    if tag == "2C":
-        return psi - n - Fraction(3, 2)
-    if tag == "2D":
-        return -2 * psi - 2 * n + 3
-    if tag == "2O":
-        return psi - n - 1
-    raise ValueError(f"unknown family {tag!r}")
-
-
 def ambient_algebra(fam: HookFamily) -> AlgebraDesc:
     """The algebra g the hook-type W-algebra is built from."""
     n, m = _ints(fam)
@@ -302,6 +261,10 @@ def d_b(fam: HookFamily) -> int:
     return 2 * m + 1 if fam.i == 1 else 2 * m
 
 
+# ell(k) as a multiple of k, by _FamilyData.ell.
+_ELL = {"k": 1, "-k/2": -_HALF, "-2k": -2}
+
+
 @dataclass(frozen=True)
 class LevelDictionary:
     h_dual_g: Fraction
@@ -310,25 +273,28 @@ class LevelDictionary:
     affine_subalgebra: AlgebraDesc
 
     def ell(self, k):
-        if self.ell_of_k == "k":
-            return k
-        if self.ell_of_k == "-k/2":
-            return -k / 2
-        return -2 * k
+        return _ELL[self.ell_of_k] * k
 
 
 def level_dictionary(fam: HookFamily) -> LevelDictionary:
-    dat = _FAMILY[fam.tag]
     return LevelDictionary(
-        h_dual_g=Fraction(h_dual_g(fam.tag, fam.n, fam.m)),
-        ell_of_k=dat.ell,
-        t_of_psi=affine_level_expr(fam.tag, fam.n),
+        h_dual_g=dual_coxeter(ambient_algebra(fam)),
+        ell_of_k=_FAMILY[fam.tag].ell,
+        t_of_psi=affine_subalgebra_level(fam),
         affine_subalgebra=affine_subalgebra(fam),
     )
 
 
 def affine_subalgebra_level(fam: HookFamily) -> RatFunc:
-    return affine_level_expr(fam.tag, fam.n)
+    """Level t of the affine subalgebra V^t(a), as a RatFunc in psi.
+
+    t = ell(k) + sigma (d_b - 1) xi with k = psi - h^vee(g), where sigma
+    is +1 for an even pairing rho_a (x) rho_b and -1 for an odd one.
+    """
+    dat = _FAMILY[fam.tag]
+    k = RatFunc.var("psi") - dual_coxeter(ambient_algebra(fam))
+    shift = (d_b(fam) - 1) * dat.xi
+    return _ELL[dat.ell] * k + (shift if dat.even_pairing else -shift)
 
 
 def closed_form_charge(tag: str, n, m) -> RatFunc:
@@ -429,7 +395,7 @@ def assemble_central_charge(fam: HookFamily) -> RatFunc:
 
     psi = RatFunc.var("psi")
     g = ambient_algebra(fam)
-    k = psi - h_dual_g(fam.tag, n, m)
+    k = psi - dual_coxeter(g)
     c_g = k * sdim(g) / psi
     if dat.i == 1:
         c_dilaton = -k * (2 * m * (m + 1) * (2 * m + 1))
@@ -443,7 +409,7 @@ def assemble_central_charge(fam: HookFamily) -> RatFunc:
     c_ghost = c_prin + eps * sd * ghost_central_charge(d_b(fam))
 
     c_w = c_g + c_dilaton + c_ghost
-    t = affine_level_expr(fam.tag, n)
+    t = affine_subalgebra_level(fam)
     c_sugawara = t * sdim(a) / (t + dual_coxeter(a))
     return c_w - c_sugawara
 
@@ -517,8 +483,9 @@ def describe(fam: HookFamily) -> CaseDescription:
     """
     n, m = _ints(fam)
     tag = fam.tag
-    k = RatFunc.var("psi") - h_dual_g(tag, n, m)
-    g = _algebra_text(ambient_algebra(fam))
+    algebra = ambient_algebra(fam)
+    k = RatFunc.var("psi") - dual_coxeter(algebra)
+    g = _algebra_text(algebra)
 
     def done(w_kind, w_text, coset_kind, coset_text, orbifold, notes=()):
         if orbifold:
@@ -536,7 +503,7 @@ def describe(fam: HookFamily) -> CaseDescription:
             return done(kind, w, kind, w, orbifold)
         w = f"W^{{{_lvl(k)}}}({g})"
         return done("principal", w, "walgebra", w, orbifold)
-    affine = f"V^{{{_lvl(affine_level_expr(tag, n))}}}({affine_subalgebra(fam)})"
+    affine = f"V^{{{_lvl(affine_subalgebra_level(fam))}}}({affine_subalgebra(fam)})"
     if m == 0:
         scale, free, orbifold = _AFFINE_ROWS[tag]
         w = f"V^{{{_lvl(scale * k)}}}({g})" + free.format(n=n, d_a=d_a(fam))

@@ -284,8 +284,8 @@ class TestCellKernel:
     def test_cli_kernel_and_public_api_agree(self, monkeypatch):
         # Every cell of the default sweep, and the cells of one tampered
         # entry: the CLI runs the kernel alone, verify_coincidence wraps it.
-        default = cli._SUITE_DEFAULTS["coincidences"]
-        grid = [range(lo, hi + 1) for lo, hi in (default[v] for v in "nmr")]
+        sweeps = cli._SUITE_SWEEPS["coincidences"]
+        grid = [range(lo, hi + 1) for (lo, hi), _ in (sweeps[v] for v in "nmr")]
         tampered = replace(K.all_entries()[0], s=K.all_entries()[0].s + 1)
         statuses = Counter()
         for e in (*K.all_entries(), tampered):

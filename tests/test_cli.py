@@ -339,6 +339,24 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "suite, sweep, var, least, lo",
+        [
+            ("charges", "n=-1..-1,m=0..1", "n", 0, -1),
+            ("charges", "n=-1..-1,m=2..2", "n", 0, -1),
+            ("coincidences", "n=-1..0", "n", 0, -1),
+            ("trialities", "m=-2..3", "m", 0, -2),
+            ("singular", "n=0..2", "n", 1, 0),
+        ],
+    )
+    def test_range_below_the_least_value_is_a_usage_error(
+        self, capsys, suite, sweep, var, least, lo
+    ):
+        # Refused before any cell runs, never counted as skips.
+        code, out, err = run(capsys, "verify", suite, "--sweep", sweep)
+        assert code == 2 and out == ""
+        assert err == f"error: {var} must be at least {least}, got {lo}\n"
+
     def test_cell_cap(self, capsys):
         code, _, err = run(
             capsys,

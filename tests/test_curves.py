@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import lcm
 
@@ -78,6 +80,16 @@ class TestMasterTranscription:
 
     def test_c_value(self):
         assert C.phi_2B(1, 1).c.eval({"psi": F(1)}) == F(-25, 2)
+
+    def test_master_is_pinned(self):
+        # c, lambda and the seven domain factors, against the sha256 of the
+        # master as it was entered with its factors and its c typed inline.
+        c, lam = C._master_2B()
+        text = json.dumps(
+            [c.to_text(), lam.to_text()] + [p.to_text() for p in C._master_domain_factors()]
+        )
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "65abb36c89ce92e7aaa77237b1cc4bad880094c29f3f32b333b2b74cd08ebd9a"
 
     def test_symbolic_parameters_supported(self):
         crv = C.phi_2B(N, M)

@@ -12,10 +12,15 @@ caller and no place in the package's interface fails here.
 Every name a module imports from the package (``from .x import name``)
 must also be used in that module; ``__init__.py``, which re-exports, is
 exempt.  An import left behind by a refactor fails here.
+
+No block of code may be copied: a window of five consecutive lines, each
+stripped and with its whitespace collapsed, none blank or opening with
+``#`` or a triple quote and 80 characters or more in all, occurs once in the
+package.  A second copy of a loop or a formula fails here.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -110,6 +115,24 @@ def unused_relative_imports(sources):
     return sorted(unused)
 
 
+def copied_blocks(sources, size=5, least=80):
+    """The sorted (module, first line) places of each window of ``size``
+    lines that occurs more than once, for the windows that count: no line
+    blank or opening with ``#`` or a triple quote, and ``least`` characters or
+    more in all, after each line is stripped and its whitespace collapsed.
+    """
+    places = defaultdict(list)
+    for module, text in sources.items():
+        lines = [" ".join(line.split()) for line in text.splitlines()]
+        for i in range(len(lines) - size + 1):
+            window = tuple(lines[i : i + size])
+            if sum(map(len, window)) >= least and all(
+                line and not line.startswith(("#", '"""')) for line in window
+            ):
+                places[window].append((module, i + 1))
+    return sorted(found for found in places.values() if len(found) > 1)
+
+
 def test_scans_the_whole_package():
     assert {p.name for p in MODULES} >= {"exact.py", "curves.py", "catalog.py", "cli.py"}
 
@@ -184,3 +207,27 @@ def test_scan_catches_planted_helpers():
 @pytest.mark.parametrize("name", ["__init__", "__eq__", "public"])
 def test_scan_ignores_dunders_and_public_names(name):
     assert dead_helpers({"m.py": f"def {name}():\n    pass\n"}) == []
+
+
+def test_no_block_is_copied():
+    assert copied_blocks({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_block_scan_catches_planted_copies():
+    step = (
+        "    divisor = mul(g, power(h, delta))\n"
+        "    R = [divexact(c, divisor) if c else c for c in R]\n"
+        "    A, B = B, R\n"
+        "    g = A[-1]\n"
+        "    if delta:\n"
+    )
+    short = "x = 1\ny = 2\nz = 3\nu = 4\nv = 5\n"
+    commented = "# one comment line, some forty characters\n" * 5
+    planted = {
+        "a.py": "def f():\n" + step + "    pass\n" + short + commented,
+        # The same step, indented deeper and with other spacing, is a copy;
+        # the short and the commented blocks do not count.
+        "b.py": "def g():\n    while True:\n" + step.replace("    ", "        ").replace(
+            "A, B = B, R", "A,  B  =  B, R") + "    return\n" + short + commented,
+    }
+    assert copied_blocks(planted) == [[("a.py", 2), ("b.py", 3)]]
