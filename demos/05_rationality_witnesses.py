@@ -23,10 +23,10 @@ for w in hookw.rational_points(fam, r_bound=2, pq_bound=4):
 witness = hookw.rational_points(fam, r_bound=1)[0]
 print("re-check of the first witness:", hookw.check_witness(witness))
 
-# Partner levels can be screened with the catalogued nondegenerate
-# admissibility criteria.  The answer is three-valued: a shape match
-# certifies "yes", a sound refutation gives "no", anything else stays
-# "unknown".
+# A partner level is tested from Lie data alone: with k + h^vee = p/q in
+# lowest terms, it must be admissible (Kac-Wakimoto) and the principal
+# W-algebra at it nondegenerate (Arakawa).  sp(6) at -9/4 reads 7/4:
+# admissible, but q = 4 is below the bound 10, so the answer is "no".
 for alg, s in (
     ("sp(2)", Fraction(-13, 8)),
     ("sp(2)", Fraction(-2) + Fraction(3, 6)),

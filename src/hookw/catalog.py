@@ -1,6 +1,7 @@
-"""Level coincidences, rationality witnesses, and orbifold factor chains.
+"""Level coincidences, rationality witnesses, factor chains, admissible levels.
 
-Three bodies of exact data about the hook-type cosets live here:
+Three bodies of exact data about the hook-type cosets, and one test on
+levels, live here:
 
 * the forty-eight catalogued level coincidences between a coset
   C^psi(n, m) and a principal W-algebra (or its orbifold) of type
@@ -14,7 +15,11 @@ Three bodies of exact data about the hook-type cosets live here:
   its level;
 
 * the Gelfand-Tsetlin factor chains whose tensor factors resolve to
-  principal W-algebras and orbifolds at explicitly displayed levels.
+  principal W-algebras and orbifolds at explicitly displayed levels;
+
+* whether a level of so_N or sp_N is admissible and nondegenerate, the
+  hypothesis under which a partner principal W-algebra is rational,
+  decided from h, h^vee, the lacing number and the Langlands dual.
 
 Verification maps a coincidence's target to a degenerate member of the
 eight families (TARGETS): at integer (n, m, r) the two curves' values are
@@ -51,7 +56,14 @@ from .exact import (
     _coerce_fraction,
     _homogenized_powers,
 )
-from .liedata import AlgebraDesc, HookFamily
+from .liedata import (
+    AlgebraDesc,
+    HookFamily,
+    coxeter_number,
+    dual_coxeter,
+    lacing_number,
+    langlands_dual,
+)
 
 __all__ = [
     "CoincidenceEntry",
@@ -1034,7 +1046,7 @@ def gelfand_tsetlin_factors(series: str, n: int, k: int) -> Tuple[GTFactor, ...]
 
 
 # ---------------------------------------------------------------------------
-# Catalogued admissibility certificates.
+# Admissibility and nondegeneracy from Lie data.
 # ---------------------------------------------------------------------------
 
 
@@ -1054,119 +1066,33 @@ def parse_algebra(text) -> AlgebraDesc:
     raise ValueError(f"cannot parse algebra descriptor {text!r}")
 
 
-def _as_positive_int(value: Fraction) -> Optional[int]:
-    if value.denominator == 1 and value > 0:
-        return int(value)
-    return None
-
-
-def _solve_linear(num_const: int, num_coeff: int, t: Fraction) -> Optional[Fraction]:
-    # Solve t = (num_const + x) / (num_coeff + 2 x) for x; None at the pole.
-    den = 2 * t - 1
-    if den == 0:
-        return None
-    return (num_const - t * num_coeff) / den
-
-
-def _sp_certificates(r: int, t: Fraction):
-    # Yields True (certified), False (a catalogued shape matched but its
-    # printed coprimality fails), or nothing, per certificate shape.
-    found = []
-    # Fixed numerator 1 + 2r over 4(m + r); odd numerator, so any common
-    # factor of an integer denominator is >= 3 and refutes admissibility.
-    if t > 0:
-        q_star = _as_positive_int(Fraction(1 + 2 * r) / t)
-        if q_star is not None:
-            if gcd(q_star, 1 + 2 * r) != 1:
-                found.append(False)
-            elif q_star % 4 == 0 and q_star // 4 - r >= 1:
-                found.append(True)
-        # Fixed denominator 4r, numerator 1 + 2m + 2r.  A failing
-        # coprimality here does not collapse the reduced numerator (it is
-        # unbounded in m), so this shape certifies and never refutes.
-        v = _as_positive_int(4 * r * t)
-        if v is not None and v % 2 == 1 and (v - 1 - 2 * r) >= 2:
-            if (v - 1 - 2 * r) % 2 == 0 and gcd(r, v) == 1:
-                found.append(True)
-        # Fixed denominator 2(2r + 1), numerator 3 + 2m + 2r; same remark.
-        v = _as_positive_int(2 * (2 * r + 1) * t)
-        if v is not None and v % 2 == 1 and (v - 3 - 2 * r) >= 2:
-            if (v - 3 - 2 * r) % 2 == 0 and gcd((v - 1 - 2 * r) // 2, 2 * r + 1) == 1:
-                found.append(True)
-    # (1 + x + r)/(3 + 2x + 2r), x >= 1: the minimal-coset partner display
-    # (x = n) and the chain s-display (x = n - i >= 1); no coprimality.
-    x = _solve_linear(1 + r, 3 + 2 * r, t)
-    if x is not None and x.denominator == 1 and x >= 1:
-        found.append(True)
-    # (2 + x + r)/(3 + 2x + 2r), x >= 0: the chain ell-display.
-    x = _solve_linear(2 + r, 3 + 2 * r, t)
-    if x is not None and x.denominator == 1 and x >= 0:
-        found.append(True)
-    # (1 + k + r)/(1 + 2k + 2r), k >= 1: the affine-coset partner display.
-    x = _solve_linear(1 + r, 1 + 2 * r, t)
-    if x is not None and x.denominator == 1 and x >= 1:
-        found.append(True)
-    return found
-
-
-def _so_even_certificates(r: int, t: Fraction):
-    found = []
-    if t > 0:
-        # Fixed odd numerator 2r - 1 over 2m + 2r - 1.
-        q_star = _as_positive_int(Fraction(2 * r - 1) / t)
-        if q_star is not None:
-            if gcd(q_star, 2 * r - 1) != 1:
-                found.append(False)
-            elif (q_star - 2 * r + 1) % 2 == 0 and (q_star - 2 * r + 1) >= 2:
-                found.append(True)
-        # Fixed even numerator 2r over 2m + 2r + 1: the loose reading is
-        # unsound here (a common factor 2 can reduce to an admissible
-        # level), but on a full match the denominator is odd, so any
-        # failing common factor is >= 3 and the refutation stands.
-        q_star = _as_positive_int(Fraction(2 * r) / t)
-        if q_star is not None and q_star % 2 == 1 and (q_star - 2 * r - 1) >= 2:
-            if (q_star - 2 * r - 1) % 2 == 0:
-                found.append(gcd(r, q_star) == 1)
-        # Chain displays: a = 2j + 2r - 1 with t = (a - 1)/a, or
-        # a = 2j + 2r with t = (a - 1)/a; no coprimality.
-        one_minus = 1 - t
-        if one_minus > 0:
-            a = _as_positive_int(1 / one_minus)
-            if a is not None:
-                if a % 2 == 1 and (a - 2 * r + 1) >= 2 and (a - 2 * r + 1) % 2 == 0:
-                    found.append(True)
-                if a % 2 == 0 and (a - 2 * r) >= 2 and (a - 2 * r) % 2 == 0:
-                    found.append(True)
-    return found
-
-
 def is_admissible_nondegenerate(alg, s) -> str:
-    """Tri-state admissibility answer from the catalogued certificates.
+    """Whether level k = s of so_N or sp_N is admissible and nondegenerate.
 
-    "yes" when some catalogued rationality statement's displayed level
-    parametrization produces s with its printed arithmetic conditions
-    satisfied; "no" when a parametrization matches s but its printed
-    coprimality fails; "unknown" otherwise.  No general admissibility
-    criterion is implemented, so "unknown" carries no information.
+    Write k + h^vee = p/q in lowest terms, q > 0, with h the Coxeter
+    number, r^vee the lacing number and ^L g the Langlands dual.  The
+    level is admissible (Kac-Wakimoto, PNAS 1989) and the principal
+    W-algebra at it is nondegenerate (Arakawa, Annals 2015) exactly when
+
+    * gcd(q, r^vee) = 1, p >= h^vee and q >= h; or
+    * r^vee divides q, p >= h and q >= r^vee h^vee(^L g).
+
+    At rank one both cases give the sl2 answer for sp(2) and so(3), the
+    latter at twice the level.  The answer is "yes" or "no", and
+    "unknown" only for sp(0), so(1) and so(2), which have no simple part.
+    osp raises ValueError.
     """
     alg = parse_algebra(alg)
     s = _coerce_fraction(s)
-    if alg.kind == "sp":
-        r = alg.size // 2
-        if r < 1:
-            return "unknown"
-        found = _sp_certificates(r, s + r + 1)
-    elif alg.kind == "so_even":
-        r = alg.size // 2
-        if r < 2:
-            return "unknown"
-        found = _so_even_certificates(r, s + 2 * r - 2)
-    elif alg.kind == "so_odd":
+    if alg.kind == "osp":
+        raise ValueError("the admissibility criterion covers sp and so only")
+    if alg.size < (2 if alg.kind == "sp" else 3):
         return "unknown"
+    h_dual, h, lacing = dual_coxeter(alg), coxeter_number(alg), lacing_number(alg)
+    level = s + h_dual
+    p, q = level.numerator, level.denominator
+    if gcd(q, lacing) == 1:
+        ok = p >= h_dual and q >= h
     else:
-        raise ValueError("admissibility certificates cover sp and so only")
-    if any(found):
-        return "yes"
-    if found:
-        return "no"
-    return "unknown"
+        ok = p >= h and q >= lacing * dual_coxeter(langlands_dual(alg))
+    return "yes" if ok else "no"

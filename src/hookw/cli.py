@@ -167,7 +167,7 @@ _SUITE_SWEEPS: Dict[str, Dict[str, Tuple[Tuple[int, int], Optional[int]]]] = {
     "trialities": {"n": ((0, 5), 0), "m": ((0, 5), 0)},
     "charges": {"n": ((0, 4), 0), "m": ((0, 4), 0)},
     "coincidences": {"n": ((0, 4), 0), "m": ((0, 4), 0), "r": ((1, 4), None)},
-    "singular": {"n": ((1, 4), 1), "u": ((2, 12), None), "v": ((1, 6), None)},
+    "singular": {"n": ((1, 4), 1), "u": ((2, 12), None), "v": ((1, 6), 1)},
 }
 
 

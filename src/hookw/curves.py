@@ -755,8 +755,10 @@ def _composed_equals(rf: RatFunc, psi_value: RatFunc, target: RatFunc) -> bool:
 def known_point_2B_sp(n, m, r) -> CurvePoint:
     """The printed intersection of the 2B curve with a type-C principal curve.
 
+    This is coincidence entry 2B-sp(2) with the printed (c, lambda)
+    attached: psi* = (1 + 2m - 2n) / (2 (1 + 2m + 2r)) is that entry's psi.
     Returns the printed (c, lambda), after asserting that the 2B curve at
-    psi* = (1 + 2m - 2n) / (2 (1 + 2m + 2r)) actually passes through it.
+    psi* actually passes through it.
     Arguments may be numeric or symbolic; with all three symbolic the
     assertion is a trivariate identity.  Numeric arguments at which a
     printed denominator of the point vanishes, or at which the 2B curve

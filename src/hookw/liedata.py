@@ -102,6 +102,27 @@ def dual_coxeter(a: AlgebraDesc) -> Fraction:
     return Fraction(a.even + 2 - a.odd, 2)
 
 
+def coxeter_number(a: AlgebraDesc) -> int:
+    """Coxeter number h of so_N or sp_N: 2r for so(2r+1) and sp(2r), 2r - 2
+    for so(2r)."""
+    return a.size - {"so_odd": 1, "so_even": 2, "sp": 0}[a.kind]
+
+
+def lacing_number(a: AlgebraDesc) -> int:
+    """Lacing number r^vee of so_N or sp_N: 1 for so(2r), 2 otherwise."""
+    return 1 if a.kind == "so_even" else 2
+
+
+def langlands_dual(a: AlgebraDesc) -> AlgebraDesc:
+    """The Langlands dual of so_N or sp_N: so(2r+1) and sp(2r) swap, and
+    so(2r) is its own dual."""
+    if a.kind == "so_odd":
+        return AlgebraDesc.sp(a.size - 1)
+    if a.kind == "sp":
+        return AlgebraDesc.so(a.size + 1)
+    return a
+
+
 def sdim(a: AlgebraDesc) -> Fraction:
     """Superdimension; for so and sp this is the ordinary dimension."""
     if a.kind in ("so_odd", "so_even"):

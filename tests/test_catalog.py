@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -796,19 +797,25 @@ class TestAdmissibility:
     def test_pinned_examples(self):
         assert K.is_admissible_nondegenerate("sp(2)", -2 + F(3, 8)) == "yes"
         assert K.is_admissible_nondegenerate("sp(2)", -2 + F(3, 6)) == "no"
-        assert K.is_admissible_nondegenerate("so(4)", F(22, 7)) == "unknown"
+        # so(4): k + h^vee = 22/7 + 2 = 36/7, p = 36 >= 2 and q = 7 >= h = 2.
+        assert K.is_admissible_nondegenerate("so(4)", F(22, 7)) == "yes"
 
-    def test_so_odd_always_unknown(self):
-        for s in (F(0), F(-7, 5), F(1, 3)):
-            assert K.is_admissible_nondegenerate("so(5)", s) == "unknown"
+    def test_so_odd_from_the_criterion(self):
+        # so(5): h^vee = 3, h = 4, r^vee = 2, ^L g = sp(4) with h^vee = 3.
+        # 0 -> 3/1 fails q >= 4; -7/5 -> 8/5 holds; 1/3 -> 10/3 fails q >= 4.
+        for s, answer in ((F(0), "no"), (F(-7, 5), "yes"), (F(1, 3), "no")):
+            assert K.is_admissible_nondegenerate("so(5)", s) == answer, s
+
+    def test_no_simple_part_is_unknown(self):
+        for alg in ("sp(0)", "so(1)", "so(2)"):
+            assert K.is_admissible_nondegenerate(alg, F(1, 7)) == "unknown"
 
     def test_no_requires_a_sound_refutation(self):
-        # sp(6): t = 21/12 reduces to 7/4, which is admissible (p = 7 >=
-        # h = 6) even though the fixed-denominator display's gcd fails;
-        # the answer must not be "no".
-        assert K.is_admissible_nondegenerate("sp(6)", F(21, 12) - 4) == "unknown"
-        # sp(2): t = 15/6 reduces to admissible 5/2; same remark.
-        assert K.is_admissible_nondegenerate("sp(2)", F(15, 6) - 2) == "unknown"
+        # sp(6): t = 21/12 reduces to 7/4, admissible (p = 7 >= h = 6) but
+        # degenerate, as q = 4 < r^vee h^vee(so(7)) = 10.
+        assert K.is_admissible_nondegenerate("sp(6)", F(21, 12) - 4) == "no"
+        # sp(2): t = 15/6 reduces to 5/2, admissible and nondegenerate.
+        assert K.is_admissible_nondegenerate("sp(2)", F(15, 6) - 2) == "yes"
 
     def test_witness_partners_certified(self):
         for f in (fam("2B", 0, 1), fam("2B", 0, 3), fam("1D", 1, 2)):
@@ -834,6 +841,34 @@ class TestAdmissibility:
     def test_affine_partner_certified(self):
         for w in K.rational_points(fam("1C", 2, 0), r_bound=3):
             assert K.is_admissible_nondegenerate("sp(4)", w.partner_s) == "yes"
+
+    def test_criterion_reproduces_the_printed_conditions(self, monkeypatch):
+        # With the coprimality filter off, every cell of the gcd-conditioned
+        # shapes is emitted with its partner level and its printed
+        # gcd(a,b)=1 text.  osp12-pair is left out: its printed condition
+        # is the admissibility of L_a(sl2) alone, with no q bound.
+        monkeypatch.setattr(K, "_coprime", lambda a, b: True)
+        agree, differ = 0, set()
+        for tag, n in (("2B", 0), ("1D", 1)):
+            for m in range(1, 10):
+                for w in K.rational_points(fam(tag, n, m), r_bound=9):
+                    if w.partner_algebra is None or w.theorem == "osp12-pair":
+                        continue
+                    alg = K.parse_algebra(w.partner_algebra)
+                    if alg.kind == "osp" or str(alg) == "so(2)":
+                        continue
+                    (condition,) = w.conditions
+                    a, b = map(int, condition[4:-3].split(","))
+                    printed = gcd(a, b) == 1
+                    criterion = K.is_admissible_nondegenerate(alg, w.partner_s)
+                    if (criterion == "yes") == printed:
+                        agree += 1
+                    else:
+                        differ.add((w.theorem, m, dict(w.aux)["r"], criterion))
+        # subregB-1 at r = 1 prints gcd(m + 1, 3) = 1, but at m = 2, 5, 8
+        # the reduced sp(2) level is admissible and nondegenerate.
+        assert agree == 384
+        assert differ == {("subregB-1", m, 1, "yes") for m in (2, 5, 8)}
 
     def test_osp_rejected(self):
         with pytest.raises(ValueError):

@@ -347,6 +347,8 @@ class TestVerify:
             ("coincidences", "n=-1..0", "n", 0, -1),
             ("trialities", "m=-2..3", "m", 0, -2),
             ("singular", "n=0..2", "n", 1, 0),
+            ("singular", "v=-1..1", "v", 1, -1),
+            ("singular", "v=0..2", "v", 1, 0),
         ],
     )
     def test_range_below_the_least_value_is_a_usage_error(

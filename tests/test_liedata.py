@@ -66,6 +66,14 @@ class TestDualCoxeter:
         c = L.dual_coxeter(L.AlgebraDesc.osp(1, 4, "C"))
         assert b == -5 and c == F(5, 2)
 
+    def test_so_even_is_simply_laced_and_self_dual(self):
+        # so(2r) = D_r: h = h^vee = 2r - 2; so(6) = sl(4) has h = 4.
+        for r in range(2, 7):
+            so = L.AlgebraDesc.so(2 * r)
+            assert L.coxeter_number(so) == L.dual_coxeter(so) == 2 * r - 2
+            assert L.lacing_number(so) == 1
+            assert L.langlands_dual(so) == so
+
 
 class TestSdim:
     def test_osp_examples(self):

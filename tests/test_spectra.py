@@ -60,6 +60,14 @@ class TestRootSystemData:
         assert sp.dual_coxeter == n + 1
         assert so.dual_coxeter == L.dual_coxeter(L.AlgebraDesc.so(2 * n + 1))
         assert sp.dual_coxeter == L.dual_coxeter(L.AlgebraDesc.sp(2 * n))
+        # so(2n+1) and sp(2n) are each other's Langlands dual.
+        for rs, dual, alg in (
+            (so, sp, L.AlgebraDesc.so(2 * n + 1)),
+            (sp, so, L.AlgebraDesc.sp(2 * n)),
+        ):
+            assert rs.coxeter == L.coxeter_number(alg)
+            assert rs.lacity == L.lacing_number(alg)
+            assert dual.dual_coxeter == L.dual_coxeter(L.langlands_dual(alg))
 
     @pytest.mark.parametrize("kind", ["so_odd", "sp"])
     @pytest.mark.parametrize("n", range(2, 7))
