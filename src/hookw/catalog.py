@@ -12,7 +12,10 @@ levels, live here:
   certified (or conjectured) to be lisse and rational, each carrying
   the arithmetic conditions that the certifying statement imposes and,
   where the proof runs through a coincidence, the partner algebra and
-  its level;
+  its level.  Each partnered witness is a coincidence entry at the
+  family's fixed parameter (``_SHAPES``), read off the entry's psi, s
+  and target; only osp-affine, osp12-pair and the conjectural points are
+  typed;
 
 * the Gelfand-Tsetlin factor chains whose tensor factors resolve to
   principal W-algebras and orbifolds at explicitly displayed levels;
@@ -33,7 +36,7 @@ arithmetic for it; the curves are memoized on first use as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd
@@ -415,6 +418,12 @@ def all_entries() -> Tuple[CoincidenceEntry, ...]:
     )
 
 
+@cache
+def _entry_index() -> Dict[str, CoincidenceEntry]:
+    """The coincidence entries by name, built on first use."""
+    return {e.name: e for e in all_entries()}
+
+
 def coincidence_table(source: str, target: str) -> Tuple[CoincidenceEntry, ...]:
     """The catalogued entries for one (source family, target kind) pair."""
     if source not in SOURCE_TAGS or target not in TARGET_KINDS:
@@ -739,39 +748,56 @@ def _w(family, n, m, psi, tag, conditions, alg=None, s=None, status="certified",
     )
 
 
+def _gcd_one(a: int, b: int) -> Optional[Tuple[str, ...]]:
+    """The printed condition gcd(a, b) = 1, or None when it fails."""
+    return (f"gcd({a},{b})=1",) if _coprime(a, b) else None
+
+
+# Every witness shape with a W-algebra partner, except osp-affine and
+# osp12-pair, is one coincidence entry at the family's fixed parameters:
+# (theorem, entry name, the printed conditions at (n, m, r), or None where
+# they fail).  psi and the partner level s are the entry's, and the partner
+# is its target algebra at rank r.  The "1D r=1" shapes hold at r = 1 only.
+_SHAPES = {
+    "2B": (
+        ("osp-principal-1", "2B-sp(6)", lambda n, m, r: _gcd_one(m + r, 1 + 2 * r)),
+        ("osp-principal-2", "2B-sp(2)", lambda n, m, r: _gcd_one(r, 1 + 2 * m)),
+        ("osp-so-dual", "2B-so_even(3)", lambda n, m, r: _gcd_one(2 * r - 1, 2 * m)),
+    ),
+    "1D": (
+        ("subregB-1", "1D-sp(3)", lambda n, m, r: _gcd_one(m + 1, 2 * r + 1)),
+        ("subregB-3", "1D-so_even(1)", lambda n, m, r: _gcd_one(r, 2 * m + 1)),
+    ),
+    "1D r=1": (
+        ("subregB-osp1", "1D-osp(1)", lambda n, m, r: ()),
+        ("subregB-osp1-dual", "1D-osp(3)",
+         lambda n, m, r: (f"{4 * m - 4}>=1",) if m >= 2 else None),
+    ),
+    "2C": (("minC", "2C-sp(3)", lambda n, m, r: ()),),
+}
+
+# The 2D(1, m + 1) witnesses are the 1D(1, m) ones under psi -> 1/(2 psi),
+# with the same partner algebras and levels; these two shapes are renamed.
+_SUBREG_DUAL = {"subregB-1": "subregB-2", "subregB-3": "subregB-4"}
+
+
+def _from_entries(shapes, n: int, m: int, r: int, /, **aux):
+    """The witnesses of ``_SHAPES`` rows at (n, m, r) whose conditions hold."""
+    point = {"n": n, "m": m, "r": r}
+    out = []
+    for theorem, name, conditions in shapes:
+        conds = conditions(n, m, r)
+        if conds is not None:
+            e = _entry_index()[name]
+            out.append(_w(e.source, n, m, e.psi.eval(point), theorem, conds,
+                          TARGETS[e.target].algebra(r), e.s.eval(point), **aux))
+    return out
+
+
 def _points_2B(m: int, r_bound: int, pq_bound: int, conjectural: bool):
     out = []
     for r in range(1, r_bound + 1):
-        if _coprime(m + r, 1 + 2 * r):
-            out.append(_w(
-                "2B", 0, m,
-                Fraction(2 * m - 1, 4 * (m + r)),
-                "osp-principal-1",
-                (f"gcd({m + r},{1 + 2 * r})=1",),
-                AlgebraDesc.sp(2 * r),
-                -(r + 1) + Fraction(1 + 2 * r, 4 * (m + r)),
-                r=r,
-            ))
-        if _coprime(r, 1 + 2 * m):
-            out.append(_w(
-                "2B", 0, m,
-                Fraction(1 + 2 * m, 2 * (1 + 2 * m + 2 * r)),
-                "osp-principal-2",
-                (f"gcd({r},{1 + 2 * m})=1",),
-                AlgebraDesc.sp(2 * r),
-                -(r + 1) + Fraction(1 + 2 * m + 2 * r, 4 * r),
-                r=r,
-            ))
-        if _coprime(2 * r - 1, 2 * m):
-            out.append(_w(
-                "2B", 0, m,
-                Fraction(m, 2 * m + 2 * r - 1),
-                "osp-so-dual",
-                (f"gcd({2 * r - 1},{2 * m})=1",),
-                AlgebraDesc.so(2 * r),
-                -(2 * r - 2) + Fraction(2 * r - 1, 2 * m + 2 * r - 1),
-                r=r,
-            ))
+        out += _from_entries(_SHAPES["2B"], 0, m, r, r=r)
     if m == 1:
         for p in range(2, pq_bound + 1):
             for q in range(1, pq_bound + 1):
@@ -779,14 +805,11 @@ def _points_2B(m: int, r_bound: int, pq_bound: int, conjectural: bool):
                     continue
                 a = Fraction(p, q) - 2
                 conds = (f"gcd({p},{q})=1", f"{p}>=2")
-                out.append(_w(
-                    "2B", 0, 1, (2 + a) / (2 * (4 + a)),
-                    "osp12-pair", conds, AlgebraDesc.sp(2), a, p=p, q=q,
-                ))
-                out.append(_w(
-                    "2B", 0, 1, (4 + a) / (2 * (2 + a)),
-                    "osp12-pair", conds, AlgebraDesc.sp(2), a, p=p, q=q,
-                ))
+                for psi in ((2 + a) / (2 * (4 + a)), (4 + a) / (2 * (2 + a))):
+                    out.append(_w(
+                        "2B", 0, 1, psi, "osp12-pair", conds, AlgebraDesc.sp(2), a,
+                        p=p, q=q,
+                    ))
     if conjectural:
         for p in range(1, pq_bound + 1):
             for q in range(1, pq_bound + 1):
@@ -804,76 +827,21 @@ def _points_2B(m: int, r_bound: int, pq_bound: int, conjectural: bool):
     return out
 
 
-def _points_subreg(tag: str, m: int, r_bound: int, conjectural: bool):
-    # tag "1D" holds the displays directly; tag "2D" (at m+1) holds their
-    # psi -> 1/(2 psi) partners, with the same partner algebras and levels.
-    dual = tag == "2D"
-    fam_m = m + 1 if dual else m
+def _points_1D(m: int, r_bound: int, conjectural: bool):
     out = []
-
-    def emit(psi, tag_name, conds, alg=None, s=None, status="certified", **aux):
-        value = 1 / (2 * psi) if dual else psi
-        out.append(_w(tag, 1, fam_m, value, tag_name, conds, alg, s,
-                      status=status, **aux))
-
     for r in range(1, r_bound + 1):
-        if _coprime(m + 1, 2 * r + 1):
-            emit(
-                Fraction(3 + 2 * m + 2 * r, 2 * m + 2),
-                "subregB-2" if dual else "subregB-1",
-                (f"gcd({m + 1},{2 * r + 1})=1",),
-                AlgebraDesc.sp(2 * r),
-                -(r + 1) + Fraction(2 * m + 2 * r + 3, 2 * (2 * r + 1)),
-                r=r,
-            )
-        if _coprime(r, 2 * m + 1):
-            emit(
-                Fraction(2 * m + 2 * r + 1, 2 * m + 1),
-                "subregB-4" if dual else "subregB-3",
-                (f"gcd({r},{2 * m + 1})=1",),
-                AlgebraDesc.so(2 * r),
-                -(2 * r - 2) + Fraction(2 * r, 2 * m + 2 * r + 1),
-                r=r,
-            )
+        out += _from_entries(_SHAPES["1D"], 1, m, r, r=r)
         if conjectural and m >= 2 * r - 1:
-            emit(
-                Fraction(2 * (m - r + 1), 1 + 2 * m - 2 * r),
-                "conj-subregB",
-                (f"{m}>={2 * r - 1}",),
-                status="conjectural",
-                r=r,
-            )
-    emit(
-        Fraction(2 * (2 + m), 2 * m + 1),
-        "subregB-osp1",
-        (),
-        AlgebraDesc.osp(1, 2, "C"),
-        Fraction(-3, 2) + Fraction(2 + m, 3),
-    )
-    if m >= 2:
-        emit(
-            Fraction(2 * m, 2 * m - 1),
-            "subregB-osp1-dual",
-            (f"{4 * m - 4}>=1",),
-            AlgebraDesc.osp(1, 2, "C"),
-            Fraction(-3, 2) + Fraction(m, 2 * m - 1),
-        )
-    return out
+            out.append(_w(
+                "1D", 1, m, Fraction(2 * (m - r + 1), 1 + 2 * m - 2 * r),
+                "conj-subregB", (f"{m}>={2 * r - 1}",), status="conjectural", r=r,
+            ))
+    return out + _from_entries(_SHAPES["1D r=1"], 1, m, 1)
 
 
 def _points_2C(n: int, r_bound: int):
-    out = []
-    for r in range(1, r_bound + 1):
-        out.append(_w(
-            "2C", n, 1,
-            Fraction(3 + 2 * n + 2 * r, 2),
-            "minC",
-            (),
-            AlgebraDesc.sp(2 * r),
-            -(r + 1) + Fraction(1 + n + r, 3 + 2 * n + 2 * r),
-            r=r,
-        ))
-    return out
+    return [w for r in range(1, r_bound + 1)
+            for w in _from_entries(_SHAPES["2C"], n, 1, r, r=r)]
 
 
 def _points_1C(n: int, r_bound: int):
@@ -905,6 +873,8 @@ def rational_points(
     Conjectural points are emitted only on request and are tagged
     ``status="conjectural"``; they never carry a partner.
     """
+    r_bound = _int(r_bound, "r_bound")
+    pq_bound = _int(pq_bound, "pq_bound")
     if r_bound < 1 or pq_bound < 1:
         raise ValueError("bounds must be at least 1")
     n, m = int(fam.n), int(fam.m)
@@ -912,9 +882,13 @@ def rational_points(
     if tag == "2B" and n == 0 and m >= 1:
         points = _points_2B(m, r_bound, pq_bound, include_conjectural)
     elif tag == "1D" and n == 1 and m >= 1:
-        points = _points_subreg("1D", m, r_bound, include_conjectural)
+        points = _points_1D(m, r_bound, include_conjectural)
     elif tag == "2D" and n == 1 and m >= 2:
-        points = _points_subreg("2D", m - 1, r_bound, include_conjectural)
+        points = [
+            replace(w, family="2D", m=m, psi=1 / (2 * w.psi),
+                    theorem=_SUBREG_DUAL.get(w.theorem, w.theorem))
+            for w in _points_1D(m - 1, r_bound, include_conjectural)
+        ]
     elif tag == "2C" and m == 1 and n >= 1:
         points = _points_2C(n, r_bound)
     elif tag == "1C" and m == 0 and n >= 1:

@@ -44,7 +44,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from math import gcd
 from typing import Dict, List, Optional, Tuple
@@ -52,8 +51,8 @@ from typing import Dict, List, Optional, Tuple
 from .catalog import (
     TARGET_KINDS,
     TARGETS,
-    CoincidenceEntry,
     _cell_check,
+    _entry_index,
     _rank_error,
     all_entries,
     gelfand_tsetlin_factors,
@@ -169,12 +168,6 @@ _SUITE_SWEEPS: Dict[str, Dict[str, Tuple[Tuple[int, int], Optional[int]]]] = {
     "coincidences": {"n": ((0, 4), 0), "m": ((0, 4), 0), "r": ((1, 4), None)},
     "singular": {"n": ((1, 4), 1), "u": ((2, 12), None), "v": ((1, 6), 1)},
 }
-
-
-@cache
-def _entry_index() -> Dict[str, CoincidenceEntry]:
-    """The coincidence entries by name, built on first use."""
-    return {e.name: e for e in all_entries()}
 
 
 def _cell_trialities(cell) -> Tuple[str, str]:

@@ -788,6 +788,14 @@ class TestExactParameters:
             pytest.param(lambda: K.osp_osp_charge(1, 0.5), id="osp_osp_charge-n"),
             pytest.param(lambda: K.is_admissible_nondegenerate("sp(4)", 0.5), id="admissible-s"),
             pytest.param(lambda: L.HookFamily.from_tag("2B", 1.0, 2), id="hook_family-n"),
+            pytest.param(
+                lambda: K.rational_points(L.HookFamily.from_tag("2B", 0, 1), r_bound=2.5),
+                id="rational_points-r_bound",
+            ),
+            pytest.param(
+                lambda: K.rational_points(L.HookFamily.from_tag("2B", 0, 1), pq_bound=2.5),
+                id="rational_points-pq_bound",
+            ),
         ],
     )
     def test_float_is_rejected(self, call):

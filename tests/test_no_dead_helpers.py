@@ -9,9 +9,9 @@ Every public module-level function and class that ``__init__.py`` does
 not re-export must be referenced the same way.  A public name with no
 caller and no place in the package's interface fails here.
 
-Every name a module imports from the package (``from .x import name``)
-must also be used in that module; ``__init__.py``, which re-exports, is
-exempt.  An import left behind by a refactor fails here.
+Every name a module imports, from the package or not, must also be used
+in that module; ``from __future__`` and ``__init__.py``, which
+re-exports, are exempt.  An import left behind by a refactor fails here.
 
 No block of code may be copied: a window of five consecutive lines, each
 stripped and with its whitespace collapsed, none blank or opening with
@@ -94,24 +94,32 @@ def unused_public(sources, exported):
     ))
 
 
-def unused_relative_imports(sources):
-    """(module, line, name) of each name imported by ``from .x import`` and unused.
+def unused_imports(sources):
+    """(module, line, name) of each name a module imports and does not use.
 
-    A use is a name or attribute reference anywhere in the importing
-    module, other than the import itself.
+    Relative and absolute imports alike, ``from __future__`` aside.  A use
+    is a name or attribute reference anywhere in the importing module,
+    other than the import itself; ``import a.b`` binds ``a``.
     """
     unused = []
     for module, text in sources.items():
         tree = ast.parse(text)
         used = _references(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level:
-                for alias in node.names:
-                    # _references counts an alias under its imported name.
-                    own = 0 if alias.asname else 1
-                    name = alias.asname or alias.name
-                    if used[name] == own:
-                        unused.append((module, node.lineno, name))
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [(alias, alias.asname or alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                bound = [
+                    (alias, alias.asname or alias.name.split(".")[0])
+                    for alias in node.names
+                ]
+            else:
+                continue
+            for alias, name in bound:
+                # _references counts an alias under its last dotted part.
+                own = alias.name.rsplit(".", 1)[-1] == name
+                if used[name] == own:
+                    unused.append((module, node.lineno, name))
     return sorted(unused)
 
 
@@ -167,7 +175,7 @@ def test_public_scan_catches_planted_definitions():
 
 def test_every_relative_import_is_used():
     sources = {p.name: p.read_text() for p in MODULES if p.name != "__init__.py"}
-    assert unused_relative_imports(sources) == []
+    assert unused_imports(sources) == []
 
 
 def test_import_scan_catches_planted_imports():
@@ -176,12 +184,20 @@ def test_import_scan_catches_planted_imports():
             "from .exact import _used, _dropped\n"
             "from .curves import values as _alias, _gone as _renamed\n"
             "from os import path\n"
-            "def f():\n    return _used() + _alias()\n"
+            "from __future__ import annotations\n"
+            "from functools import cache, reduce\n"
+            "import json, sys as _sys, xml.dom, email.message\n"
+            "def f():\n    return _used() + _alias() + reduce(xml.dom.Node, [])\n"
         ),
     }
-    assert unused_relative_imports(planted) == [
+    assert unused_imports(planted) == [
         ("a.py", 1, "_dropped"),
         ("a.py", 2, "_renamed"),
+        ("a.py", 3, "path"),
+        ("a.py", 5, "cache"),
+        ("a.py", 6, "_sys"),
+        ("a.py", 6, "email"),
+        ("a.py", 6, "json"),
     ]
 
 
