@@ -18,7 +18,9 @@ levels, live here:
   typed;
 
 * the Gelfand-Tsetlin factor chains whose tensor factors resolve to
-  principal W-algebras and orbifolds at explicitly displayed levels;
+  principal W-algebras and orbifolds at explicitly displayed levels,
+  each factor a coincidence entry at its member's parameters, read off
+  like a witness (``_entry_at``);
 
 * whether a level of so_N or sp_N is admissible and nondegenerate, the
   hypothesis under which a partner principal W-algebra is rational,
@@ -127,7 +129,6 @@ class TargetRule:
     m_expr: RatFunc
     shift: RatFunc
     min_r: int
-    orbifold: bool
 
     def algebra(self, r: int) -> AlgebraDesc:
         if self.kind == "sp":
@@ -163,10 +164,10 @@ def _build_targets() -> Dict[str, TargetRule]:
     r = RatFunc.var("r")
     half = Fraction(1, 2)
     return {
-        "sp": TargetRule("sp", "2C", r, r + 1, 1, False),
-        "so_even": TargetRule("so_even", "1O", r - 1, 2 * r - 2, 2, True),
-        "osp": TargetRule("osp", "2B", r, r + half, 1, True),
-        "so_odd": TargetRule("so_odd", "1C", r, 2 * r - 1, 1, False),
+        "sp": TargetRule("sp", "2C", r, r + 1, 1),
+        "so_even": TargetRule("so_even", "1O", r - 1, 2 * r - 2, 2),
+        "osp": TargetRule("osp", "2B", r, r + half, 1),
+        "so_odd": TargetRule("so_odd", "1C", r, 2 * r - 1, 1),
     }
 
 
@@ -650,8 +651,6 @@ def verify_osp_osp(m, n) -> OspOspReport:
     """
     m = _int(m, "m")
     n = _int(n, "n")
-    if m + n == 0:
-        raise ValueError("m + n must be positive")
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
     c_display = osp_osp_charge(m, n)
@@ -781,16 +780,27 @@ _SHAPES = {
 _SUBREG_DUAL = {"subregB-1": "subregB-2", "subregB-3": "subregB-4"}
 
 
+def _entry_at(name: str, n: int, m: int, r: int):
+    """(entry, psi, s, partner algebra) of the named entry at integers (n, m, r).
+
+    psi and the target psi s + shift(r) are summed from the entry's integer
+    term rows (``CoincidenceEntry._cell_values``), and the partner is the
+    target's algebra at rank r.
+    """
+    e = _entry_index()[name]
+    psi_num, psi_den, t_num, t_den = e._cell_values(n, m, r)[:4]
+    s = Fraction(t_num, t_den) - _rank_data(e.target, r)[1]
+    return e, Fraction(psi_num, psi_den), s, TARGETS[e.target].algebra(r)
+
+
 def _from_entries(shapes, n: int, m: int, r: int, /, **aux):
     """The witnesses of ``_SHAPES`` rows at (n, m, r) whose conditions hold."""
-    point = {"n": n, "m": m, "r": r}
     out = []
     for theorem, name, conditions in shapes:
         conds = conditions(n, m, r)
         if conds is not None:
-            e = _entry_index()[name]
-            out.append(_w(e.source, n, m, e.psi.eval(point), theorem, conds,
-                          TARGETS[e.target].algebra(r), e.s.eval(point), **aux))
+            e, psi, s, alg = _entry_at(name, n, m, r)
+            out.append(_w(e.source, n, m, psi, theorem, conds, alg, s, **aux))
     return out
 
 
@@ -963,25 +973,9 @@ def gt_factor_json(f: GTFactor) -> dict:
     }
 
 
-def _bd_factor(series: str, kind: str, j: int, k: int) -> GTFactor:
-    # The D_k(j) and E_k(j) factors resolve by the parity of k.
-    if k % 2 == 0:
-        rr = k // 2
-        alg = AlgebraDesc.so(2 * rr)
-        if kind == "D":
-            s = -(2 * rr - 2) + Fraction(2 * j + 2 * rr - 2, 2 * j + 2 * rr - 1)
-        else:
-            s = -(2 * rr - 2) + Fraction(2 * j + 2 * rr - 1, 2 * j + 2 * rr)
-        tag = "gt-BD-even"
-    else:
-        rr = (k - 1) // 2
-        alg = AlgebraDesc.osp(1, 2 * rr, "C")
-        if kind == "D":
-            s = Fraction(-(2 * rr + 1), 2) + Fraction(j + rr, 2 * j + 2 * rr - 1)
-        else:
-            s = Fraction(-(2 * rr + 1), 2) + Fraction(j + rr, 2 * j + 2 * rr + 1)
-        tag = "gt-BD-odd"
-    return GTFactor(series, kind, j, k, str(alg), True, (s,), tag)
+# D_k(j) is 1D(j, 0) and E_k(j) is 1B(j, 0) at level k, each a coincidence
+# entry at rank r = k // 2: so(2r) for even k, osp(1|2r) for odd k.
+_GT_ENTRIES = {"D": ("1D-so_even(1)", "1D-osp(1)"), "E": ("1B-so_even(1)", "1B-osp(1)")}
 
 
 def gelfand_tsetlin_factors(series: str, n: int, k: int) -> Tuple[GTFactor, ...]:
@@ -998,24 +992,23 @@ def gelfand_tsetlin_factors(series: str, n: int, k: int) -> Tuple[GTFactor, ...]
     if n < 1 or k < 1:
         raise ValueError("n and k must be at least 1")
     if series == "C":
+        # ell_i is 2C(n - i + 1, 0) at level k, s_i the minimal 2C(n - i, 1) at k - 1/2.
         factors = []
         for i in range(1, n + 1):
-            ell = -(k + 1) + Fraction(2 + n - i + k, 3 + 2 * n - 2 * i + 2 * k)
-            s = -(k + 1) + Fraction(1 + n - i + k, 3 + 2 * n - 2 * i + 2 * k)
-            factors.append(GTFactor(
-                "C", "pair", i, k, str(AlgebraDesc.sp(2 * k)), False,
-                (ell, s), "gt-C",
-            ))
+            _, _, ell, alg = _entry_at("2C-sp(1)", n - i + 1, 0, k)
+            s = _entry_at("2C-sp(3)", n - i, 1, k)[2]
+            factors.append(GTFactor("C", "pair", i, k, str(alg), False, (ell, s), "gt-C"))
         return tuple(factors)
     if series not in ("B", "D"):
         raise ValueError("series must be one of B, D, C")
-    chain = [GTFactor(series, "H", 0, k, None, False, (), None)]
-    last = n if series == "D" else n - 1
-    for j in range(1, last + 1):
-        chain.append(_bd_factor(series, "D", j, k))
-        chain.append(_bd_factor(series, "E", j, k))
+    steps = [(kind, j) for j in range(1, n + 1) for kind in "DE"]
     if series == "B":
-        chain.append(_bd_factor(series, "D", n, k))
+        steps.pop()  # the B chain ends at D_k(n)
+    tag = ("gt-BD-even", "gt-BD-odd")[k % 2]
+    chain = [GTFactor(series, "H", 0, k, None, False, (), None)]
+    for kind, j in steps:
+        _, _, s, alg = _entry_at(_GT_ENTRIES[kind][k % 2], j, 0, k // 2)
+        chain.append(GTFactor(series, kind, j, k, str(alg), True, (s,), tag))
     return tuple(chain)
 
 

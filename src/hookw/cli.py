@@ -24,10 +24,10 @@ or domain errors.
 
 Every option that sizes a loop is capped, as ``verify --max-cells`` caps a
 sweep: ``rational-points --r`` at an upper end of 1000 and ``--pq-bound``
-at 100, ``gt-factors --n`` and ``--k`` at 1000, ``sing --rank`` at 200 and
-``--u``/``--v`` at 10**6.  A larger value is a usage error (exit 2), and
-so is a sweep range that starts below its variable's least value
-(``_SUITE_SWEEPS``), reported before any cell runs.
+at 100, ``gt-factors --n`` and ``--k`` at 1000, ``gentype --m`` at 1000,
+``sing --rank`` at 200 and ``--u``/``--v`` at 10**6.  A larger value is a
+usage error (exit 2), and so is a sweep range that starts below its
+variable's least value (``_SUITE_SWEEPS``), reported before any cell runs.
 
 Sweeps are single-threaded by default; set the environment variable
 ``HOOKW_WORKERS`` to fan a ``verify`` sweep out over a process pool of at
@@ -590,10 +590,10 @@ def _capped_int(cap: int):
     return parse
 
 
-def _add_family_flags(sub) -> None:
+def _add_family_flags(sub, m_type=int, m_help="hook parameter m") -> None:
     sub.add_argument("--family", required=True, choices=FAMILY_TAGS, help="family tag")
     sub.add_argument("--n", required=True, type=int, help="hook parameter n")
-    sub.add_argument("--m", required=True, type=int, help="hook parameter m")
+    sub.add_argument("--m", required=True, type=m_type, help=m_help)
 
 
 def _add_json_flag(sub) -> None:
@@ -619,7 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_describe)
 
     p = sub.add_parser("gentype", help="minimal strong generating type")
-    _add_family_flags(p)
+    # The generating type lists the weights 2, 4, ..., 2m, one loop step each.
+    _add_family_flags(p, _capped_int(1000), "hook parameter m (at most 1000)")
     _add_json_flag(p)
     p.set_defaults(func=_cmd_gentype)
 

@@ -156,22 +156,20 @@ def ghost_central_charge(d: int) -> Fraction:
 
 @dataclass(frozen=True)
 class _FamilyData:
-    i: int
-    x: str
     ell: str  # "k" | "-k/2" | "-2k"
     even_pairing: bool  # parity of rho_a (x) rho_b
     xi: Fraction  # 1 if a is orthogonal, 1/2 if symplectic or osp
 
 
 _FAMILY = {
-    "1B": _FamilyData(1, "B", "k", True, Fraction(1)),
-    "1C": _FamilyData(1, "C", "-k/2", False, _HALF),
-    "1D": _FamilyData(1, "D", "k", True, Fraction(1)),
-    "1O": _FamilyData(1, "O", "-k/2", False, _HALF),
-    "2B": _FamilyData(2, "B", "-2k", False, Fraction(1)),
-    "2C": _FamilyData(2, "C", "k", True, _HALF),
-    "2D": _FamilyData(2, "D", "-2k", False, Fraction(1)),
-    "2O": _FamilyData(2, "O", "k", True, _HALF),
+    "1B": _FamilyData("k", True, Fraction(1)),
+    "1C": _FamilyData("-k/2", False, _HALF),
+    "1D": _FamilyData("k", True, Fraction(1)),
+    "1O": _FamilyData("-k/2", False, _HALF),
+    "2B": _FamilyData("-2k", False, Fraction(1)),
+    "2C": _FamilyData("k", True, _HALF),
+    "2D": _FamilyData("-2k", False, Fraction(1)),
+    "2O": _FamilyData("k", True, _HALF),
 }
 
 
@@ -411,14 +409,14 @@ def assemble_central_charge(fam: HookFamily) -> RatFunc:
     n, m = fam.n, fam.m
     if n + m < 1:
         raise ValueError("assembled charge requires n + m >= 1")
-    if dat.i == 2 and m < 1:
+    if fam.i == 2 and m < 1:
         raise ValueError("families 2X with m = 0 are not built by reduction")
 
     psi = RatFunc.var("psi")
     g = ambient_algebra(fam)
     k = psi - dual_coxeter(g)
     c_g = k * sdim(g) / psi
-    if dat.i == 1:
+    if fam.i == 1:
         c_dilaton = -k * (2 * m * (m + 1) * (2 * m + 1))
     else:
         c_dilaton = -k * (2 * m * (4 * m * m - 1))

@@ -813,6 +813,56 @@ class TestGTFactors:
                 ell1 = K.gelfand_tsetlin_factors("C", n, k)[0].levels[0]
                 assert ell1 == -(k + 1) + F(1 + n + k, 1 + 2 * n + 2 * k)
 
+    def test_factors_lie_on_the_curves(self):
+        # Each factor's member and psi come from Lie data alone: D_k(j) is
+        # 1D(j, 0) and E_k(j) is 1B(j, 0) at level k, ell_i is 2C(n-i+1, 0)
+        # at level k and s_i the minimal 2C(n-i, 1) at level k - 1/2, with
+        # psi = level + h^vee(g).  The partner is read from the factor's
+        # algebra and level alone.  A partner below min_r or a point off
+        # the generic domain is counted, never passed.
+        n = 8
+        verdicts = Counter()
+        for k in range(1, 9):
+            for f in K.gelfand_tsetlin_factors("D", n, k):
+                if f.kind != "H":
+                    member = fam("1D" if f.kind == "D" else "1B", f.index, 0)
+                    verdict = self._verdict(member, F(k), f.algebra, f.levels[0])
+                    verdicts[f.kind, f.tag, verdict] += 1
+            for f in K.gelfand_tsetlin_factors("C", n, k):
+                ell, s = f.levels
+                member = fam("2C", n - f.index + 1, 0)
+                verdicts["ell", self._verdict(member, F(k), f.algebra, ell)] += 1
+                member = fam("2C", n - f.index, 1)
+                verdicts["s", self._verdict(member, k - F(1, 2), f.algebra, s)] += 1
+        assert verdicts == {
+            ("D", "gt-BD-even", "on"): 24, ("D", "gt-BD-even", "below"): 8,
+            ("E", "gt-BD-even", "on"): 24, ("E", "gt-BD-even", "below"): 8,
+            ("D", "gt-BD-odd", "on"): 24, ("D", "gt-BD-odd", "below"): 8,
+            ("E", "gt-BD-odd", "on"): 24, ("E", "gt-BD-odd", "below"): 8,
+            ("ell", "on"): 64,
+            ("s", "on"): 63, ("s", "domain"): 1,
+        }
+
+    @staticmethod
+    def _verdict(member, level, algebra, s):
+        psi = level + L.dual_coxeter(L.ambient_algebra(member))
+        alg = K.parse_algebra(algebra)
+        rule = K.TARGETS[alg.kind]
+        r = (alg.size or alg.even) // 2
+        if r < rule.min_r:
+            return "below"
+        psi2 = rule.psi_of_s(s, r)
+        if not (
+            C.on_generic_domain(member, member.n, member.m, psi)
+            and C.on_generic_domain(rule.tag, 0, rule.m_of(r), psi2)
+        ):
+            return "domain"
+        try:
+            on = C.phi(member).values(psi) == rule.curve(r).values(psi2)
+        except PoleError:
+            return "pole"
+        return "on" if on else "off"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             K.gelfand_tsetlin_factors("A", 1, 1)

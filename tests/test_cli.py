@@ -6,6 +6,7 @@ checked to re-parse into the exact values the library produces, and the
 table mode is checked to be a projection of the same data.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -608,6 +609,43 @@ class TestLoopCaps:
         code, _, err = run(capsys, *base, "--rank", "x", "--u", "3", "--v", "2")
         assert code == 2
         assert "invalid int value: 'x'" in err
+
+    def test_gentype(self, capsys, monkeypatch):
+        # generator_profile loops over the weights 2, 4, ..., 2m.
+        monkeypatch.setattr(cli, "generator_profile", self._refuse)
+        code, out, err = run(capsys, "gentype", "--family", "2B", "--n", "0", "--m", "1001")
+        assert code == 2
+        assert out == ""
+        assert "at most 1000, got 1001" in err
+        seen = []
+        monkeypatch.setattr(cli, "generator_profile", lambda f: seen.append(f) or ())
+        assert run(capsys, "gentype", "--family", "2B", "--n", "0", "--m", "1000")[0] == 0
+        assert seen == [fam("2B", 0, 1000)]
+
+    # The plain int options, each sizing no loop: the family parameters
+    # (but gentype's --m), intersect's rank and second member, and the
+    # sweep cap of verify itself.
+    _SIZE_NO_LOOP = {
+        *((command, option)
+          for command in ("charge", "describe", "curve", "intersect", "rational-points")
+          for option in ("--n", "--m")),
+        ("gentype", "--n"),
+        ("intersect", "--r"),
+        ("intersect", "--n2"),
+        ("intersect", "--m2"),
+        ("verify", "--max-cells"),
+    }
+
+    def test_every_uncapped_int_option_sizes_no_loop(self):
+        actions = cli.build_parser()._actions
+        (commands,) = (a.choices for a in actions if isinstance(a, argparse._SubParsersAction))
+        uncapped = {
+            (command, a.option_strings[-1])
+            for command, parser in commands.items()
+            for a in parser._actions
+            if a.type is int
+        }
+        assert uncapped == self._SIZE_NO_LOOP
 
 
 class TestTopLevel:
