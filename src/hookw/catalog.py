@@ -445,7 +445,12 @@ def _curve_at(tag: str, n, m) -> TruncationCurve:
     """The numeric curve of tag at (n, m), built once.
 
     Keys are ints or Fractions; the two hash alike, so an int key and
-    the equal Fraction share one entry.
+    the equal Fraction share one entry.  ``phi_family`` caches the curve
+    too, and this memo stays for two reasons: the sweep's per-cell lookup
+    hashes its int key here, rather than paying ``phi_family``'s
+    coercion and route arithmetic 7,326 times in the default sweep, and
+    perfbench's ``catalog.curve_builds`` counts the ``phi_family`` calls
+    made from this module.
     """
     return phi_family(tag, n, m)
 
@@ -785,12 +790,16 @@ def _entry_at(name: str, n: int, m: int, r: int):
 
     psi and the target psi s + shift(r) are summed from the entry's integer
     term rows (``CoincidenceEntry._cell_values``), and the partner is the
-    target's algebra at rank r.
+    target's algebra at rank r.  psi is its (numerator, denominator) int
+    pair, so only a caller that reads psi builds its Fraction; s is one
+    Fraction, formed in ints from the target psi and the shift p/q.
     """
     e = _entry_index()[name]
     psi_num, psi_den, t_num, t_den = e._cell_values(n, m, r)[:4]
-    s = Fraction(t_num, t_den) - _rank_data(e.target, r)[1]
-    return e, Fraction(psi_num, psi_den), s, TARGETS[e.target].algebra(r)
+    shift = _rank_data(e.target, r)[1]
+    q = shift.denominator
+    s = Fraction(t_num * q - shift.numerator * t_den, t_den * q)
+    return e, (psi_num, psi_den), s, TARGETS[e.target].algebra(r)
 
 
 def _from_entries(shapes, n: int, m: int, r: int, /, **aux):
@@ -800,7 +809,7 @@ def _from_entries(shapes, n: int, m: int, r: int, /, **aux):
         conds = conditions(n, m, r)
         if conds is not None:
             e, psi, s, alg = _entry_at(name, n, m, r)
-            out.append(_w(e.source, n, m, psi, theorem, conds, alg, s, **aux))
+            out.append(_w(e.source, n, m, Fraction(*psi), theorem, conds, alg, s, **aux))
     return out
 
 

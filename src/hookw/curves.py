@@ -17,20 +17,23 @@ shifted (n, m) at which 2B is taken and the one degree-one psi map of the
 triality group composed with it.  Every curve is built by one
 constructor, ``phi_family``, from that row: the master at the shifted
 (n, m) with psi through the route's map.
-The master depends on (n, m) only through t = n + m(2psi - 1), so it is
-read only to derive F(t, psi), its slice at m = 0 (``_at_m0``), with
-6 + 2 terms for c and 20 + 33 for lambda against 19 + 2 and 79 + 213;
-every curve is built from F.
+The master depends on (n, m) only through t = n + m(2psi - 1), so the
+package holds only F(t, psi), its slice at m = 0 (``_at_m0``), with
+6 + 2 terms for c and 20 + 33 for lambda against 19 + 2 and 79 + 213.
+F is built once (``_F``) from the printed pieces, each sliced at m = 0
+before the lambda products are taken, and never from the three-variable
+master; every curve is built from F.
 
 Data that depends only on (family, n, m) is built once and reused for
 every psi; every such memo is a ``functools.cache`` on the function that
-builds it.  A numeric curve and the generic-domain check read F's
-polynomials in the family's own psi through one helper
-(``_in_family_psi``): by Horner in t into integer lists in psi, then
-through the route's degree-one psi map, every list cleared alike.  A
-numeric curve is reduced by one gcd; ``TruncationCurve._sums`` sums its
-four integer lists at psi = p/q by one homogeneous Horner loop over
-ints, and ``values`` divides them.  A symbolic curve composes F with
+builds it, and a numeric curve is one of them (``_numeric_2B``, keyed on
+its exact inner (n, m), map and label).  A numeric curve and the
+generic-domain check read F's polynomials in the family's own psi
+through one helper (``_in_family_psi``): by Horner in t into integer
+lists in psi, then through the route's degree-one psi map, every list
+cleared alike.  A numeric curve is reduced by one gcd;
+``TruncationCurve._sums`` sums its four integer lists at psi = p/q by
+one homogeneous Horner loop over ints, and ``values`` divides them.  A symbolic curve composes F with
 n -> t, then with the psi map, and is canonicalized once.
 The generic-domain check looks psi up, as its (numerator, denominator)
 pair, in the set of excluded values: the rational roots of the
@@ -47,8 +50,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
-from math import lcm, prod
+from functools import cache, cached_property, reduce
+from math import lcm
 from typing import Optional, Tuple
 
 from .exact import (
@@ -70,6 +73,8 @@ from .exact import (
     _dcompose,
     _dense_trim,
     _dmul,
+    _dneg,
+    _dscale,
     _dsub,
     _dict_to_int_list,
     _divexact_int,
@@ -274,19 +279,6 @@ _H_2B = """
 
 
 @cache
-def _master_2B() -> Tuple[RatFunc, RatFunc]:
-    """The symbolic 2B curve in the three variables psi, n, m.
-
-    c is the closed-form 2B charge.  lambda is -(2psi)(2psi - 1) F over 7
-    times the other five domain factors.
-    """
-    c = closed_form_charge("2B", RatFunc.var("n"), RatFunc.var("m"))
-    two_psi, two_psi_less_one, *den = _master_domain_factors()
-    lam = -RatFunc(two_psi * two_psi_less_one * parse_ratfunc(_F_2B).num, 7 * prod(den))
-    return c, lam
-
-
-@cache
 def _master_domain_factors() -> Tuple[MultiPoly, ...]:
     """Every printed denominator factor of the master curve, in psi, n, m."""
     psi, n, m = (RatFunc.var(v) for v in ("psi", "n", "m"))
@@ -320,14 +312,29 @@ def _at_m0(p: MultiPoly) -> dict:
 
 
 @cache
-def _t_slices():
-    """F's (num, den) of c and of lambda, and the domain factors, at m = 0.
+def _F():
+    """F, the master at m = 0: (num, den) of c and of lambda, and the domain factors.
 
-    Each is sliced by t: [S_0, ..., S_d], S_e an integer list in psi.
+    Int dicts in n, standing for t, and psi.  c is the closed-form 2B
+    charge.  lambda is -(2psi)(2psi - 1) F_2B over 7 times the other five
+    domain factors.  Slicing at m = 0 is a ring homomorphism, so lambda's
+    products are taken of the printed factors' slices, with no gcd: none
+    cancels, and the pair equals the slice of the canonical master.
     """
-    (c, lam), factors = _master_2B(), _master_domain_factors()
-    polys = (c.num, c.den, lam.num, lam.den) + factors
-    c_num, c_den, lam_num, lam_den, *factors = [_LISTS[_PSI].dense(_at_m0(p), _N) for p in polys]
+    c = closed_form_charge("2B", RatFunc.var("n"), RatFunc.var("m"))
+    factors = [_at_m0(f) for f in _master_domain_factors()]
+    two_psi, two_psi_less_one, *den = factors
+    lam_num = reduce(_dmul, (two_psi, two_psi_less_one, _at_m0(parse_ratfunc(_F_2B).num)))
+    lam_den = _dscale(reduce(_dmul, den), 7)
+    return (_at_m0(c.num), _at_m0(c.den)), (_dneg(lam_num), lam_den), factors
+
+
+@cache
+def _t_slices():
+    """``_F`` with each dict sliced by t: [S_0, ..., S_d], S_e an integer list in psi."""
+    c, lam, factors = _F()
+    polys = (*c, *lam, *factors)
+    c_num, c_den, lam_num, lam_den, *factors = [_LISTS[_PSI].dense(p, _N) for p in polys]
     return (c_num, c_den), (lam_num, lam_den), factors
 
 
@@ -468,12 +475,15 @@ def _curve(c: RatFunc, lam: Optional[RatFunc], source: str) -> TruncationCurve:
     return TruncationCurve(c=c, lam=lam, source=source, symbols=tuple(sorted(names - {"psi"})))
 
 
+@cache
 def _numeric_2B(n: Fraction, m: Fraction, w, source: str) -> TruncationCurve:
     """The 2B curve at rational (n, m), composed with w, on integer lists.
 
     F is run at t = n + m(2psi - 1) and through w = (a, b, c, d), psi ->
     (a psi + b)/(c psi + d) or None, into integer lists in psi
     (``_in_family_psi``), and reduced by one gcd (``_int_list_quotient``).
+    Built once per (n, m, w, source); ``phi_family`` refuses a float
+    before the lookup, so every key is exact.
     """
     t = _t_coeffs(n, m)
     out = []
@@ -496,8 +506,7 @@ def _symbolic_2B(n, m, w, source: str) -> TruncationCurve:
         a, b, c, d = w
         steps.append([(_PSI, _int_list_to_dict([b, a], _PSI), _int_list_to_dict([d, c], _PSI))])
     out = []
-    for rf in _master_2B():
-        num, den = _at_m0(rf.num), _at_m0(rf.den)
+    for num, den in _F()[:2]:
         for subs in steps:
             num, den = _dcompose(num, den, subs)
         out.append(RatFunc._from_dicts(num, den) if den else None)
@@ -563,7 +572,7 @@ def _orbit():
     F is the master at m = 0, n standing for t.  g is kept when F o g, one
     ``_dcompose``, cross-multiplies to F; a map that fails certifies nothing.
     """
-    pairs = [(_at_m0(rf.num), _at_m0(rf.den)) for rf in _master_2B()]
+    pairs = _F()[:2]
     kept = []
     for k, (a, b, c, d) in _S3:
         z = _int_list_to_dict([d, c], _PSI)

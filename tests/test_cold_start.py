@@ -2,11 +2,11 @@
 
 The import runs in a fresh interpreter, with a profile hook counting the
 calls of ``exact._int_poly_gcd``; afterwards the memos of the coincidence
-table, of the master curve, of the orbit certificate and of the test for
-a curve without finite lambda must still be empty, and the process pool
-of ``HOOKW_WORKERS`` sweeps must not be loaded.  A positive control in
-the same interpreter then builds the table and certifies one entry, and
-sees the counters move.
+table, of F and its t-slices, of the numeric curves, of the orbit
+certificate and of the test for a curve without finite lambda must still
+be empty, and the process pool of ``HOOKW_WORKERS`` sweeps must not be
+loaded.  A positive control in the same interpreter then builds the table
+and certifies one entry, and sees the counters move.
 """
 
 import json
@@ -32,8 +32,8 @@ def profile(frame, event, arg):
 
 def snapshot():
     from hookw import catalog, curves
-    memos = (catalog.all_entries, curves._master_2B, curves._t_slices, curves._orbit,
-             curves._lambda_less)
+    memos = (catalog.all_entries, curves._F, curves._t_slices, curves._numeric_2B,
+             curves._orbit, curves._lambda_less)
     return {"gcd_calls": gcd_calls,
             "misses": {f.__name__: f.cache_info().misses for f in memos}}
 
@@ -68,7 +68,8 @@ def test_import_fills_no_memo_and_runs_no_gcd():
     assert report["cold"] == {
         "gcd_calls": 0,
         "misses": {
-            "all_entries": 0, "_master_2B": 0, "_t_slices": 0, "_orbit": 0, "_lambda_less": 0
+            "all_entries": 0, "_F": 0, "_t_slices": 0, "_numeric_2B": 0, "_orbit": 0,
+            "_lambda_less": 0,
         },
     }
     assert report["pool_modules"] == []
@@ -76,4 +77,5 @@ def test_import_fills_no_memo_and_runs_no_gcd():
     built = report["built"]
     assert built["misses"]["all_entries"] == 1
     assert built["misses"]["_orbit"] == 1
+    assert built["misses"]["_F"] == 1
     assert built["gcd_calls"] > 0

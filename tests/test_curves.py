@@ -21,6 +21,7 @@ from hookw.exact import (
     rational_roots,
     resultant,
 )
+from master_curve import master_2B
 
 
 F = Fraction
@@ -83,8 +84,9 @@ class TestMasterTranscription:
 
     def test_master_is_pinned(self):
         # c, lambda and the seven domain factors, against the sha256 of the
-        # master as it was entered with its factors and its c typed inline.
-        c, lam = C._master_2B()
+        # master as it was entered with its factors and its c typed inline;
+        # the master is built on the test side, the package holds only F.
+        c, lam = master_2B()
         text = json.dumps(
             [c.to_text(), lam.to_text()] + [p.to_text() for p in C._master_domain_factors()]
         )
@@ -186,7 +188,7 @@ class TestTwoCoordinates:
 
     @staticmethod
     def printed():
-        c, lam = C._master_2B()
+        c, lam = master_2B()
         return (c.num, c.den, lam.num, lam.den) + C._master_domain_factors()
 
     def test_each_printed_polynomial_is_a_polynomial_in_t(self):
@@ -201,8 +203,24 @@ class TestTwoCoordinates:
             assert at_m0.substitute("n", t) == p, p
             assert MultiPoly._raw(C._at_m0(p)) == at_m0
 
+    def test_F_is_the_slice_of_the_canonical_master(self):
+        # F is built from the printed pieces, each sliced at m = 0, with
+        # no gcd; it equals the m = 0 slice of the canonical master.
+        c, lam = master_2B()
+        assert C._F() == (
+            (C._at_m0(c.num), C._at_m0(c.den)),
+            (C._at_m0(lam.num), C._at_m0(lam.den)),
+            [C._at_m0(f) for f in C._master_domain_factors()],
+        )
+
+    def test_t_slices_are_pinned(self):
+        # F sliced by t, c and lambda and the seven factors, against the
+        # sha256 of the slices as they were read off the canonical master.
+        digest = hashlib.sha256(json.dumps(C._t_slices()).encode()).hexdigest()
+        assert digest == "f88f064c9bebcdbb0df13932be1bef4645020a49a358d3fd4e3a0416f87cf72d"
+
     def test_F_is_smaller_than_the_entered_master(self):
-        c, lam = C._master_2B()
+        c, lam = master_2B()
         polys = (c.num, c.den, lam.num, lam.den)
         assert [len(p._d) for p in polys] == [19, 2, 79, 213]
         assert [len(C._at_m0(p)) for p in polys] == [6, 2, 20, 33]
@@ -211,7 +229,7 @@ class TestTwoCoordinates:
         # (n, m) and (n + m(2psi - 1), 0) give one curve, at symbolic and
         # at rational parameters; the second needs psi in n, so it is
         # checked on the entered master.
-        c, lam = C._master_2B()
+        c, lam = master_2B()
         t = N + M * (2 * PSI - 1)
         for rf in (c, lam):
             assert rf.specialize({"n": t, "m": 0}) == rf
@@ -229,7 +247,7 @@ class TestTwoCoordinates:
         # free of psi.
         x0 = F(3, 7)
         pair = []
-        for rf in C._master_2B():
+        for rf in master_2B():
             f = RatFunc(MultiPoly._raw(C._at_m0(rf.num)), MultiPoly._raw(C._at_m0(rf.den)))
             pair.append((f - f.substitute("psi", x0).substitute("n", M)).num)
         res = resultant(*pair, "n")
@@ -286,7 +304,7 @@ def _reference_family(tag, n, m):
             )
         return RatFunc._raw_canonical(*E._ratfunc_canonical(num, den))
 
-    return tuple(route(rf) for rf in C._master_2B())
+    return tuple(route(rf) for rf in master_2B())
 
 
 class TestNumericBuilds:
@@ -296,6 +314,8 @@ class TestNumericBuilds:
         def forbidden(*args):
             raise AssertionError("numeric curve built through the polynomial dict route")
 
+        # Built afresh, not read from the numeric-curve memo.
+        C._numeric_2B.cache_clear()
         with monkeypatch.context() as patch:
             for module in (C, E):
                 patch.setattr(module, "_dcompose", forbidden)
@@ -347,6 +367,41 @@ class TestNumericBuilds:
         assert lambda_less == [(F(1, 2), F(1, 2))]
 
 
+class TestNumericMemo:
+    """A numeric curve is built once per exact inner (n, m), map and label."""
+
+    def test_int_and_fraction_share_a_curve(self):
+        assert C.phi_family("2B", 1, 2) is C.phi_family("2B", F(1), 2)
+        assert C.phi_family("1D", F(1, 2), 3) is C.phi_family("1D", F(2, 4), F(3))
+
+    def test_a_float_is_refused_with_the_curve_cached(self):
+        C.phi_family("2B", 1, 2)
+        with pytest.raises(ExactError):
+            C.phi_family("2B", 1.0, 2)
+        with pytest.raises(ExactError):
+            C.phi_family("2B", 1, 2.0)
+
+    def test_one_oracle_pass_builds_seven_curves(self):
+        # The acceptance oracle's 20 intersections call phi_family 40
+        # times on 4 sources and 3 targets.
+        C._numeric_2B.cache_clear()
+        calls = 0
+        for n in (0, 1):
+            for m in (1, 2):
+                for kind in K.TARGET_KINDS:
+                    rule = K.TARGETS[kind]
+                    for r in (1, 2):
+                        if r < rule.min_r:
+                            continue
+                        source = C.phi_family("2B", n, m)
+                        target = C.phi_family(rule.tag, 0, rule.m_of(r))
+                        C.intersect(source, target)
+                        calls += 2
+        info = C._numeric_2B.cache_info()
+        assert calls == 40
+        assert (info.misses, info.hits) == (7, 33)
+
+
 class TestOrbifoldSlices:
     """The three combos whose lambda denominator vanishes identically."""
 
@@ -365,7 +420,7 @@ class TestOrbifoldSlices:
         # denominator vanishes.  The lowest and highest coefficients are
         # coprime, so their resultant in m is nonzero and every such n is
         # among its roots.
-        den = C._master_2B()[1].den
+        den = master_2B()[1].den
         coeffs = [den.coefficient_of("psi", k) for k in range(den.degree("psi") + 1)]
         eliminant = resultant(coeffs[0], coeffs[-1], "m")
         assert not eliminant.is_zero()

@@ -18,6 +18,7 @@ import hookw
 from hookw import curves as C
 from hookw import exact as E
 from hookw.exact import MultiPoly, RatFunc, UniPoly
+from master_curve import master_2B
 
 
 small_fractions = st.builds(
@@ -921,7 +922,7 @@ parameters = st.builds(
     Fraction, st.integers(min_value=-8, max_value=8), st.sampled_from([1, 2, 3])
 )
 # F, the master at m = 0: c.num, c.den, lam.num, lam.den as int dicts.
-_F = tuple(C._at_m0(p) for rf in C._master_2B() for p in (rf.num, rf.den))
+_F = tuple(C._at_m0(p) for rf in master_2B() for p in (rf.num, rf.den))
 
 
 @st.composite
@@ -1050,7 +1051,7 @@ def test_parse_matches_ratfunc_arithmetic(tree):
 def test_parse_canonicalizes_once(monkeypatch):
     texts = [
         hookw.curves._F_2B,
-        hookw.curves._master_2B()[1].to_text(),
+        master_2B()[1].to_text(),
         "(psi + 1)/(n - 2) - 3/(psi*m)^2 + --n",
         "-(1/psi)^3*(psi - 1)/(2*psi - 2) + 0^0",
     ]
