@@ -48,9 +48,9 @@ from .curves import (
     _DEGENERATE_SET,
     TruncationCurve,
     _excluded_psi,
+    _numeric_curve,
     _orbit_maps,
     _point,
-    phi_family,
 )
 from .exact import (
     _VAR_INDEX,
@@ -146,7 +146,7 @@ class TargetRule:
         return _coerce_fraction(s) + _rank_data(self.kind, _coerce_fraction(r))[1]
 
     def curve(self, r) -> TruncationCurve:
-        return _curve_at(self.tag, Fraction(0), self.m_of(r))
+        return _numeric_curve(self.tag, 0, self.m_of(r))
 
 
 @cache
@@ -440,21 +440,6 @@ def coincidence_table(source: str, target: str) -> Tuple[CoincidenceEntry, ...]:
 # ---------------------------------------------------------------------------
 
 
-@cache
-def _curve_at(tag: str, n, m) -> TruncationCurve:
-    """The numeric curve of tag at (n, m), built once.
-
-    Keys are ints or Fractions; the two hash alike, so an int key and
-    the equal Fraction share one entry.  ``phi_family`` caches the curve
-    too, and this memo stays for two reasons: the sweep's per-cell lookup
-    hashes its int key here, rather than paying ``phi_family``'s
-    coercion and route arithmetic 7,326 times in the default sweep, and
-    perfbench's ``catalog.curve_builds`` counts the ``phi_family`` calls
-    made from this module.
-    """
-    return phi_family(tag, n, m)
-
-
 @dataclass(frozen=True)
 class CoincidenceOutcome:
     """Result of checking one entry at integers (n, m, r).
@@ -565,8 +550,8 @@ def _cell_check(entry: CoincidenceEntry, n: int, m: int, r: int):
         reason = "target curve formulas are undefined at the target psi"
         return "skipped", reason, psi1, psi2, None
     try:
-        src = _curve_at(entry.source, n, m)._sums(*psi1)
-        tgt = _curve_at(tag, 0, m_t)._sums(*psi2)
+        src = _numeric_curve(entry.source, n, m)._sums(*psi1)
+        tgt = _numeric_curve(tag, 0, m_t)._sums(*psi2)
         pole = not (src[1] and src[3] and tgt[1] and tgt[3])
     except PoleError:
         pole = True
@@ -659,8 +644,8 @@ def verify_osp_osp(m, n) -> OspOspReport:
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
     c_display = osp_osp_charge(m, n)
-    left = _curve_at("2B", Fraction(0), Fraction(m))
-    right = _curve_at("2B", Fraction(0), Fraction(n))
+    left = _numeric_curve("2B", 0, m)
+    right = _numeric_curve("2B", 0, n)
     pairs = []
     for psi_k in _osp_osp_psis(Fraction(m), Fraction(n)):
         for psi_ell in _osp_osp_psis(Fraction(n), Fraction(m)):

@@ -26,15 +26,18 @@ master; every curve is built from F.
 
 Data that depends only on (family, n, m) is built once and reused for
 every psi; every such memo is a ``functools.cache`` on the function that
-builds it, and a numeric curve is one of them (``_numeric_2B``, keyed on
-its exact inner (n, m), map and label).  A numeric curve and the
+builds it, keyed on (tag, n, m), where an int and the equal Fraction
+share one entry.  A numeric curve has exactly one (``_numeric_curve``),
+which ``phi_family`` and the catalog both read.  A numeric curve and the
 generic-domain check read F's polynomials in the family's own psi
 through one helper (``_in_family_psi``): by Horner in t into integer
 lists in psi, then through the route's degree-one psi map, every list
-cleared alike.  A numeric curve is reduced by one gcd;
-``TruncationCurve._sums`` sums its four integer lists at psi = p/q by
-one homogeneous Horner loop over ints, and ``values`` divides them.  A symbolic curve composes F with
-n -> t, then with the psi map, and is canonicalized once.
+cleared alike.  A numeric curve is reduced by one gcd and read through
+one form, its four integer lists in psi (``_psi_lists``):
+``TruncationCurve._sums`` sums them at psi = p/q by one homogeneous
+Horner loop over ints, ``values`` divides the sums, and ``intersect``
+eliminates on them.  A symbolic curve composes F with n -> t, then with
+the psi map, and is canonicalized once.
 The generic-domain check looks psi up, as its (numerator, denominator)
 pair, in the set of excluded values: the rational roots of the
 denominator factors in that psi, and the pole of the map, so the curve
@@ -52,6 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from math import lcm
+from operator import mul
 from typing import Optional, Tuple
 
 from .exact import (
@@ -61,28 +65,28 @@ from .exact import (
     UniPoly,
     ZeroDenominatorError,
     parse_ratfunc,
-    poly_gcd,
     rational_roots,
-    resultant,
 )
 from .exact import (
     _LISTS,
     _VAR_INDEX,
-    _ZERO_KEY,
     _coerce_fraction,
     _dcompose,
+    _dense_divexact,
+    _dense_gcd,
     _dense_trim,
     _dmul,
     _dneg,
     _dscale,
     _dsub,
     _dict_to_int_list,
-    _divexact_int,
-    _dsubst,
+    _homogenized_powers,
     _int_list_deflate,
     _int_list_moebius,
     _int_list_quotient,
+    _int_list_sub,
     _int_list_to_dict,
+    _resultant_int,
 )
 from .liedata import HookFamily, closed_form_charge
 
@@ -296,7 +300,6 @@ def _master_domain_factors() -> Tuple[MultiPoly, ...]:
 
 _HALF = Fraction(1, 2)
 _PSI = _VAR_INDEX["psi"]
-_PSI1 = _VAR_INDEX["psi1"]
 _PSI2 = _VAR_INDEX["psi2"]
 _N = _VAR_INDEX["n"]
 _M = _VAR_INDEX["m"]
@@ -476,21 +479,23 @@ def _curve(c: RatFunc, lam: Optional[RatFunc], source: str) -> TruncationCurve:
 
 
 @cache
-def _numeric_2B(n: Fraction, m: Fraction, w, source: str) -> TruncationCurve:
-    """The 2B curve at rational (n, m), composed with w, on integer lists.
+def _numeric_curve(tag: str, n, m) -> TruncationCurve:
+    """The curve of family tag at rational (n, m), on integer lists, built once.
 
-    F is run at t = n + m(2psi - 1) and through w = (a, b, c, d), psi ->
-    (a psi + b)/(c psi + d) or None, into integer lists in psi
-    (``_in_family_psi``), and reduced by one gcd (``_int_list_quotient``).
-    Built once per (n, m, w, source); ``phi_family`` refuses a float
-    before the lookup, so every key is exact.
+    F is run at the route's t = n' + m'(2psi - 1) and through its map w =
+    (a, b, c, d), psi -> (a psi + b)/(c psi + d) or None, into integer
+    lists in psi (``_in_family_psi``), and reduced by one gcd
+    (``_int_list_quotient``).  Keyed like ``_excluded_psi``: an int and
+    the equal Fraction share one entry.  ``phi_family`` refuses a float
+    before the lookup, and the catalog calls it with its int keys.
     """
-    t = _t_coeffs(n, m)
+    _, _, _, w, label = _ROUTES[tag]
+    t = _t_coeffs(*_inner_params(tag, n, m))
     out = []
     for pair in _t_slices()[:2]:
         num, den = _in_family_psi(pair, t, w)
         out.append(RatFunc._from_int_lists(*_int_list_quotient(num, den), _PSI) if den else None)
-    return _curve(*out, source)
+    return _curve(*out, label)
 
 
 def _symbolic_2B(n, m, w, source: str) -> TruncationCurve:
@@ -531,17 +536,16 @@ def phi_family(tag: str, n, m) -> TruncationCurve:
     route's map, with (n', m') and the map from the family's row of
     ``_ROUTES``: 1O, 2D, 1C are half-integer shifts of the master, and 1B,
     1D, 2C, 2O also invert psi.  n and m may be any rationals, on integer
-    lists (``_numeric_2B``), or symbolic, on polynomial dicts
+    lists (``_numeric_curve``), or symbolic, on polynomial dicts
     (``_symbolic_2B``).
     """
     if tag not in _ROUTES:
         raise ValueError(f"unknown family {tag!r}")
-    _, _, _, route, label = _ROUTES[tag]
     n, m = _coerce_param(n), _coerce_param(m)
-    inner_n, inner_m = _inner_params(tag, n, m)
     if isinstance(n, RatFunc) or isinstance(m, RatFunc):
-        return _symbolic_2B(inner_n, inner_m, route, label)
-    return _numeric_2B(inner_n, inner_m, route, label)
+        _, _, _, route, label = _ROUTES[tag]
+        return _symbolic_2B(*_inner_params(tag, n, m), route, label)
+    return _numeric_curve(tag, n, m)
 
 
 def phi(fam: HookFamily) -> TruncationCurve:
@@ -804,15 +808,6 @@ def known_point_2B_sp(n, m, r) -> CurvePoint:
 # ---------------------------------------------------------------------------
 
 
-def _as_quotient(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """The exact quotient p / q; ExactError, a ValueError, if inexact.
-
-    q is primitive with integer coefficients, as ``poly_gcd`` returns, so
-    by Gauss's lemma q divides p's integer dict whenever it divides p.
-    """
-    return MultiPoly._reduced(_divexact_int(p._d, q._d), p._den)
-
-
 def _curve_value(curve: TruncationCurve, psi: Fraction):
     """(c, lambda) at psi, or None at a pole of either component."""
     try:
@@ -833,37 +828,42 @@ def _root_candidates(polys):
     return {x for x in rational_roots(first) if not any(q.eval(x) for q in rest)}
 
 
-def _in_var(poly: MultiPoly, var: str) -> MultiPoly:
-    """A polynomial in psi alone, rewritten in var by moving exponent slots."""
-    i = _VAR_INDEX[var]
-    return MultiPoly._raw(
-        {(0,) * i + (k[_PSI],) + (0,) * (len(k) - 1 - i): c for k, c in poly._d.items()},
-        poly._den,
-    )
+def _difference_rows(A, B):
+    """Numerators of c(psi1) - c(psi2) and of lambda(psi1) - lambda(psi2).
 
-
-def _cross_difference(f: RatFunc, g: RatFunc) -> MultiPoly:
-    """Numerator of f(psi1) - g(psi2) up to a nonzero constant factor.
-
-    The two denominators live in disjoint variables, so the cross-multiplied
-    numerator shares no factor with their product and needs no gcd; the
-    constant is irrelevant to every zero set computed from it.
+    A's components in psi1 and B's in psi2, read off both curves' integer
+    lists in psi (``_psi_lists``), each dense in psi1 over integer lists
+    in psi2: row i of f(psi1) - g(psi2) is f.num[i] g.den - f.den[i] g.num.
+    The two denominators live in disjoint variables, so the
+    cross-multiplied numerator shares no factor with their product and
+    needs no gcd.
     """
-    n1, d1 = _in_var(f.num, "psi1"), _in_var(f.den, "psi1")
-    n2, d2 = _in_var(g.num, "psi2"), _in_var(g.den, "psi2")
-    return n1 * d2 - n2 * d1
+    _, a = A._psi_lists
+    _, b = B._psi_lists
+    out = []
+    for fn, fd, gn, gd in ((*a[:2], *b[:2]), (*a[2:], *b[2:])):
+        rows = []
+        for i in range(max(len(fn), len(fd))):
+            x = fn[i] if i < len(fn) else 0
+            y = fd[i] if i < len(fd) else 0
+            rows.append(_int_list_sub([x * v for v in gd], [y * v for v in gn]))
+        out.append(_dense_trim(rows))
+    return out
 
 
 def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
     """All rational points where curve A meets curve B.
 
-    The two copies of psi become psi1 (on A) and psi2 (on B).  Common
-    components of the two difference equations are split off and flagged
-    as an identity component; the rest is eliminated by a resultant in
-    psi1, rational roots are extracted in psi2, back-substituted, and
-    every candidate pair is verified by exact evaluation on the original
-    curves.  Candidates at poles are discarded.  Points with degenerate
-    central charge are flagged, not dropped.
+    The two copies of psi become psi1 (on A) and psi2 (on B), and each
+    difference equation is dense in psi1 over integer lists in psi2
+    (``_difference_rows``).  Common components of the two equations are
+    split off (``_dense_gcd``, ``_dense_divexact``) and flagged as an
+    identity component; the rest is eliminated by a resultant in psi1
+    (``_resultant_int``), rational roots are extracted in psi2,
+    back-substituted, and every candidate pair is verified by exact
+    evaluation on the original curves.  Candidates at poles are
+    discarded.  Points with degenerate central charge are flagged, not
+    dropped.
     """
     for curve in (A, B):
         if curve.symbols:
@@ -877,41 +877,40 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
         both = A.lam is None and B.lam is None
         same = both and A.c == B.c
         return IntersectionReport(points=(), identity_component=same, residual_degree=0)
-    ec = _cross_difference(A.c, B.c)
-    el = _cross_difference(A.lam, B.lam)
+    ec, el = _difference_rows(A, B)
 
-    if ec.is_zero() or el.is_zero():
+    if not ec or not el:
         # One equation is trivial: the other one's zero locus is a whole
         # family of intersections, not isolated points.
         return IntersectionReport(points=(), identity_component=True, residual_degree=0)
 
+    ring = _LISTS[_PSI2]
     identity = False
-    common = poly_gcd(ec, el)
-    if common.total_degree() > 0:
+    common = _dense_gcd(ec, el, ring, {_PSI2})
+    if len(common) > 1 or len(common[0]) > 1:
         identity = True
-        ec = _as_quotient(ec, common)
-        el = _as_quotient(el, common)
+        ec = _dense_divexact(ec, common, ring)
+        el = _dense_divexact(el, common, ring)
 
-    deg_c = ec.degree("psi1")
-    deg_l = el.degree("psi1")
+    deg_c = len(ec) - 1
+    deg_l = len(el) - 1
     if deg_c >= 1 and deg_l >= 1:
-        eliminant = resultant(ec, el, "psi1")
+        eliminant = _resultant_int(ec, el, ring)
     elif deg_c == 0 and deg_l == 0:
         # Neither residual equation involves psi1: common psi2 roots would
         # give vertical lines, which are identity components.
-        shared = _root_candidates(UniPoly.from_multipoly(p, "psi2") for p in (ec, el))
+        shared = _root_candidates(UniPoly._view("psi2", p[0]) for p in (ec, el))
         if shared:
             identity = True
         return IntersectionReport(points=(), identity_component=identity, residual_degree=0)
     else:
-        eliminant = ec if deg_c == 0 else el
+        eliminant = (ec if deg_c == 0 else el)[0]
 
-    if eliminant.is_zero():
+    if not eliminant:
         raise ValueError("eliminant vanished identically after component removal")
 
-    uni = UniPoly.from_multipoly(eliminant, "psi2")
-    psi2_roots = sorted(rational_roots(uni))
-    rest = uni._ints
+    psi2_roots = sorted(rational_roots(UniPoly._view("psi2", eliminant)))
+    rest = eliminant
     for b in psi2_roots:
         rest, _ = _int_list_deflate(rest, b)
     residual = len(rest) - 1
@@ -921,13 +920,13 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
         value_b = _curve_value(B, b)
         if value_b is None:
             continue
-        # ec and el at psi2 = b, as integer lists in psi1: one scalar pass
-        # each, cleared by a positive power of b's denominator.
-        at_b = [(_PSI2, {_ZERO_KEY: b.numerator} if b else {}, {_ZERO_KEY: b.denominator})]
-        candidates = _root_candidates(
-            UniPoly._view("psi1", _dict_to_int_list(_dsubst(p._d, at_b)[0], _PSI1))
-            for p in (ec, el)
-        )
+        # ec and el at psi2 = b, as integer lists in psi1: one table of
+        # powers per equation, so each is cleared by a power of b's denominator.
+        at_b = []
+        for rows in (ec, el):
+            table = _homogenized_powers(b, max(map(len, rows)) - 1)
+            at_b.append(UniPoly._view("psi1", [sum(map(mul, row, table)) for row in rows]))
+        candidates = _root_candidates(at_b)
         if candidates is None:
             # Both equations vanish along psi2 = b: a free line of
             # solutions in psi1.

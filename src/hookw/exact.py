@@ -39,9 +39,10 @@ division (``_dense_divexact``), content, coprimality probe and sequence
 step are written once over a coefficient ring that the shape of the
 inputs picks (``_ring_for``): ints
 when no other variable occurs (``_Ints``), integer lists in the one other
-variable (``_Lists``; the bivariate eliminations of ``curves.intersect``,
-in psi1 over psi2), integer dicts when there are more (``_Dicts``; the
-trivariate master and the catalog's canonicalizations).  Dict gcds and
+variable (``_Lists``; ``curves.intersect`` builds its bivariate
+eliminations, in psi1 over psi2, on this ring directly), integer dicts
+when there are more (``_Dicts``; the trivariate master and the catalog's
+canonicalizations).  Dict gcds and
 exact divisions (``_int_poly_gcd``, ``_divexact_int``) run on this layer,
 and their coefficient operations recurse into it, one variable down.
 The step, the pseudo-remainder of the last two members divided exactly
@@ -1626,10 +1627,10 @@ def resultant(p, q, var):
     Fraction-free subresultant remainder sequence on the primitive integer
     forms, dense in var, by the gcd's one step (``_subresultants``), over
     the ring the other variables pick: ints when there are none, integer
-    lists when there is one (the bivariate eliminations of
-    ``curves.intersect``), integer dicts when there are more.  The
+    lists when there is one, integer dicts when there are more.  The
     contents and the denominators come back as one scale, so the result
-    is the true resultant of the inputs.
+    is the true resultant of the inputs.  ``curves.intersect`` runs the
+    same sequence (``_resultant_int``) on its integer lists directly.
     """
     if not isinstance(p, MultiPoly) or not isinstance(q, MultiPoly):
         raise ExactError("resultant needs MultiPoly arguments")

@@ -317,9 +317,11 @@ class TestCellKernel:
                             continue
                         rule = K.TARGETS[e.target]
                         m_t = int(rule.m_of(r))
+                        source = C._numeric_curve(e.source, n, m)
+                        target = C._numeric_curve(rule.tag, 0, m_t)
                         for pair, values, curve, psi in (
-                            (sums[0], out.source_values, K._curve_at(e.source, n, m), out.psi1),
-                            (sums[1], out.target_values, K._curve_at(rule.tag, 0, m_t), out.psi2),
+                            (sums[0], out.source_values, source, out.psi1),
+                            (sums[1], out.target_values, target, out.psi2),
                         ):
                             cn, cd, ln, ld = pair
                             assert values == (F(cn, cd), F(ln, ld)) == curve.values(psi)
@@ -330,7 +332,7 @@ class TestCellKernel:
         # Every target curve keeps its c and gets lambda + 1: cells that
         # passed now fail on lambda alone, in the kernel and in the wrapper.
         e = entry("2B", "sp", 6)
-        real = K._curve_at
+        real = C._numeric_curve
         target_tag = K.TARGETS[e.target].tag
 
         def shifted(tag, n, m):
@@ -340,7 +342,7 @@ class TestCellKernel:
             return C.TruncationCurve(curve.c, curve.lam + 1, curve.source, curve.symbols)
 
         assert K.verify_coincidence(e, 0, 1, 1).passed
-        monkeypatch.setattr(K, "_curve_at", shifted)
+        monkeypatch.setattr(K, "_numeric_curve", shifted)
         out = K.verify_coincidence(e, 0, 1, 1)
         assert (out.status, out.reason) == ("fail", "exact (c, lambda) values differ")
         assert out.source_values[0] == out.target_values[0]
@@ -415,13 +417,13 @@ class TestFullSweep:
 
 class TestCurveMemo:
     def test_int_and_fraction_share_an_entry(self):
-        K._curve_at.cache_clear()
-        assert K._curve_at("2B", 0, 1) is K._curve_at("2B", F(0), F(1))
-        info = K._curve_at.cache_info()
+        C._numeric_curve.cache_clear()
+        assert C._numeric_curve("2B", 0, 1) is C._numeric_curve("2B", F(0), F(1))
+        info = C._numeric_curve.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
     def test_one_build_per_distinct_curve(self):
-        K._curve_at.cache_clear()
+        C._numeric_curve.cache_clear()
         curves = set()
         compared = 0
         for e in K.all_entries():
@@ -433,7 +435,7 @@ class TestCurveMemo:
                         if out.source_values is not None:
                             compared += 1
                             curves |= {(e.source, n, m), (rule.tag, 0, rule.m_of(r))}
-        info = K._curve_at.cache_info()
+        info = C._numeric_curve.cache_info()
         assert compared > 0
         assert info.misses == len(curves)
         assert info.hits + info.misses == 2 * compared
@@ -449,15 +451,15 @@ class TestCurveMemo:
         # The sweep keys the memos by ints; Fraction arguments afterwards
         # find the same entries, so no curve or domain set is built twice.
         monkeypatch.delenv("HOOKW_WORKERS", raising=False)
-        K._curve_at.cache_clear()
+        C._numeric_curve.cache_clear()
         C._excluded_psi.cache_clear()
         assert cli.main(["verify", "coincidences", "--json"]) == 0
         capsys.readouterr()
-        sizes = (K._curve_at.cache_info().currsize, C._excluded_psi.cache_info().currsize)
+        sizes = (C._numeric_curve.cache_info().currsize, C._excluded_psi.cache_info().currsize)
         assert sizes == (102, 103)
         for e in K.all_entries():
             K.verify_coincidence(e, F(1), F(2), F(K.TARGETS[e.target].min_r))
-        assert K._curve_at.cache_info().currsize == 102
+        assert C._numeric_curve.cache_info().currsize == 102
         assert C._excluded_psi.cache_info().currsize == 103
 
 

@@ -32,7 +32,7 @@ def profile(frame, event, arg):
 
 def snapshot():
     from hookw import catalog, curves
-    memos = (catalog.all_entries, curves._F, curves._t_slices, curves._numeric_2B,
+    memos = (catalog.all_entries, curves._F, curves._t_slices, curves._numeric_curve,
              curves._orbit, curves._lambda_less)
     return {"gcd_calls": gcd_calls,
             "misses": {f.__name__: f.cache_info().misses for f in memos}}
@@ -68,7 +68,7 @@ def test_import_fills_no_memo_and_runs_no_gcd():
     assert report["cold"] == {
         "gcd_calls": 0,
         "misses": {
-            "all_entries": 0, "_F": 0, "_t_slices": 0, "_numeric_2B": 0, "_orbit": 0,
+            "all_entries": 0, "_F": 0, "_t_slices": 0, "_numeric_curve": 0, "_orbit": 0,
             "_lambda_less": 0,
         },
     }

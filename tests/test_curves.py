@@ -315,7 +315,7 @@ class TestNumericBuilds:
             raise AssertionError("numeric curve built through the polynomial dict route")
 
         # Built afresh, not read from the numeric-curve memo.
-        C._numeric_2B.cache_clear()
+        C._numeric_curve.cache_clear()
         with monkeypatch.context() as patch:
             for module in (C, E):
                 patch.setattr(module, "_dcompose", forbidden)
@@ -349,7 +349,7 @@ class TestNumericBuilds:
         def forbidden(*args):
             raise AssertionError("a triality that holds built a curve")
 
-        for name in ("_curve", "_numeric_2B", "_symbolic_2B", "_excluded_psi", "rational_roots"):
+        for name in ("_curve", "_numeric_curve", "_symbolic_2B", "_excluded_psi", "rational_roots"):
             monkeypatch.setattr(C, name, forbidden)
         monkeypatch.setattr(RatFunc, "substitute", forbidden)
         monkeypatch.setattr(RatFunc, "specialize", forbidden)
@@ -368,7 +368,7 @@ class TestNumericBuilds:
 
 
 class TestNumericMemo:
-    """A numeric curve is built once per exact inner (n, m), map and label."""
+    """A numeric curve is built once per (tag, n, m), in one memo."""
 
     def test_int_and_fraction_share_a_curve(self):
         assert C.phi_family("2B", 1, 2) is C.phi_family("2B", F(1), 2)
@@ -384,7 +384,7 @@ class TestNumericMemo:
     def test_one_oracle_pass_builds_seven_curves(self):
         # The acceptance oracle's 20 intersections call phi_family 40
         # times on 4 sources and 3 targets.
-        C._numeric_2B.cache_clear()
+        C._numeric_curve.cache_clear()
         calls = 0
         for n in (0, 1):
             for m in (1, 2):
@@ -397,7 +397,7 @@ class TestNumericMemo:
                         target = C.phi_family(rule.tag, 0, rule.m_of(r))
                         C.intersect(source, target)
                         calls += 2
-        info = C._numeric_2B.cache_info()
+        info = C._numeric_curve.cache_info()
         assert calls == 40
         assert (info.misses, info.hits) == (7, 33)
 
@@ -794,6 +794,24 @@ class TestIntersect:
     def test_rejects_symbolic_curves(self):
         with pytest.raises(ValueError):
             C.intersect(C.phi_2B(N, 1), C.phi_family("2C", 0, 1))
+
+    @pytest.mark.parametrize(
+        "a, b, identity",
+        [
+            # c(psi1) - c(psi2) vanishes: the lambda equation alone is a curve.
+            pytest.param((1, PSI), (1, PSI**2), True, id="one-equation-trivial"),
+            # Both equations are psi1 - psi2; once it is split off, neither
+            # residual involves psi1, and no psi2 root is shared.
+            pytest.param((PSI, PSI), (PSI, PSI), True, id="residuals-free-of-psi1"),
+            # psi1 = psi2 and psi1 = psi2 + 1: a nonzero constant eliminant.
+            pytest.param((PSI, PSI), (PSI, PSI + 1), False, id="no-common-point"),
+        ],
+    )
+    def test_hand_built_curves(self, a, b, identity):
+        A, B = (C.TruncationCurve(RatFunc.const(1) * c, lam, "hand", ()) for c, lam in (a, b))
+        assert C.intersect(A, B) == C.IntersectionReport(
+            points=(), identity_component=identity, residual_degree=0
+        )
 
     def test_json_shape(self):
         rep = C.intersect(C.phi_family("2B", 0, 1), C.phi_family("2C", 0, 1))

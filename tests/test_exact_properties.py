@@ -383,10 +383,63 @@ def test_list_and_dict_rings_agree_on_bivariate_inputs(p, q, common):
         _assert_rings_agree(a, b, _PSI_IDX, _N_IDX)
 
 
+_PSI1_IDX, _PSI2_IDX = E._VAR_INDEX["psi1"], E._VAR_INDEX["psi2"]
+
+
+def _proportional(x, y):
+    """Whether int dicts x and y agree up to a nonzero integer constant."""
+    if x.keys() != y.keys():
+        return False
+    k0 = next(iter(x), None)
+    return all(x[k] * y[k0] == y[k] * x[k0] for k in x)
+
+
+def _check_elimination(a, b):
+    """intersect()'s dense elimination of curves a, b against the dict route.
+
+    The dict route runs on MultiPoly dicts in psi1 and psi2: the cross
+    differences of c and of lambda, their common factor by ``poly_gcd``,
+    divided out, and the eliminant by ``resultant`` in psi1.  The
+    package's rows (``_difference_rows``), common factor (``_dense_gcd``)
+    and eliminant (``_resultant_int``) must agree with it up to nonzero
+    integer constants.  Returns the dict route's pairs before and after
+    the split, or None when an equation vanishes.
+    """
+    ring = E._LISTS[_PSI2_IDX]
+
+    def agree(p, rows):
+        assert _proportional(p._d, ring.undense(rows, _PSI1_IDX))
+
+    psi1, psi2 = MultiPoly.var("psi1"), MultiPoly.var("psi2")
+    pair = tuple(
+        f.num.substitute("psi", psi1) * g.den.substitute("psi", psi2)
+        - g.num.substitute("psi", psi2) * f.den.substitute("psi", psi1)
+        for f, g in ((a.c, b.c), (a.lam, b.lam))
+    )
+    rows = C._difference_rows(a, b)
+    for p, r in zip(pair, rows):
+        agree(p, r)
+    if any(p.is_zero() for p in pair):
+        return None
+    common = E.poly_gcd(*pair)
+    dense_common = E._dense_gcd(*rows, ring, {_PSI2_IDX})
+    agree(common, dense_common)
+    split = pair
+    if common.total_degree() > 0:
+        split = tuple(MultiPoly._raw(E._divexact_int(p._d, common._d)) for p in pair)
+        rows = [E._dense_divexact(r, dense_common, ring) for r in rows]
+        for p, r in zip(split, rows):
+            agree(p, r)
+    if all(p.degree("psi1") >= 1 for p in split):
+        agree(E.resultant(*split, "psi1"), [E._resultant_int(*rows, ring)])
+    return pair, split
+
+
 def test_list_and_dict_rings_agree_on_the_oracle_eliminants():
     # The difference equations intersect() builds for the 20 pairs of the
-    # intersect-oracle benchmark, before and after their common factor goes.
-    psi1, psi2 = E._VAR_INDEX["psi1"], E._VAR_INDEX["psi2"]
+    # intersect-oracle benchmark, before and after their common factor
+    # goes: the dense route against the dict route, and the list ring
+    # against the dict ring.
     grid = [(n, m, hookw.TARGETS[kind], r)
             for n in (0, 1) for m in (1, 2) for kind in hookw.TARGET_KINDS for r in (1, 2)
             if r >= hookw.TARGETS[kind].min_r]
@@ -394,16 +447,33 @@ def test_list_and_dict_rings_agree_on_the_oracle_eliminants():
     for n, m, rule, r in grid:
         a = hookw.phi_family("2B", n, m)
         b = hookw.phi_family(rule.tag, 0, rule.m_of(r))
-        ec = C._cross_difference(a.c, b.c)
-        el = C._cross_difference(a.lam, b.lam)
-        _assert_rings_agree(ec._d, el._d, psi1, psi2)
-        common = E.poly_gcd(ec, el)
-        ec, el = C._as_quotient(ec, common), C._as_quotient(el, common)
-        eliminant = _assert_rings_agree(ec._d, el._d, psi1, psi2)
-        if eliminant is not None:
-            dc, dl = ec.degree("psi1"), el.degree("psi1")
-            assert E.resultant(ec, el, "psi1") == MultiPoly._reduced(
-                eliminant, ec._den**dl * el._den**dc)
+        for ec, el in _check_elimination(a, b):
+            _assert_rings_agree(ec._d, el._d, _PSI1_IDX, _PSI2_IDX)
+
+
+@st.composite
+def psi_curves(draw):
+    """A numeric curve whose c and lambda are small rational functions of psi."""
+    parts = []
+    for _ in range(2):
+        num = draw(polys(vars=("psi",), max_terms=3, max_exp=3))
+        den = draw(polys(vars=("psi",), max_terms=3, max_exp=3, zero_ok=False))
+        parts.append(RatFunc(num, MultiPoly.one() if den.is_zero() else den))
+    return C.TruncationCurve(*parts, "drawn", ())
+
+
+_PSI = RatFunc.var("psi")
+# A shared component psi1 = psi2, and a constant charge on both sides.
+_TWIN = C.TruncationCurve(_PSI**2 / (_PSI + 1), _PSI - 3, "drawn", ())
+_FLAT = C.TruncationCurve(RatFunc.const(2), _PSI**2, "drawn", ())
+
+
+@settings(max_examples=80, deadline=None)
+@given(psi_curves(), psi_curves())
+@example(_TWIN, _TWIN)
+@example(_FLAT, C.TruncationCurve(RatFunc.const(2), 1 / _PSI, "drawn", ()))
+def test_dense_elimination_matches_the_dict_route_on_drawn_curves(a, b):
+    _check_elimination(a, b)
 
 
 # One exact division for every ring: ints in psi alone, integer lists in n,
