@@ -38,12 +38,12 @@ arithmetic for it; the curves are memoized on first use as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd
 from typing import Dict, Optional, Tuple
 
+from ._record import Record, replace
 from .curves import (
     _DEGENERATE_SET,
     TruncationCurve,
@@ -115,8 +115,7 @@ def _int(value, what: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TargetRule:
+class TargetRule(Record):
     """A target W-algebra kind as a degenerate member of the eight families.
 
     ``W_s`` of the target algebra of rank parameter r equals the family
@@ -188,8 +187,7 @@ def _rank_error(kind: str, r) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoincidenceEntry:
+class CoincidenceEntry(Record):
     """One catalogued coincidence C^psi_source(n, m) = W-target at rank r.
 
     ``psi`` and ``s`` are exact rational functions of (n, m, r); the
@@ -440,8 +438,7 @@ def coincidence_table(source: str, target: str) -> Tuple[CoincidenceEntry, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoincidenceOutcome:
+class CoincidenceOutcome(Record):
     """Result of checking one entry at integers (n, m, r).
 
     status is "pass", "skipped", or "fail".  Skips carry the reason
@@ -604,8 +601,7 @@ def _osp_osp_psis(m: Fraction, n: Fraction) -> Tuple[Fraction, Fraction]:
     return ((m + n) / (2 * m), m / (2 * (m + n)))
 
 
-@dataclass(frozen=True)
-class OspOspPair:
+class OspOspPair(Record):
     """One displayed (k, l) level pair, with the curve values compared."""
 
     k: Fraction
@@ -618,8 +614,7 @@ class OspOspPair:
     passed: bool
 
 
-@dataclass(frozen=True)
-class OspOspReport:
+class OspOspReport(Record):
     m: int
     n: int
     c: Fraction
@@ -677,8 +672,7 @@ def verify_osp_osp(m, n) -> OspOspReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalityWitness:
+class RationalityWitness(Record):
     """One parameter value at which a coset is lisse and rational.
 
     ``theorem`` is the catalogue's own certificate tag.  ``conditions``
@@ -771,20 +765,26 @@ _SUBREG_DUAL = {"subregB-1": "subregB-2", "subregB-3": "subregB-4"}
 
 
 def _entry_at(name: str, n: int, m: int, r: int):
-    """(entry, psi, s, partner algebra) of the named entry at integers (n, m, r).
+    """(entry, psi, s) of the named entry at integers (n, m, r).
 
     psi and the target psi s + shift(r) are summed from the entry's integer
-    term rows (``CoincidenceEntry._cell_values``), and the partner is the
-    target's algebra at rank r.  psi is its (numerator, denominator) int
-    pair, so only a caller that reads psi builds its Fraction; s is one
-    Fraction, formed in ints from the target psi and the shift p/q.
+    term rows (``CoincidenceEntry._cell_values``).  psi is its (numerator,
+    denominator) int pair, so only a caller that reads psi builds its
+    Fraction; s is one Fraction, formed in ints from the target psi and the
+    shift p/q.  The partner algebra is the caller's to build
+    (``_partner``), once per witness or once per chain.
     """
     e = _entry_index()[name]
     psi_num, psi_den, t_num, t_den = e._cell_values(n, m, r)[:4]
     shift = _rank_data(e.target, r)[1]
     q = shift.denominator
     s = Fraction(t_num * q - shift.numerator * t_den, t_den * q)
-    return e, (psi_num, psi_den), s, TARGETS[e.target].algebra(r)
+    return e, (psi_num, psi_den), s
+
+
+def _partner(name: str, r: int) -> str:
+    """The text of the named entry's target algebra at rank r."""
+    return str(TARGETS[_entry_index()[name].target].algebra(r))
 
 
 def _from_entries(shapes, n: int, m: int, r: int, /, **aux):
@@ -793,8 +793,9 @@ def _from_entries(shapes, n: int, m: int, r: int, /, **aux):
     for theorem, name, conditions in shapes:
         conds = conditions(n, m, r)
         if conds is not None:
-            e, psi, s, alg = _entry_at(name, n, m, r)
-            out.append(_w(e.source, n, m, Fraction(*psi), theorem, conds, alg, s, **aux))
+            e, psi, s = _entry_at(name, n, m, r)
+            out.append(_w(e.source, n, m, Fraction(*psi), theorem, conds,
+                          _partner(name, r), s, **aux))
     return out
 
 
@@ -927,8 +928,7 @@ def check_witness(w: RationalityWitness) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GTFactor:
+class GTFactor(Record):
     """One tensor factor of a Gelfand-Tsetlin chain.
 
     kind "H" is the rank-one Heisenberg factor; "D" and "E" are the
@@ -987,11 +987,12 @@ def gelfand_tsetlin_factors(series: str, n: int, k: int) -> Tuple[GTFactor, ...]
         raise ValueError("n and k must be at least 1")
     if series == "C":
         # ell_i is 2C(n - i + 1, 0) at level k, s_i the minimal 2C(n - i, 1) at k - 1/2.
+        alg = _partner("2C-sp(1)", k)
         factors = []
         for i in range(1, n + 1):
-            _, _, ell, alg = _entry_at("2C-sp(1)", n - i + 1, 0, k)
+            ell = _entry_at("2C-sp(1)", n - i + 1, 0, k)[2]
             s = _entry_at("2C-sp(3)", n - i, 1, k)[2]
-            factors.append(GTFactor("C", "pair", i, k, str(alg), False, (ell, s), "gt-C"))
+            factors.append(GTFactor("C", "pair", i, k, alg, False, (ell, s), "gt-C"))
         return tuple(factors)
     if series not in ("B", "D"):
         raise ValueError("series must be one of B, D, C")
@@ -999,10 +1000,12 @@ def gelfand_tsetlin_factors(series: str, n: int, k: int) -> Tuple[GTFactor, ...]
     if series == "B":
         steps.pop()  # the B chain ends at D_k(n)
     tag = ("gt-BD-even", "gt-BD-odd")[k % 2]
+    # The D and E entries of one parity share their target, so one partner.
+    alg = _partner(_GT_ENTRIES["D"][k % 2], k // 2)
     chain = [GTFactor(series, "H", 0, k, None, False, (), None)]
     for kind, j in steps:
-        _, _, s, alg = _entry_at(_GT_ENTRIES[kind][k % 2], j, 0, k // 2)
-        chain.append(GTFactor(series, kind, j, k, str(alg), True, (s,), tag))
+        s = _entry_at(_GT_ENTRIES[kind][k % 2], j, 0, k // 2)[2]
+        chain.append(GTFactor(series, kind, j, k, alg, True, (s,), tag))
     return tuple(chain)
 
 

@@ -51,13 +51,13 @@ holds when a map takes the left point to the right one (``_orbit_maps``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from math import lcm
 from operator import mul
 from typing import Optional, Tuple
 
+from ._record import Record
 from .exact import (
     MultiPoly,
     PoleError,
@@ -123,8 +123,7 @@ DEGENERATE_CHARGES = (
 _DEGENERATE_SET = frozenset((c.numerator, c.denominator) for c in DEGENERATE_CHARGES)
 
 
-@dataclass(frozen=True)
-class TruncationCurve:
+class TruncationCurve(Record):
     """A truncation curve: central charge and lambda as functions of psi.
 
     Both components are canonical rational functions of psi; any of n, m,
@@ -198,16 +197,14 @@ class TruncationCurve:
         return max(len(cs) for cs in lists) - 1, lists
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(Record):
     """A point (c, lambda), possibly with residual symbols."""
 
     c: RatFunc
     lam: RatFunc
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(Record):
     """Outcome of one curve identity: name, verdict, offending difference."""
 
     name: str
@@ -216,8 +213,7 @@ class IdentityCheck:
     lambda_difference: Optional[RatFunc]
 
 
-@dataclass(frozen=True)
-class Intersection:
+class Intersection(Record):
     """One rational intersection point of two curves."""
 
     psi1: Fraction
@@ -227,8 +223,7 @@ class Intersection:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class IntersectionReport:
+class IntersectionReport(Record):
     """All rational intersections, plus what could not be enumerated.
 
     ``identity_component``: the two curves share a whole component (a

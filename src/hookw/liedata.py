@@ -26,9 +26,9 @@ carrying psi are always RatFunc.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .exact import RatFunc, _coerce_fraction
 
 FAMILY_TAGS = ("1B", "1C", "1D", "1O", "2B", "2C", "2D", "2O")
@@ -36,8 +36,7 @@ FAMILY_TAGS = ("1B", "1C", "1D", "1O", "2B", "2C", "2D", "2O")
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class AlgebraDesc:
+class AlgebraDesc(Record):
     """Descriptor for so_N, sp_N, or osp(M|2N).
 
     osp carries a dual-Coxeter normalization flag: "B" gives
@@ -154,8 +153,7 @@ def ghost_central_charge(d: int) -> Fraction:
     return Fraction(-(d - 1) * (d * d - 2 * d - 1), 2)
 
 
-@dataclass(frozen=True)
-class _FamilyData:
+class _FamilyData(Record):
     ell: str  # "k" | "-k/2" | "-2k"
     even_pairing: bool  # parity of rho_a (x) rho_b
     xi: Fraction  # 1 if a is orthogonal, 1/2 if symplectic or osp
@@ -284,8 +282,7 @@ def d_b(fam: HookFamily) -> int:
 _ELL = {"k": 1, "-k/2": -_HALF, "-2k": -2}
 
 
-@dataclass(frozen=True)
-class LevelDictionary:
+class LevelDictionary(Record):
     h_dual_g: Fraction
     ell_of_k: str  # "k" | "-k/2" | "-2k"
     t_of_psi: RatFunc
@@ -433,8 +430,7 @@ def assemble_central_charge(fam: HookFamily) -> RatFunc:
     return c_w - c_sugawara
 
 
-@dataclass(frozen=True)
-class CaseDescription:
+class CaseDescription(Record):
     """Identity of a family member and of its coset.
 
     w_kind is one of generic, principal, subregular, minimal, affine,

@@ -23,11 +23,11 @@ returns 2N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Tuple
 
+from ._record import Record
 from .liedata import HookFamily
 
 __all__ = [
@@ -49,8 +49,7 @@ _ALGEBRAS = ("so_odd", "sp")
 Vector = Tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class RootSystemData:
+class RootSystemData(Record):
     """Root-system constants of so_{2n+1} or sp_{2n} in orthogonal coordinates.
 
     Vectors are coordinate tuples with respect to a basis e_1, ..., e_N

@@ -2,7 +2,6 @@ import hashlib
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -14,6 +13,7 @@ from hookw import catalog as K
 from hookw import curves as C
 from hookw import exact as E
 from hookw import liedata as L
+from hookw._record import replace
 from hookw.exact import MultiPoly, PoleError, RatFunc
 
 

@@ -11,7 +11,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -19,6 +18,7 @@ import pytest
 
 import hookw
 import hookw.cli as cli
+from hookw._record import replace
 from hookw.curves import TruncationCurve
 from hookw.exact import PoleError, RatFunc, parse_ratfunc
 

@@ -7,6 +7,10 @@ certificate and of the test for a curve without finite lambda must still
 be empty, and the process pool of ``HOOKW_WORKERS`` sweeps must not be
 loaded.  A positive control in the same interpreter then builds the table
 and certifies one entry, and sees the counters move.
+
+The import also loads none of ``dataclasses``, ``inspect``, ``ast`` and
+``dis``: the value types are ``_record.Record`` subclasses, and those
+modules would cost more than the rest of the import.
 """
 
 import json
@@ -38,9 +42,11 @@ def snapshot():
             "misses": {f.__name__: f.cache_info().misses for f in memos}}
 
 
+before = set(sys.modules)
 sys.setprofile(profile)
 import hookw, hookw.cli
 sys.setprofile(None)
+added = sorted(set(sys.modules) - before)
 cold = snapshot()
 pool_modules = [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules]
 sys.setprofile(profile)
@@ -48,7 +54,7 @@ hookw.all_entries()[0]._cell_forms
 hookw.verify_coincidence_symbolic(hookw.all_entries()[0])
 sys.setprofile(None)
 print(json.dumps({"file": hookw.__file__, "cold": cold, "built": snapshot(),
-                  "pool_modules": pool_modules}))
+                  "pool_modules": pool_modules, "added": added}))
 """
 
 
@@ -79,3 +85,9 @@ def test_import_fills_no_memo_and_runs_no_gcd():
     assert built["misses"]["_orbit"] == 1
     assert built["misses"]["_F"] == 1
     assert built["gcd_calls"] > 0
+
+
+def test_import_loads_no_code_introspection_modules():
+    added = _probe()["added"]
+    assert "hookw.catalog" in added
+    assert not {"dataclasses", "inspect", "ast", "dis"} & set(added)
