@@ -19,8 +19,8 @@ and with it ``ast`` and ``dis``, and each decorated class compiles and
 ``exec``s its generated methods at import: together more than the rest of
 ``import hookw``, which every ``hookw`` command pays, since each starts a
 fresh interpreter.  ``Record`` reads the fields, their defaults and
-``__post_init__`` once per class, in ``__init_subclass__``, and generates
-no code.
+``__post_init__`` once per class, in ``__init_subclass__``, and gives the
+class an ``__init__`` closed over them; it generates no code.
 """
 
 __all__ = ["FrozenRecordError", "Record", "replace"]
@@ -35,42 +35,19 @@ class FrozenRecordError(AttributeError):
 class Record:
     """Frozen value type whose fields are its class annotations."""
 
-    # (fields, defaults, __post_init__ or None), set once per class.
-    _record_spec = ((), {}, None)
+    _record_fields = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = cls._record_spec[0] + tuple(cls.__dict__.get("__annotations__", ()))
+        fields = cls._record_fields + tuple(cls.__dict__.get("__annotations__", ()))
         defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
-        cls._record_spec = fields, defaults, getattr(cls, "__post_init__", None)
-
-    def __init__(self, *args, **kwargs):
-        # Each field is set by object.__setattr__, in field order, so the
-        # instance keeps its values inline; a write to __dict__ would slow
-        # every later attribute read.
-        fields, defaults, post_init = type(self)._record_spec
-        if args and not kwargs and len(args) == len(fields):
-            for name, value in zip(fields, args):
-                _set(self, name, value)
-        else:
-            if args:
-                kwargs = _with_positional(type(self), args, kwargs)
-            if defaults:
-                kwargs = defaults | kwargs
-            if len(kwargs) != len(fields):
-                raise _argument_error(type(self), kwargs)
-            try:
-                for name in fields:
-                    _set(self, name, kwargs[name])
-            except KeyError:
-                raise _argument_error(type(self), kwargs) from None
-        if post_init is not None:
-            post_init(self)
+        cls._record_fields = fields
+        cls.__init__ = _init(fields, defaults, getattr(cls, "__post_init__", None))
 
     def _record_values(self):
         # getattr, not __dict__: reading __dict__ turns the instance's
         # inline attribute values into a dict and slows later reads.
-        return tuple([getattr(self, name) for name in self._record_spec[0]])
+        return tuple([getattr(self, name) for name in self._record_fields])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -82,7 +59,7 @@ class Record:
 
     def __repr__(self):
         body = ", ".join(
-            f"{name}={value!r}" for name, value in zip(self._record_spec[0], self._record_values())
+            f"{name}={value!r}" for name, value in zip(self._record_fields, self._record_values())
         )
         return f"{type(self).__qualname__}({body})"
 
@@ -93,9 +70,41 @@ class Record:
         raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
+def _init(fields, defaults, post_init):
+    """The ``__init__`` of a record class, closed over what the class declares.
+
+    Each field is set by ``object.__setattr__``, in field order, so the
+    instance keeps its values inline; a write to ``__dict__`` would slow
+    every later attribute read.
+    """
+    size = len(fields)
+
+    def __init__(self, *args, **kwargs):
+        if args and (kwargs or len(args) != size):
+            kwargs = _with_positional(type(self), args, kwargs)
+            args = ()
+        if args:
+            for name, value in zip(fields, args):
+                _set(self, name, value)
+        else:
+            if defaults:
+                kwargs = defaults | kwargs
+            if len(kwargs) != size:
+                raise _argument_error(type(self), kwargs)
+            try:
+                for name in fields:
+                    _set(self, name, kwargs[name])
+            except KeyError:
+                raise _argument_error(type(self), kwargs) from None
+        if post_init is not None:
+            post_init(self)
+
+    return __init__
+
+
 def _with_positional(cls, args, kwargs):
     """The keyword form of a call that passes some fields by position."""
-    fields = cls._record_spec[0]
+    fields = cls._record_fields
     if len(args) > len(fields):
         raise TypeError(
             f"{cls.__qualname__}() takes {len(fields)} positional "
@@ -111,7 +120,7 @@ def _with_positional(cls, args, kwargs):
 
 def _argument_error(cls, values):
     """The TypeError for arguments naming an unknown field or leaving one out."""
-    fields = cls._record_spec[0]
+    fields = cls._record_fields
     for name in values:
         if name not in fields:
             return TypeError(f"{cls.__qualname__}() got an unexpected keyword argument {name!r}")
@@ -125,6 +134,6 @@ def replace(obj, /, **changes):
     The new record is constructed, so ``__post_init__`` runs on it, and an
     unknown field raises TypeError.
     """
-    values = dict(zip(obj._record_spec[0], obj._record_values()))
+    values = dict(zip(obj._record_fields, obj._record_values()))
     values.update(changes)
     return type(obj)(**values)
