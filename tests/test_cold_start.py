@@ -17,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -58,6 +59,7 @@ print(json.dumps({"file": hookw.__file__, "cold": cold, "built": snapshot(),
 """
 
 
+@cache
 def _probe():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
