@@ -26,11 +26,9 @@ from .exact import (
     UnknownVariableError,
     DegreeError,
     ParseError,
-    Monomial,
     MultiPoly,
     RatFunc,
     UniPoly,
-    normalize,
     poly_gcd,
     resultant,
     rational_roots,
@@ -43,7 +41,6 @@ from .liedata import (
     FAMILY_TAGS,
     AlgebraDesc,
     HookFamily,
-    LevelDictionary,
     CaseDescription,
     dual_coxeter,
     sdim,
@@ -52,7 +49,6 @@ from .liedata import (
     closed_form_charge,
     assemble_central_charge,
     affine_subalgebra_level,
-    level_dictionary,
     describe,
     generator_profile,
     profile_text,
@@ -75,7 +71,6 @@ from .curves import (
     IdentityCheck,
     Intersection,
     IntersectionReport,
-    phi_2B,
     phi_family,
     phi,
     verify_trialities,

@@ -96,7 +96,6 @@ __all__ = [
     "IdentityCheck",
     "Intersection",
     "IntersectionReport",
-    "phi_2B",
     "phi_family",
     "phi",
     "verify_trialities",
@@ -513,17 +512,6 @@ def _symbolic_2B(n, m, w, source: str) -> TruncationCurve:
     return _curve(*out, source)
 
 
-def phi_2B(n, m) -> TruncationCurve:
-    """The 2B curve at parameters n, m (rationals or symbolic expressions).
-
-    Half-integer and negative parameters are meaningful: the other seven
-    families are this curve at shifted arguments.  On the slices where
-    the lambda denominator vanishes identically (the free-field orbifold
-    cosets) the lambda component is None.
-    """
-    return phi_family("2B", n, m)
-
-
 def phi_family(tag: str, n, m) -> TruncationCurve:
     """Truncation curve of any of the eight families, one fixed route each.
 
@@ -532,7 +520,9 @@ def phi_family(tag: str, n, m) -> TruncationCurve:
     ``_ROUTES``: 1O, 2D, 1C are half-integer shifts of the master, and 1B,
     1D, 2C, 2O also invert psi.  n and m may be any rationals, on integer
     lists (``_numeric_curve``), or symbolic, on polynomial dicts
-    (``_symbolic_2B``).
+    (``_symbolic_2B``).  On the slices where the lambda denominator
+    vanishes identically (the free-field orbifold cosets) the lambda
+    component is None.
     """
     if tag not in _ROUTES:
         raise ValueError(f"unknown family {tag!r}")
@@ -779,7 +769,7 @@ def known_point_2B_sp(n, m, r) -> CurvePoint:
     mapping = {"n": n, "m": m, "r": r}
     c_pt = c_raw.specialize(mapping)
     lam_pt = lam_raw.specialize(mapping)
-    curve = phi_2B(n, m)
+    curve = phi_family("2B", n, m)
     if curve.lam is None:
         raise ZeroDenominatorError("the 2B curve has no finite lambda at these n, m")
     psi_star = (1 + 2 * m - 2 * n) / (2 * (1 + 2 * m + 2 * r))
@@ -812,14 +802,11 @@ def _curve_value(curve: TruncationCurve, psi: Fraction):
 
 
 def _root_candidates(polys):
-    """Common rational roots of UniPolys; None marks a free line.
+    """Common rational roots of UniPolys, not all of them zero.
 
     A nonzero constant has no roots, so it leaves no candidates.
     """
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return None
-    first, *rest = polys
+    first, *rest = [p for p in polys if not p.is_zero()]
     return {x for x in rational_roots(first) if not any(q.eval(x) for q in rest)}
 
 
@@ -859,6 +846,11 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
     evaluation on the original curves.  Candidates at poles are
     discarded.  Points with degenerate central charge are flagged, not
     dropped.
+
+    The gcd is the full one, contents in psi2 included, so after the exact
+    division the two residuals are coprime in Z[psi1, psi2]: their
+    eliminant is never zero, and at each of its roots b at least one of
+    them is nonzero in psi1, since q psi2 - p, for b = p/q, cannot divide both.
     """
     for curve in (A, B):
         if curve.symbols:
@@ -892,17 +884,11 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
     if deg_c >= 1 and deg_l >= 1:
         eliminant = _resultant_int(ec, el, ring)
     elif deg_c == 0 and deg_l == 0:
-        # Neither residual equation involves psi1: common psi2 roots would
-        # give vertical lines, which are identity components.
-        shared = _root_candidates(UniPoly._view("psi2", p[0]) for p in (ec, el))
-        if shared:
-            identity = True
+        # Neither residual involves psi1, and two coprime polynomials in
+        # psi2 share no root: no point and no vertical line.
         return IntersectionReport(points=(), identity_component=identity, residual_degree=0)
     else:
         eliminant = (ec if deg_c == 0 else el)[0]
-
-    if not eliminant:
-        raise ValueError("eliminant vanished identically after component removal")
 
     psi2_roots = sorted(rational_roots(UniPoly._view("psi2", eliminant)))
     rest = eliminant
@@ -921,13 +907,7 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
         for rows in (ec, el):
             table = _homogenized_powers(b, max(map(len, rows)) - 1)
             at_b.append(UniPoly._view("psi1", [sum(map(mul, row, table)) for row in rows]))
-        candidates = _root_candidates(at_b)
-        if candidates is None:
-            # Both equations vanish along psi2 = b: a free line of
-            # solutions in psi1.
-            identity = True
-            continue
-        for a in sorted(candidates):
+        for a in sorted(_root_candidates(at_b)):
             value_a = _curve_value(A, a)
             if value_a is None:
                 continue

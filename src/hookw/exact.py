@@ -9,7 +9,7 @@ Variables live in a fixed, closed universe:
 
     psi < psi1 < psi2 < n < m < r < s
 
-Monomials are compared in graded-lexicographic order: higher total degree
+Terms are compared in graded-lexicographic order: higher total degree
 first; ties broken lexicographically with ``s`` most significant and ``psi``
 least.  The canonical text form lists terms in descending graded-lex order
 with explicit ``*`` and ``^``, which makes serialized output deterministic
@@ -112,11 +112,9 @@ __all__ = [
     "UnknownVariableError",
     "DegreeError",
     "ParseError",
-    "Monomial",
     "MultiPoly",
     "RatFunc",
     "UniPoly",
-    "normalize",
     "poly_gcd",
     "resultant",
     "rational_roots",
@@ -981,56 +979,6 @@ def _sign_normalize_int(a):
 # ---------------------------------------------------------------------------
 
 
-class Monomial:
-    """A power product of universe variables; exponent 0 means absent."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, exponents=None):
-        key = [0] * _NVARS
-        if exponents:
-            for name, e in exponents.items():
-                i = _check_var(name)
-                if not isinstance(e, int) or e < 0:
-                    raise ExactError("exponent of %s must be a non-negative int" % name)
-                key[i] = e
-        object.__setattr__(self, "key", tuple(key))
-
-    @classmethod
-    def _from_key(cls, key):
-        self = cls.__new__(cls)
-        object.__setattr__(self, "key", key)
-        return self
-
-    def __setattr__(self, *args):
-        raise AttributeError("Monomial is immutable")
-
-    def exponents(self):
-        return {VARIABLES[i]: e for i, e in enumerate(self.key) if e}
-
-    def degree(self):
-        return sum(self.key)
-
-    def __mul__(self, other):
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return Monomial._from_key(tuple(a + b for a, b in zip(self.key, other.key)))
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        if self.key == _ZERO_KEY:
-            return "Monomial()"
-        return "Monomial(%r)" % (self.exponents(),)
-
-    def __str__(self):
-        return _monomial_text(self.key) or "1"
-
-
 def _monomial_text(key):
     # Variables inside a term print with the most significant first, matching
     # the tie-breaking order of the term sort.
@@ -1051,11 +999,11 @@ class MultiPoly:
     denominator ``_den``, the lcm of the coefficient denominators, so
     gcd(den, content) == 1 and the stored form is unique: equality is
     structural and equal values hash alike, a constant as its Fraction.
-    Immutable.  Supports ring arithmetic, substitution and the canonical
-    text form; ``eval`` is the polynomial as a quotient by its
-    denominator, evaluated by ``RatFunc.eval``.  ``terms()``,
-    ``leading_coefficient()``, ``const_value()`` and ``eval`` return
-    Fractions.
+    Immutable.  Supports ring arithmetic and the canonical text form; keys
+    are exponent tuples, one entry per variable of ``VARIABLES``.  ``eval``
+    is the polynomial as a quotient by its denominator, evaluated by
+    ``RatFunc.eval``.  ``terms()``, ``leading_coefficient()``,
+    ``const_value()`` and ``eval`` return Fractions.
     """
 
     __slots__ = ("_d", "_den", "_hash")
@@ -1063,17 +1011,11 @@ class MultiPoly:
     def __init__(self, terms=None):
         d = {}
         if terms:
-            for mono, coeff in terms.items():
-                if isinstance(mono, Monomial):
-                    key = mono.key
-                elif isinstance(mono, tuple):
-                    if len(mono) != _NVARS or any(
-                        not isinstance(e, int) or e < 0 for e in mono
-                    ):
-                        raise ExactError("bad exponent tuple %r" % (mono,))
-                    key = mono
-                else:
-                    raise ExactError("term keys must be Monomial, got %r" % (mono,))
+            for key, coeff in terms.items():
+                if not isinstance(key, tuple) or len(key) != _NVARS or any(
+                    not isinstance(e, int) or e < 0 for e in key
+                ):
+                    raise ExactError("bad exponent tuple %r" % (key,))
                 c = _coerce_fraction(coeff)
                 if c:
                     prev = d.get(key)
@@ -1129,9 +1071,9 @@ class MultiPoly:
     # -- inspection --------------------------------------------------------
 
     def terms(self):
-        """Canonical term list: (Monomial, coefficient), descending graded-lex."""
+        """Canonical term list: (exponent tuple, coefficient), descending graded-lex."""
         items = sorted(self._d.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
-        return [(Monomial._from_key(k), Fraction(c, self._den)) for k, c in items]
+        return [(k, Fraction(c, self._den)) for k, c in items]
 
     def is_zero(self):
         return not self._d
@@ -1162,15 +1104,6 @@ class MultiPoly:
         if not self._d:
             return Fraction(0)
         return Fraction(_dleading(self._d)[1], self._den)
-
-    def coefficient_of(self, var, power):
-        """Coefficient of var**power, as a polynomial in the other variables."""
-        i = _check_var(var)
-        out = {}
-        for k, c in self._d.items():
-            if k[i] == power:
-                out[k[:i] + (0,) + k[i + 1 :]] = c
-        return MultiPoly._reduced(out, self._den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -1244,19 +1177,7 @@ class MultiPoly:
             object.__setattr__(self, "_hash", h)
         return h
 
-    # -- substitution and evaluation ----------------------------------------
-
-    def substitute(self, var, value):
-        """Substitute a polynomial (or scalar) for a variable."""
-        i = _check_var(var)
-        if isinstance(value, (int, Fraction)):
-            value = MultiPoly.const(value)
-        if not isinstance(value, MultiPoly):
-            raise ExactError("substitute into MultiPoly needs a MultiPoly value")
-        # The value is value._d / v: _dsubst clears v**d, d the degree in var.
-        v = value._den
-        res, (d,) = _dsubst(self._d, [(i, value._d, {_ZERO_KEY: v})])
-        return MultiPoly._reduced(res, self._den * v**d)
+    # -- evaluation ----------------------------------------------------------
 
     def eval(self, assignment):
         """Exact value at a full assignment of the occurring variables (``RatFunc.eval``)."""
@@ -1594,11 +1515,6 @@ def _ratfunc_canonical(num_d, den_d):
     return _dscale(pn, p), _dscale(pd, q)
 
 
-def normalize(num, den):
-    """Canonical quotient of two polynomials (the RatFunc constructor)."""
-    return RatFunc(num, den)
-
-
 def poly_gcd(p, q):
     """Greatest common divisor of two polynomials.
 
@@ -1686,19 +1602,6 @@ class UniPoly:
     def __setattr__(self, *args):
         raise AttributeError("UniPoly is immutable")
 
-    @classmethod
-    def from_multipoly(cls, p, var=None):
-        if not isinstance(p, MultiPoly):
-            raise ExactError("from_multipoly needs a MultiPoly")
-        vs = p.variables()
-        if var is None:
-            if len(vs) > 1:
-                raise ExactError("polynomial is not univariate: %s" % sorted(vs))
-            var = next(iter(vs)) if vs else "psi"
-        elif vs - {var}:
-            raise ExactError("polynomial involves extra variables: %s" % sorted(vs - {var}))
-        return cls._view(var, _dict_to_int_list(p._d, _VAR_INDEX[var]), p._den)
-
     def to_multipoly(self):
         return MultiPoly._raw(_int_list_to_dict(self._ints, _VAR_INDEX[self.var]), self._den)
 
@@ -1718,9 +1621,6 @@ class UniPoly:
             return Fraction(0)
         bottom = self._den * x.denominator ** self.degree()
         return Fraction(_int_list_at(self._ints, x), bottom)
-
-    def derivative(self):
-        return UniPoly._view(self.var, [e * c for e, c in enumerate(self._ints)][1:], self._den)
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
@@ -1760,7 +1660,7 @@ def _root_prime(g):
 
 
 def rational_roots(p):
-    """All rational roots of a nonzero UniPoly or univariate MultiPoly.
+    """All rational roots of a nonzero UniPoly.
 
     p-adic lifting (R. Loos, SIAM J. Comput. 12, 1983) on f, the primitive
     part of the UniPoly's integer list, with the root at 0 split off; a
@@ -1778,10 +1678,8 @@ def rational_roots(p):
     rational roots (multiplicity ignored).  No integer is factored and no
     step is probabilistic.
     """
-    if isinstance(p, MultiPoly):
-        p = UniPoly.from_multipoly(p)
     if not isinstance(p, UniPoly):
-        raise ExactError("rational_roots needs a UniPoly or univariate MultiPoly")
+        raise ExactError("rational_roots needs a UniPoly")
     if p.is_zero():
         raise ExactError("rational_roots of the zero polynomial")
     content = _int_content(p._ints)

@@ -282,25 +282,6 @@ def d_b(fam: HookFamily) -> int:
 _ELL = {"k": 1, "-k/2": -_HALF, "-2k": -2}
 
 
-class LevelDictionary(Record):
-    h_dual_g: Fraction
-    ell_of_k: str  # "k" | "-k/2" | "-2k"
-    t_of_psi: RatFunc
-    affine_subalgebra: AlgebraDesc
-
-    def ell(self, k):
-        return _ELL[self.ell_of_k] * k
-
-
-def level_dictionary(fam: HookFamily) -> LevelDictionary:
-    return LevelDictionary(
-        h_dual_g=dual_coxeter(ambient_algebra(fam)),
-        ell_of_k=_FAMILY[fam.tag].ell,
-        t_of_psi=affine_subalgebra_level(fam),
-        affine_subalgebra=affine_subalgebra(fam),
-    )
-
-
 def affine_subalgebra_level(fam: HookFamily) -> RatFunc:
     """Level t of the affine subalgebra V^t(a), as a RatFunc in psi.
 

@@ -71,16 +71,16 @@ class TestMasterTranscription:
         assert h.eval(at) == -49
 
     def test_lambda_value(self):
-        crv = C.phi_2B(0, 0)
+        crv = C.phi_family("2B", 0, 0)
         assert crv.lam.eval({"psi": F(1)}) == F(2, 49)
 
     def test_c_identically_half_at_origin(self):
-        crv = C.phi_2B(0, 0)
+        crv = C.phi_family("2B", 0, 0)
         assert crv.c == RatFunc.const(F(1, 2))
         assert crv.c == L.central_charge(fam("2B", 0, 0))
 
     def test_c_value(self):
-        assert C.phi_2B(1, 1).c.eval({"psi": F(1)}) == F(-25, 2)
+        assert C.phi_family("2B", 1, 1).c.eval({"psi": F(1)}) == F(-25, 2)
 
     def test_master_is_pinned(self):
         # c, lambda and the seven domain factors, against the sha256 of the
@@ -94,7 +94,7 @@ class TestMasterTranscription:
         assert digest == "65abb36c89ce92e7aaa77237b1cc4bad880094c29f3f32b333b2b74cd08ebd9a"
 
     def test_symbolic_parameters_supported(self):
-        crv = C.phi_2B(N, M)
+        crv = C.phi_family("2B", N, M)
         assert "n" in crv.symbols and "m" in crv.symbols
         assert crv.c.eval({"psi": F(1), "n": F(1), "m": F(1)}) == F(-25, 2)
 
@@ -102,7 +102,7 @@ class TestMasterTranscription:
 class TestPhiRoutes:
     def test_2O_route_symbolic_m(self):
         left = C.phi_family("2O", 0, M)
-        inner = C.phi_2B(0, M)
+        inner = C.phi_family("2B", 0, M)
         w = 1 / (4 * PSI)
         assert left.c == inner.c.substitute("psi", w)
         assert left.lam == inner.lam.substitute("psi", w)
@@ -155,7 +155,7 @@ class TestPhiRoutes:
         for tag, w, master_at, maps in cases:
             for n, m in ((N, M), (0, 0), (F(1, 2), 1), (F(-1, 2), F(3, 2)), (2, 3)):
                 inner_n, inner_m = master_at(n, m)
-                master = C.phi_2B(inner_n, inner_m)
+                master = C.phi_family("2B", inner_n, inner_m)
                 want = [master.c, master.lam]
                 x = PSI
                 for step in maps:
@@ -199,7 +199,7 @@ class TestTwoCoordinates:
         polys = self.printed()
         assert len(polys) == 11
         for p in polys:
-            at_m0 = p.substitute("m", 0)
+            at_m0 = RatFunc(p).substitute("m", 0)
             assert at_m0.substitute("n", t) == p, p
             assert MultiPoly._raw(C._at_m0(p)) == at_m0
 
@@ -234,7 +234,7 @@ class TestTwoCoordinates:
         for rf in (c, lam):
             assert rf.specialize({"n": t, "m": 0}) == rf
         for n, m in ((F(1, 2), F(3)), (F(-2, 3), F(5, 2))):
-            crv = C.phi_2B(n, m)
+            crv = C.phi_family("2B", n, m)
             for psi in (F(1, 3), F(-5, 7)):
                 point = {"psi": psi, "n": n + m * (2 * psi - 1), "m": 0}
                 assert crv.values(psi) == (c.eval(point), lam.eval(point))
@@ -269,8 +269,8 @@ _GRID = (F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2), F(3))
 def _fraction_specialize(poly, vals):
     """The dict of poly at scalars {index: Fraction}, term by term over Fractions."""
     out = {}
-    for mono, c in poly.terms():
-        key = list(mono.key)
+    for k, c in poly.terms():
+        key = list(k)
         for i, v in vals.items():
             c *= v ** key[i]
             key[i] = 0
@@ -415,30 +415,34 @@ class TestOrbifoldSlices:
         assert none_set == {("1B", 0, 0), ("1O", 0, 0), ("2D", 1, 0)}
 
     def test_lambda_denominator_vanishes_at_three_points_only(self):
-        # phi_2B specializes (n, m) into the master lambda in one pass, so
-        # lambda is None exactly where every psi-coefficient of the master
+        # phi_family specializes (n, m) into the master lambda in one pass,
+        # so lambda is None exactly where every psi-coefficient of the master
         # denominator vanishes.  The lowest and highest coefficients are
         # coprime, so their resultant in m is nonzero and every such n is
-        # among its roots.
+        # among its roots.  Each coefficient is dense in m over integer
+        # lists in n, the ring ``intersect`` eliminates on.
+        ring = E._LISTS[E._VAR_INDEX["n"]]
         den = master_2B()[1].den
-        coeffs = [den.coefficient_of("psi", k) for k in range(den.degree("psi") + 1)]
-        eliminant = resultant(coeffs[0], coeffs[-1], "m")
-        assert not eliminant.is_zero()
+        coeffs = [ring.dense(c, E._VAR_INDEX["m"])
+                  for c in E._DICTS.dense(den._d, E._VAR_INDEX["psi"])]
+        eliminant = E._resultant_int(coeffs[0], coeffs[-1], ring)
+        assert any(eliminant)
         zeros = set()
-        for n in rational_roots(eliminant):
-            at_n = [c for c in (c.substitute("n", n) for c in coeffs) if not c.is_zero()]
+        for n in rational_roots(UniPoly._view("n", eliminant)):
+            at_n = [UniPoly("m", [UniPoly._view("n", row).eval(n) for row in c]) for c in coeffs]
+            at_n = [u for u in at_n if not u.is_zero()]
             assert at_n, f"the denominator vanishes on the whole line n = {n}"
-            if at_n[0].is_const():
+            if at_n[0].degree() == 0:
                 continue
             zeros |= {
                 (n, m)
                 for m in rational_roots(at_n[0])
-                if all(c.eval({"m": m}) == 0 for c in at_n)
+                if all(u.eval(m) == 0 for u in at_n)
             }
         assert zeros == {(F(-1, 2), F(-1, 2)), (F(0), F(1, 2)), (F(1, 2), F(0))}
         grid_n = [F(k, 2) for k in range(-2, 9)]
         grid_m = [F(k, 2) for k in range(-2, 11)]
-        none_set = {(n, m) for n in grid_n for m in grid_m if C.phi_2B(n, m).lam is None}
+        none_set = {(n, m) for n in grid_n for m in grid_m if C.phi_family("2B", n, m).lam is None}
         assert none_set == zeros
 
     def test_constant_charge_one(self):
@@ -595,8 +599,9 @@ class TestValues:
 
     def test_pole_of_each_component(self):
         crv = C.phi_family("2B", 1, 2)
-        for part in (crv.c, crv.lam):
-            roots = rational_roots(part.den)
+        _, (_, c_den, _, lam_den) = crv._psi_lists
+        for den in (c_den, lam_den):
+            roots = rational_roots(UniPoly._view("psi", den))
             assert roots
             for root in roots:
                 with pytest.raises(PoleError):
@@ -606,7 +611,7 @@ class TestValues:
         with pytest.raises(PoleError):
             C.phi_family("1O", 0, 0).values(F(1, 3))
         with pytest.raises(ValueError):
-            C.phi_2B(N, 1).values(F(1, 3))
+            C.phi_family("2B", N, 1).values(F(1, 3))
 
 
 class TestTrialities:
@@ -617,9 +622,9 @@ class TestTrialities:
         assert all(c.c_difference is None for c in checks)
 
     def test_spot_vanishing_charge(self):
-        assert C.phi_2B(0, 1).c.eval({"psi": F(1)}) == 0
+        assert C.phi_family("2B", 0, 1).c.eval({"psi": F(1)}) == 0
         w = PSI / (2 * PSI - 1)
-        moved = C.phi_2B(1, 0).c.substitute("psi", w)
+        moved = C.phi_family("2B", 1, 0).c.substitute("psi", w)
         assert moved.eval({"psi": F(1)}) == 0
 
     def test_symbolic_identities(self):
@@ -730,7 +735,7 @@ class TestKnownPoint:
     def test_psi_star_on_curve(self):
         # psi* = (1+2m-2n)/(2(1+2m+2r)) at (0,0,1) is 1/6; the curve's c
         # there must equal the printed c.
-        crv = C.phi_2B(0, 0)
+        crv = C.phi_family("2B", 0, 0)
         assert crv.c.eval({"psi": F(1, 6)}) == F(1, 2)
 
 
@@ -793,7 +798,7 @@ class TestIntersect:
 
     def test_rejects_symbolic_curves(self):
         with pytest.raises(ValueError):
-            C.intersect(C.phi_2B(N, 1), C.phi_family("2C", 0, 1))
+            C.intersect(C.phi_family("2B", N, 1), C.phi_family("2C", 0, 1))
 
     @pytest.mark.parametrize(
         "a, b, identity",
@@ -846,8 +851,8 @@ class TestExactParameters:
         [
             pytest.param(lambda: C.phi_family("2B", 0.1, 1), id="phi_family-n"),
             pytest.param(lambda: C.phi_family("1O", 0, 1.0), id="phi_family-m"),
-            pytest.param(lambda: C.phi_2B(0.5, 1), id="phi_2B-n"),
-            pytest.param(lambda: C.phi_2B(N, 1.5), id="phi_2B-symbolic-n"),
+            pytest.param(lambda: C.phi_family("2B", 0.5, 1), id="phi_2B-n"),
+            pytest.param(lambda: C.phi_family("2B", N, 1.5), id="phi_2B-symbolic-n"),
             pytest.param(lambda: C.known_point_2B_sp(0, 1, 1.0), id="known_point-r"),
             pytest.param(lambda: C.on_generic_domain("2B", 0.5, 1, F(1, 3)), id="domain-n"),
             pytest.param(lambda: C.on_generic_domain("2B", 0, 1, 0.3), id="domain-psi"),

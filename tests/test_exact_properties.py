@@ -129,10 +129,11 @@ def _to_sympy(p, symbols):
     import sympy
 
     expr = sympy.Integer(0)
-    for mono, coeff in p.terms():
+    for key, coeff in p.terms():
         term = sympy.Rational(coeff.numerator, coeff.denominator)
-        for name, exp in mono.exponents().items():
-            term *= symbols[name] ** exp
+        for name, exp in zip(E.VARIABLES, key):
+            if exp:
+                term *= symbols[name] ** exp
         expr += term
     return sympy.expand(expr)
 
@@ -172,6 +173,12 @@ def test_resultant_matches_sylvester_determinant(p, q):
     assert sympy.expand(ours - theirs) == 0
 
 
+def _unipoly(sp):
+    """The UniPoly of a univariate sympy Poly with rational coefficients."""
+    coeffs = reversed(sp.all_coeffs())
+    return UniPoly(str(sp.gen), [Fraction(int(c.p), int(c.q)) for c in coeffs])
+
+
 @settings(max_examples=30, deadline=None)
 @given(polys(vars=("psi",), max_terms=5, max_exp=5, zero_ok=False))
 def test_rational_roots_match_sympy(p):
@@ -184,7 +191,7 @@ def test_rational_roots_match_sympy(p):
         Fraction(int(root.p), int(root.q))
         for root in sympy.roots(sp, filter="Q").keys()
     }
-    assert E.rational_roots(p) == theirs
+    assert E.rational_roots(_unipoly(sp)) == theirs
 
 
 @settings(max_examples=30, deadline=None)
@@ -410,10 +417,11 @@ def _check_elimination(a, b):
     def agree(p, rows):
         assert _proportional(p._d, ring.undense(rows, _PSI1_IDX))
 
-    psi1, psi2 = MultiPoly.var("psi1"), MultiPoly.var("psi2")
+    def at(p, var):
+        return RatFunc(p).substitute("psi", MultiPoly.var(var)).num
+
     pair = tuple(
-        f.num.substitute("psi", psi1) * g.den.substitute("psi", psi2)
-        - g.num.substitute("psi", psi2) * f.den.substitute("psi", psi1)
+        at(f.num, "psi1") * at(g.den, "psi2") - at(g.num, "psi2") * at(f.den, "psi1")
         for f, g in ((a.c, b.c), (a.lam, b.lam))
     )
     rows = C._difference_rows(a, b)
@@ -648,14 +656,15 @@ def test_ladder_eliminant_roots_match_sympy():
     rungs = ((1, 3, 3), (2, 3, 3))
     for n, m, r in rungs:
         eliminant = _sp_ladder_eliminant(n, m, r)
-        _, factors = sympy.factor_list(_to_sympy(eliminant, {"psi2": x}), x)
+        expr = _to_sympy(eliminant, {"psi2": x})
+        _, factors = sympy.factor_list(expr, x)
         theirs = set()
         for factor, _ in factors:
             if sympy.degree(factor, x) == 1:
                 lead, const = sympy.Poly(factor, x).all_coeffs()
                 root = -const / lead
                 theirs.add(Fraction(int(root.p), int(root.q)))
-        assert E.rational_roots(eliminant) == theirs, (n, m, r)
+        assert E.rational_roots(_unipoly(sympy.Poly(expr, x))) == theirs, (n, m, r)
     start = time.monotonic()
     for n, m, r in rungs:
         rule = hookw.TARGETS["sp"]
@@ -693,12 +702,26 @@ def assignments(draw):
 
 def _reference_value(p, vals):
     total = Fraction(0)
-    for mono, coeff in p.terms():
+    for key, coeff in p.terms():
         term = coeff
-        for name, exp in mono.exponents().items():
-            term *= vals[name] ** exp
+        for name, exp in zip(E.VARIABLES, key):
+            if exp:
+                term *= vals[name] ** exp
         total += term
     return total
+
+
+def _at_scalars(p, vals):
+    """p with the scalars vals substituted term by term, over Fractions."""
+    out = {}
+    for key, coeff in p.terms():
+        rest = list(key)
+        for name, x in vals.items():
+            i = E.VARIABLES.index(name)
+            coeff *= x ** rest[i]
+            rest[i] = 0
+        out[tuple(rest)] = out.get(tuple(rest), 0) + coeff
+    return MultiPoly(out)
 
 
 def _missing(f, vals):
@@ -843,14 +866,13 @@ def test_unipoly_eval_matches_fraction_horner(coeffs, x):
 
 @settings(max_examples=100, deadline=None)
 @given(uni_coeffs, st.sampled_from(E.VARIABLES))
-def test_unipoly_from_fractions_equals_from_multipoly(coeffs, var):
+def test_unipoly_from_fractions_equals_the_multipoly_sum(coeffs, var):
     x = MultiPoly.var(var)
     built = UniPoly(var, coeffs)
-    via = UniPoly.from_multipoly(
-        sum((c * x**e for e, c in enumerate(coeffs)), MultiPoly.zero()), var
-    )
-    assert built == via
-    assert hash(built) == hash(via)
+    padded = UniPoly(var, coeffs + [0, 0])
+    assert built.to_multipoly() == sum((c * x**e for e, c in enumerate(coeffs)), MultiPoly.zero())
+    assert built == padded
+    assert hash(built) == hash(padded)
     assert list(built.coeffs) == coeffs[: built.degree() + 1]
     assert not any(coeffs[built.degree() + 1 :])
 
@@ -1029,9 +1051,7 @@ def test_specialize_matches_fraction_substitution(num, den, vals):
     if den.is_zero():
         den = MultiPoly.one()
     f = RatFunc(num, den)
-    num_at, den_at = f.num, f.den
-    for name, x in vals.items():
-        num_at, den_at = num_at.substitute(name, x), den_at.substitute(name, x)
+    num_at, den_at = (_at_scalars(p, vals) for p in (f.num, f.den))
     if den_at.is_zero():
         with pytest.raises(E.ZeroDenominatorError):
             f.specialize(vals)

@@ -215,10 +215,9 @@ class TestLevels:
         assert L._FAMILY["1B"].ell == "k"
         assert L._FAMILY["1C"].ell == "-k/2"
         assert L._FAMILY["2B"].ell == "-2k"
-        ld = L.level_dictionary(fam("1O", 1, 1))
-        assert ld.ell_of_k == "-k/2"
-        assert ld.ell(F(4)) == -2
-        assert L.level_dictionary(fam("2D", 0, 1)).ell(F(3)) == -6
+        assert L._FAMILY["1O"].ell == "-k/2"
+        assert L._ELL[L._FAMILY["1O"].ell] * F(4) == -2
+        assert L._ELL[L._FAMILY["2D"].ell] * F(3) == -6
 
     def test_t_equals_shifted_ell(self):
         # t = ell(k) +/- (d_b - 1) * xi, sign by the pairing parity, gives
@@ -227,7 +226,7 @@ class TestLevels:
             for n in range(5):
                 for m in range(5):
                     f = fam(tag, n, m)
-                    assert L.level_dictionary(f).t_of_psi == PRINTED_LEVELS[tag](n), (tag, n, m)
+                    assert L.affine_subalgebra_level(f) == PRINTED_LEVELS[tag](n), (tag, n, m)
 
     def test_level_data_is_pinned(self):
         # Every level datum and the assembled charge, 8 tags x n, m in 0..7,
@@ -237,26 +236,26 @@ class TestLevels:
             for n in range(8):
                 for m in range(8):
                     f = fam(tag, n, m)
-                    ld = L.level_dictionary(f)
                     try:
                         a = L.assemble_central_charge(f).to_text()
                     except ValueError as exc:
                         a = f"error: {exc}"
                     rows[f"{tag}({n},{m})"] = [
-                        str(ld.h_dual_g), ld.ell_of_k, ld.t_of_psi.to_text(),
-                        str(ld.affine_subalgebra), L.affine_subalgebra_level(f).to_text(), a,
+                        str(L.dual_coxeter(L.ambient_algebra(f))), L._FAMILY[tag].ell,
+                        L.affine_subalgebra_level(f).to_text(), str(L.affine_subalgebra(f)),
+                        L.affine_subalgebra_level(f).to_text(), a,
                     ]
         digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
         assert digest == "207ee8865871be3a0e9c734870e8a8eb2cef53a7c1e6589bc1ac4c82e147d190"
 
     def test_affine_subalgebra_descriptors(self):
-        assert L.level_dictionary(fam("1B", 2, 1)).affine_subalgebra == \
+        assert L.affine_subalgebra(fam("1B", 2, 1)) == \
             L.AlgebraDesc.so(5)
-        assert L.level_dictionary(fam("2C", 2, 1)).affine_subalgebra == \
+        assert L.affine_subalgebra(fam("2C", 2, 1)) == \
             L.AlgebraDesc.sp(4)
-        assert L.level_dictionary(fam("2O", 2, 1)).affine_subalgebra == \
+        assert L.affine_subalgebra(fam("2O", 2, 1)) == \
             L.AlgebraDesc.osp(1, 4, "C")
-        assert L.level_dictionary(fam("1D", 2, 1)).affine_subalgebra == \
+        assert L.affine_subalgebra(fam("1D", 2, 1)) == \
             L.AlgebraDesc.so(4)
 
 

@@ -26,7 +26,7 @@ RECORD_TYPES = (
     K.TargetRule, K.CoincidenceEntry, K.CoincidenceOutcome, K.OspOspPair, K.OspOspReport,
     K.RationalityWitness, K.GTFactor,
     C.TruncationCurve, C.CurvePoint, C.IdentityCheck, C.Intersection, C.IntersectionReport,
-    L.AlgebraDesc, L._FamilyData, L.LevelDictionary, L.CaseDescription,
+    L.AlgebraDesc, L._FamilyData, L.CaseDescription,
     S.RootSystemData,
 )
 
@@ -36,7 +36,7 @@ def point():
 
 
 def test_every_value_type_is_a_record():
-    assert len(set(RECORD_TYPES)) == 17
+    assert len(set(RECORD_TYPES)) == 16
     for cls in RECORD_TYPES:
         assert issubclass(cls, Record)
         assert not hasattr(cls, "__dataclass_fields__")
