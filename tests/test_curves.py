@@ -442,7 +442,9 @@ class TestOrbifoldSlices:
         assert zeros == {(F(-1, 2), F(-1, 2)), (F(0), F(1, 2)), (F(1, 2), F(0))}
         grid_n = [F(k, 2) for k in range(-2, 9)]
         grid_m = [F(k, 2) for k in range(-2, 11)]
-        none_set = {(n, m) for n in grid_n for m in grid_m if C.phi_family("2B", n, m).lam is None}
+        none_set = {
+            (n, m) for n in grid_n for m in grid_m if C.phi_family("2B", n, m).lam is None
+        }
         assert none_set == zeros
 
     def test_constant_charge_one(self):
