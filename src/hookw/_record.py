@@ -1,4 +1,11 @@
-"""One frozen record base for the package's value types.
+"""One frozen base for the package's value types.
+
+``Frozen`` is the package's one immutability mechanism.  It refuses
+assignment and deletion with ``FrozenRecordError``; ``copy.copy`` returns
+the value itself; pickle and ``copy.deepcopy`` set the stored fields,
+``_record_fields``, on a bare instance, so no constructor,
+canonicalization or gcd runs.  The exact formulas set ``_record_fields =
+__slots__``; every other value type is a ``Record``.
 
 A subclass of ``Record`` declares its fields as class annotations, in
 order; a class attribute of the same name is that field's default:
@@ -10,8 +17,8 @@ order; a class attribute of the same name is that field's default:
 It behaves as a ``@dataclass(frozen=True)`` does in everything the package
 relies on: construction by position or keyword, ``__post_init__``,
 equality and hashing on the tuple of fields, the dataclass repr
-``Point(x=1, y=0)``, and instances that refuse assignment and deletion but
-keep a ``__dict__``, so ``functools.cached_property``, pickle and copy work.
+``Point(x=1, y=0)``, and frozen instances that keep a ``__dict__``, so
+``functools.cached_property`` works.
 ``replace(obj, **changes)`` does what ``dataclasses.replace`` does.
 
 ``dataclasses`` is not used on purpose.  Importing it imports ``inspect``
@@ -23,19 +30,49 @@ fresh interpreter.  ``Record`` reads the fields, their defaults and
 class an ``__init__`` closed over them; it generates no code.
 """
 
-__all__ = ["FrozenRecordError", "Record", "replace"]
+__all__ = ["Frozen", "FrozenRecordError", "Record", "replace"]
 
 _set = object.__setattr__
 
 
 class FrozenRecordError(AttributeError):
-    """An assignment to, or deletion of, an attribute of a record."""
+    """An assignment to, or deletion of, an attribute of a frozen value."""
 
 
-class Record:
-    """Frozen value type whose fields are its class annotations."""
+class Frozen:
+    """Immutable value whose stored fields are ``_record_fields``."""
 
+    __slots__ = ()
     _record_fields = ()
+
+    def _record_values(self):
+        # getattr, not __dict__: reading __dict__ turns the instance's
+        # inline attribute values into a dict and slows later reads.
+        return tuple([getattr(self, name) for name in self._record_fields])
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def __copy__(self):
+        return self
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), self._record_values())
+
+
+def _rebuilt(cls, values):
+    """An instance of cls with the stored field values, set as they were."""
+    self = cls.__new__(cls)
+    for name, value in zip(cls._record_fields, values):
+        _set(self, name, value)
+    return self
+
+
+class Record(Frozen):
+    """Frozen value type whose fields are its class annotations."""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -43,11 +80,6 @@ class Record:
         defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
         cls._record_fields = fields
         cls.__init__ = _init(fields, defaults, getattr(cls, "__post_init__", None))
-
-    def _record_values(self):
-        # getattr, not __dict__: reading __dict__ turns the instance's
-        # inline attribute values into a dict and slows later reads.
-        return tuple([getattr(self, name) for name in self._record_fields])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -62,12 +94,6 @@ class Record:
             f"{name}={value!r}" for name, value in zip(self._record_fields, self._record_values())
         )
         return f"{type(self).__qualname__}({body})"
-
-    def __setattr__(self, name, value):
-        raise FrozenRecordError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
 def _init(fields, defaults, post_init):

@@ -96,6 +96,8 @@ from itertools import count, repeat
 from math import gcd, isqrt, lcm
 from operator import add, itemgetter, mul, sub
 
+from ._record import Frozen
+
 VARIABLES = ("psi", "psi1", "psi2", "n", "m", "r", "s")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _NVARS = len(VARIABLES)
@@ -992,7 +994,7 @@ def _monomial_text(key):
     return "*".join(parts)
 
 
-class MultiPoly:
+class MultiPoly(Frozen):
     """Sparse multivariate polynomial over exact rationals, held as integers.
 
     An integer dict (exponent key -> nonzero int) over one positive
@@ -1006,7 +1008,7 @@ class MultiPoly:
     ``const_value()`` and ``eval`` return Fractions.
     """
 
-    __slots__ = ("_d", "_den", "_hash")
+    __slots__ = _record_fields = ("_d", "_den", "_hash")
 
     def __init__(self, terms=None):
         d = {}
@@ -1043,9 +1045,6 @@ class MultiPoly:
         object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *args):
-        raise AttributeError("MultiPoly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -1222,7 +1221,7 @@ def _rat_text(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-class RatFunc:
+class RatFunc(Frozen):
     """Quotient of two multivariate polynomials in canonical form.
 
     The constructor always canonicalizes: polynomial gcd and shared integer
@@ -1232,7 +1231,7 @@ class RatFunc:
     procedure for equality of rational functions.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = _record_fields = ("num", "den", "_hash")
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
@@ -1271,9 +1270,6 @@ class RatFunc:
         object.__setattr__(self, "den", MultiPoly._raw(den_d))
         object.__setattr__(self, "_hash", None)
         return self
-
-    def __setattr__(self, *args):
-        raise AttributeError("RatFunc is immutable")
 
     # -- constructors --------------------------------------------------------
 
@@ -1567,7 +1563,7 @@ def resultant(p, q, var):
 # ---------------------------------------------------------------------------
 
 
-class UniPoly:
+class UniPoly(Frozen):
     """Univariate polynomial over exact rationals, held as integers.
 
     The variable, a trimmed integer list (low to high) and one positive
@@ -1577,7 +1573,7 @@ class UniPoly:
     integer list.
     """
 
-    __slots__ = ("var", "_ints", "_den")
+    __slots__ = _record_fields = ("var", "_ints", "_den")
 
     def __init__(self, var, coeffs):
         _check_var(var)
@@ -1598,9 +1594,6 @@ class UniPoly:
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "_ints", tuple(c // g for c in ints))
         object.__setattr__(self, "_den", den // g)
-
-    def __setattr__(self, *args):
-        raise AttributeError("UniPoly is immutable")
 
     def to_multipoly(self):
         return MultiPoly._raw(_int_list_to_dict(self._ints, _VAR_INDEX[self.var]), self._den)

@@ -171,7 +171,7 @@ _FAMILY = {
 }
 
 
-class HookFamily:
+class HookFamily(Record):
     """One member of the eight hook-type series, with parameters n, m >= 0.
 
     The constructor requires integer parameters.  Curves at half-integer
@@ -179,25 +179,23 @@ class HookFamily:
     (``curves.phi_family``), with no HookFamily.
     """
 
-    __slots__ = ("i", "x", "n", "m")
+    i: int
+    x: str
+    n: Fraction
+    m: Fraction
 
-    def __init__(self, i: int, x: str, n, m):
-        tag = f"{i}{x}"
+    def __post_init__(self):
+        tag = f"{self.i}{self.x}"
         if tag not in _FAMILY:
             raise ValueError(f"unknown family {tag!r}")
-        n = _coerce_fraction(n)
-        m = _coerce_fraction(m)
+        n = _coerce_fraction(self.n)
+        m = _coerce_fraction(self.m)
         if n < 0 or m < 0:
             raise ValueError("parameters must be non-negative")
         if n.denominator != 1 or m.denominator != 1:
             raise ValueError("parameters must be integers")
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "x", x)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HookFamily is immutable")
 
     @classmethod
     def from_tag(cls, tag: str, n, m) -> "HookFamily":
@@ -211,14 +209,6 @@ class HookFamily:
 
     def __repr__(self) -> str:
         return f"HookFamily({self.tag!r}, n={self.n}, m={self.m})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HookFamily):
-            return NotImplemented
-        return (self.i, self.x, self.n, self.m) == (other.i, other.x, other.n, other.m)
-
-    def __hash__(self) -> int:
-        return hash((self.i, self.x, self.n, self.m))
 
 
 def _ints(fam: HookFamily):

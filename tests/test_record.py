@@ -6,19 +6,30 @@ by position or keyword with defaults, TypeError on a bad call,
 within one class, refusal of assignment and deletion, ``cached_property``,
 pickle and copy, and the dataclass repr, pinned here as the strings the
 ``@dataclass(frozen=True)`` classes printed.
+
+The exact formulas ``MultiPoly``, ``RatFunc`` and ``UniPoly`` share the
+``Frozen`` base: they too pickle and copy, and unpickling runs no
+canonicalization or gcd.  No other class of the package guards its
+attributes.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hookw
 from hookw import catalog as K
 from hookw import curves as C
+from hookw import exact as E
 from hookw import liedata as L
 from hookw import spectra as S
-from hookw._record import FrozenRecordError, Record, replace
+from hookw._record import Frozen, FrozenRecordError, Record, replace
 
 F = Fraction
 
@@ -26,7 +37,7 @@ RECORD_TYPES = (
     K.TargetRule, K.CoincidenceEntry, K.CoincidenceOutcome, K.OspOspPair, K.OspOspReport,
     K.RationalityWitness, K.GTFactor,
     C.TruncationCurve, C.CurvePoint, C.IdentityCheck, C.Intersection, C.IntersectionReport,
-    L.AlgebraDesc, L._FamilyData, L.CaseDescription,
+    L.AlgebraDesc, L._FamilyData, L.CaseDescription, L.HookFamily,
     S.RootSystemData,
 )
 
@@ -36,7 +47,7 @@ def point():
 
 
 def test_every_value_type_is_a_record():
-    assert len(set(RECORD_TYPES)) == 16
+    assert len(set(RECORD_TYPES)) == 17
     for cls in RECORD_TYPES:
         assert issubclass(cls, Record)
         assert not hasattr(cls, "__dataclass_fields__")
@@ -136,6 +147,32 @@ class TestFrozen:
         assert p == point()
 
 
+class TestOneFrozenBase:
+    def test_no_other_class_guards_its_attributes(self):
+        guards = []
+        for info in pkgutil.iter_modules(hookw.__path__):
+            module = importlib.import_module(f"hookw.{info.name}")
+            for value in vars(module).values():
+                if isinstance(value, type) and value.__module__ == module.__name__:
+                    guards += [(value.__qualname__, name) for name in ("__setattr__", "__delattr__")
+                               if name in vars(value)]
+        assert guards == [("Frozen", "__setattr__"), ("Frozen", "__delattr__")]
+
+    def test_exact_formulas_are_frozen(self):
+        for cls in (E.MultiPoly, E.RatFunc, E.UniPoly):
+            assert issubclass(cls, Frozen) and not issubclass(cls, Record)
+            assert cls._record_fields == cls.__slots__
+        with pytest.raises(FrozenRecordError):
+            E.RatFunc.var("psi").num = E.MultiPoly.one()
+        with pytest.raises(FrozenRecordError):
+            del E.UniPoly("psi", [1]).var
+
+    def test_no_module_imports_pickle_or_copy(self):
+        pattern = re.compile(r"^\s*(import|from)\s+(pickle|copy)\b", re.MULTILINE)
+        for path in Path(hookw.__file__).parent.glob("*.py"):
+            assert not pattern.search(path.read_text()), path.name
+
+
 class TestCachedProperty:
     def test_curve_lists_are_cached(self):
         curve = C.phi_family("2B", 0, 1)
@@ -157,14 +194,37 @@ class TestPickleAndCopy:
         K.gelfand_tsetlin_factors("D", 1, 3)[1],
         K.rational_points(L.HookFamily.from_tag("2B", 0, 1))[0],
         K.verify_osp_osp(1, 2),
+        E.parse_ratfunc("psi^2 - 3/2*n*m").num,
+        E.parse_ratfunc("(psi + 1)/(2*psi - m)"),
+        E.UniPoly("psi", [F(1, 2), 0, F(-2, 3)]),
+        L.HookFamily.from_tag("2B", 1, 2),
+        K.all_entries()[0],
+        K.TARGETS["sp"],
+        C.phi_family("2B", 1, 2),
+        C.phi_family("2B", E.RatFunc.var("n"), E.RatFunc.var("m")),
+        C.known_point_2B_sp(1, 2, 3),
     ], ids=lambda r: type(r).__name__)
     def test_round_trip(self, record):
         for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
                       copy.deepcopy(record)):
             assert clone == record and type(clone) is type(record)
             assert repr(clone) == repr(record)
+            assert hash(clone) == hash(record)
+            if hasattr(record, "to_text"):
+                assert clone.to_text() == record.to_text()
             with pytest.raises(AttributeError):
                 clone.extra = 1
+
+    def test_unpickling_runs_no_arithmetic(self, monkeypatch):
+        entries = K.all_entries()
+        data = pickle.dumps(entries)
+
+        def refuse(*args):
+            raise AssertionError("unpickling ran exact arithmetic")
+
+        monkeypatch.setattr(E, "_ratfunc_canonical", refuse)
+        monkeypatch.setattr(E, "_int_poly_gcd", refuse)
+        assert pickle.loads(data) == entries
 
     def test_copy_keeps_cached_values(self):
         e = replace(K.all_entries()[0])
