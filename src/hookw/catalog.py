@@ -223,17 +223,18 @@ class CoincidenceEntry(Record):
 
         Built on first use.  (dn, dm, dr) are the highest degrees of n, m
         and r in any row.  ``rows`` alternates numerator and denominator:
-        psi, then the target psi s + shift(r) folded into one RatFunc, then
-        each exclusion.  A row is a tuple of terms (c, a, b, e), each
-        c * n**a * m**b * r**e.  shift is a polynomial in r, so the folded
-        formula has the denominator of s up to a constant and the same
-        poles.  A formula in any variable but n, m, r raises ValueError.
+        psi, then the target psi s + shift(r) folded into one uncanonicalized
+        quotient (``exact._Cleared``), then each exclusion.  A row is a tuple
+        of terms (c, a, b, e), each c * n**a * m**b * r**e.  shift is a
+        polynomial in r, so the folded formula has the denominator of s up
+        to a constant, the same poles and the same values, and no gcd runs.
+        A formula in any variable but n, m, r raises ValueError.
         """
-        target_psi = self.s + TARGETS[self.target].shift
+        target_psi = _Cleared._of(self.s) + TARGETS[self.target].shift
         rows = tuple(
             row
-            for rf in (self.psi, target_psi, *self.exclusions)
-            for row in (self._term_row(rf.num), self._term_row(rf.den))
+            for q in map(_Cleared._of, (self.psi, target_psi, *self.exclusions))
+            for row in (self._term_row(q.num), self._term_row(q.den))
         )
         degrees = tuple(
             max((term[k] for row in rows for term in row), default=0)
@@ -242,8 +243,8 @@ class CoincidenceEntry(Record):
         return degrees, rows
 
     def _term_row(self, poly):
-        """The terms (c, a, b, e) of poly's integer dict."""
-        for key in poly._d:
+        """The terms (c, a, b, e) of the integer dict poly."""
+        for key in poly:
             for i, d in enumerate(key):
                 if d and i not in _CELL_VARS:
                     raise ValueError(
@@ -251,7 +252,7 @@ class CoincidenceEntry(Record):
                         "coincidence formulas are in n, m, r only"
                     )
         return tuple(
-            (c, key[_N], key[_M], key[_R]) for key, c in poly._d.items()
+            (c, key[_N], key[_M], key[_R]) for key, c in poly.items()
         )
 
     def _cell_values(self, n, m, r):
@@ -472,7 +473,8 @@ def verify_coincidence(entry: CoincidenceEntry, n, m, r) -> CoincidenceOutcome:
     s formulas, then membership in the generic domain of both curves
     (the printed curve denominators must not vanish, else the displayed
     identity has no content at the point and the limit is not claimed).
-    Surviving points are compared as exact (c, lambda) pairs.
+    Surviving points are compared as exact (c, lambda) pairs; a curve
+    pole there is a defect and raises PoleError, never a skip.
 
     The checks are those of the integer cell kernel ``_cell_check``; this
     wrapper validates the arguments and turns the kernel's int pairs and
@@ -546,16 +548,12 @@ def _cell_check(entry: CoincidenceEntry, n: int, m: int, r: int):
     if excluded is None or psi2 in excluded:
         reason = "target curve formulas are undefined at the target psi"
         return "skipped", reason, psi1, psi2, None
-    try:
-        src = _numeric_curve(entry.source, n, m)._sums(*psi1)
-        tgt = _numeric_curve(tag, 0, m_t)._sums(*psi2)
-        pole = not (src[1] and src[3] and tgt[1] and tgt[3])
-    except PoleError:
-        pole = True
-    if pole:
-        # The canonical denominators divide the printed ones, so this
-        # is unreachable unless a curve degenerates; report, not crash.
-        return "skipped", "curve evaluation hit a pole", psi1, psi2, None
+    src = _numeric_curve(entry.source, n, m)._sums(*psi1)
+    tgt = _numeric_curve(tag, 0, m_t)._sums(*psi2)
+    if not (src[1] and src[3] and tgt[1] and tgt[3]):
+        # The canonical denominators divide the printed ones, so a pole
+        # here is a defect, and 0 == 0 must not pass the cell.
+        raise PoleError("curve evaluation hit a pole")
     cn, cd, ln, ld = src
     tcn, tcd, tln, tld = tgt
     if cn * tcd == tcn * cd and ln * tld == tln * ld:
@@ -576,11 +574,13 @@ def verify_coincidence_symbolic(entry: CoincidenceEntry) -> bool:
 
     The entry holds when a map of the S3 orbit of F takes the source's
     point at psi to the target's at s + shift(r) (``curves._orbit_maps``).
+    Both points and both psi are uncanonicalized quotients
+    (``exact._Cleared``), so no gcd runs.
     """
     rule = TARGETS[entry.target]
     source = _point(entry.source, RatFunc.var("n"), RatFunc.var("m"))
     target = _point(rule.tag, 0, rule.m_expr)
-    return bool(_orbit_maps(source, target, (entry.psi, entry.s + rule.shift)))
+    return bool(_orbit_maps(source, target, (entry.psi, _Cleared._of(entry.s) + rule.shift)))
 
 
 # ---------------------------------------------------------------------------

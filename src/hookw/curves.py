@@ -47,6 +47,8 @@ Every curve identity is certified by the S3 orbit of F, the six maps of
 (t, x) that fix F, each proved once (``_orbit``): each side is read from
 its ``_ROUTES`` row as a point (t, x) of F (``_point``), and the identity
 holds when a map takes the left point to the right one (``_orbit_maps``).
+Symbolic points and conditions are uncanonicalized quotients
+(``exact._Cleared``), each decided by a zero numerator, with no gcd.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from .exact import (
 from .exact import (
     _LISTS,
     _VAR_INDEX,
+    _Cleared,
     _coerce_fraction,
     _dcompose,
     _dense_divexact,
@@ -78,7 +81,6 @@ from .exact import (
     _dmul,
     _dneg,
     _dscale,
-    _dsub,
     _dict_to_int_list,
     _homogenized_powers,
     _int_list_deflate,
@@ -336,11 +338,13 @@ def _t_slices():
 
 
 def _t_coeffs(n, m):
-    """(alpha, beta, L): t = n + m(2psi - 1) is (alpha + beta psi)/L, ints or polynomials."""
+    """(alpha, beta, L): t = n + m(2psi - 1) is (alpha + beta psi)/L.
+
+    Ints; or, for symbolic n or m, ``_Cleared`` quotients over L = 1.
+    """
     a, b = n - m, 2 * m
     if isinstance(a, RatFunc) or isinstance(b, RatFunc):
-        a, b = (x if isinstance(x, RatFunc) else RatFunc.const(x) for x in (a, b))
-        return a.num * b.den, b.num * a.den, a.den * b.den
+        return _Cleared._of(a), _Cleared._of(b), 1
     scale = lcm(a.denominator, b.denominator)
     return a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator), scale
 
@@ -350,7 +354,7 @@ def _in_psi(polys, t):
 
     By Horner in t, slice e entering times L**(D - e), so each list is
     L**D times its polynomial, D the top degree of polys.  A polynomial
-    that vanishes gives [].
+    that vanishes gives [], or zero quotients at a symbolic t.
     """
     alpha, beta, scale = t
     top = max(map(len, polys)) - 1
@@ -559,15 +563,14 @@ def _orbit():
     """The maps of ``_S3`` that fix F, each proved once, on first use.
 
     F is the master at m = 0, n standing for t.  g is kept when F o g, one
-    ``_dcompose``, cross-multiplies to F; a map that fails certifies nothing.
+    ``_dcompose``, equals F as a quotient (``_Cleared``); a map that fails
+    certifies nothing.
     """
-    pairs = _F()[:2]
     kept = []
     for k, (a, b, c, d) in _S3:
         z = _int_list_to_dict([d, c], _PSI)
         subs = [(_N, _int_list_to_dict([0, k], _N), z), (_PSI, _int_list_to_dict([b, a], _PSI), z)]
-        moved = [(_dcompose(num, den, subs), num, den) for num, den in pairs]
-        if all(not _dsub(_dmul(gn, den), _dmul(gd, num)) for (gn, gd), num, den in moved):
+        if all(_Cleared(*_dcompose(*pair, subs)) == _Cleared(*pair) for pair in _F()[:2]):
             kept.append((k, (a, b, c, d)))
     return tuple(kept)
 
@@ -584,8 +587,11 @@ def _point(tag: str, n, m, w=(1, 0, 0, 1)):
 
     x = (a psi + b)/(c psi + d) is the route's map after w, and t at the
     route's (n', m') is n' + m'(2x - 1) = (T1 psi + T0)/(c psi + d), T = (T1, T0).
+    A symbolic n or m is read as its ``_Cleared`` quotient, so T is never
+    canonicalized.
     """
     a, b, c, d = _product(_ROUTES[tag][3] or (1, 0, 0, 1), w)
+    n, m = (_Cleared._of(x) if isinstance(x, RatFunc) else x for x in (n, m))
     n, m = _inner_params(tag, n, m)
     return (n * c + m * (2 * a - c), n * d + m * (2 * b - d)), (a, b, c, d)
 
@@ -598,9 +604,16 @@ def _orbit_maps(left, right, at=None):
     M_left, g = (k, G) fits when (q, 1) is proportional to N (p, 1) and
     (det(M_right) k T_left - T_right N) (p, 1) == 0; at a free psi, when N
     is a multiple of the identity and that row is zero.
+
+    Symbolic p and q are read as ``_Cleared`` quotients, like the points'
+    T.  Each condition is then one uncanonicalized quotient, built by ring
+    operations from T, p, q and integers, whose denominator is a product
+    of the denominators of n, m, p and q: nonzero polynomials, so it is
+    nonzero.  The condition holds exactly when its cross-multiplied
+    numerator is the zero dict (``_Cleared.__eq__``), and no gcd runs.
     """
     (tl, ml), (tr, (a, b, c, d)) = left, right
-    p, q = at or (None, None)
+    p, q = map(_Cleared._of, at) if at else (None, None)
     found = []
     for k, G in _orbit():
         n11, n12, n21, n22 = _product((d, -b, -c, a), _product(G, ml))
@@ -743,11 +756,11 @@ def compose_cleared(rf: RatFunc, psi_value: RatFunc) -> Tuple[MultiPoly, MultiPo
 
 
 def _composed_equals(rf: RatFunc, psi_value: RatFunc, target: RatFunc) -> bool:
-    """Whether rf(psi := psi_value) == target, by cross-multiplication."""
+    """Whether rf(psi := psi_value) == target, as uncanonicalized quotients."""
     num_star, den_star = compose_cleared(rf, psi_value)
     if den_star.is_zero():
         raise ValueError("psi value is a pole of the curve")
-    return (num_star * target.den - den_star * target.num).is_zero()
+    return _Cleared(num_star._d, den_star._d) == target
 
 
 def known_point_2B_sp(n, m, r) -> CurvePoint:

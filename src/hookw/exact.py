@@ -2,8 +2,8 @@
 
 Everything in this package that looks like a number is an arbitrary-precision
 rational, and everything that looks like a formula is a sparse multivariate
-polynomial or a quotient of two of them, kept in a canonical form at all
-times.  No floats anywhere.
+polynomial or a quotient of two of them, held in a canonical form.  No
+floats anywhere.
 
 Variables live in a fixed, closed universe:
 
@@ -83,9 +83,11 @@ instead read off as integer lists in psi (``hookw.curves``), composed
 with a degree-one map x -> (a x + b)/(c x + d) by ``_int_list_moebius``,
 and put in canonical form, with one gcd, by ``_int_list_quotient``.
 
-The parser builds an expression as one uncanonicalized quotient of
-polynomial dicts (``_Cleared``) and canonicalizes it once, at the end;
-the coincidence table builds its printed formulas the same way.
+``_Cleared``, an uncanonicalized quotient of two int dicts, is the one
+quotient arithmetic and the one zero test: its ring operations and its
+equality, which zero-tests the cross difference, run no gcd.
+``RatFunc``'s operators are these plus one canonicalization.  The parser
+and the coincidence table build formulas on it and canonicalize each once.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ import re
 from fractions import Fraction
 from itertools import count, repeat
 from math import gcd, isqrt, lcm
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, mul, sub, truediv
 
 from ._record import Frozen
 
@@ -1228,7 +1230,8 @@ class RatFunc(Frozen):
     content removed, denominator leading coefficient positive.  ``num`` and
     ``den`` have integer coefficients (denominator 1).  Equality is
     structural equality of the canonical parts, which is a decision
-    procedure for equality of rational functions.
+    procedure for equality of rational functions.  ``+ - * /`` are the
+    ``_Cleared`` operations followed by one canonicalization.
     """
 
     __slots__ = _record_fields = ("num", "den", "_hash")
@@ -1307,63 +1310,38 @@ class RatFunc(Frozen):
     def variables(self):
         return self.num.variables() | self.den.variables()
 
-    # -- arithmetic ----------------------------------------------------------
+    # -- arithmetic: one ``_Cleared`` operation, then one canonicalization ----
 
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.const(other)
-        if isinstance(other, MultiPoly):
-            return RatFunc._from_poly(other)
-        return None
+    def _operate(self, other, op, reflected=False):
+        if not isinstance(other, (RatFunc, MultiPoly, int, Fraction)):
+            return NotImplemented
+        a, b = _Cleared._of(self), _Cleared._of(other)
+        return (op(b, a) if reflected else op(a, b)).canonical()
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        num = _dadd(_dmul(self.num._d, o.den._d), _dmul(o.num._d, self.den._d))
-        return RatFunc._from_dicts(num, _dmul(self.den._d, o.den._d))
+        return self._operate(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        num = _dsub(_dmul(self.num._d, o.den._d), _dmul(o.num._d, self.den._d))
-        return RatFunc._from_dicts(num, _dmul(self.den._d, o.den._d))
+        return self._operate(other, sub)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return self._operate(other, sub, True)
 
     def __neg__(self):
         return RatFunc._raw_canonical(_dneg(self.num._d), self.den._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc._from_dicts(_dmul(self.num._d, o.num._d), _dmul(self.den._d, o.den._d))
+        return self._operate(other, mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDenominatorError("division by the zero rational function")
-        return RatFunc._from_dicts(_dmul(self.num._d, o.den._d), _dmul(self.den._d, o.num._d))
+        return self._operate(other, truediv)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return self._operate(other, truediv, True)
 
     def inverse(self):
         if self.is_zero():
@@ -1736,9 +1714,9 @@ class _Cleared:
     """An uncanonicalized quotient num / den of two int dicts.
 
     Ring operations on the cleared pair, with no gcd: terms over one
-    denominator add directly.  Ints and Fractions are coerced.  The parser
-    and the coincidence table build formulas this way and canonicalize
-    each once (``canonical``).
+    denominator add directly.  No den is the zero dict, so two quotients
+    are equal exactly when num * o.den - o.num * den is.  Ints, Fractions,
+    MultiPolys and RatFuncs are coerced; ``canonical`` is the RatFunc.
     """
 
     __slots__ = ("num", "den")
@@ -1755,11 +1733,19 @@ class _Cleared:
     def _of(value):
         if isinstance(value, _Cleared):
             return value
+        if isinstance(value, RatFunc):
+            return _Cleared(value.num._d, value.den._d)
+        if isinstance(value, MultiPoly):
+            return _Cleared(value._d, {_ZERO_KEY: value._den})
         c = _coerce_fraction(value)
         return _Cleared({_ZERO_KEY: c.numerator} if c else {}, {_ZERO_KEY: c.denominator})
 
     def canonical(self):
         return RatFunc._from_dicts(self.num, self.den)
+
+    def __eq__(self, other):
+        o = self._of(other)
+        return not _dsub(_dmul(self.num, o.den), _dmul(o.num, self.den))
 
     def _combine(self, o, combine):
         if o.den == self.den:
@@ -1790,7 +1776,7 @@ class _Cleared:
     def __truediv__(self, other):
         o = self._of(other)
         if not o.num:
-            raise ZeroDenominatorError("division by zero")
+            raise ZeroDenominatorError("division by the zero rational function")
         return _Cleared(_dmul(self.num, o.den), _dmul(self.den, o.num))
 
     def __pow__(self, e):

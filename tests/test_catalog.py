@@ -144,6 +144,20 @@ class TestVerifyPointwise:
             out = K.verify_coincidence(entry("1B", "sp", item), 0, 0, 2)
             assert out.status == "skipped"
 
+    def test_curve_pole_past_the_domain_check_is_an_error(self, monkeypatch):
+        # With the domain check emptied, 1B(0, 0)'s missing lambda reaches
+        # the curve evaluation, and so does a vanishing curve denominator:
+        # each is a defect, so a failed cell and a PoleError, never a skip.
+        monkeypatch.setattr(K, "_excluded_psi", lambda tag, n, m: frozenset())
+        e = entry("1B", "sp", 1)
+        assert cli._cell_coincidences((e.name, 0, 0, 1))[0] == "fail"
+        with pytest.raises(PoleError):
+            K.verify_coincidence(e, 0, 0, 1)
+        monkeypatch.setattr(C.TruncationCurve, "_sums", lambda self, p, q: (0, 0, 0, 0))
+        assert cli._cell_coincidences((e.name, 1, 1, 1))[0] == "fail"
+        with pytest.raises(PoleError):
+            K.verify_coincidence(e, 1, 1, 1)
+
     def test_degenerate_charge_flagged(self):
         out = K.verify_coincidence(entry("2B", "osp", 1), 0, 1, 1)
         assert out.status == "pass"
@@ -494,12 +508,33 @@ class TestSymbolicSweep:
         e = K.all_entries()[idx]
         assert K.verify_coincidence_symbolic(e), e.name
 
-    def test_symbolic_check_rejects_tampering(self):
-        e = entry("2C", "osp", 1)
-        assert not K.verify_coincidence_symbolic(replace(e, s=e.s + 1))
-        assert not K.verify_coincidence_symbolic(
-            replace(e, psi=e.psi * F(35, 36))
-        )
+    @pytest.mark.parametrize("idx", range(48))
+    def test_symbolic_check_rejects_tampering(self, idx):
+        # Negative controls: with psi or s perturbed, no map of the orbit
+        # takes the source's point to the target's.
+        e = K.all_entries()[idx]
+        assert not K.verify_coincidence_symbolic(replace(e, psi=e.psi + R / 1000)), e.name
+        assert not K.verify_coincidence_symbolic(replace(e, s=e.s + 1)), e.name
+
+    def test_certification_runs_no_gcd(self, monkeypatch):
+        # The 48 verdicts and the entries' term rows are built on
+        # uncanonicalized quotients: with the dict-ring gcd and the
+        # canonicalization refused, fresh entries give the same results.
+        entries = K.all_entries()
+        C._orbit()
+
+        def certify():
+            return [(K.verify_coincidence_symbolic(e), replace(e)._cell_forms) for e in entries]
+
+        want = certify()
+
+        def refused(*args):
+            raise AssertionError("a gcd on the certification path")
+
+        monkeypatch.setattr(E, "_int_poly_gcd", refused)
+        monkeypatch.setattr(E, "_ratfunc_canonical", refused)
+        assert certify() == want
+        assert all(verdict for verdict, _ in want)
 
     def test_each_entry_is_one_map_of_the_orbit(self):
         # Every entry is certified by exactly one of the six maps; each sp
