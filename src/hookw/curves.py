@@ -864,6 +864,12 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
     division the two residuals are coprime in Z[psi1, psi2]: their
     eliminant is never zero, and at each of its roots b at least one of
     them is nonzero in psi1, since q psi2 - p, for b = p/q, cannot divide both.
+
+    The eliminant is computed on packed integers: each row is read at
+    psi2 = 2^k and the integer resultant's signed base-2^k digits are its
+    coefficients.  This is exact, because the resultant is a Sylvester
+    determinant, which commutes with that evaluation, and k exceeds the
+    bit length of its bound on every coefficient (``_resultant_int``).
     """
     for curve in (A, B):
         if curve.symbols:

@@ -48,7 +48,13 @@ and their coefficient operations recurse into it, one variable down.
 The step, the pseudo-remainder of the last two members divided exactly
 by g h^delta and the update of g and h, is one generator
 (``_subresultants``); the gcd (``_dense_gcd``) reads the last member and
-the resultant (``_resultant_int``) the last two, h and a sign.
+the resultant (``_resultant_int``) the last two, h and a sign.  The
+resultant over integer lists in y runs on packed ints (Kronecker
+substitution): each row is replaced by its value at y = 2^k and the
+integer resultant is read back as signed base-2^k digits.  That is exact
+because the resultant, a Sylvester determinant, commutes with evaluation
+while both leading rows survive, and k is chosen past the bound on its
+coefficients, the product of the 1-norms of the Sylvester rows.
 
 Univariate work runs on dense integer coefficient lists, low to high: the
 gcd over Z (a primitive remainder sequence, W. S. Brown 1971), exact
@@ -531,6 +537,19 @@ def _int_list_at(cs, x):
     return sum(map(mul, cs, _homogenized_powers(x, len(cs) - 1)))
 
 
+def _int_list_unpack(v, k):
+    """The integer list whose value at 2**k is v, each digit in [-2**(k-1), 2**(k-1))."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        out.append(d)
+        v = (v - d) >> k
+    return out
+
+
 def _int_list_deflate(cs, root):
     """(quotient, multiplicity) of the root p/q's factor q*x - p in cs.
 
@@ -899,7 +918,29 @@ def _resultant_int(A, B, ring):
     The resultant of the primitive parts is read off ``_subresultants``:
     zero unless the sequence ends in a constant B, and then
     B^deg(A) / h^(deg(A) - 1), signed by the degrees of the members.
+
+    Over integer lists in y (``_Lists``) it runs on packed ints instead
+    (Kronecker substitution y -> 2^k, von zur Gathen and Gerhard, Modern
+    Computer Algebra, 8.4): each row becomes its value at 2^k, the
+    resultant is taken over ``_INTS`` and read back as signed base-2^k
+    digits.  With |A|_1 the sum of the absolute coefficients of all rows
+    of A, k = bitlen(|A|_1^deg B * |B|_1^deg A) + 2, and this is exact:
+
+    - |Res|_inf <= |Res|_1 <= the product over the Sylvester rows of their
+      1-norms, since the 1-norm is submultiplicative; that product is
+      |A|_1^deg B * |B|_1^deg A, and it also bounds every input coefficient;
+    - so every coefficient has absolute value below 2^(k-2), and both
+      leading rows stay nonzero at 2^k;
+    - so the degrees survive, the packed resultant is Res(2^k) (the
+      resultant is a determinant of the Sylvester matrix, so it commutes
+      with evaluation), and its digits are exactly Res's coefficients.
     """
+    if isinstance(ring, _Lists):
+        norm_a = sum(abs(c) for row in A for c in row)
+        norm_b = sum(abs(c) for row in B for c in row)
+        k = (norm_a ** (len(B) - 1) * norm_b ** (len(A) - 1)).bit_length() + 2
+        packed = [[_int_list_at(row, 1 << k) for row in P] for P in (A, B)]
+        return _int_list_unpack(_resultant_int(*packed, _INTS), k)
     mul, power = ring.mul, ring.power
     s = 1
     if len(A) < len(B):
@@ -1519,8 +1560,13 @@ def resultant(p, q, var):
     the ring the other variables pick: ints when there are none, integer
     lists when there is one, integer dicts when there are more.  The
     contents and the denominators come back as one scale, so the result
-    is the true resultant of the inputs.  ``curves.intersect`` runs the
-    same sequence (``_resultant_int``) on its integer lists directly.
+    is the true resultant of the inputs.  With one other variable y the
+    sequence runs on packed ints: each coefficient list is read at
+    y = 2^k, k past the bound on the resultant's coefficients (the
+    product of the 1-norms of the Sylvester rows), and the integer
+    resultant's signed base-2^k digits are the coefficients, exactly
+    (``_resultant_int``).  ``curves.intersect`` calls ``_resultant_int``
+    on its integer lists directly.
     """
     if not isinstance(p, MultiPoly) or not isinstance(q, MultiPoly):
         raise ExactError("resultant needs MultiPoly arguments")

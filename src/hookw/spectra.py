@@ -4,7 +4,7 @@ For g = so_{2n+1} or sp_{2n} at an admissible level k = -h_dual + u/v,
 the vacuum module of the affine vertex algebra V^k(g), and of the
 principal W-algebra W^k(g) when k is nondegenerate, has a unique
 singular vector of lowest conformal weight.  This module computes that
-weight two independent ways:
+weight two independent ways (at rank n >= 2; for rank 1 see below):
 
 * ``sing_weight_general`` builds the extremal weight vector from
   explicit root-system data in orthogonal coordinates and evaluates the
@@ -14,6 +14,14 @@ weight two independent ways:
 
 The two routes share no code beyond input validation, so their
 agreement is a meaningful cross-check.
+
+At rank 1 both routes compute the rank-generic formula continued to
+n = 1 (``root_system``).  For so_3 with odd v and for sp_2 with even v
+the continued theta resp. theta_s is not a root, so the number is that
+continuation, not the weight of a singular vector.  For the affine
+object, so_3 at u = 2, v = 1 gives 2, though V^2(sl_2) has its vacuum
+singular vector at weight 3, and sp_2 at u = 3, v = 2 gives 2, where the
+sl_2 rule (p - 1) q gives 4.
 
 ``max_generator_weight`` returns the top weight of the minimal strong
 generating set of the generic coset C^psi(n, m): every coset is of type

@@ -29,11 +29,11 @@ small_fractions = st.builds(
 
 
 @st.composite
-def polys(draw, vars=("psi", "n"), max_terms=4, max_exp=3, zero_ok=True):
+def polys(draw, vars=("psi", "n"), max_terms=4, max_exp=3, zero_ok=True, coeffs=small_fractions):
     terms = draw(st.integers(min_value=0 if zero_ok else 1, max_value=max_terms))
     p = MultiPoly.zero()
     for _ in range(terms):
-        coeff = draw(small_fractions)
+        coeff = draw(coeffs)
         mono = MultiPoly.one()
         for name in vars:
             mono = mono * MultiPoly.var(name) ** draw(
@@ -376,18 +376,48 @@ def _assert_rings_agree(a, b, idx, y):
     return out[0][1]
 
 
+# Coefficients up to 2^80 in size, so packed rows run to hundreds of bits.
+_wide_coeffs = st.one_of(small_fractions, st.integers(min_value=-(2**80), max_value=2**80))
+_P, _N1 = MultiPoly.var("psi"), MultiPoly.var("n")
+_ONE = MultiPoly.one()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    polys(max_terms=4, max_exp=3, zero_ok=False),
-    polys(max_terms=4, max_exp=3, zero_ok=False),
+    polys(max_terms=4, max_exp=3, zero_ok=False, coeffs=_wide_coeffs),
+    polys(max_terms=4, max_exp=3, zero_ok=False, coeffs=_wide_coeffs),
     polys(max_terms=2, max_exp=2, zero_ok=False),
 )
+# Coefficients of 2^80 with both signs in every row.
+@example((2**80 * _N1 - 3) * _P**2 - (2**80 - 1) * _P + 5 * _N1**3,
+         -(2**79 + 5) * _N1**2 * _P + 2**80 * _N1 - 7, _ONE)
+# A degree-1 polynomial against a degree-6 one, with a degree-6 row.
+@example(_N1 * _P + 1, (_N1**6 - 3) * _P**6 + _N1 * _P**2 - 5, _ONE)
+# Zero middle rows on both sides.
+@example((_N1**2 + 1) * _P**4 - 7 * _N1, _N1 * _P**3 - 2, _ONE)
+# Negative leading rows on both sides.
+@example(-(_N1**2 + 3) * _P**3 + _N1 * _P - 1, -_N1 * _P**2 + 1, _ONE)
+# A planted common factor in psi: the resultant vanishes.
+@example(_P - _N1, _P**2 + 3, _N1 * _P + 1)
 def test_list_and_dict_rings_agree_on_bivariate_inputs(p, q, common):
-    # A planted common factor makes some gcds nonconstant.
+    # A planted common factor makes some gcds nonconstant, and the
+    # resultant zero when the factor involves psi.
     a = E._dprimitive((p * common)._d)[1]
     b = E._dprimitive((q * common)._d)[1]
     if a and b:
-        _assert_rings_agree(a, b, _PSI_IDX, _N_IDX)
+        res = _assert_rings_agree(a, b, _PSI_IDX, _N_IDX)
+        if res is not None and common.degree("psi") >= 1:
+            assert res == {}
+
+
+def test_packed_digits_take_both_signs_with_borrows():
+    # 2^4 - 1 reads as the digits -1, 1 (a borrow); 1 - 2^4 as 1, -1.
+    assert E._int_list_unpack(15, 4) == [-1, 1]
+    assert E._int_list_unpack(-15, 4) == [1, -1]
+    for k in (2, 4, 64):
+        cs = [-1, 2 ** (k - 1) - 1, -(2 ** (k - 1)), 0, 1, -1]
+        assert E._int_list_unpack(E._int_list_at(cs, 1 << k), k) == cs
+    assert E._int_list_unpack(0, 8) == []
 
 
 _PSI1_IDX, _PSI2_IDX = E._VAR_INDEX["psi1"], E._VAR_INDEX["psi2"]
