@@ -34,10 +34,11 @@ through one helper (``_in_family_psi``): by Horner in t into integer
 lists in psi, then through the route's degree-one psi map, every list
 cleared alike.  A numeric curve is reduced by one gcd and read through
 one form, its four integer lists in psi (``_psi_lists``):
-``TruncationCurve._sums`` sums them at psi = p/q by one homogeneous
-Horner loop over ints, ``values`` divides the sums, and ``intersect``
-eliminates on them.  A symbolic curve composes F with n -> t, then with
-the psi map, and is canonicalized once.
+``TruncationCurve._sums`` sums them at psi = p/q by the one homogeneous
+Horner loop over ints (``exact._int_list_at``), ``values`` divides the
+sums, and ``intersect`` eliminates on them and reads its equations at
+each root by the same loop.  A symbolic curve composes F with n -> t,
+then with the psi map, and is canonicalized once.
 The generic-domain check looks psi up, as its (numerator, denominator)
 pair, in the set of excluded values: the rational roots of the
 denominator factors in that psi, and the pole of the map, so the curve
@@ -56,7 +57,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from math import lcm
-from operator import mul
 from typing import Optional, Tuple
 
 from ._record import Record
@@ -82,8 +82,9 @@ from .exact import (
     _dneg,
     _dscale,
     _dict_to_int_list,
-    _homogenized_powers,
+    _int_list_at,
     _int_list_deflate,
+    _int_list_gcd,
     _int_list_moebius,
     _int_list_quotient,
     _int_list_sub,
@@ -160,8 +161,8 @@ class TruncationCurve(Record):
 
         The four polynomials are read once per curve as dense integer
         lists in psi (``_psi_lists``).  Each list is summed as
-        sum(c_e p**e q**(D - e)) by one homogeneous Horner loop over ints,
-        with D the largest of the four degrees, so the common power q**D
+        sum(c_e p**e q**(D - e)) by ``exact._int_list_at`` at top = D,
+        the largest of the four degrees, so the common power q**D
         cancels in each quotient and q may be any nonzero int.  Raises
         ValueError on a curve with residual symbols and PoleError when
         ``lam`` is None; a vanishing denominator is the caller's to check.
@@ -170,18 +171,9 @@ class TruncationCurve(Record):
             raise ValueError(f"curve has residual symbols {self.symbols}")
         if self.lam is None:
             raise PoleError("lambda has no finite value on this slice")
-        degree, lists = self._psi_lists
-        sums = []
-        for cs in lists:
-            # The top coefficient c_(k-1) of a list of length k carries
-            # q**(D + 1 - k); each step down multiplies in one more q.
-            acc = 0
-            qe = q ** (degree + 1 - len(cs))
-            for c in reversed(cs):
-                acc = acc * p + c * qe
-                qe *= q
-            sums.append(acc)
-        return tuple(sums)
+        degree, (cn, cd, ln, ld) = self._psi_lists
+        return (_int_list_at(cn, p, q, degree), _int_list_at(cd, p, q, degree),
+                _int_list_at(ln, p, q, degree), _int_list_at(ld, p, q, degree))
 
     @cached_property
     def _psi_lists(self):
@@ -814,15 +806,6 @@ def _curve_value(curve: TruncationCurve, psi: Fraction):
         return None
 
 
-def _root_candidates(polys):
-    """Common rational roots of UniPolys, not all of them zero.
-
-    A nonzero constant has no roots, so it leaves no candidates.
-    """
-    first, *rest = [p for p in polys if not p.is_zero()]
-    return {x for x in rational_roots(first) if not any(q.eval(x) for q in rest)}
-
-
 def _difference_rows(A, B):
     """Numerators of c(psi1) - c(psi2) and of lambda(psi1) - lambda(psi2).
 
@@ -854,11 +837,12 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
     (``_difference_rows``).  Common components of the two equations are
     split off (``_dense_gcd``, ``_dense_divexact``) and flagged as an
     identity component; the rest is eliminated by a resultant in psi1
-    (``_resultant_int``), rational roots are extracted in psi2,
-    back-substituted, and every candidate pair is verified by exact
-    evaluation on the original curves.  Candidates at poles are
-    discarded.  Points with degenerate central charge are flagged, not
-    dropped.
+    (``_resultant_int``), and each rational root b of the eliminant in
+    psi2 is split off it (``_int_list_deflate``).  Both equations are read
+    at b by ``_int_list_at``; the rational roots of their gcd are the psi1
+    candidates, and every candidate pair is verified by exact evaluation
+    on the original curves.  Candidates at poles are discarded.  Points
+    with degenerate central charge are flagged, not dropped.
 
     The gcd is the full one, contents in psi2 included, so after the exact
     division the two residuals are coprime in Z[psi1, psi2]: their
@@ -920,13 +904,14 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
         value_b = _curve_value(B, b)
         if value_b is None:
             continue
-        # ec and el at psi2 = b, as integer lists in psi1: one table of
-        # powers per equation, so each is cleared by a power of b's denominator.
+        # ec and el at psi2 = b, as integer lists in psi1, each cleared by
+        # one power of b's denominator; their common roots are their gcd's.
         at_b = []
         for rows in (ec, el):
-            table = _homogenized_powers(b, max(map(len, rows)) - 1)
-            at_b.append(UniPoly._view("psi1", [sum(map(mul, row, table)) for row in rows]))
-        for a in sorted(_root_candidates(at_b)):
+            top = max(map(len, rows)) - 1
+            at_b.append(_dense_trim([_int_list_at(row, b.numerator, b.denominator, top)
+                                     for row in rows]))
+        for a in sorted(rational_roots(UniPoly._view("psi1", _int_list_gcd(*at_b)))):
             value_a = _curve_value(A, a)
             if value_a is None:
                 continue

@@ -60,7 +60,9 @@ Univariate work runs on dense integer coefficient lists, low to high: the
 gcd over Z (a primitive remainder sequence, W. S. Brown 1971), exact
 division, deflation by a rational root, the squarefree part and a
 squarefree test over GF(q), all on ``_dense_prem`` and
-``_dense_divexact`` over the ints ring.  ``UniPoly`` is the one public
+``_dense_divexact`` over the ints ring, and every evaluation on one
+kernel, ``_int_list_at``: q**top times the value at p/q, by one
+homogeneous Horner loop over ints.  ``UniPoly`` is the one public
 univariate form: one such list over one positive denominator, evaluated
 over the integers and read by the root finder as it is.  The polynomial
 gcd takes this kernel whenever its two arguments together involve
@@ -532,9 +534,21 @@ def _int_list_pow(a, e):
     return out
 
 
-def _int_list_at(cs, x):
-    """q**D times the value of an integer list at x == p/q, D its degree."""
-    return sum(map(mul, cs, _homogenized_powers(x, len(cs) - 1)))
+def _int_list_at(cs, p, q=1, top=None):
+    """q**top times the value of an integer list at p/q; top defaults to its degree.
+
+    The package's one evaluator of an integer list: sum(c_e p**e q**(top - e))
+    by one homogeneous Horner loop, for any nonzero int q and top >= degree.
+    """
+    if top is None:
+        top = len(cs) - 1
+    # The last of k coefficients carries q**(top + 1 - k); each step down one more q.
+    acc = 0
+    qe = q ** (top + 1 - len(cs))
+    for c in reversed(cs):
+        acc = acc * p + c * qe
+        qe *= q
+    return acc
 
 
 def _int_list_unpack(v, k):
@@ -553,14 +567,17 @@ def _int_list_unpack(v, k):
 def _int_list_deflate(cs, root):
     """(quotient, multiplicity) of the root p/q's factor q*x - p in cs.
 
-    The factor is primitive, so by Gauss's lemma each division is exact
-    over Z; the loop stops at the first quotient that does not vanish at
-    the root, tested by exact evaluation.
+    Divides until ``_dense_divexact`` raises, evaluating nothing: the
+    factor is primitive, so by Gauss's lemma the first failed division
+    over Z proves the root is gone.  The zero list stops at once.
     """
     factor = [-root.numerator, root.denominator]
     mult = 0
-    while cs and not _int_list_at(cs, root):
-        cs = _dense_divexact(cs, factor, _INTS)
+    while cs:
+        try:
+            cs = _dense_divexact(cs, factor, _INTS)
+        except ExactError:
+            break
         mult += 1
     return cs, mult
 
@@ -730,16 +747,9 @@ class _Lists:
 
     @staticmethod
     def probe(seed, others):
-        """Evaluation of a coefficient at y = seed[0], by Horner."""
+        """Evaluation of a coefficient at y = seed[0] (``_int_list_at``)."""
         x = seed[0]
-
-        def at(cs):
-            acc = 0
-            for c in reversed(cs):
-                acc = acc * x + c
-            return acc
-
-        return at
+        return lambda cs: _int_list_at(cs, x)
 
 
 class _Dicts:
@@ -1637,7 +1647,7 @@ class UniPoly(Frozen):
         if not self._ints:
             return Fraction(0)
         bottom = self._den * x.denominator ** self.degree()
-        return Fraction(_int_list_at(self._ints, x), bottom)
+        return Fraction(_int_list_at(self._ints, x.numerator, x.denominator), bottom)
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
@@ -1729,9 +1739,8 @@ def rational_roots(p):
         num = lc * x % mod
         if 2 * num > mod:
             num -= mod
-        candidate = Fraction(num, lc)
-        if not _int_list_at(cs, candidate):
-            roots.add(candidate)
+        if not _int_list_at(cs, num, lc):
+            roots.add(Fraction(num, lc))
     return roots
 
 

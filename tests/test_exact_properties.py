@@ -894,6 +894,26 @@ def test_unipoly_eval_matches_fraction_horner(coeffs, x):
     assert value == _horner(coeffs, x)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-30, max_value=30), max_size=6),
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-5, max_value=5).filter(bool),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+)
+@example([], 3, -2, None)
+@example([], 3, -2, 2)
+@example([4, 0, -1, 0], 2, -3, 1)
+@example([-1, 2, 0, 1], 1 << 64, 1, None)
+def test_int_list_at_matches_fraction_evaluation(cs, p, q, extra):
+    # q**top times the value at p/q, for top the degree or, when extra
+    # is drawn, extra above it; q may be negative.
+    top = len(cs) - 1 + (extra or 0)
+    got = E._int_list_at(cs, p, q) if extra is None else E._int_list_at(cs, p, q, top)
+    assert type(got) is int
+    assert got == _horner(cs, Fraction(p, q)) * Fraction(q) ** top
+
+
 @settings(max_examples=100, deadline=None)
 @given(uni_coeffs, st.sampled_from(E.VARIABLES))
 def test_unipoly_from_fractions_equals_the_multipoly_sum(coeffs, var):
@@ -923,6 +943,10 @@ def _deflate_reference(coeffs, root):
 
 @settings(max_examples=150, deadline=None)
 @given(int_lists, small_fractions, st.integers(min_value=0, max_value=3))
+# The zero list, a root that is absent, and the root 0 planted twice.
+@example([], Fraction(2, 3), 0)
+@example([1, 1], Fraction(2, 3), 0)
+@example([3, 0, 2], Fraction(0), 2)
 def test_deflation_matches_fraction_division(cofactor, root, planted):
     # Plant the root's factor q*x - p, `planted` times, in a random cofactor.
     f = cofactor

@@ -17,6 +17,10 @@ No block of code may be copied: a window of five consecutive lines, each
 stripped and with its whitespace collapsed, none blank or opening with
 ``#`` or a triple quote and 80 characters or more in all, occurs once in the
 package.  A second copy of a loop or a formula fails here.
+
+No function loops over ``reversed(...)`` but the two Horner kernels,
+``exact._int_list_at`` over the integers and ``exact._mod_horner`` mod a
+prime.  A second evaluation loop over a coefficient list fails here.
 """
 
 import ast
@@ -28,6 +32,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hookw"
 MODULES = sorted(PACKAGE.glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+HORNER_KERNELS = {("exact.py", "_int_list_at"), ("exact.py", "_mod_horner")}
 
 
 def _is_private(name):
@@ -141,6 +146,24 @@ def copied_blocks(sources, size=5, least=80):
     return sorted(found for found in places.values() if len(found) > 1)
 
 
+def reversed_loops(sources):
+    """The sorted (module, function) pairs of each function that holds a
+    loop or comprehension over ``reversed(...)``; a nested function counts
+    for itself and for every function around it."""
+    found = set()
+    for module, text in sources.items():
+        for fn in ast.walk(ast.parse(text)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))
+                and isinstance(node.iter, ast.Call)
+                and isinstance(node.iter.func, ast.Name)
+                and node.iter.func.id == "reversed"
+                for node in ast.walk(fn)
+            ):
+                found.add((module, fn.name))
+    return sorted(found)
+
+
 def test_scans_the_whole_package():
     assert {p.name for p in MODULES} >= {"exact.py", "curves.py", "catalog.py", "cli.py"}
 
@@ -247,3 +270,26 @@ def test_block_scan_catches_planted_copies():
             "A, B = B, R", "A,  B  =  B, R") + "    return\n" + short + commented,
     }
     assert copied_blocks(planted) == [[("a.py", 2), ("b.py", 3)]]
+
+
+def test_only_the_horner_kernels_loop_over_reversed():
+    found = reversed_loops({p.name: p.read_text() for p in MODULES})
+    assert set(found) - HORNER_KERNELS == set()
+
+
+def test_reversed_scan_catches_planted_loops():
+    planted = {
+        "a.py": (
+            "def horner(cs, x):\n"
+            "    acc = 0\n"
+            "    for c in reversed(cs):\n        acc = acc * x + c\n"
+            "    return acc\n"
+            "def outer(cs):\n"
+            "    def inner(x):\n        return [c * x for c in reversed(cs)]\n"
+            "    return inner\n"
+            "def forward(cs):\n"
+            "    for c in cs:\n        pass\n"
+            "    return reversed(cs)\n"
+        ),
+    }
+    assert reversed_loops(planted) == [("a.py", "horner"), ("a.py", "inner"), ("a.py", "outer")]
