@@ -29,12 +29,16 @@ at 100, ``gt-factors --n`` and ``--k`` at 1000, ``gentype --m`` at 1000,
 usage error (exit 2), and so is a sweep range that starts below its
 variable's least value (``_SUITE_SWEEPS``), reported before any cell runs.
 
+A ``verify`` sweep streams its cells: each is made, checked and tallied
+in turn, and only the tally and the failure texts are kept, so a sweep's
+memory does not grow with its size and ``--max-cells`` bounds its time.
 Sweeps are single-threaded by default; set the environment variable
 ``HOOKW_WORKERS`` to fan a ``verify`` sweep out over a process pool of at
-most that many workers, capped at the CPU count.  The pool is imported
-only when a sweep uses it, so the command line otherwise loads no
-``multiprocessing``.
-Output ordering is deterministic either way.
+most that many workers, capped at the CPU count.  The pool takes the same
+stream in chunks, with a fixed number of cells in flight whatever the
+sweep's size, and its results are tallied in submission order, so output
+is deterministic either way.  The pool is imported only when a sweep uses
+it, so the command line otherwise loads no ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -44,9 +48,9 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .catalog import (
     TARGET_KINDS,
@@ -94,7 +98,9 @@ class SweepSpec:
     capped, so a typo cannot launch an unbounded sweep.  A suite that
     checks several cells at each grid point (one per coincidence entry,
     family tag or algebra) passes that number as ``cells_per_point``, and
-    ``size`` is the number of cells the sweep runs.
+    ``size`` is the number of cells the sweep runs.  The cells are made
+    one at a time as they run, so the cap bounds a sweep's time; its
+    memory does not grow with ``size``.
     """
 
     def __init__(
@@ -234,9 +240,8 @@ _RUNNERS = {
 }
 
 
-def _run_cell(task):
-    suite, cell = task
-    return _RUNNERS[suite](cell)
+def _run_cells(suite: str, cells: List[tuple]) -> List[Tuple[str, str]]:
+    return [_RUNNERS[suite](cell) for cell in cells]
 
 
 _SINGULAR_KINDS = tuple(
@@ -255,9 +260,11 @@ def _suite_labels(suite: str) -> Tuple[tuple, ...]:
     return ((),)
 
 
-def _suite_cells(suite: str, spec: SweepSpec) -> List[tuple]:
-    grid = list(product(*(spec.values(name) for name in _SUITE_SWEEPS[suite])))
-    return [label + point for label in _suite_labels(suite) for point in grid]
+def _suite_cells(suite: str, spec: SweepSpec) -> Iterator[tuple]:
+    """The sweep's cells, label by label in grid order, made one at a time."""
+    for label in _suite_labels(suite):
+        for point in product(*(spec.values(name) for name in _SUITE_SWEEPS[suite])):
+            yield label + point
 
 
 def _worker_count() -> int:
@@ -273,18 +280,44 @@ def _worker_count() -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-def _run_suite(suite: str, spec: SweepSpec) -> Tuple[Dict[str, int], List[str]]:
-    cells = _suite_cells(suite, spec)
-    tasks = [(suite, cell) for cell in cells]
-    workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+# A pooled sweep ships cells in chunks of at most _CHUNK_CELLS and keeps at
+# most _CHUNKS_PER_WORKER chunks per worker outstanding, so the cells in
+# flight never exceed _CHUNK_CELLS * _CHUNKS_PER_WORKER * workers.
+_CHUNK_CELLS = 256
+_CHUNKS_PER_WORKER = 2
 
-        chunk = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, tasks, chunksize=chunk))
+
+def _pooled(suite: str, cells: Iterator[tuple], workers: int, chunk: int):
+    """The results of cells from a pool of workers, in submission order.
+
+    ``ProcessPoolExecutor.map`` would submit every chunk at once and keep
+    each one's future; here a chunk is submitted only when the oldest of a
+    fixed window of outstanding chunks has been collected.
+    """
+    from collections import deque
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunks = iter(lambda: list(islice(cells, chunk)), [])
+    window = _CHUNKS_PER_WORKER * workers
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for batch in chunks:
+            if len(pending) == window:
+                yield from pending.popleft().result()
+            pending.append(pool.submit(_run_cells, suite, batch))
+        while pending:
+            yield from pending.popleft().result()
+
+
+def _run_suite(suite: str, spec: SweepSpec) -> Tuple[Dict[str, int], List[str]]:
+    """Tally the sweep's cells as they stream past; keep only the failures."""
+    cells = _suite_cells(suite, spec)
+    workers = _worker_count()
+    if workers > 1 and spec.size > 1:
+        chunk = max(1, min(_CHUNK_CELLS, spec.size // (4 * workers)))
+        results = _pooled(suite, cells, workers, chunk)
     else:
-        results = [_run_cell(task) for task in tasks]
+        results = map(_RUNNERS[suite], cells)
     tally = {"pass": 0, "skip": 0, "fail": 0}
     failures = []
     for status, detail in results:

@@ -20,7 +20,8 @@ at n = 0, and the two members at n = 1 whose V^t(so(2)) is H(1).
 
 All arithmetic is exact.  ``closed_form_charge`` is written generically,
 so that n and m may be Fractions or symbolic RatFunc values; results
-carrying psi are always RatFunc.
+carrying psi are always RatFunc.  Each charge, closed or assembled, is
+built as one uncanonicalized quotient and canonicalized once, at the return.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from collections import Counter
 from fractions import Fraction
 
 from ._record import Record
-from .exact import RatFunc, _coerce_fraction
+from .exact import RatFunc, _Cleared, _coerce_fraction
 
 FAMILY_TAGS = ("1B", "1C", "1D", "1O", "2B", "2C", "2D", "2O")
 
@@ -287,12 +288,15 @@ def affine_subalgebra_level(fam: HookFamily) -> RatFunc:
 def closed_form_charge(tag: str, n, m) -> RatFunc:
     """Coset central charge as a rational function of psi.
 
-    n and m may be Fractions or symbolic RatFunc values.  At n = m = 0 the
+    n and m may be Fractions or symbolic RatFunc values.  The formula is
+    built as one uncanonicalized quotient (``exact._Cleared``), a symbolic
+    n or m read as its quotient, and canonicalized once.  At n = m = 0 the
     families whose coset is the one-dimensional algebra give 0, and the
     free-field families give 1 or 1/2; the shared factors cancel on
     normalization.
     """
-    psi = RatFunc.var("psi")
+    psi = _Cleared.var("psi")
+    n, m = (_Cleared._of(x) if isinstance(x, RatFunc) else x for x in (n, m))
     if tag == "1B":
         num = (
             (psi + m * psi - m - n - 1)
@@ -351,7 +355,7 @@ def closed_form_charge(tag: str, n, m) -> RatFunc:
         den = 2 * psi * (2 * psi - 1)
     else:
         raise ValueError(f"unknown family {tag!r}")
-    return -(num / den)
+    return (-(num / den)).canonical()
 
 
 def central_charge(fam: HookFamily) -> RatFunc:
@@ -372,6 +376,10 @@ def assemble_central_charge(fam: HookFamily) -> RatFunc:
     Calibrated signs: eps = +1 for 1B, 1D, 2C, 2O (even pairing) and
     eps = -1 for 1C, 1O, 2B, 2D (odd pairing); sd_a = d_a - 2 when a is
     osp(1|2n), else d_a.
+
+    The blocks are combined as one uncanonicalized quotient
+    (``exact._Cleared``), with the level t read as its quotient, and the
+    difference is canonicalized once.
     """
     dat = _FAMILY[fam.tag]
     n, m = fam.n, fam.m
@@ -380,7 +388,7 @@ def assemble_central_charge(fam: HookFamily) -> RatFunc:
     if fam.i == 2 and m < 1:
         raise ValueError("families 2X with m = 0 are not built by reduction")
 
-    psi = RatFunc.var("psi")
+    psi = _Cleared.var("psi")
     g = ambient_algebra(fam)
     k = psi - dual_coxeter(g)
     c_g = k * sdim(g) / psi
@@ -396,9 +404,9 @@ def assemble_central_charge(fam: HookFamily) -> RatFunc:
     c_ghost = c_prin + eps * sd * ghost_central_charge(d_b(fam))
 
     c_w = c_g + c_dilaton + c_ghost
-    t = affine_subalgebra_level(fam)
+    t = _Cleared._of(affine_subalgebra_level(fam))
     c_sugawara = t * sdim(a) / (t + dual_coxeter(a))
-    return c_w - c_sugawara
+    return (c_w - c_sugawara).canonical()
 
 
 class CaseDescription(Record):

@@ -7,10 +7,12 @@ table mode is checked to be a projection of the same data.
 """
 
 import argparse
+import concurrent.futures
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -451,6 +453,64 @@ class TestVerify:
         code, pooled, _ = run(capsys, *argv)
         assert code == 0
         assert pooled == serial
+
+    def test_sweep_memory_does_not_grow_with_its_size(self, capsys, monkeypatch):
+        # 10,368 cells, run once to warm the caches and once traced: the
+        # cells stream past the tally, so the sweep's transient memory, its
+        # traced peak less what stays allocated, is a few cells' worth.
+        monkeypatch.setenv("HOOKW_WORKERS", "1")
+        argv = ["verify", "coincidences", "--sweep", "n=0..5,m=0..5,r=1..6", "--json"]
+        assert run(capsys, *argv)[0] == 0
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            final, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak - final < 64 * 1024
+
+    @pytest.mark.parametrize("sweep", ["n=0..4,m=0..4,r=1..4", "n=0..9,m=0..9,r=1..20"])
+    def test_pool_keeps_a_bounded_window_of_cells(self, capsys, monkeypatch, sweep):
+        # An executor that runs nothing and starts no process: each chunk's
+        # cells count as in flight from submission until its result is read.
+        seen = {"in_flight": 0, "peak": 0, "cells": 0}
+
+        class Done:
+            def __init__(self, size):
+                self.size = size
+
+            def result(self):
+                seen["in_flight"] -= self.size
+                return [("pass", "")] * self.size
+
+        class Inline:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, suite, cells):
+                assert fn is cli._run_cells and suite == "coincidences"
+                seen["cells"] += len(cells)
+                seen["in_flight"] += len(cells)
+                seen["peak"] = max(seen["peak"], seen["in_flight"])
+                return Done(len(cells))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("HOOKW_WORKERS", "2")
+        payload = run_json(capsys, "verify", "coincidences", "--sweep", sweep, "--json")
+        size = payload["passed"]
+        assert seen["cells"] == size and payload["skipped"] == payload["failed"] == 0
+        assert seen["in_flight"] == 0
+        window = cli._CHUNK_CELLS * cli._CHUNKS_PER_WORKER * 2
+        assert seen["peak"] <= window < size
 
     def test_worker_count_capped_at_cpu_count(self, monkeypatch):
         # Checked through _worker_count alone, so no process is started.

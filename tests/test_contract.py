@@ -2,7 +2,8 @@
 
 A refactor must leave every intersection report, every ``hookw intersect
 --json`` output, the stdout and exit code of the eight default ``verify``
-invocations, in one process and through the pool, and the
+invocations, in one process and through the pool, a 10,368-cell
+``verify coincidences`` sweep, in one process and through the pool, and the
 Gelfand-Tsetlin JSON byte for byte as they were.  The rationality
 witnesses are pinned by ``test_catalog.py::TestRationalPoints::
 test_output_is_pinned``.  The pins change only together with a stated
@@ -31,6 +32,9 @@ VERIFY_SHA256 = {
     ("singular", False): "a5af4b9f8427d14dd6275df576dedb29f04d7e007ac8819d0b130bf3900b73da",
     ("singular", True): "5f917e53248f79908f81aee1f313fca7a98faeac02a399c6b186bf6e4dbe7dbf",
 }
+# The stdout of ``verify coincidences --json`` on SWEEP_10K, 10,368 cells.
+SWEEP_10K = "n=0..5,m=0..5,r=1..6"
+SWEEP_10K_SHA256 = "0e689e0ead3e354eb4ee8b7b7211dbc4f2b8ac3fd959f513fa5cbb032c7edfcb"
 # The concatenated stdout of ``gt-factors --json`` on ``_gt_argvs()``.
 GT_SHA256 = "84117aa2b6df2a0dbb8600f85b44cd7d85b2962aa64478a5c0454cb31d8c0f54"
 
@@ -102,6 +106,14 @@ def test_verify_through_the_pool_is_pinned(capsys, monkeypatch):
     code = cli.main(["verify", "coincidences", "--json"])
     assert code == 0
     assert _sha256(capsys.readouterr().out) == VERIFY_SHA256["coincidences", True]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"], ids=["in_process", "pool"])
+def test_large_verify_sweep_is_pinned(capsys, monkeypatch, workers):
+    monkeypatch.setenv("HOOKW_WORKERS", workers)
+    code = cli.main(["verify", "coincidences", "--sweep", SWEEP_10K, "--json"])
+    assert code == 0
+    assert _sha256(capsys.readouterr().out) == SWEEP_10K_SHA256
 
 
 def test_gt_factors_json_is_pinned(capsys):
