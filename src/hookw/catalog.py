@@ -47,10 +47,10 @@ from ._record import Record, replace
 from .curves import (
     _DEGENERATE_SET,
     TruncationCurve,
-    _excluded_psi,
     _numeric_curve,
     _orbit_maps,
     _point,
+    _sums_on_domain,
 )
 from .exact import (
     _VAR_INDEX,
@@ -473,8 +473,7 @@ def verify_coincidence(entry: CoincidenceEntry, n, m, r) -> CoincidenceOutcome:
     s formulas, then membership in the generic domain of both curves
     (the printed curve denominators must not vanish, else the displayed
     identity has no content at the point and the limit is not claimed).
-    Surviving points are compared as exact (c, lambda) pairs; a curve
-    pole there is a defect and raises PoleError, never a skip.
+    Surviving points are compared as exact (c, lambda) pairs.
 
     The checks are those of the integer cell kernel ``_cell_check``; this
     wrapper validates the arguments and turns the kernel's int pairs and
@@ -519,12 +518,12 @@ def _cell_check(entry: CoincidenceEntry, n: int, m: int, r: int):
 
     The entry's integer term rows (``CoincidenceEntry._cell_forms``) are
     summed at (n, m, r).  psi1 and psi2 are the two psi values as reduced
-    (p, q) int pairs with q > 0, looked up as they are in the excluded
-    pairs of each curve (``curves._excluded_psi``); both are None when a
-    displayed formula has a pole.  sums is None unless both curves were
-    evaluated, and otherwise holds the four ``TruncationCurve._sums`` of
-    each curve at its psi.  The cell passes when the c and the lambda
-    quotients agree by cross-multiplication.  No Fraction is built.
+    (p, q) int pairs with q > 0; both are None when a displayed formula
+    has a pole.  Each curve is summed at its psi off its one build,
+    denominators first (``curves._sums_on_domain``), and is off its domain
+    at a cancelled root or where a denominator sums to zero.  sums is
+    None unless both curves were summed.  The cell passes when c and
+    lambda agree by cross-multiplication; no Fraction is built.
     """
     values = entry._cell_values(n, m, r)
     fired = entry._fired_exclusion(r, values)
@@ -540,20 +539,13 @@ def _cell_check(entry: CoincidenceEntry, n: int, m: int, r: int):
     tag = TARGETS[entry.target].tag
     # Every m_expr has integer coefficients, so m_t is an integer here.
     m_t = _rank_data(entry.target, r)[0].numerator
-    excluded = _excluded_psi(entry.source, n, m)
-    if excluded is None or psi1 in excluded:
-        reason = "source curve formulas are undefined at psi"
-        return "skipped", reason, psi1, psi2, None
-    excluded = _excluded_psi(tag, 0, m_t)
-    if excluded is None or psi2 in excluded:
+    src = _sums_on_domain(entry.source, n, m, psi1)
+    if src is None:
+        return "skipped", "source curve formulas are undefined at psi", psi1, psi2, None
+    tgt = _sums_on_domain(tag, 0, m_t, psi2)
+    if tgt is None:
         reason = "target curve formulas are undefined at the target psi"
         return "skipped", reason, psi1, psi2, None
-    src = _numeric_curve(entry.source, n, m)._sums(*psi1)
-    tgt = _numeric_curve(tag, 0, m_t)._sums(*psi2)
-    if not (src[1] and src[3] and tgt[1] and tgt[3]):
-        # The canonical denominators divide the printed ones, so a pole
-        # here is a defect, and 0 == 0 must not pass the cell.
-        raise PoleError("curve evaluation hit a pole")
     cn, cd, ln, ld = src
     tcn, tcd, tln, tld = tgt
     if cn * tcd == tcn * cd and ln * tld == tln * ld:

@@ -27,22 +27,21 @@ master; every curve is built from F.
 Data that depends only on (family, n, m) is built once and reused for
 every psi; every such memo is a ``functools.cache`` on the function that
 builds it, keyed on (tag, n, m), where an int and the equal Fraction
-share one entry.  A numeric curve has exactly one (``_numeric_curve``),
-which ``phi_family`` and the catalog both read.  A numeric curve and the
-generic-domain check read F's polynomials in the family's own psi
-through one helper (``_in_family_psi``): by Horner in t into integer
-lists in psi, then through the route's degree-one psi map, every list
-cleared alike.  A numeric curve is reduced by one gcd and read through
-one form, its four integer lists in psi (``_psi_lists``):
-``TruncationCurve._sums`` sums them at psi = p/q by the one homogeneous
-Horner loop over ints (``exact._int_list_at``), ``values`` divides the
-sums, and ``intersect`` eliminates on them and reads its equations at
-each root by the same loop.  A symbolic curve composes F with n -> t,
-then with the psi map, and is canonicalized once.
-The generic-domain check looks psi up, as its (numerator, denominator)
-pair, in the set of excluded values: the rational roots of the
-denominator factors in that psi, and the pole of the map, so the curve
-and the check cannot disagree.
+share one entry.  A curve at rational (n, m) has exactly one build
+(``_cleared``): F's c and lambda pairs read in the family's own psi,
+by Horner in t into integer lists in psi (``_in_psi``), then
+through the route's degree-one psi map, every list cleared alike, each
+pair reduced by its one gcd, and the rational roots of what the gcd
+cancelled.  The catalog's cell kernel and the generic-domain check read
+it directly (``_sums_on_domain``): psi is off the domain where a
+canonical denominator sums to zero, by the one homogeneous Horner loop
+over ints (``exact._int_list_at``), or where psi is a cancelled root or
+the map's pole, so the curve and the check cannot disagree.  A numeric
+curve (``_numeric_curve``) wraps the same lists in RatFuncs; ``values``
+sums its four lists (``_psi_lists``) by the same loop, and ``intersect``
+eliminates on them and reads its equations at each root by it.  A
+symbolic curve composes F with n -> t, then with the psi map, and is
+canonicalized once.
 
 Every curve identity is certified by the S3 orbit of F, the six maps of
 (t, x) that fix F, each proved once (``_orbit``): each side is read from
@@ -146,44 +145,28 @@ class TruncationCurve(Record):
     def values(self, psi) -> Tuple[Fraction, Fraction]:
         """(c, lambda) at a rational psi on a fully numeric curve.
 
-        The quotients of the four sums of ``_sums`` at psi = p/q in lowest
-        terms.  Raises PoleError where either denominator vanishes, and
-        everywhere when ``lam`` is None.
-        """
-        x = psi if isinstance(psi, (int, Fraction)) else _coerce_fraction(psi)
-        cn, cd, ln, ld = self._sums(x.numerator, x.denominator)
-        if not cd or not ld:
-            raise PoleError("denominator vanishes at the given point")
-        return Fraction(cn, cd), Fraction(ln, ld)
-
-    def _sums(self, p: int, q: int) -> Tuple[int, int, int, int]:
-        """c.num, c.den, lam.num, lam.den at psi = p/q, all over one scale.
-
-        The four polynomials are read once per curve as dense integer
-        lists in psi (``_psi_lists``).  Each list is summed as
-        sum(c_e p**e q**(D - e)) by ``exact._int_list_at`` at top = D,
-        the largest of the four degrees, so the common power q**D
-        cancels in each quotient and q may be any nonzero int.  Raises
-        ValueError on a curve with residual symbols and PoleError when
-        ``lam`` is None; a vanishing denominator is the caller's to check.
+        The quotients of the four sums of ``_psi_lists`` at psi = p/q
+        (``_sums_at``) in lowest terms.  Raises ValueError on a curve with
+        residual symbols, and PoleError where either denominator vanishes
+        and everywhere when ``lam`` is None.
         """
         if self.symbols:
             raise ValueError(f"curve has residual symbols {self.symbols}")
         if self.lam is None:
             raise PoleError("lambda has no finite value on this slice")
-        degree, (cn, cd, ln, ld) = self._psi_lists
-        return (_int_list_at(cn, p, q, degree), _int_list_at(cd, p, q, degree),
-                _int_list_at(ln, p, q, degree), _int_list_at(ld, p, q, degree))
+        x = psi if isinstance(psi, (int, Fraction)) else _coerce_fraction(psi)
+        sums = _sums_at(*self._psi_lists, x.numerator, x.denominator)
+        if sums is None:
+            raise PoleError("denominator vanishes at the given point")
+        cn, cd, ln, ld = sums
+        return Fraction(cn, cd), Fraction(ln, ld)
 
     @cached_property
     def _psi_lists(self):
-        """(D, lists): integer lists in psi of c.num, c.den, lam.num, lam.den.
+        """(D, lists): c.num, c.den, lam.num, lam.den as integer lists in psi.
 
-        Read off the integer dicts of the curve's own RatFuncs, whose
-        canonical parts have denominator 1, once per curve: the RatFuncs
-        are all a curve holds, whoever built it.  D, the largest of the
-        four degrees, is the degree to which ``values`` homogenizes all
-        four sums.
+        Read once per curve off the integer dicts of its own RatFuncs, all
+        a curve holds, whoever built it; D is the largest of the degrees.
         """
         polys = (self.c.num, self.c.den, self.lam.num, self.lam.den)
         lists = [_dict_to_int_list(p._d, _PSI) for p in polys]
@@ -304,7 +287,7 @@ def _at_m0(p: MultiPoly) -> dict:
 
 @cache
 def _F():
-    """F, the master at m = 0: (num, den) of c and of lambda, and the domain factors.
+    """F, the master at m = 0: (num, den) of c and of lambda.
 
     Int dicts in n, standing for t, and psi.  c is the closed-form 2B
     charge.  lambda is -(2psi)(2psi - 1) F_2B over 7 times the other five
@@ -313,20 +296,16 @@ def _F():
     cancels, and the pair equals the slice of the canonical master.
     """
     c = closed_form_charge("2B", RatFunc.var("n"), RatFunc.var("m"))
-    factors = [_at_m0(f) for f in _master_domain_factors()]
-    two_psi, two_psi_less_one, *den = factors
+    two_psi, two_psi_less_one, *den = [_at_m0(f) for f in _master_domain_factors()]
     lam_num = reduce(_dmul, (two_psi, two_psi_less_one, _at_m0(parse_ratfunc(_F_2B).num)))
     lam_den = _dscale(reduce(_dmul, den), 7)
-    return (_at_m0(c.num), _at_m0(c.den)), (_dneg(lam_num), lam_den), factors
+    return (_at_m0(c.num), _at_m0(c.den)), (_dneg(lam_num), lam_den)
 
 
 @cache
 def _t_slices():
     """``_F`` with each dict sliced by t: [S_0, ..., S_d], S_e an integer list in psi."""
-    c, lam, factors = _F()
-    polys = (*c, *lam, *factors)
-    c_num, c_den, lam_num, lam_den, *factors = [_LISTS[_PSI].dense(p, _N) for p in polys]
-    return (c_num, c_den), (lam_num, lam_den), factors
+    return tuple(tuple(_LISTS[_PSI].dense(p, _N) for p in pair) for pair in _F())
 
 
 def _t_coeffs(n, m):
@@ -364,18 +343,6 @@ def _in_psi(polys, t):
     return out
 
 
-def _in_family_psi(polys, t, w):
-    """Polynomials sliced by t, run at t and then through w, as integer lists in psi.
-
-    ``_in_psi`` along the line t = (alpha + beta psi)/L, then
-    ``_int_list_moebius`` through the route's map w = (a, b, c, d),
-    psi -> (a psi + b)/(c psi + d), or None for the identity.  Every list
-    is cleared alike, so the quotient of any two is their composite.
-    """
-    lists = _in_psi(polys, t)
-    return lists if w is None else _int_list_moebius(lists, w)
-
-
 # The route of each family to the master curve: tag(n, m) is
 # 2B(n + dn, m + dm [+ n]) composed with psi -> (a psi + b)/(c psi + d).
 # A row is (dn, dm, whether m gains +n, (a, b, c, d) or None for the
@@ -405,27 +372,62 @@ def _inner_params(tag: str, n, m):
 
 
 @cache
-def _excluded_psi(tag: str, n, m):
-    """The psi at which a printed denominator of tag(n, m) vanishes.
+def _cleared(tag: str, n, m):
+    """(D, lists, cancelled): the one build of tag(n, m) at rational (n, m).
 
-    A frozenset of (numerator, denominator) int pairs in lowest terms, so
-    a lookup hashes a tuple of ints rather than a Fraction; or None when a
-    factor vanishes for every psi.  Built once per (tag, n, m) from the
-    family's row of ``_ROUTES``: the master factors are read in the
-    family's psi (``_in_family_psi``), and their rational roots are
-    excluded, with the pole psi = -d/c of the route's map (psi = 0 on the
-    inverting routes).  A polynomial with rational coefficients vanishes
-    at a rational point exactly when that point is one of its rational
-    roots.
+    F's c and lambda pairs, run at the route's t (``_in_psi``) and through
+    its map w (``exact._int_list_moebius``), every list cleared alike, are
+    each reduced by one gcd (``_int_list_quotient``): lists holds c.num,
+    c.den, lam.num, lam.den in psi, canonical but where lam.den vanishes
+    identically and is left empty.  D is the largest degree.  cancelled
+    holds, as reduced int pairs, the rational roots of each cancelled gcd
+    factor and the pole psi = -d/c of w.
+
+    The domain lemma: psi avoids every printed denominator factor of the
+    master exactly when it is not in cancelled and neither canonical
+    denominator vanishes there (``_sums_on_domain``).  F's c.den lam.den
+    is 7 times the product of the seven printed factors; substituting
+    t = n' + m'(2psi - 1) is a ring map, so the product survives it; and
+    the cleared composition with w multiplies each list only by a power
+    of (c psi + d), which is nonzero off the pole.  So off the pole a
+    printed factor vanishes exactly where a cleared denominator does,
+    that is where its canonical part or its cancelled factor does.
     """
-    t = _t_coeffs(*_inner_params(tag, n, m))
     w = _ROUTES[tag][3]
-    excluded = {Fraction(-w[3], w[2])} if w and w[2] else set()
-    for spec in _in_family_psi(_t_slices()[2], t, w):
-        if not spec:
-            return None
-        excluded.update(rational_roots(UniPoly._view("psi", spec)))
-    return frozenset((x.numerator, x.denominator) for x in excluded)
+    t = _t_coeffs(*_inner_params(tag, n, m))
+    cancelled = {Fraction(-w[3], w[2])} if w and w[2] else set()
+    lists = []
+    for pair in _t_slices():
+        num, den = _in_psi(pair, t)
+        if w is not None:
+            num, den = _int_list_moebius([num, den], w)
+        if den:
+            num, den, g = _int_list_quotient(num, den)
+            if len(g) > 1:
+                cancelled.update(rational_roots(UniPoly._view("psi", g)))
+        lists += (num, den)
+    top = max(map(len, lists)) - 1
+    return top, tuple(lists), frozenset((x.numerator, x.denominator) for x in cancelled)
+
+
+def _sums_at(top, lists, p, q):
+    """The sums of c.num, c.den, lam.num, lam.den at psi = p/q, or None at a pole.
+
+    Each list is summed over one scale, q**top, by ``exact._int_list_at``,
+    so q may be any nonzero int; the denominators first, None if one is 0.
+    """
+    cn, cd, ln, ld = lists
+    c_den = _int_list_at(cd, p, q, top)
+    lam_den = c_den and _int_list_at(ld, p, q, top)
+    if not lam_den:
+        return None
+    return _int_list_at(cn, p, q, top), c_den, _int_list_at(ln, p, q, top), lam_den
+
+
+def _sums_on_domain(tag: str, n, m, psi):
+    """``_sums_at`` on tag(n, m)'s build at psi, a reduced (p, q); None off the domain."""
+    top, lists, cancelled = _cleared(tag, n, m)
+    return None if psi in cancelled else _sums_at(top, lists, *psi)
 
 
 def on_generic_domain(fam_or_tag, n, m, psi) -> bool:
@@ -434,17 +436,16 @@ def on_generic_domain(fam_or_tag, n, m, psi) -> bool:
     The c and lambda formulas are quotients of polynomials; specializing a
     symbolic identity to a point is legitimate only where neither side's
     denominator vanishes.  On the excluded loci the curve is defined as a
-    limit and individual printed values carry no content.  The check is a
-    lookup in the excluded psi of (tag, n, m), see ``_excluded_psi``.
+    limit and individual printed values carry no content.  The check reads
+    the curve's one build, its canonical denominators and its cancelled
+    roots (``_cleared``, ``_sums_on_domain``).
     """
     tag = getattr(fam_or_tag, "tag", fam_or_tag)
     if tag not in _ROUTES:
         raise ValueError("unknown family tag %r" % (tag,))
-    excluded = _excluded_psi(tag, _exact_key(n), _exact_key(m))
-    if excluded is None:
-        return False
     x = psi if isinstance(psi, (int, Fraction)) else _coerce_fraction(psi)
-    return (x.numerator, x.denominator) not in excluded
+    at = (x.numerator, x.denominator)
+    return _sums_on_domain(tag, _exact_key(n), _exact_key(m), at) is not None
 
 
 def _exact_key(value):
@@ -470,22 +471,13 @@ def _curve(c: RatFunc, lam: Optional[RatFunc], source: str) -> TruncationCurve:
 
 @cache
 def _numeric_curve(tag: str, n, m) -> TruncationCurve:
-    """The curve of family tag at rational (n, m), on integer lists, built once.
+    """The curve of family tag at rational (n, m): its ``_cleared`` lists as RatFuncs.
 
-    F is run at the route's t = n' + m'(2psi - 1) and through its map w =
-    (a, b, c, d), psi -> (a psi + b)/(c psi + d) or None, into integer
-    lists in psi (``_in_family_psi``), and reduced by one gcd
-    (``_int_list_quotient``).  Keyed like ``_excluded_psi``: an int and
-    the equal Fraction share one entry.  ``phi_family`` refuses a float
-    before the lookup, and the catalog calls it with its int keys.
+    Keyed like ``_cleared``; lambda is None where its denominator is empty.
     """
-    _, _, _, w, label = _ROUTES[tag]
-    t = _t_coeffs(*_inner_params(tag, n, m))
-    out = []
-    for pair in _t_slices()[:2]:
-        num, den = _in_family_psi(pair, t, w)
-        out.append(RatFunc._from_int_lists(*_int_list_quotient(num, den), _PSI) if den else None)
-    return _curve(*out, label)
+    _, (cn, cd, ln, ld), _ = _cleared(tag, n, m)
+    lam = RatFunc._from_int_lists(ln, ld, _PSI) if ld else None
+    return _curve(RatFunc._from_int_lists(cn, cd, _PSI), lam, _ROUTES[tag][4])
 
 
 def _symbolic_2B(n, m, w, source: str) -> TruncationCurve:
@@ -501,7 +493,7 @@ def _symbolic_2B(n, m, w, source: str) -> TruncationCurve:
         a, b, c, d = w
         steps.append([(_PSI, _int_list_to_dict([b, a], _PSI), _int_list_to_dict([d, c], _PSI))])
     out = []
-    for num, den in _F()[:2]:
+    for num, den in _F():
         for subs in steps:
             num, den = _dcompose(num, den, subs)
         out.append(RatFunc._from_dicts(num, den) if den else None)
@@ -562,7 +554,7 @@ def _orbit():
     for k, (a, b, c, d) in _S3:
         z = _int_list_to_dict([d, c], _PSI)
         subs = [(_N, _int_list_to_dict([0, k], _N), z), (_PSI, _int_list_to_dict([b, a], _PSI), z)]
-        if all(_Cleared(*_dcompose(*pair, subs)) == _Cleared(*pair) for pair in _F()[:2]):
+        if all(_Cleared(*_dcompose(*pair, subs)) == _Cleared(*pair) for pair in _F()):
             kept.append((k, (a, b, c, d)))
     return tuple(kept)
 

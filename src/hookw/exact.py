@@ -603,15 +603,17 @@ def _squarefree_mod(g, q):
 
 
 def _int_list_quotient(num, den):
-    """The canonical form of the quotient num/den of integer lists.
+    """(num', den', g): the canonical form of num/den, and the factor it cancelled.
 
     ``_ratfunc_canonical`` on the kernel: no common factor, coprime integer
-    contents, positive leading denominator coefficient.
+    contents, positive leading denominator coefficient.  den is den' times
+    g up to a nonzero integer, so den vanishes exactly where den' or g
+    does; g is den itself when num is zero.
     """
     if not den:
         raise ZeroDenominatorError("zero denominator")
     if not num:
-        return [], [1]
+        return [], [1], den
     g = _int_list_gcd(num, den)
     if len(g) > 1:
         num = _dense_divexact(num, g, _INTS)
@@ -619,7 +621,7 @@ def _int_list_quotient(num, den):
     c = gcd(_int_content(num), _int_content(den))
     if den[-1] < 0:
         c = -c
-    return [v // c for v in num], [v // c for v in den]
+    return [v // c for v in num], [v // c for v in den], g
 
 
 def _int_list_moebius(lists, w):

@@ -21,7 +21,9 @@ at n = 0, and the two members at n = 1 whose V^t(so(2)) is H(1).
 All arithmetic is exact.  ``closed_form_charge`` is written generically,
 so that n and m may be Fractions or symbolic RatFunc values; results
 carrying psi are always RatFunc.  Each charge, closed or assembled, is
-built as one uncanonicalized quotient and canonicalized once, at the return.
+built as one uncanonicalized quotient (``_closed_form``, ``_assembled``)
+and canonicalized once, at the return; ``hookw verify charges`` compares
+the two quotients by their zero test (``exact._Cleared``), with no gcd.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from collections import Counter
 from fractions import Fraction
 
 from ._record import Record
-from .exact import RatFunc, _Cleared, _coerce_fraction
+from .exact import MultiPoly, RatFunc, _Cleared, _coerce_fraction
 
 FAMILY_TAGS = ("1B", "1C", "1D", "1O", "2B", "2C", "2D", "2O")
 
@@ -277,24 +279,30 @@ def affine_subalgebra_level(fam: HookFamily) -> RatFunc:
     """Level t of the affine subalgebra V^t(a), as a RatFunc in psi.
 
     t = ell(k) + sigma (d_b - 1) xi with k = psi - h^vee(g), where sigma
-    is +1 for an even pairing rho_a (x) rho_b and -1 for an odd one.
+    is +1 for an even pairing rho_a (x) rho_b and -1 for an odd one: one
+    linear polynomial in psi, already canonical.
     """
     dat = _FAMILY[fam.tag]
-    k = RatFunc.var("psi") - dual_coxeter(ambient_algebra(fam))
+    ell = _ELL[dat.ell]
     shift = (d_b(fam) - 1) * dat.xi
-    return _ELL[dat.ell] * k + (shift if dat.even_pairing else -shift)
+    constant = (shift if dat.even_pairing else -shift) - ell * dual_coxeter(ambient_algebra(fam))
+    return RatFunc._from_poly(ell * MultiPoly.var("psi") + constant)
 
 
 def closed_form_charge(tag: str, n, m) -> RatFunc:
     """Coset central charge as a rational function of psi.
 
     n and m may be Fractions or symbolic RatFunc values.  The formula is
-    built as one uncanonicalized quotient (``exact._Cleared``), a symbolic
-    n or m read as its quotient, and canonicalized once.  At n = m = 0 the
-    families whose coset is the one-dimensional algebra give 0, and the
-    free-field families give 1 or 1/2; the shared factors cancel on
-    normalization.
+    built as one uncanonicalized quotient (``_closed_form``) and
+    canonicalized once.  At n = m = 0 the families whose coset is the
+    one-dimensional algebra give 0, and the free-field families give 1 or
+    1/2; the shared factors cancel on normalization.
     """
+    return _closed_form(tag, n, m).canonical()
+
+
+def _closed_form(tag: str, n, m) -> _Cleared:
+    """The closed-form charge as one ``exact._Cleared`` quotient, with no gcd."""
     psi = _Cleared.var("psi")
     n, m = (_Cleared._of(x) if isinstance(x, RatFunc) else x for x in (n, m))
     if tag == "1B":
@@ -355,7 +363,7 @@ def closed_form_charge(tag: str, n, m) -> RatFunc:
         den = 2 * psi * (2 * psi - 1)
     else:
         raise ValueError(f"unknown family {tag!r}")
-    return (-(num / den)).canonical()
+    return -(num / den)
 
 
 def central_charge(fam: HookFamily) -> RatFunc:
@@ -378,9 +386,13 @@ def assemble_central_charge(fam: HookFamily) -> RatFunc:
     osp(1|2n), else d_a.
 
     The blocks are combined as one uncanonicalized quotient
-    (``exact._Cleared``), with the level t read as its quotient, and the
-    difference is canonicalized once.
+    (``_assembled``), and the difference is canonicalized once.
     """
+    return _assembled(fam).canonical()
+
+
+def _assembled(fam: HookFamily) -> _Cleared:
+    """The assembled charge as one ``exact._Cleared`` quotient, with no gcd."""
     dat = _FAMILY[fam.tag]
     n, m = fam.n, fam.m
     if n + m < 1:
@@ -406,7 +418,7 @@ def assemble_central_charge(fam: HookFamily) -> RatFunc:
     c_w = c_g + c_dilaton + c_ghost
     t = _Cleared._of(affine_subalgebra_level(fam))
     c_sugawara = t * sdim(a) / (t + dual_coxeter(a))
-    return (c_w - c_sugawara).canonical()
+    return c_w - c_sugawara
 
 
 class CaseDescription(Record):

@@ -145,18 +145,33 @@ class TestVerifyPointwise:
             assert out.status == "skipped"
 
     def test_curve_pole_past_the_domain_check_is_an_error(self, monkeypatch):
-        # With the domain check emptied, 1B(0, 0)'s missing lambda reaches
-        # the curve evaluation, and so does a vanishing curve denominator:
-        # each is a defect, so a failed cell and a PoleError, never a skip.
-        monkeypatch.setattr(K, "_excluded_psi", lambda tag, n, m: frozenset())
+        # The domain is read off each curve's one build, so no pole gets
+        # past it: with the cancelled roots emptied and the denominators
+        # zeroed, a passing cell skips, and 0 == 0 never passes it.  A pole
+        # raised while building 1B(0, 0) or reading 1B(1, 1) is a defect,
+        # so a failed cell and a PoleError, never a skip.
         e = entry("1B", "sp", 1)
-        assert cli._cell_coincidences((e.name, 0, 0, 1))[0] == "fail"
-        with pytest.raises(PoleError):
-            K.verify_coincidence(e, 0, 0, 1)
-        monkeypatch.setattr(C.TruncationCurve, "_sums", lambda self, p, q: (0, 0, 0, 0))
-        assert cli._cell_coincidences((e.name, 1, 1, 1))[0] == "fail"
-        with pytest.raises(PoleError):
-            K.verify_coincidence(e, 1, 1, 1)
+        real = C._cleared
+        assert K._cell_check(e, 1, 1, 2)[0] == "pass"
+
+        def zeroed(tag, n, m):
+            top, (cn, _, ln, _), _ = real(tag, n, m)
+            return top, (cn, [], ln, []), frozenset()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(C, "_cleared", zeroed)
+            undefined = "source curve formulas are undefined at psi"
+            assert K._cell_check(e, 1, 1, 2)[:2] == ("skipped", undefined)
+
+        def pole(*args):
+            raise PoleError("curve evaluation hit a pole")
+
+        for name, cell in (("_cleared", (0, 0, 1)), ("_int_list_at", (1, 1, 2))):
+            with monkeypatch.context() as patch:
+                patch.setattr(C, name, pole)
+                assert cli._cell_coincidences((e.name, *cell))[0] == "fail"
+                with pytest.raises(PoleError):
+                    K.verify_coincidence(e, *cell)
 
     def test_degenerate_charge_flagged(self):
         out = K.verify_coincidence(entry("2B", "osp", 1), 0, 1, 1)
@@ -346,17 +361,18 @@ class TestCellKernel:
         # Every target curve keeps its c and gets lambda + 1: cells that
         # passed now fail on lambda alone, in the kernel and in the wrapper.
         e = entry("2B", "sp", 6)
-        real = C._numeric_curve
+        real = C._cleared
         target_tag = K.TARGETS[e.target].tag
 
         def shifted(tag, n, m):
-            curve = real(tag, n, m)
+            top, (cn, cd, ln, ld), cancelled = build = real(tag, n, m)
             if tag != target_tag:
-                return curve
-            return C.TruncationCurve(curve.c, curve.lam + 1, curve.source, curve.symbols)
+                return build
+            lam_plus_one = E._int_list_sub(ln, [-v for v in ld])
+            return max(top, len(lam_plus_one) - 1), (cn, cd, lam_plus_one, ld), cancelled
 
         assert K.verify_coincidence(e, 0, 1, 1).passed
-        monkeypatch.setattr(K, "_numeric_curve", shifted)
+        monkeypatch.setattr(C, "_cleared", shifted)
         out = K.verify_coincidence(e, 0, 1, 1)
         assert (out.status, out.reason) == ("fail", "exact (c, lambda) values differ")
         assert out.source_values[0] == out.target_values[0]
@@ -437,22 +453,29 @@ class TestCurveMemo:
         assert (info.misses, info.hits) == (1, 1)
 
     def test_one_build_per_distinct_curve(self):
-        C._numeric_curve.cache_clear()
+        # A cell reads its source curve once the displayed formulas have
+        # no pole, and its target curve once the source is on its domain.
+        C._cleared.cache_clear()
         curves = set()
-        compared = 0
+        reads = compared = 0
         for e in K.all_entries():
             rule = K.TARGETS[e.target]
             for n in range(2):
                 for m in range(2):
                     for r in range(rule.min_r, 3):
                         out = K.verify_coincidence(e, n, m, r)
-                        if out.source_values is not None:
-                            compared += 1
-                            curves |= {(e.source, n, m), (rule.tag, 0, rule.m_of(r))}
-        info = C._numeric_curve.cache_info()
+                        if out.psi1 is None:
+                            continue
+                        read = [(e.source, n, m)]
+                        if out.reason != "source curve formulas are undefined at psi":
+                            read.append((rule.tag, 0, rule.m_of(r)))
+                        curves.update(read)
+                        reads += len(read)
+                        compared += out.source_values is not None
+        info = C._cleared.cache_info()
         assert compared > 0
         assert info.misses == len(curves)
-        assert info.hits + info.misses == 2 * compared
+        assert info.hits + info.misses == reads
 
     def test_int_and_fraction_arguments_agree(self):
         e = entry("2B", "sp", 6)
@@ -462,19 +485,20 @@ class TestCurveMemo:
             assert K.verify_coincidence(e, F(1), F(2), F(r)) == K.verify_coincidence(e, 1, 2, r)
 
     def test_default_sweep_builds_each_curve_once(self, capsys, monkeypatch):
-        # The sweep keys the memos by ints; Fraction arguments afterwards
-        # find the same entries, so no curve or domain set is built twice.
+        # The sweep keys the memo by ints; Fraction arguments afterwards
+        # find the same entries, so no curve is built twice, and the
+        # sweep reads the builds directly, with no canonical curve.
         monkeypatch.delenv("HOOKW_WORKERS", raising=False)
         C._numeric_curve.cache_clear()
-        C._excluded_psi.cache_clear()
+        C._cleared.cache_clear()
         assert cli.main(["verify", "coincidences", "--json"]) == 0
         capsys.readouterr()
-        sizes = (C._numeric_curve.cache_info().currsize, C._excluded_psi.cache_info().currsize)
-        assert sizes == (102, 103)
+        sizes = (C._cleared.cache_info().currsize, C._numeric_curve.cache_info().currsize)
+        assert sizes == (103, 0)
         for e in K.all_entries():
             K.verify_coincidence(e, F(1), F(2), F(K.TARGETS[e.target].min_r))
-        assert C._numeric_curve.cache_info().currsize == 102
-        assert C._excluded_psi.cache_info().currsize == 103
+        sizes = (C._cleared.cache_info().currsize, C._numeric_curve.cache_info().currsize)
+        assert sizes == (103, 0)
 
 
 def _composed_oracle(e, curves):

@@ -21,7 +21,7 @@ import pytest
 import hookw
 import hookw.cli as cli
 from hookw._record import replace
-from hookw.curves import TruncationCurve
+import hookw.curves as curves
 from hookw.exact import PoleError, RatFunc, parse_ratfunc
 
 
@@ -431,10 +431,11 @@ class TestVerify:
         assert all("denominator vanishes" in f for f in payload["failures"])
 
     def test_value_error_is_a_failure_not_a_skip(self, capsys, monkeypatch):
-        def broken(self, p, q):
+        def broken(*args):
             raise ValueError("evaluation broke")
 
-        monkeypatch.setattr(TruncationCurve, "_sums", broken)
+        # The one evaluator the cell kernel reads each curve through.
+        monkeypatch.setattr(curves, "_int_list_at", broken)
         code, out, _ = run(
             capsys,
             "verify", "coincidences", "--sweep", "n=0..1,m=0..1,r=1..2", "--json",

@@ -3,14 +3,16 @@
 A refactor must leave every intersection report, every ``hookw intersect
 --json`` output, the stdout and exit code of the eight default ``verify``
 invocations, in one process and through the pool, a 10,368-cell
-``verify coincidences`` sweep, in one process and through the pool, and the
-Gelfand-Tsetlin JSON byte for byte as they were.  The rationality
+``verify coincidences`` sweep, in one process and through the pool, the
+Gelfand-Tsetlin JSON and the generic-domain verdicts of the eight families
+on a grid byte for byte as they were.  The rationality
 witnesses are pinned by ``test_catalog.py::TestRationalPoints::
 test_output_is_pinned``.  The pins change only together with a stated
 output diff.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -37,6 +39,8 @@ SWEEP_10K = "n=0..5,m=0..5,r=1..6"
 SWEEP_10K_SHA256 = "0e689e0ead3e354eb4ee8b7b7211dbc4f2b8ac3fd959f513fa5cbb032c7edfcb"
 # The concatenated stdout of ``gt-factors --json`` on ``_gt_argvs()``.
 GT_SHA256 = "84117aa2b6df2a0dbb8600f85b44cd7d85b2962aa64478a5c0454cb31d8c0f54"
+# The ``on_generic_domain`` verdicts of ``_domain_grid()``, "1" or "0" each, in its order.
+DOMAIN_SHA256 = "0d1321cf3c6909a291585283a95331e7b4349386cbd7f877004d17943eed5919"
 
 
 def _reports():
@@ -71,6 +75,20 @@ def _gt_argvs():
         for n in range(1, 9):
             for k in range(1, 9):
                 yield ["gt-factors", "--series", series, "--n", str(n), "--k", str(k), "--json"]
+
+
+def _domain_grid():
+    """Every family at n, m in -1, -1/2, ..., 4 and psi = p/q, |p| <= 6, 1 <= q <= 4.
+
+    psi = 0 is the pole of every inverting route's psi map.
+    """
+    params = [Fraction(k, 2) for k in range(-2, 9)]
+    psis = sorted({Fraction(p, q) for p in range(-6, 7) for q in range(1, 5)})
+    for tag in hookw.FAMILY_TAGS:
+        for n in params:
+            for m in params:
+                for psi in psis:
+                    yield tag, n, m, psi
 
 
 def _sha256(text):
@@ -123,3 +141,9 @@ def test_gt_factors_json_is_pinned(capsys):
         outs.append(capsys.readouterr().out)
     assert codes == [0] * 192
     assert _sha256("".join(outs)) == GT_SHA256
+
+
+def test_generic_domain_verdicts_are_pinned():
+    verdicts = ["01"[hookw.on_generic_domain(*point)] for point in _domain_grid()]
+    assert len(verdicts) == 31944 and verdicts.count("0") == 4019
+    assert _sha256("".join(verdicts)) == DOMAIN_SHA256

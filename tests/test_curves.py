@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 from fractions import Fraction
@@ -210,14 +211,21 @@ class TestTwoCoordinates:
         assert C._F() == (
             (C._at_m0(c.num), C._at_m0(c.den)),
             (C._at_m0(lam.num), C._at_m0(lam.den)),
-            [C._at_m0(f) for f in C._master_domain_factors()],
         )
 
+    def test_the_denominators_are_the_printed_factors(self):
+        # The domain lemma of curves._cleared: F's c.den times its lam.den
+        # is 7 times the product of the seven printed factors' slices.
+        (_, c_den), (_, lam_den) = C._F()
+        factors = [C._at_m0(f) for f in C._master_domain_factors()]
+        product = functools.reduce(E._dmul, factors)
+        assert E._dmul(c_den, lam_den) == E._dscale(product, 7)
+
     def test_t_slices_are_pinned(self):
-        # F sliced by t, c and lambda and the seven factors, against the
-        # sha256 of the slices as they were read off the canonical master.
+        # F sliced by t, c and lambda, against the sha256 of the slices as
+        # they were read off the canonical master.
         digest = hashlib.sha256(json.dumps(C._t_slices()).encode()).hexdigest()
-        assert digest == "f88f064c9bebcdbb0df13932be1bef4645020a49a358d3fd4e3a0416f87cf72d"
+        assert digest == "91662a4bf4ccb0fb4ec8876c75b853a79dd68e3adc085eaf3bc4eb3d7e7cbab6"
 
     def test_F_is_smaller_than_the_entered_master(self):
         c, lam = master_2B()
@@ -345,11 +353,11 @@ class TestNumericBuilds:
     def test_numeric_trialities_build_no_curve(self, monkeypatch):
         # An identity that holds is read off its two points of F and the
         # orbit of F; a curve without lambda is found on the lambda
-        # denominator's t-slices, without the excluded-psi root finding.
+        # denominator's t-slices, with no curve build and no root finding.
         def forbidden(*args):
             raise AssertionError("a triality that holds built a curve")
 
-        for name in ("_curve", "_numeric_curve", "_symbolic_2B", "_excluded_psi", "rational_roots"):
+        for name in ("_curve", "_numeric_curve", "_symbolic_2B", "_cleared", "rational_roots"):
             monkeypatch.setattr(C, name, forbidden)
         monkeypatch.setattr(RatFunc, "substitute", forbidden)
         monkeypatch.setattr(RatFunc, "specialize", forbidden)
@@ -530,8 +538,9 @@ class TestGenericDomain:
             C.on_generic_domain("3B", 0, 1, psi)
 
     def test_every_psi_excluded_exactly_where_lambda_is_none(self):
-        # values() is reached only after both domain checks pass, so no
-        # passing check may lead to a curve without lambda.
+        # The cell kernel reads a curve only where the domain check passes,
+        # so no passing check may lead to a curve without lambda.  A curve
+        # with lambda has finitely many excluded psi, fewer than the grid's.
         grid_n = [F(k, 2) for k in range(-2, 9)]
         grid_m = [F(k, 2) for k in range(-2, 11)]
         all_excluded = set()
@@ -539,7 +548,7 @@ class TestGenericDomain:
         for tag in L.FAMILY_TAGS:
             for n in grid_n:
                 for m in grid_m:
-                    if C._excluded_psi(tag, n, m) is None:
+                    if not any(C.on_generic_domain(tag, n, m, psi) for psi in self.PSIS):
                         all_excluded.add((tag, n, m))
                     if C.phi_family(tag, n, m).lam is None:
                         no_lambda.add((tag, n, m))
@@ -840,8 +849,9 @@ class TestIntersect:
         rep = C.intersect(C.phi_family("2B", 0, 1), C.phi_family("2C", 0, 1))
         assert len(rep.points) == 4
         calls = len(degrees)
-        # A fresh build, past the memo, of one generic-domain exclusion set.
-        assert C._excluded_psi.__wrapped__("2B", F(7, 2), F(9, 2))
+        # A fresh build, past the memo, of a curve whose gcd cancels a
+        # factor: its roots join the curve's cancelled set.
+        assert C._cleared.__wrapped__("2B", 0, 1)[2] == {(1, 2)}
         assert calls > 1 and len(degrees) > calls
 
 
