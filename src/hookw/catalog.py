@@ -47,10 +47,10 @@ from ._record import Record, replace
 from .curves import (
     _DEGENERATE_SET,
     TruncationCurve,
-    _numeric_curve,
     _orbit_maps,
     _point,
     _sums_on_domain,
+    phi_family,
 )
 from .exact import (
     _VAR_INDEX,
@@ -64,6 +64,7 @@ from .exact import (
 from .liedata import (
     AlgebraDesc,
     HookFamily,
+    ambient_algebra,
     coxeter_number,
     dual_coxeter,
     lacing_number,
@@ -120,7 +121,8 @@ class TargetRule(Record):
 
     ``W_s`` of the target algebra of rank parameter r equals the family
     ``tag`` at (n, m) = (0, m_expr(r)) and psi = s + shift(r).  ``min_r``
-    is the smallest rank for which coincidence statements exist.
+    is the smallest rank for which coincidence statements exist.  The
+    algebra is the family's; the shift, a polynomial in r, is its h^vee.
     """
 
     kind: str
@@ -130,13 +132,7 @@ class TargetRule(Record):
     min_r: int
 
     def algebra(self, r: int) -> AlgebraDesc:
-        if self.kind == "sp":
-            return AlgebraDesc.sp(2 * r)
-        if self.kind == "so_even":
-            return AlgebraDesc.so(2 * r)
-        if self.kind == "so_odd":
-            return AlgebraDesc.so(2 * r + 1)
-        return AlgebraDesc.osp(1, 2 * r, "C")
+        return ambient_algebra(HookFamily.from_tag(self.tag, 0, self.m_of(r))).plain()
 
     def m_of(self, r) -> Fraction:
         return _rank_data(self.kind, _coerce_fraction(r))[0]
@@ -145,7 +141,7 @@ class TargetRule(Record):
         return _coerce_fraction(s) + _rank_data(self.kind, _coerce_fraction(r))[1]
 
     def curve(self, r) -> TruncationCurve:
-        return _numeric_curve(self.tag, 0, self.m_of(r))
+        return phi_family(self.tag, 0, self.m_of(r))
 
 
 @cache
@@ -631,32 +627,17 @@ def verify_osp_osp(m, n) -> OspOspReport:
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
     c_display = osp_osp_charge(m, n)
-    left = _numeric_curve("2B", 0, m)
-    right = _numeric_curve("2B", 0, n)
+    left = phi_family("2B", 0, m)
+    right = phi_family("2B", 0, n)
+    half = Fraction(1, 2)
     pairs = []
     for psi_k in _osp_osp_psis(Fraction(m), Fraction(n)):
         for psi_ell in _osp_osp_psis(Fraction(n), Fraction(m)):
-            c1, l1 = left.values(psi_k)
-            c2, l2 = right.values(psi_ell)
-            pairs.append(
-                OspOspPair(
-                    k=psi_k - m - Fraction(1, 2),
-                    ell=psi_ell - n - Fraction(1, 2),
-                    psi_k=psi_k,
-                    psi_ell=psi_ell,
-                    c=c1,
-                    lam_left=l1,
-                    lam_right=l2,
-                    passed=(c1 == c_display == c2 and l1 == l2),
-                )
-            )
-    return OspOspReport(
-        m=m,
-        n=n,
-        c=c_display,
-        degenerate=(c_display.numerator, c_display.denominator) in _DEGENERATE_SET,
-        pairs=tuple(pairs),
-    )
+            (c1, l1), (c2, l2) = left.values(psi_k), right.values(psi_ell)
+            pairs.append(OspOspPair(psi_k - m - half, psi_ell - n - half, psi_k, psi_ell,
+                                    c1, l1, l2, c1 == c_display == c2 and l1 == l2))
+    degenerate = (c_display.numerator, c_display.denominator) in _DEGENERATE_SET
+    return OspOspReport(m, n, c_display, degenerate, tuple(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -27,21 +27,24 @@ master; every curve is built from F.
 Data that depends only on (family, n, m) is built once and reused for
 every psi; every such memo is a ``functools.cache`` on the function that
 builds it, keyed on (tag, n, m), where an int and the equal Fraction
-share one entry.  A curve at rational (n, m) has exactly one build
-(``_cleared``): F's c and lambda pairs read in the family's own psi,
-by Horner in t into integer lists in psi (``_in_psi``), then
-through the route's degree-one psi map, every list cleared alike, each
-pair reduced by its one gcd, and the rational roots of what the gcd
-cancelled.  The catalog's cell kernel and the generic-domain check read
-it directly (``_sums_on_domain``): psi is off the domain where a
-canonical denominator sums to zero, by the one homogeneous Horner loop
-over ints (``exact._int_list_at``), or where psi is a cancelled root or
-the map's pole, so the curve and the check cannot disagree.  A numeric
-curve (``_numeric_curve``) wraps the same lists in RatFuncs; ``values``
-sums its four lists (``_psi_lists``) by the same loop, and ``intersect``
-eliminates on them and reads its equations at each root by it.  A
-symbolic curve composes F with n -> t, then with the psi map, and is
-canonicalized once.
+share one entry.  A curve at rational (n, m) has exactly one build and
+one memo entry (``_cleared``): F's c and lambda pairs read in the
+family's own psi, by Horner in t into integer lists in psi
+(``_in_psi``), then through the route's degree-one psi map, every list
+cleared alike, each pair reduced by its one gcd.  The cell kernel and
+the generic-domain check read it (``_sums_on_domain``): psi is off the
+domain where a canonical denominator sums to zero, by the one
+homogeneous Horner loop over ints (``exact._int_list_at``), or where psi
+is the map's pole or a root of a cancelled factor, searched on the first
+such question.  ``phi_family`` wraps the lists in RatFuncs once, and the
+curve carries the lists: ``values`` sums them (``_psi_lists``) by the
+same loop, and ``intersect`` eliminates on them.  A symbolic curve
+composes F with n -> t, then with the psi map, and is canonicalized once.
+
+Equal (c, lambda) suffices for a match but is not necessary; checked:
+1C(0, 2) and 2C(0, 2), so(5) and sp(4), have equal c and opposite lambda,
+as do 1C(0, 1) at psi and 2C(0, 1) at 2psi, so(3) and sp(2), and on
+2C(0, 2) c(1/(2psi)) = c(psi) and lambda(1/(2psi)) = -lambda(psi).
 
 Every curve identity is certified by the S3 orbit of F, the six maps of
 (t, x) that fix F, each proved once (``_orbit``): each side is read from
@@ -165,8 +168,8 @@ class TruncationCurve(Record):
     def _psi_lists(self):
         """(D, lists): c.num, c.den, lam.num, lam.den as integer lists in psi.
 
-        Read once per curve off the integer dicts of its own RatFuncs, all
-        a curve holds, whoever built it; D is the largest of the degrees.
+        A numeric curve from ``phi_family`` carries its build's; any other
+        reads them once off its RatFuncs' dicts.  D is the largest degree.
         """
         polys = (self.c.num, self.c.den, self.lam.num, self.lam.den)
         lists = [_dict_to_int_list(p._d, _PSI) for p in polys]
@@ -371,32 +374,62 @@ def _inner_params(tag: str, n, m):
     return n + dn, (m + dm + n if m_gains_n else m + dm)
 
 
+class _Build:
+    """The ``_cleared`` entry of a numeric curve: its canonical lists, as
+    (D, lists) like ``TruncationCurve._psi_lists``, each factor a gcd
+    cancelled, the pole of the route's map (a Fraction or None), and the
+    cancelled roots and the curve, each made on first use."""
+
+    __slots__ = ("psi_lists", "factors", "pole", "_cancelled", "_curve")
+
+    def __init__(self, psi_lists, factors, pole):
+        self.psi_lists, self.factors, self.pole = psi_lists, factors, pole
+        self._cancelled = self._curve = None
+
+    def cancelled(self) -> frozenset:
+        """The pole and each factor's rational roots, as reduced int pairs."""
+        if self._cancelled is None:
+            roots = [] if self.pole is None else [self.pole]
+            for g in self.factors:
+                roots += rational_roots(UniPoly._view("psi", g))
+            self._cancelled = frozenset((x.numerator, x.denominator) for x in roots)
+        return self._cancelled
+
+    def curve(self, source: str) -> TruncationCurve:
+        """The lists as a curve that carries them; lambda None if lam.den is []."""
+        if self._curve is None:
+            cn, cd, ln, ld = self.psi_lists[1]
+            lam = RatFunc._from_int_lists(ln, ld, _PSI) if ld else None
+            self._curve = TruncationCurve(RatFunc._from_int_lists(cn, cd, _PSI), lam, source, ())
+            object.__setattr__(self._curve, "_psi_lists", self.psi_lists)
+        return self._curve
+
+
 @cache
-def _cleared(tag: str, n, m):
-    """(D, lists, cancelled): the one build of tag(n, m) at rational (n, m).
+def _cleared(tag: str, n, m) -> _Build:
+    """The one build and the one memo entry of tag(n, m) at rational (n, m).
 
     F's c and lambda pairs, run at the route's t (``_in_psi``) and through
     its map w (``exact._int_list_moebius``), every list cleared alike, are
-    each reduced by one gcd (``_int_list_quotient``): lists holds c.num,
+    each reduced by one gcd (``_int_list_quotient``): the lists are c.num,
     c.den, lam.num, lam.den in psi, canonical but where lam.den vanishes
-    identically and is left empty.  D is the largest degree.  cancelled
-    holds, as reduced int pairs, the rational roots of each cancelled gcd
-    factor and the pole psi = -d/c of w.
+    identically and is left empty.  The entry keeps each cancelled gcd
+    factor and the pole psi = -d/c of w; the factors' rational roots are
+    searched on the first domain question (``_Build.cancelled``).
 
     The domain lemma: psi avoids every printed denominator factor of the
-    master exactly when it is not in cancelled and neither canonical
-    denominator vanishes there (``_sums_on_domain``).  F's c.den lam.den
-    is 7 times the product of the seven printed factors; substituting
-    t = n' + m'(2psi - 1) is a ring map, so the product survives it; and
-    the cleared composition with w multiplies each list only by a power
-    of (c psi + d), which is nonzero off the pole.  So off the pole a
-    printed factor vanishes exactly where a cleared denominator does,
-    that is where its canonical part or its cancelled factor does.
+    master exactly when it is not a cancelled root or the pole and neither
+    canonical denominator vanishes there (``_sums_on_domain``).  F's c.den
+    lam.den is 7 times the product of the seven printed factors;
+    substituting t = n' + m'(2psi - 1) is a ring map, so the product
+    survives it; and the cleared composition with w multiplies each list
+    only by a power of (c psi + d), which is nonzero off the pole.  So off
+    the pole a printed factor vanishes exactly where a cleared denominator
+    does, that is where its canonical part or its cancelled factor does.
     """
     w = _ROUTES[tag][3]
     t = _t_coeffs(*_inner_params(tag, n, m))
-    cancelled = {Fraction(-w[3], w[2])} if w and w[2] else set()
-    lists = []
+    lists, factors = [], []
     for pair in _t_slices():
         num, den = _in_psi(pair, t)
         if w is not None:
@@ -404,10 +437,10 @@ def _cleared(tag: str, n, m):
         if den:
             num, den, g = _int_list_quotient(num, den)
             if len(g) > 1:
-                cancelled.update(rational_roots(UniPoly._view("psi", g)))
+                factors.append(g)
         lists += (num, den)
-    top = max(map(len, lists)) - 1
-    return top, tuple(lists), frozenset((x.numerator, x.denominator) for x in cancelled)
+    pole = Fraction(-w[3], w[2]) if w and w[2] else None
+    return _Build((max(map(len, lists)) - 1, tuple(lists)), tuple(factors), pole)
 
 
 def _sums_at(top, lists, p, q):
@@ -426,8 +459,8 @@ def _sums_at(top, lists, p, q):
 
 def _sums_on_domain(tag: str, n, m, psi):
     """``_sums_at`` on tag(n, m)'s build at psi, a reduced (p, q); None off the domain."""
-    top, lists, cancelled = _cleared(tag, n, m)
-    return None if psi in cancelled else _sums_at(top, lists, *psi)
+    build = _cleared(tag, n, m)
+    return None if psi in build.cancelled() else _sums_at(*build.psi_lists, *psi)
 
 
 def on_generic_domain(fam_or_tag, n, m, psi) -> bool:
@@ -438,7 +471,8 @@ def on_generic_domain(fam_or_tag, n, m, psi) -> bool:
     denominator vanishes.  On the excluded loci the curve is defined as a
     limit and individual printed values carry no content.  The check reads
     the curve's one build, its canonical denominators and its cancelled
-    roots (``_cleared``, ``_sums_on_domain``).
+    roots, searched on the build's first such check (``_cleared``,
+    ``_sums_on_domain``).
     """
     tag = getattr(fam_or_tag, "tag", fam_or_tag)
     if tag not in _ROUTES:
@@ -464,22 +498,6 @@ def _coerce_param(value):
     return _coerce_fraction(value)
 
 
-def _curve(c: RatFunc, lam: Optional[RatFunc], source: str) -> TruncationCurve:
-    names = c.variables() | (set() if lam is None else lam.variables())
-    return TruncationCurve(c=c, lam=lam, source=source, symbols=tuple(sorted(names - {"psi"})))
-
-
-@cache
-def _numeric_curve(tag: str, n, m) -> TruncationCurve:
-    """The curve of family tag at rational (n, m): its ``_cleared`` lists as RatFuncs.
-
-    Keyed like ``_cleared``; lambda is None where its denominator is empty.
-    """
-    _, (cn, cd, ln, ld), _ = _cleared(tag, n, m)
-    lam = RatFunc._from_int_lists(ln, ld, _PSI) if ld else None
-    return _curve(RatFunc._from_int_lists(cn, cd, _PSI), lam, _ROUTES[tag][4])
-
-
 def _symbolic_2B(n, m, w, source: str) -> TruncationCurve:
     """The 2B curve at symbolic (n, m), composed with w, on polynomial dicts.
 
@@ -497,7 +515,9 @@ def _symbolic_2B(n, m, w, source: str) -> TruncationCurve:
         for subs in steps:
             num, den = _dcompose(num, den, subs)
         out.append(RatFunc._from_dicts(num, den) if den else None)
-    return _curve(*out, source)
+    c, lam = out
+    names = c.variables() | (set() if lam is None else lam.variables())
+    return TruncationCurve(c, lam, source, tuple(sorted(names - {"psi"})))
 
 
 def phi_family(tag: str, n, m) -> TruncationCurve:
@@ -507,10 +527,10 @@ def phi_family(tag: str, n, m) -> TruncationCurve:
     route's map, with (n', m') and the map from the family's row of
     ``_ROUTES``: 1O, 2D, 1C are half-integer shifts of the master, and 1B,
     1D, 2C, 2O also invert psi.  n and m may be any rationals, on integer
-    lists (``_numeric_curve``), or symbolic, on polynomial dicts
-    (``_symbolic_2B``).  On the slices where the lambda denominator
-    vanishes identically (the free-field orbifold cosets) the lambda
-    component is None.
+    lists, the curve held by the one memo entry (``_cleared``,
+    ``_Build.curve``); or symbolic, on polynomial dicts (``_symbolic_2B``).
+    Where the lambda denominator vanishes identically (the free-field
+    orbifold cosets) the lambda component is None.
     """
     if tag not in _ROUTES:
         raise ValueError(f"unknown family {tag!r}")
@@ -518,7 +538,7 @@ def phi_family(tag: str, n, m) -> TruncationCurve:
     if isinstance(n, RatFunc) or isinstance(m, RatFunc):
         _, _, _, route, label = _ROUTES[tag]
         return _symbolic_2B(*_inner_params(tag, n, m), route, label)
-    return _numeric_curve(tag, n, m)
+    return _cleared(tag, n, m).curve(_ROUTES[tag][4])
 
 
 def phi(fam: HookFamily) -> TruncationCurve:

@@ -85,6 +85,14 @@ class AlgebraDesc(Record):
     def osp(cls, odd: int, even: int, flag: str) -> "AlgebraDesc":
         return cls(kind="osp", odd=odd, even=even, flag=flag)
 
+    def plain(self) -> "AlgebraDesc":
+        """osp(M|0), M >= 2, as so(M) and osp(0|2N) as sp(2N); osp(1|0) keeps its name."""
+        if self.kind == "osp" and not self.even and self.odd > 1:
+            return AlgebraDesc.so(self.odd)
+        if self.kind == "osp" and not self.odd:
+            return AlgebraDesc.sp(self.even)
+        return self
+
     def __str__(self) -> str:
         if self.kind in ("so_odd", "so_even"):
             return f"so({self.size})"
@@ -450,15 +458,6 @@ def _lvl(expr: RatFunc) -> str:
     return expr.to_text().replace(" ", "")
 
 
-def _algebra_text(g: AlgebraDesc) -> str:
-    # osp(M|0) is so(M) and osp(0|2N) is sp(2N).
-    if g.kind == "osp" and not g.even:
-        return str(AlgebraDesc.so(g.odd))
-    if g.kind == "osp" and not g.odd:
-        return str(AlgebraDesc.sp(g.even))
-    return str(g)
-
-
 # The n = m = 0 members other than C, as (kind, text); each is its own coset.
 _BOTTOM = {
     "1B": ("heisenberg", "H(1)"),
@@ -491,7 +490,7 @@ def describe(fam: HookFamily) -> CaseDescription:
     tag = fam.tag
     algebra = ambient_algebra(fam)
     k = RatFunc.var("psi") - dual_coxeter(algebra)
-    g = _algebra_text(algebra)
+    g = algebra.plain()
 
     def done(w_kind, w_text, coset_kind, coset_text, orbifold, notes=()):
         if orbifold:

@@ -100,6 +100,22 @@ class TestTableShape:
         assert str(osp.algebra(2)) == "osp(1|4)"
         assert str(so_odd.algebra(2)) == "so(5)"
 
+    def test_typed_shift_is_the_dual_coxeter_of_the_family_algebra(self):
+        # The shift stays typed, a polynomial in r; at each rank it is h^vee
+        # of the target algebra, which is the family's at (0, m_of(r)) with
+        # osp(M|0) spelled so(M).
+        def plain(g):
+            return f"so({g.odd})" if g.kind == "osp" and not g.even else str(g)
+
+        cases = 0
+        for kind, rule in K.TARGETS.items():
+            for r in range(1, 41):
+                member = L.HookFamily.from_tag(rule.tag, 0, rule.m_of(r))
+                assert rule.psi_of_s(0, r) == L.dual_coxeter(rule.algebra(r)), (kind, r)
+                assert str(rule.algebra(r)) == plain(L.ambient_algebra(member)), (kind, r)
+                cases += 1
+        assert cases == 160
+
 
 class TestVerifyPointwise:
     def test_pinned_pass(self):
@@ -155,8 +171,8 @@ class TestVerifyPointwise:
         assert K._cell_check(e, 1, 1, 2)[0] == "pass"
 
         def zeroed(tag, n, m):
-            top, (cn, _, ln, _), _ = real(tag, n, m)
-            return top, (cn, [], ln, []), frozenset()
+            top, (cn, _, ln, _) = real(tag, n, m).psi_lists
+            return C._Build((top, (cn, [], ln, [])), (), None)
 
         with monkeypatch.context() as patch:
             patch.setattr(C, "_cleared", zeroed)
@@ -346,8 +362,8 @@ class TestCellKernel:
                             continue
                         rule = K.TARGETS[e.target]
                         m_t = int(rule.m_of(r))
-                        source = C._numeric_curve(e.source, n, m)
-                        target = C._numeric_curve(rule.tag, 0, m_t)
+                        source = C.phi_family(e.source, n, m)
+                        target = C.phi_family(rule.tag, 0, m_t)
                         for pair, values, curve, psi in (
                             (sums[0], out.source_values, source, out.psi1),
                             (sums[1], out.target_values, target, out.psi2),
@@ -365,11 +381,13 @@ class TestCellKernel:
         target_tag = K.TARGETS[e.target].tag
 
         def shifted(tag, n, m):
-            top, (cn, cd, ln, ld), cancelled = build = real(tag, n, m)
+            build = real(tag, n, m)
             if tag != target_tag:
                 return build
+            top, (cn, cd, ln, ld) = build.psi_lists
             lam_plus_one = E._int_list_sub(ln, [-v for v in ld])
-            return max(top, len(lam_plus_one) - 1), (cn, cd, lam_plus_one, ld), cancelled
+            lists = (max(top, len(lam_plus_one) - 1), (cn, cd, lam_plus_one, ld))
+            return C._Build(lists, build.factors, build.pole)
 
         assert K.verify_coincidence(e, 0, 1, 1).passed
         monkeypatch.setattr(C, "_cleared", shifted)
@@ -447,10 +465,12 @@ class TestFullSweep:
 
 class TestCurveMemo:
     def test_int_and_fraction_share_an_entry(self):
-        C._numeric_curve.cache_clear()
-        assert C._numeric_curve("2B", 0, 1) is C._numeric_curve("2B", F(0), F(1))
-        info = C._numeric_curve.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        # The build's one memo entry holds the curve, whichever key asks.
+        C._cleared.cache_clear()
+        curve = C.phi_family("2B", 0, 1)
+        assert curve is C.phi_family("2B", F(0), F(1)) is C._cleared("2B", 0, 1)._curve
+        info = C._cleared.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_one_build_per_distinct_curve(self):
         # A cell reads its source curve once the displayed formulas have
@@ -487,18 +507,36 @@ class TestCurveMemo:
     def test_default_sweep_builds_each_curve_once(self, capsys, monkeypatch):
         # The sweep keys the memo by ints; Fraction arguments afterwards
         # find the same entries, so no curve is built twice, and the
-        # sweep reads the builds directly, with no canonical curve.
+        # sweep reads the builds directly: no entry makes its curve.
+        builds = []
+
+        class Recorded(C._Build):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                builds.append(self)
+
+        searches = []
+
+        def counted(p):
+            searches.append(p)
+            return E.rational_roots(p)
+
         monkeypatch.delenv("HOOKW_WORKERS", raising=False)
-        C._numeric_curve.cache_clear()
+        monkeypatch.setattr(C, "_Build", Recorded)
+        monkeypatch.setattr(C, "rational_roots", counted)
         C._cleared.cache_clear()
         assert cli.main(["verify", "coincidences", "--json"]) == 0
         capsys.readouterr()
-        sizes = (C._cleared.cache_info().currsize, C._numeric_curve.cache_info().currsize)
-        assert sizes == (103, 0)
+        assert C._cleared.cache_info().currsize == len(builds) == 103
+        assert len(searches) == 76
+        assert all(b._curve is None for b in builds)
         for e in K.all_entries():
             K.verify_coincidence(e, F(1), F(2), F(K.TARGETS[e.target].min_r))
-        sizes = (C._cleared.cache_info().currsize, C._numeric_curve.cache_info().currsize)
-        assert sizes == (103, 0)
+        assert C._cleared.cache_info().currsize == len(builds) == 103
+        assert all(b._curve is None for b in builds)
+        C._cleared.cache_clear()
 
 
 def _composed_oracle(e, curves):
@@ -955,6 +993,21 @@ class TestAdmissibility:
         # 0 -> 3/1 fails q >= 4; -7/5 -> 8/5 holds; 1/3 -> 10/3 fails q >= 4.
         for s, answer in ((F(0), "no"), (F(-7, 5), "yes"), (F(1, 3), "no")):
             assert K.is_admissible_nondegenerate("so(5)", s) == answer, s
+
+    def test_low_rank_isomorphisms_and_the_sl2_rule(self):
+        # so(3) = sp(2) = sl2 with the so(3) level doubled, and so(5) = sp(4)
+        # at one level; at rank one the answer is the sl2 rule: "yes"
+        # exactly when k + 2 = p/q with p >= 2 and q >= 2.
+        levels = {F(a, b) for a in range(-40, 80) for b in range(1, 13)}
+        assert len(levels) == 896
+        for k in levels:
+            sp2 = K.is_admissible_nondegenerate("sp(2)", k)
+            assert K.is_admissible_nondegenerate("so(3)", k) == K.is_admissible_nondegenerate(
+                "sp(2)", 2 * k), k
+            assert K.is_admissible_nondegenerate("so(5)", k) == K.is_admissible_nondegenerate(
+                "sp(4)", k), k
+            p, q = (k + 2).numerator, (k + 2).denominator
+            assert sp2 == ("yes" if p >= 2 and q >= 2 else "no"), k
 
     def test_no_simple_part_is_unknown(self):
         for alg in ("sp(0)", "so(1)", "so(2)"):

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -322,8 +323,8 @@ class TestNumericBuilds:
         def forbidden(*args):
             raise AssertionError("numeric curve built through the polynomial dict route")
 
-        # Built afresh, not read from the numeric-curve memo.
-        C._numeric_curve.cache_clear()
+        # Built afresh, not read from the memo of builds.
+        C._cleared.cache_clear()
         with monkeypatch.context() as patch:
             for module in (C, E):
                 patch.setattr(module, "_dcompose", forbidden)
@@ -357,7 +358,7 @@ class TestNumericBuilds:
         def forbidden(*args):
             raise AssertionError("a triality that holds built a curve")
 
-        for name in ("_curve", "_numeric_curve", "_symbolic_2B", "_cleared", "rational_roots"):
+        for name in ("TruncationCurve", "_symbolic_2B", "_cleared", "rational_roots"):
             monkeypatch.setattr(C, name, forbidden)
         monkeypatch.setattr(RatFunc, "substitute", forbidden)
         monkeypatch.setattr(RatFunc, "specialize", forbidden)
@@ -379,7 +380,8 @@ class TestNumericMemo:
     """A numeric curve is built once per (tag, n, m), in one memo."""
 
     def test_int_and_fraction_share_a_curve(self):
-        assert C.phi_family("2B", 1, 2) is C.phi_family("2B", F(1), 2)
+        # The curve is held by the build's one memo entry.
+        assert C.phi_family("2B", 1, 2) is C.phi_family("2B", F(1), 2) is C._cleared("2B", 1, 2)._curve
         assert C.phi_family("1D", F(1, 2), 3) is C.phi_family("1D", F(2, 4), F(3))
 
     def test_a_float_is_refused_with_the_curve_cached(self):
@@ -392,7 +394,7 @@ class TestNumericMemo:
     def test_one_oracle_pass_builds_seven_curves(self):
         # The acceptance oracle's 20 intersections call phi_family 40
         # times on 4 sources and 3 targets.
-        C._numeric_curve.cache_clear()
+        C._cleared.cache_clear()
         calls = 0
         for n in (0, 1):
             for m in (1, 2):
@@ -405,7 +407,7 @@ class TestNumericMemo:
                         target = C.phi_family(rule.tag, 0, rule.m_of(r))
                         C.intersect(source, target)
                         calls += 2
-        info = C._numeric_curve.cache_info()
+        info = C._cleared.cache_info()
         assert calls == 40
         assert (info.misses, info.hits) == (7, 33)
 
@@ -757,6 +759,28 @@ class TestVirasoroQuotient:
         assert expr == RatFunc.const(F(1))
 
 
+class TestLambdaSign:
+    """Equal (c, lambda) is sufficient, not necessary: lambda flips sign
+    between two spellings of one algebra and along the sp(4) line."""
+
+    def test_so5_and_sp4_at_one_psi(self):
+        so5, sp4 = C.phi_family("1C", 0, 2), C.phi_family("2C", 0, 2)
+        assert so5.c == sp4.c
+        assert so5.lam == -sp4.lam
+
+    def test_so3_at_psi_and_sp2_at_twice_psi(self):
+        so3, sp2 = C.phi_family("1C", 0, 1), C.phi_family("2C", 0, 1)
+        at = {"psi": 2 * PSI}
+        assert so3.c == sp2.c.specialize(at)
+        assert so3.lam == -sp2.lam.specialize(at)
+
+    def test_sp4_line_under_one_over_twice_psi(self):
+        sp4 = C.phi_family("2C", 0, 2)
+        at = {"psi": 1 / (2 * PSI)}
+        assert sp4.c.specialize(at) == sp4.c
+        assert sp4.lam.specialize(at) == -sp4.lam
+
+
 class TestIntersect:
     def test_contains_printed_sp_point(self):
         rep = C.intersect(C.phi_family("2B", 0, 1), C.phi_family("2C", 0, 1))
@@ -838,21 +862,27 @@ class TestIntersect:
     def test_rational_roots_always_receives_a_unipoly(self, monkeypatch):
         # The traced benchmark (perfbench/spans.py) reads args[0].degree()
         # on every rational_roots call, which a MultiPoly does not accept.
-        degrees = []
+        callers = []
 
         def checked(p):
             assert isinstance(p, UniPoly), type(p)
-            degrees.append(p.degree())
+            p.degree()
+            callers.append(sys._getframe(1).f_code.co_name)
             return rational_roots(p)
 
         monkeypatch.setattr(C, "rational_roots", checked)
+        # Fresh builds search no root: only intersect itself does.
+        C._cleared.cache_clear()
         rep = C.intersect(C.phi_family("2B", 0, 1), C.phi_family("2C", 0, 1))
         assert len(rep.points) == 4
-        calls = len(degrees)
-        # A fresh build, past the memo, of a curve whose gcd cancels a
-        # factor: its roots join the curve's cancelled set.
-        assert C._cleared.__wrapped__("2B", 0, 1)[2] == {(1, 2)}
-        assert calls > 1 and len(degrees) > calls
+        assert len(callers) > 1 and set(callers) == {"intersect"}
+        # The first domain question on 2B(0, 1), whose gcds cancel two
+        # factors, searches each factor's roots once.
+        callers.clear()
+        assert not C.on_generic_domain("2B", 0, 1, F(1, 2))
+        assert callers == ["cancelled"] * 2 == ["cancelled"] * len(C._cleared("2B", 0, 1).factors)
+        assert C._cleared("2B", 0, 1).cancelled() == {(1, 2)}
+        assert C.on_generic_domain("2B", 0, 1, F(3)) and len(callers) == 2
 
 
 class TestExactParameters:
