@@ -91,6 +91,8 @@ __all__ = ["SweepSpec", "parse_sweep", "build_parser", "main"]
 # Sweep specifications.
 # ---------------------------------------------------------------------------
 
+_MAX_CELLS = 100000  # the default cap of SweepSpec and verify --max-cells
+
 
 class SweepSpec:
     """Inclusive integer ranges per sweep variable, e.g. n=0..4, m=0..4.
@@ -107,7 +109,7 @@ class SweepSpec:
     def __init__(
         self,
         ranges: Dict[str, Tuple[int, int]],
-        max_cells: int = 100000,
+        max_cells: int = _MAX_CELLS,
         cells_per_point: int = 1,
     ):
         size = cells_per_point
@@ -696,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="inclusive integer ranges, e.g. n=0..3,m=0..3; unlisted variables keep defaults",
     )
-    p.add_argument("--max-cells", type=int, default=100000, help="sweep size cap")
+    p.add_argument("--max-cells", type=int, default=_MAX_CELLS, help="sweep size cap")
     _add_json_flag(p)
     p.set_defaults(func=_cmd_verify)
 

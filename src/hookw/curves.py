@@ -12,34 +12,34 @@ All arithmetic is exact; the master's polynomials and factors are entered
 once, verbatim, its c is ``liedata.closed_form_charge("2B")``, and value
 checks in the test suite guard them.
 
-Each family's route to the master curve is one row of ``_ROUTES``: the
-shifted (n, m) at which 2B is taken and the one degree-one psi map of the
-triality group composed with it.  Every curve is built by one
-constructor, ``phi_family``, from that row: the master at the shifted
-(n, m) with psi through the route's map.
+Each family's route to the master curve is one row of ``_ROUTES``, read
+once (``_route``): the shifted (n, m) at which 2B is taken and the one
+degree-one psi map of the triality group composed with it.
 The master depends on (n, m) only through t = n + m(2psi - 1), so the
 package holds only F(t, psi), its slice at m = 0 (``_at_m0``), with
 6 + 2 terms for c and 20 + 33 for lambda against 19 + 2 and 79 + 213.
 F is built once (``_F``) from the printed pieces, each sliced at m = 0
 before the lambda products are taken, and never from the three-variable
-master; every curve is built from F.
+master.  Every curve, numeric or symbolic, is built from F by one
+pipeline (``_composed``) behind one constructor, ``phi_family``: F's
+pairs by Horner in t = (alpha + beta psi)/L (``_line``, ``_in_psi``) into
+lists in psi, then through the route's map (``exact._int_list_moebius``),
+all cleared alike: ints at rational (n, m); at symbolic (n, m) polynomial
+``exact._Cleared`` values, read as dicts and canonicalized once.
 
 Data that depends only on (family, n, m) is built once and reused for
 every psi; every such memo is a ``functools.cache`` on the function that
 builds it, keyed on (tag, n, m), where an int and the equal Fraction
 share one entry.  A curve at rational (n, m) has exactly one build and
-one memo entry (``_cleared``): F's c and lambda pairs read in the
-family's own psi, by Horner in t into integer lists in psi
-(``_in_psi``), then through the route's degree-one psi map, every list
-cleared alike, each pair reduced by its one gcd.  The cell kernel and
-the generic-domain check read it (``_sums_on_domain``): psi is off the
-domain where a canonical denominator sums to zero, by the one
-homogeneous Horner loop over ints (``exact._int_list_at``), or where psi
-is the map's pole or a root of a cancelled factor, searched on the first
-such question.  ``phi_family`` wraps the lists in RatFuncs once, and the
-curve carries the lists: ``values`` sums them (``_psi_lists``) by the
-same loop, and ``intersect`` eliminates on them.  A symbolic curve
-composes F with n -> t, then with the psi map, and is canonicalized once.
+one memo entry (``_cleared``): the pipeline's integer lists, each pair
+reduced by its one gcd.  The cell kernel and the generic-domain check
+read it (``_sums_on_domain``): psi is off the domain where a canonical
+denominator sums to zero, by the one homogeneous Horner loop over ints
+(``exact._int_list_at``), or where psi is the map's pole or a root of a
+cancelled factor, searched on the first such question.  ``phi_family``
+wraps the lists in RatFuncs once, and the curve carries the lists:
+``values`` sums them (``_psi_lists``) by the same loop, and
+``intersect`` eliminates on them.
 
 Equal (c, lambda) suffices for a match but is not necessary; checked:
 1C(0, 2) and 2C(0, 2), so(5) and sp(4), have equal c and opposite lambda,
@@ -72,6 +72,7 @@ from .exact import (
     rational_roots,
 )
 from .exact import (
+    _DICTS,
     _LISTS,
     _VAR_INDEX,
     _Cleared,
@@ -83,6 +84,7 @@ from .exact import (
     _dmul,
     _dneg,
     _dscale,
+    _dsub,
     _dict_to_int_list,
     _int_list_at,
     _int_list_deflate,
@@ -290,45 +292,45 @@ def _at_m0(p: MultiPoly) -> dict:
 
 @cache
 def _F():
-    """F, the master at m = 0: (num, den) of c and of lambda.
+    """F, the master at m = 0: (num, den) of c and of lambda, sliced by t.
 
-    Int dicts in n, standing for t, and psi.  c is the closed-form 2B
-    charge.  lambda is -(2psi)(2psi - 1) F_2B over 7 times the other five
-    domain factors.  Slicing at m = 0 is a ring homomorphism, so lambda's
-    products are taken of the printed factors' slices, with no gcd: none
-    cancels, and the pair equals the slice of the canonical master.
+    Each is [S_0, ..., S_d], S_e the integer list in psi of t**e, from a
+    dict in n, for t, and psi.  c is the closed-form 2B charge.  lambda is
+    -(2psi)(2psi - 1) F_2B over 7 times the other five domain factors.
+    Slicing at m = 0 is a ring homomorphism, so lambda's products are taken
+    of the printed factors' slices, with no gcd: none cancels, and the pair
+    equals the slice of the canonical master.
     """
     c = closed_form_charge("2B", RatFunc.var("n"), RatFunc.var("m"))
     two_psi, two_psi_less_one, *den = [_at_m0(f) for f in _master_domain_factors()]
     lam_num = reduce(_dmul, (two_psi, two_psi_less_one, _at_m0(parse_ratfunc(_F_2B).num)))
     lam_den = _dscale(reduce(_dmul, den), 7)
-    return (_at_m0(c.num), _at_m0(c.den)), (_dneg(lam_num), lam_den)
+    pairs = (_at_m0(c.num), _at_m0(c.den)), (_dneg(lam_num), lam_den)
+    return tuple(tuple(_LISTS[_PSI].dense(p, _N) for p in pair) for pair in pairs)
 
 
-@cache
-def _t_slices():
-    """``_F`` with each dict sliced by t: [S_0, ..., S_d], S_e an integer list in psi."""
-    return tuple(tuple(_LISTS[_PSI].dense(p, _N) for p in pair) for pair in _F())
-
-
-def _t_coeffs(n, m):
+def _line(n, m):
     """(alpha, beta, L): t = n + m(2psi - 1) is (alpha + beta psi)/L.
 
-    Ints; or, for symbolic n or m, ``_Cleared`` quotients over L = 1.
+    Ints; or, for symbolic n or m, polynomial ``_Cleared`` values with the
+    denominators of n and m cleared into L, by no gcd.
     """
+    if isinstance(n, _Cleared) or isinstance(m, _Cleared):
+        (p, u), (q, v) = ((x.num, x.den) for x in map(_Cleared._of, (n, m)))
+        if u != v:
+            p, q, u = _dmul(p, v), _dmul(q, u), _dmul(u, v)
+        return _Cleared(_dsub(p, q)), _Cleared(_dscale(q, 2)), _Cleared(u)
     a, b = n - m, 2 * m
-    if isinstance(a, RatFunc) or isinstance(b, RatFunc):
-        return _Cleared._of(a), _Cleared._of(b), 1
     scale = lcm(a.denominator, b.denominator)
     return a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator), scale
 
 
 def _in_psi(polys, t):
-    """Polynomials sliced by t at t = (alpha + beta psi)/L, as integer lists in psi.
+    """Polynomials sliced by t at t = (alpha + beta psi)/L, as lists in psi.
 
     By Horner in t, slice e entering times L**(D - e), so each list is
-    L**D times its polynomial, D the top degree of polys.  A polynomial
-    that vanishes gives [], or zero quotients at a symbolic t.
+    L**D times its polynomial, D the top degree of polys: ints, or
+    ``_Cleared`` values at a symbolic t.  A polynomial that vanishes gives [].
     """
     alpha, beta, scale = t
     top = max(map(len, polys)) - 1
@@ -363,15 +365,25 @@ _ROUTES = {
 }
 
 
-def _inner_params(tag: str, n, m):
-    """The master curve's (n, m) on the route of family tag.
-
-    Symbolic n and m may not mention psi, which the route's map would capture.
+def _route(tag: str, n, m):
+    """((n', m'), w): the master's (n, m) on family tag's route and its psi
+    map, (a, b, c, d) or None.  A symbolic n or m is read as its
+    ``_Cleared`` quotient, never canonicalized, and may not mention psi.
     """
     if any(isinstance(x, RatFunc) and "psi" in x.variables() for x in (n, m)):
         raise ValueError("symbolic n and m may not mention psi")
-    dn, dm, m_gains_n, _, _ = _ROUTES[tag]
-    return n + dn, (m + dm + n if m_gains_n else m + dm)
+    dn, dm, m_gains_n, w, _ = _ROUTES[tag]
+    n, m = (_Cleared._of(x) if isinstance(x, RatFunc) else x for x in (n, m))
+    return (n + dn, m + dm + n if m_gains_n else m + dm), w
+
+
+def _composed(inner, w):
+    """F's pairs at t on the line of a ``_route``'s (n', m'), then through
+    w, as lists in psi: ints, or polynomial ``_Cleared`` values if symbolic."""
+    t = _line(*inner)
+    for pair in _F():
+        lists = _in_psi(pair, t)
+        yield lists if w is None else _int_list_moebius(lists, w)
 
 
 class _Build:
@@ -409,10 +421,9 @@ class _Build:
 def _cleared(tag: str, n, m) -> _Build:
     """The one build and the one memo entry of tag(n, m) at rational (n, m).
 
-    F's c and lambda pairs, run at the route's t (``_in_psi``) and through
-    its map w (``exact._int_list_moebius``), every list cleared alike, are
-    each reduced by one gcd (``_int_list_quotient``): the lists are c.num,
-    c.den, lam.num, lam.den in psi, canonical but where lam.den vanishes
+    The one pipeline's integer lists (``_composed``), each pair reduced
+    by one gcd (``_int_list_quotient``): the lists are c.num, c.den,
+    lam.num, lam.den in psi, canonical but where lam.den vanishes
     identically and is left empty.  The entry keeps each cancelled gcd
     factor and the pole psi = -d/c of w; the factors' rational roots are
     searched on the first domain question (``_Build.cancelled``).
@@ -427,13 +438,9 @@ def _cleared(tag: str, n, m) -> _Build:
     the pole a printed factor vanishes exactly where a cleared denominator
     does, that is where its canonical part or its cancelled factor does.
     """
-    w = _ROUTES[tag][3]
-    t = _t_coeffs(*_inner_params(tag, n, m))
+    inner, w = _route(tag, n, m)
     lists, factors = [], []
-    for pair in _t_slices():
-        num, den = _in_psi(pair, t)
-        if w is not None:
-            num, den = _int_list_moebius([num, den], w)
+    for num, den in _composed(inner, w):
         if den:
             num, den, g = _int_list_quotient(num, den)
             if len(g) > 1:
@@ -498,47 +505,29 @@ def _coerce_param(value):
     return _coerce_fraction(value)
 
 
-def _symbolic_2B(n, m, w, source: str) -> TruncationCurve:
-    """The 2B curve at symbolic (n, m), composed with w, on polynomial dicts.
-
-    F is composed with n -> t = n + m(2psi - 1), then with psi -> w(psi),
-    and canonicalized once.  n and m must not mention psi, which the
-    second composition would capture.
-    """
-    t = n + m * (2 * RatFunc.var("psi") - 1)
-    steps = [[(_N, t.num._d, t.den._d)]]
-    if w is not None:
-        a, b, c, d = w
-        steps.append([(_PSI, _int_list_to_dict([b, a], _PSI), _int_list_to_dict([d, c], _PSI))])
-    out = []
-    for num, den in _F():
-        for subs in steps:
-            num, den = _dcompose(num, den, subs)
-        out.append(RatFunc._from_dicts(num, den) if den else None)
-    c, lam = out
-    names = c.variables() | (set() if lam is None else lam.variables())
-    return TruncationCurve(c, lam, source, tuple(sorted(names - {"psi"})))
-
-
 def phi_family(tag: str, n, m) -> TruncationCurve:
     """Truncation curve of any of the eight families, one fixed route each.
 
-    Every curve is built here: F at t = n' + m'(2psi - 1), psi through the
-    route's map, with (n', m') and the map from the family's row of
-    ``_ROUTES``: 1O, 2D, 1C are half-integer shifts of the master, and 1B,
-    1D, 2C, 2O also invert psi.  n and m may be any rationals, on integer
-    lists, the curve held by the one memo entry (``_cleared``,
-    ``_Build.curve``); or symbolic, on polynomial dicts (``_symbolic_2B``).
-    Where the lambda denominator vanishes identically (the free-field
-    orbifold cosets) the lambda component is None.
+    Every curve is built here, by one pipeline (``_composed``): F at
+    t = n' + m'(2psi - 1), psi through the route's map, with (n', m') and
+    the map from the family's row of ``_ROUTES``: 1O, 2D, 1C are
+    half-integer shifts of the master, and 1B, 1D, 2C, 2O also invert psi.
+    n and m may be any rationals, the curve held by the one memo entry
+    (``_cleared``, ``_Build.curve``); or symbolic, the lists read as dicts
+    and canonicalized once.  Where the lambda denominator vanishes
+    identically (the free-field orbifold cosets) lambda is None.
     """
     if tag not in _ROUTES:
         raise ValueError(f"unknown family {tag!r}")
     n, m = _coerce_param(n), _coerce_param(m)
-    if isinstance(n, RatFunc) or isinstance(m, RatFunc):
-        _, _, _, route, label = _ROUTES[tag]
-        return _symbolic_2B(*_inner_params(tag, n, m), route, label)
-    return _cleared(tag, n, m).curve(_ROUTES[tag][4])
+    label = _ROUTES[tag][4]
+    if not (isinstance(n, RatFunc) or isinstance(m, RatFunc)):
+        return _cleared(tag, n, m).curve(label)
+    pairs = _composed(*_route(tag, n, m))
+    dicts = ([_DICTS.undense([_Cleared._of(v).num for v in cs], _PSI) for cs in p] for p in pairs)
+    c, lam = (RatFunc._from_dicts(num, den) if den else None for num, den in dicts)
+    names = c.variables() | (set() if lam is None else lam.variables())
+    return TruncationCurve(c, lam, label, tuple(sorted(names - {"psi"})))
 
 
 def phi(fam: HookFamily) -> TruncationCurve:
@@ -570,11 +559,12 @@ def _orbit():
     ``_dcompose``, equals F as a quotient (``_Cleared``); a map that fails
     certifies nothing.
     """
+    pairs = [[_LISTS[_PSI].undense(slices, _N) for slices in pair] for pair in _F()]
     kept = []
     for k, (a, b, c, d) in _S3:
         z = _int_list_to_dict([d, c], _PSI)
         subs = [(_N, _int_list_to_dict([0, k], _N), z), (_PSI, _int_list_to_dict([b, a], _PSI), z)]
-        if all(_Cleared(*_dcompose(*pair, subs)) == _Cleared(*pair) for pair in _F()):
+        if all(_Cleared(*_dcompose(*pair, subs)) == _Cleared(*pair) for pair in pairs):
             kept.append((k, (a, b, c, d)))
     return tuple(kept)
 
@@ -594,9 +584,8 @@ def _point(tag: str, n, m, w=(1, 0, 0, 1)):
     A symbolic n or m is read as its ``_Cleared`` quotient, so T is never
     canonicalized.
     """
-    a, b, c, d = _product(_ROUTES[tag][3] or (1, 0, 0, 1), w)
-    n, m = (_Cleared._of(x) if isinstance(x, RatFunc) else x for x in (n, m))
-    n, m = _inner_params(tag, n, m)
+    (n, m), route = _route(tag, n, m)
+    a, b, c, d = _product(route or (1, 0, 0, 1), w)
     return (n * c + m * (2 * a - c), n * d + m * (2 * b - d)), (a, b, c, d)
 
 
@@ -635,8 +624,7 @@ def _orbit_maps(left, right, at=None):
 @cache
 def _lambda_less(tag: str, n, m) -> bool:
     """Whether F's lambda denominator vanishes on tag(n, m)'s line t = n' + m'(2psi - 1)."""
-    (spec,) = _in_psi((_t_slices()[1][1],), _t_coeffs(*_inner_params(tag, n, m)))
-    return all(v == 0 for v in spec)
+    return not _in_psi((_F()[1][1],), _line(*_route(tag, n, m)[0]))[0]
 
 
 # The eight triality identities: name, left family, right family, its (n, m), psi map.

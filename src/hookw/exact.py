@@ -86,16 +86,19 @@ in by one pass over the terms, term x^e times p^e * q^(d - e) for d the
 degree, so the pass multiplies integers only.  ``RatFunc.specialize`` is
 the one entry: ``RatFunc.substitute`` is its one-variable case, and
 ``RatFunc.eval`` and ``MultiPoly.eval`` are its composition at a full
-scalar assignment, read as one Fraction.  A curve at rational parameters is
-instead read off as integer lists in psi (``hookw.curves``), composed
-with a degree-one map x -> (a x + b)/(c x + d) by ``_int_list_moebius``,
-and put in canonical form, with one gcd, by ``_int_list_quotient``.
+scalar assignment, read as one Fraction.  A curve is instead read off as
+lists in psi (``hookw.curves``), composed with a degree-one map of psi by
+``_int_list_moebius``; integer lists are put in canonical form, with one
+gcd, by ``_int_list_quotient``.
 
 ``_Cleared``, an uncanonicalized quotient of two int dicts, is the one
 quotient arithmetic and the one zero test: its ring operations and its
-equality, which zero-tests the cross difference, run no gcd.
-``RatFunc``'s operators are these plus one canonicalization.  The parser
-and the coincidence table build formulas on it and canonicalize each once.
+equality, which zero-tests the cross difference, run no gcd, and an int
+operand builds no Fraction.  ``RatFunc``'s operators are these plus one
+canonicalization.  The parser and the coincidence table build formulas
+on it and canonicalize each once; a symbolic curve runs the list kernels
+above on polynomial ``_Cleared`` entries, so one pipeline builds every
+curve (``hookw.curves``).
 """
 
 from __future__ import annotations
@@ -1770,8 +1773,8 @@ def parse_rational(text):
 class _Cleared:
     """An uncanonicalized quotient num / den of two int dicts.
 
-    Ring operations on the cleared pair, with no gcd: terms over one
-    denominator add directly.  No den is the zero dict, so two quotients
+    Ring operations run no gcd; terms over one denominator add directly.
+    No den is the zero dict, so one is false exactly when num is, and two
     are equal exactly when num * o.den - o.num * den is.  Ints, Fractions,
     MultiPolys and RatFuncs are coerced; ``canonical`` is the RatFunc.
     """
@@ -1788,6 +1791,8 @@ class _Cleared:
 
     @staticmethod
     def _of(value):
+        if type(value) is int:
+            return _Cleared({_ZERO_KEY: value} if value else {})
         if isinstance(value, _Cleared):
             return value
         if isinstance(value, RatFunc):
@@ -1799,6 +1804,9 @@ class _Cleared:
 
     def canonical(self):
         return RatFunc._from_dicts(self.num, self.den)
+
+    def __bool__(self):
+        return bool(self.num)
 
     def __eq__(self, other):
         o = self._of(other)
@@ -1825,6 +1833,8 @@ class _Cleared:
         return _Cleared(_dneg(self.num), self.den)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return _Cleared(_dscale(self.num, other) if other else {}, self.den)
         o = self._of(other)
         return _Cleared(_dmul(self.num, o.num), _dmul(self.den, o.den))
 
@@ -1932,7 +1942,7 @@ class _Parser:
     def atom(self):
         kind, val = self.take()
         if kind == "int":
-            return _Cleared({_ZERO_KEY: val} if val else {})
+            return _Cleared._of(val)
         if kind == "var":
             return _Cleared.var(val)
         if kind == "op" and val == "(":

@@ -207,17 +207,19 @@ class TestTwoCoordinates:
 
     def test_F_is_the_slice_of_the_canonical_master(self):
         # F is built from the printed pieces, each sliced at m = 0, with
-        # no gcd; it equals the m = 0 slice of the canonical master.
+        # no gcd; it equals the m = 0 slice of the canonical master, read
+        # by t into integer lists in psi.
         c, lam = master_2B()
-        assert C._F() == (
-            (C._at_m0(c.num), C._at_m0(c.den)),
-            (C._at_m0(lam.num), C._at_m0(lam.den)),
-        )
+        sliced = [E._LISTS[0].dense(C._at_m0(p), E._VAR_INDEX["n"])
+                  for p in (c.num, c.den, lam.num, lam.den)]
+        assert C._F() == (tuple(sliced[:2]), tuple(sliced[2:]))
 
     def test_the_denominators_are_the_printed_factors(self):
         # The domain lemma of curves._cleared: F's c.den times its lam.den
         # is 7 times the product of the seven printed factors' slices.
-        (_, c_den), (_, lam_den) = C._F()
+        (_, c_den), (_, lam_den) = (
+            [E._LISTS[0].undense(slices, E._VAR_INDEX["n"]) for slices in pair] for pair in C._F()
+        )
         factors = [C._at_m0(f) for f in C._master_domain_factors()]
         product = functools.reduce(E._dmul, factors)
         assert E._dmul(c_den, lam_den) == E._dscale(product, 7)
@@ -225,7 +227,7 @@ class TestTwoCoordinates:
     def test_t_slices_are_pinned(self):
         # F sliced by t, c and lambda, against the sha256 of the slices as
         # they were read off the canonical master.
-        digest = hashlib.sha256(json.dumps(C._t_slices()).encode()).hexdigest()
+        digest = hashlib.sha256(json.dumps(C._F()).encode()).hexdigest()
         assert digest == "91662a4bf4ccb0fb4ec8876c75b853a79dd68e3adc085eaf3bc4eb3d7e7cbab6"
 
     def test_F_is_smaller_than_the_entered_master(self):
@@ -358,7 +360,7 @@ class TestNumericBuilds:
         def forbidden(*args):
             raise AssertionError("a triality that holds built a curve")
 
-        for name in ("TruncationCurve", "_symbolic_2B", "_cleared", "rational_roots"):
+        for name in ("TruncationCurve", "_composed", "_cleared", "rational_roots"):
             monkeypatch.setattr(C, name, forbidden)
         monkeypatch.setattr(RatFunc, "substitute", forbidden)
         monkeypatch.setattr(RatFunc, "specialize", forbidden)
@@ -410,6 +412,52 @@ class TestNumericMemo:
         info = C._cleared.cache_info()
         assert calls == 40
         assert (info.misses, info.hits) == (7, 33)
+
+
+def _composed_family(tag, n, m):
+    """tag(n, m) on polynomial dicts: F's pairs composed with n -> t, then psi -> w.
+
+    t = n' + m'(2psi - 1) at the route's (n', m') and w its map, each by one
+    ``exact._dcompose``, then one canonicalization: the dict route that
+    symbolic curves once took, kept as an oracle for the list pipeline.
+    """
+    dn, dm, m_gains_n, w, source = C._ROUTES[tag]
+    inner_n, inner_m = n + dn, m + dm + (n if m_gains_n else 0)
+    t = inner_n + inner_m * (2 * PSI - 1)
+    steps = [[(E._VAR_INDEX["n"], t.num._d, t.den._d)]]
+    if w is not None:
+        a, b, c, d = w
+        steps.append([(E._VAR_INDEX["psi"], (a * PSI + b).num._d, (c * PSI + d).num._d)])
+    out = []
+    for rf in master_2B():
+        num, den = C._at_m0(rf.num), C._at_m0(rf.den)
+        for subs in steps:
+            num, den = E._dcompose(num, den, subs)
+        out.append(RatFunc._from_dicts(num, den) if den else None)
+    return out, source
+
+
+def _text(rf):
+    return None if rf is None else rf.to_text()
+
+
+class TestSymbolicBuilds:
+    """Symbolic curves come from the same list pipeline as numeric ones."""
+
+    def test_matches_the_composed_dict_route(self):
+        cases = [(N, M), (N, 0), (0, M), (R, R), (N, M - 1), (1 / (M + 1), N)]
+        built = {(tag, n, m): C.phi_family(tag, n, m) for tag in L.FAMILY_TAGS for n, m in cases}
+        # One half-integer parameter, and one symbolic point with no lambda.
+        for tag, n, m in (("2D", N + F(1, 2), M), ("2B", RatFunc.const(F(1, 2)), 0)):
+            built[tag, n, m] = C.phi_family(tag, n, m)
+        assert built["2B", F(1, 2), 0].lam is None
+        for (tag, n, m), got in built.items():
+            (c, lam), source = _composed_family(tag, n, m)
+            assert got.source == source
+            assert got.c.to_text() == c.to_text(), (tag, n, m)
+            assert _text(got.lam) == _text(lam), (tag, n, m)
+            names = c.variables() | (set() if lam is None else lam.variables())
+            assert got.symbols == tuple(sorted(names - {"psi"})), (tag, n, m)
 
 
 class TestOrbifoldSlices:

@@ -345,6 +345,22 @@ class TestTypes:
         assert RatFunc(PSI, N) != PSI and RatFunc(PSI, 2) != PSI
 
 
+class TestCleared:
+    def test_a_quotient_is_false_exactly_when_zero(self):
+        n = E._Cleared.var("n")
+        assert n and not n - n and not E._Cleared._of(0) and E._Cleared._of(Fraction(1, 2))
+        # So the dense trim drops zero quotients, as it drops zero ints.
+        assert E._dense_trim([n, n - n, E._Cleared({}, {E._ZERO_KEY: 3})]) == [n]
+
+    def test_int_operands_keep_the_denominator(self):
+        half_n = E._Cleared(N._d, {E._ZERO_KEY: 2})
+        for k in (-3, 0, 1, 4):
+            got = half_n * k
+            assert got == k * half_n == RatFunc(k * N, 2)
+            assert got.den == half_n.den and bool(got) == bool(k)
+        assert E._Cleared._of(-7).num == {E._ZERO_KEY: -7} and E._Cleared._of(0).num == {}
+
+
 class TestUniPoly:
     def test_round_trip_and_eval(self):
         p = UniPoly("psi", [1, -3, 2])

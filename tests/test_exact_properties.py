@@ -1092,7 +1092,7 @@ def test_horner_in_t_matches_composition_of_the_slice(pair, n, m):
     # t = n + m(2psi - 1) == (alpha + beta psi)/L, both lists over one
     # power of L; _dcompose substitutes the same t for n in the dicts and
     # clears both sides by the same power of L.
-    alpha, beta, scale = C._t_coeffs(n, m)
+    alpha, beta, scale = C._line(n, m)
     assert (Fraction(alpha, scale), Fraction(beta, scale)) == (n - m, 2 * m)
     t = alpha + beta * MultiPoly.var("psi")
     want = E._dcompose(*pair, [(E._VAR_INDEX["n"], t._d, {E._ZERO_KEY: scale})])

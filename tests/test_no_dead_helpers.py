@@ -21,6 +21,10 @@ package.  A second copy of a loop or a formula fails here.
 No function loops over ``reversed(...)`` but the two Horner kernels,
 ``exact._int_list_at`` over the integers and ``exact._mod_horner`` mod a
 prime.  A second evaluation loop over a coefficient list fails here.
+
+In ``curves.py`` only ``_orbit`` and ``compose_cleared`` refer to
+``exact._dcompose``: every curve, numeric or symbolic, is built by the
+one list pipeline.  A second build route on polynomial dicts fails here.
 """
 
 import ast
@@ -164,6 +168,18 @@ def reversed_loops(sources):
     return sorted(found)
 
 
+def referrers(text, name):
+    """The sorted names of the top-level statements of text that refer to
+    name, as a name or an attribute; a statement that defines nothing
+    counts as ``<module>``, and imports do not count."""
+    return sorted({
+        getattr(stmt, "name", "<module>")
+        for stmt in ast.parse(text).body
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom))
+        and _references(stmt)[name]
+    })
+
+
 def test_scans_the_whole_package():
     assert {p.name for p in MODULES} >= {"exact.py", "curves.py", "catalog.py", "cli.py"}
 
@@ -293,3 +309,19 @@ def test_reversed_scan_catches_planted_loops():
         ),
     }
     assert reversed_loops(planted) == [("a.py", "horner"), ("a.py", "inner"), ("a.py", "outer")]
+
+
+def test_only_the_orbit_and_compose_cleared_compose_dicts():
+    found = referrers((PACKAGE / "curves.py").read_text(), "_dcompose")
+    assert found == ["_orbit", "compose_cleared"]
+
+
+def test_referrer_scan_catches_planted_uses():
+    planted = (
+        "from .exact import _dcompose\n"
+        "def route(a):\n    return _dcompose(a, a, [])\n"
+        "class Box:\n    def build(self):\n        return [_dcompose]\n"
+        "def other(a):\n    return a._dcompose\n"
+        "ALIAS = _dcompose\n"
+    )
+    assert referrers(planted, "_dcompose") == ["<module>", "Box", "other", "route"]

@@ -161,6 +161,24 @@ class TestRoutesAgree:
         )
 
 
+class TestLowRankIsomorphism:
+    """so(5) and sp(4) are one Lie algebra, with the same dual Coxeter number
+    and lacity, so at the same (u, v) they are one level and give one weight."""
+
+    def test_so5_equals_sp4(self):
+        compared = 0
+        for u in range(1, 25):
+            for v in range(1, 13):
+                if gcd(u, v) != 1:
+                    continue
+                for obj in (S.AFFINE, S.PRINCIPAL_W):
+                    for weight in (S.sing_weight_general, S.sing_weight_closed):
+                        so5 = weight("so_odd", obj, 2, u, v)
+                        assert so5 == weight("sp", obj, 2, u, v), (weight.__name__, obj, u, v)
+                        compared += 1
+        assert compared == 724
+
+
 class TestMaxGeneratorWeight:
     def test_examples(self):
         assert S.max_generator_weight(fam("2B", 1, 1)) == 14
