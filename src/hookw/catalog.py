@@ -515,11 +515,12 @@ def _cell_check(entry: CoincidenceEntry, n: int, m: int, r: int):
     The entry's integer term rows (``CoincidenceEntry._cell_forms``) are
     summed at (n, m, r).  psi1 and psi2 are the two psi values as reduced
     (p, q) int pairs with q > 0; both are None when a displayed formula
-    has a pole.  Each curve is summed at its psi off its one build,
-    denominators first (``curves._sums_on_domain``), and is off its domain
-    at a cancelled root or where a denominator sums to zero.  sums is
-    None unless both curves were summed.  The cell passes when c and
-    lambda agree by cross-multiplication; no Fraction is built.
+    has a pole.  Each curve's cleared lists are summed at its psi off its
+    one build, denominators first (``curves._sums_on_domain``), and the
+    curve is off its domain at its route map's pole or where a cleared
+    denominator sums to zero.  sums is None unless both curves were
+    summed.  The cell passes when c and lambda agree by
+    cross-multiplication; no Fraction is built.
     """
     values = entry._cell_values(n, m, r)
     fired = entry._fired_exclusion(r, values)

@@ -31,15 +31,14 @@ Data that depends only on (family, n, m) is built once and reused for
 every psi; every such memo is a ``functools.cache`` on the function that
 builds it, keyed on (tag, n, m), where an int and the equal Fraction
 share one entry.  A curve at rational (n, m) has exactly one build and
-one memo entry (``_cleared``): the pipeline's integer lists, each pair
-reduced by its one gcd.  The cell kernel and the generic-domain check
-read it (``_sums_on_domain``): psi is off the domain where a canonical
-denominator sums to zero, by the one homogeneous Horner loop over ints
-(``exact._int_list_at``), or where psi is the map's pole or a root of a
-cancelled factor, searched on the first such question.  ``phi_family``
-wraps the lists in RatFuncs once, and the curve carries the lists:
-``values`` sums them (``_psi_lists``) by the same loop, and
-``intersect`` eliminates on them.
+one memo entry (``_cleared``): the pipeline's cleared integer lists, with
+no gcd.  The cell kernel and the generic-domain check read it
+(``_sums_on_domain``) by one rule: psi is off the domain where it is the
+map's pole or a cleared denominator sums to zero, by the one homogeneous
+Horner loop over ints (``exact._int_list_at``).  ``phi_family`` reduces
+each pair by its one gcd and wraps the lists in RatFuncs once, and the
+curve carries the canonical lists: ``values`` sums them (``_psi_lists``)
+by the same loop, and ``intersect`` eliminates on them.
 
 Equal (c, lambda) suffices for a match but is not necessary; checked:
 1C(0, 2) and 2C(0, 2), so(5) and sp(4), have equal c and opposite lambda,
@@ -387,33 +386,29 @@ def _composed(inner, w):
 
 
 class _Build:
-    """The ``_cleared`` entry of a numeric curve: its canonical lists, as
-    (D, lists) like ``TruncationCurve._psi_lists``, each factor a gcd
-    cancelled, the pole of the route's map (a Fraction or None), and the
-    cancelled roots and the curve, each made on first use."""
+    """The ``_cleared`` entry of a numeric curve: its cleared lists, as
+    (D, lists) like ``TruncationCurve._psi_lists``, the pole of the route's
+    map as a reduced (p, q) or None, and the curve, made on first use."""
 
-    __slots__ = ("psi_lists", "factors", "pole", "_cancelled", "_curve")
+    __slots__ = ("psi_lists", "pole", "_curve")
 
-    def __init__(self, psi_lists, factors, pole):
-        self.psi_lists, self.factors, self.pole = psi_lists, factors, pole
-        self._cancelled = self._curve = None
-
-    def cancelled(self) -> frozenset:
-        """The pole and each factor's rational roots, as reduced int pairs."""
-        if self._cancelled is None:
-            roots = [] if self.pole is None else [self.pole]
-            for g in self.factors:
-                roots += rational_roots(UniPoly._view("psi", g))
-            self._cancelled = frozenset((x.numerator, x.denominator) for x in roots)
-        return self._cancelled
+    def __init__(self, psi_lists, pole):
+        self.psi_lists, self.pole = psi_lists, pole
+        self._curve = None
 
     def curve(self, source: str) -> TruncationCurve:
-        """The lists as a curve that carries them; lambda None if lam.den is []."""
+        """The lists, each pair in canonical form (``_int_list_quotient``),
+        as a curve that carries them; lambda None if lam.den is []."""
         if self._curve is None:
-            cn, cd, ln, ld = self.psi_lists[1]
+            lists = self.psi_lists[1]
+            (cn, cd), (ln, ld) = (
+                _int_list_quotient(num, den) if den else (num, den)
+                for num, den in (lists[:2], lists[2:])
+            )
             lam = RatFunc._from_int_lists(ln, ld, _PSI) if ld else None
             self._curve = TruncationCurve(RatFunc._from_int_lists(cn, cd, _PSI), lam, source, ())
-            object.__setattr__(self._curve, "_psi_lists", self.psi_lists)
+            canonical = (cn, cd, ln, ld)
+            object.__setattr__(self._curve, "_psi_lists", (max(map(len, canonical)) - 1, canonical))
         return self._curve
 
 
@@ -421,33 +416,27 @@ class _Build:
 def _cleared(tag: str, n, m) -> _Build:
     """The one build and the one memo entry of tag(n, m) at rational (n, m).
 
-    The one pipeline's integer lists (``_composed``), each pair reduced
-    by one gcd (``_int_list_quotient``): the lists are c.num, c.den,
-    lam.num, lam.den in psi, canonical but where lam.den vanishes
-    identically and is left empty.  The entry keeps each cancelled gcd
-    factor and the pole psi = -d/c of w; the factors' rational roots are
-    searched on the first domain question (``_Build.cancelled``).
+    The one pipeline's integer lists (``_composed``), cleared and not
+    reduced: c.num, c.den, lam.num, lam.den in psi, lam.den [] where it
+    vanishes identically.  The entry keeps them and the pole psi = -d/c
+    of w; no gcd runs until the curve is made (``_Build.curve``).
 
     The domain lemma: psi avoids every printed denominator factor of the
-    master exactly when it is not a cancelled root or the pole and neither
-    canonical denominator vanishes there (``_sums_on_domain``).  F's c.den
-    lam.den is 7 times the product of the seven printed factors;
-    substituting t = n' + m'(2psi - 1) is a ring map, so the product
-    survives it; and the cleared composition with w multiplies each list
-    only by a power of (c psi + d), which is nonzero off the pole.  So off
-    the pole a printed factor vanishes exactly where a cleared denominator
-    does, that is where its canonical part or its cancelled factor does.
+    master exactly when it is not the pole and neither cleared denominator
+    vanishes there (``_sums_on_domain``).  F's c.den lam.den is 7 times the
+    product of the seven printed factors; substituting t = n' + m'(2psi - 1)
+    is a ring map, so the product survives it; and the cleared composition
+    with w multiplies each list only by a power of (c psi + d), which is
+    nonzero off the pole.  So off the pole a printed factor vanishes
+    exactly where a cleared denominator does.
     """
     inner, w = _route(tag, n, m)
-    lists, factors = [], []
-    for num, den in _composed(inner, w):
-        if den:
-            num, den, g = _int_list_quotient(num, den)
-            if len(g) > 1:
-                factors.append(g)
-        lists += (num, den)
-    pole = Fraction(-w[3], w[2]) if w and w[2] else None
-    return _Build((max(map(len, lists)) - 1, tuple(lists)), tuple(factors), pole)
+    lists = tuple(cs for pair in _composed(inner, w) for cs in pair)
+    pole = None
+    if w and w[2]:
+        x = Fraction(-w[3], w[2])
+        pole = x.numerator, x.denominator
+    return _Build((max(map(len, lists)) - 1, lists), pole)
 
 
 def _sums_at(top, lists, p, q):
@@ -465,9 +454,10 @@ def _sums_at(top, lists, p, q):
 
 
 def _sums_on_domain(tag: str, n, m, psi):
-    """``_sums_at`` on tag(n, m)'s build at psi, a reduced (p, q); None off the domain."""
+    """``_sums_at`` on tag(n, m)'s cleared lists at psi, a reduced (p, q);
+    None off the domain: at the map's pole or a zero cleared denominator."""
     build = _cleared(tag, n, m)
-    return None if psi in build.cancelled() else _sums_at(*build.psi_lists, *psi)
+    return None if psi == build.pole else _sums_at(*build.psi_lists, *psi)
 
 
 def on_generic_domain(fam_or_tag, n, m, psi) -> bool:
@@ -476,10 +466,10 @@ def on_generic_domain(fam_or_tag, n, m, psi) -> bool:
     The c and lambda formulas are quotients of polynomials; specializing a
     symbolic identity to a point is legitimate only where neither side's
     denominator vanishes.  On the excluded loci the curve is defined as a
-    limit and individual printed values carry no content.  The check reads
-    the curve's one build, its canonical denominators and its cancelled
-    roots, searched on the build's first such check (``_cleared``,
-    ``_sums_on_domain``).
+    limit and individual printed values carry no content.  By the domain
+    lemma (``_cleared``) psi is off the domain exactly where it is the
+    route map's pole or a cleared denominator of the curve's one build sums
+    to zero (``_sums_on_domain``); no gcd or root search runs.
     """
     tag = getattr(fam_or_tag, "tag", fam_or_tag)
     if tag not in _ROUTES:

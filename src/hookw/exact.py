@@ -606,17 +606,15 @@ def _squarefree_mod(g, q):
 
 
 def _int_list_quotient(num, den):
-    """(num', den', g): the canonical form of num/den, and the factor it cancelled.
+    """(num', den'): the canonical form of num/den.
 
     ``_ratfunc_canonical`` on the kernel: no common factor, coprime integer
-    contents, positive leading denominator coefficient.  den is den' times
-    g up to a nonzero integer, so den vanishes exactly where den' or g
-    does; g is den itself when num is zero.
+    contents, positive leading denominator coefficient.
     """
     if not den:
         raise ZeroDenominatorError("zero denominator")
     if not num:
-        return [], [1], den
+        return [], [1]
     g = _int_list_gcd(num, den)
     if len(g) > 1:
         num = _dense_divexact(num, g, _INTS)
@@ -624,7 +622,7 @@ def _int_list_quotient(num, den):
     c = gcd(_int_content(num), _int_content(den))
     if den[-1] < 0:
         c = -c
-    return [v // c for v in num], [v // c for v in den], g
+    return [v // c for v in num], [v // c for v in den]
 
 
 def _int_list_moebius(lists, w):

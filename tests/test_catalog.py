@@ -162,7 +162,7 @@ class TestVerifyPointwise:
 
     def test_curve_pole_past_the_domain_check_is_an_error(self, monkeypatch):
         # The domain is read off each curve's one build, so no pole gets
-        # past it: with the cancelled roots emptied and the denominators
+        # past it: with the map's pole dropped and the cleared denominators
         # zeroed, a passing cell skips, and 0 == 0 never passes it.  A pole
         # raised while building 1B(0, 0) or reading 1B(1, 1) is a defect,
         # so a failed cell and a PoleError, never a skip.
@@ -172,7 +172,7 @@ class TestVerifyPointwise:
 
         def zeroed(tag, n, m):
             top, (cn, _, ln, _) = real(tag, n, m).psi_lists
-            return C._Build((top, (cn, [], ln, [])), (), None)
+            return C._Build((top, (cn, [], ln, [])), None)
 
         with monkeypatch.context() as patch:
             patch.setattr(C, "_cleared", zeroed)
@@ -387,7 +387,7 @@ class TestCellKernel:
             top, (cn, cd, ln, ld) = build.psi_lists
             lam_plus_one = E._int_list_sub(ln, [-v for v in ld])
             lists = (max(top, len(lam_plus_one) - 1), (cn, cd, lam_plus_one, ld))
-            return C._Build(lists, build.factors, build.pole)
+            return C._Build(lists, build.pole)
 
         assert K.verify_coincidence(e, 0, 1, 1).passed
         monkeypatch.setattr(C, "_cleared", shifted)
@@ -507,7 +507,9 @@ class TestCurveMemo:
     def test_default_sweep_builds_each_curve_once(self, capsys, monkeypatch):
         # The sweep keys the memo by ints; Fraction arguments afterwards
         # find the same entries, so no curve is built twice, and the
-        # sweep reads the builds directly: no entry makes its curve.
+        # sweep reads the builds' cleared lists directly: no entry makes
+        # its curve, and no cell searches a root or reduces a pair, by any
+        # binding of rational_roots or _int_list_quotient in the package.
         builds = []
 
         class Recorded(C._Build):
@@ -517,20 +519,23 @@ class TestCurveMemo:
                 super().__init__(*args)
                 builds.append(self)
 
-        searches = []
+        calls = Counter()
+        for module in (E, C, K, cli):
+            for name in ("rational_roots", "_int_list_quotient"):
+                if hasattr(module, name):
 
-        def counted(p):
-            searches.append(p)
-            return E.rational_roots(p)
+                    def counted(*args, _name=name, _real=getattr(module, name)):
+                        calls[_name] += 1
+                        return _real(*args)
 
+                    monkeypatch.setattr(module, name, counted)
         monkeypatch.delenv("HOOKW_WORKERS", raising=False)
         monkeypatch.setattr(C, "_Build", Recorded)
-        monkeypatch.setattr(C, "rational_roots", counted)
         C._cleared.cache_clear()
         assert cli.main(["verify", "coincidences", "--json"]) == 0
         capsys.readouterr()
         assert C._cleared.cache_info().currsize == len(builds) == 103
-        assert len(searches) == 76
+        assert calls == Counter()
         assert all(b._curve is None for b in builds)
         for e in K.all_entries():
             K.verify_coincidence(e, F(1), F(2), F(K.TARGETS[e.target].min_r))

@@ -343,6 +343,15 @@ class TestVerify:
         assert "error:" in err
 
     @pytest.mark.parametrize(
+        "sweep, component",
+        [("n=1..", "n=1.."), ("n=a..b", "n=a..b"), ("m=0..1, n=..3", "n=..3"), ("r=x", "r=x")],
+    )
+    def test_malformed_bound_names_its_component(self, capsys, sweep, component):
+        code, out, err = run(capsys, "verify", "coincidences", "--sweep", sweep)
+        assert code == 2 and out == ""
+        assert err == f"error: bad range in {component!r}; expected lo..hi with integer ends\n"
+
+    @pytest.mark.parametrize(
         "suite, sweep, var, least, lo",
         [
             ("charges", "n=-1..-1,m=0..1", "n", 0, -1),
@@ -591,6 +600,14 @@ class TestRationalPoints:
             "--r", "1..2", "--pq-bound", "6", "--include-conjectural", "--json",
         )
         assert any(w["status"] == "conjectural" for w in full)
+
+    def test_malformed_r_bound_is_named(self, capsys):
+        code, out, err = run(
+            capsys,
+            "rational-points", "--family", "2B", "--n", "0", "--m", "1", "--r", "1..x",
+        )
+        assert code == 2 and out == ""
+        assert err.endswith("argument --r: bad range in '1..x'; expected lo..hi with integer ends\n")
 
     def test_uncatalogued_family(self, capsys):
         code, _, err = run(

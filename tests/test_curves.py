@@ -555,7 +555,7 @@ def _domain_reference(tag, n, m, psi):
 
 
 class TestGenericDomain:
-    """on_generic_domain is a set lookup; the reference evaluates per call."""
+    """on_generic_domain reads the cleared lists; the references evaluate per call."""
 
     HALVES = [F(k, 2) for k in range(-2, 6)]
     PSIS = sorted({F(p, q) for p in range(-6, 7) for q in range(1, 5)})
@@ -571,6 +571,40 @@ class TestGenericDomain:
                         excluded += not got
         # The grid reaches the excluded loci, not only generic points.
         assert excluded > 1000
+
+    def test_cleared_rule_matches_the_canonical_rule(self):
+        # The rule the cleared lists replace: psi is off the domain where a
+        # canonical denominator vanishes, at a rational root of a factor the
+        # canonical form cancelled, or at the route map's pole.  The psi set
+        # holds every such root and pole besides the small rationals.
+        def at(cs, psi):
+            return sum(c * psi**e for e, c in enumerate(cs))
+
+        def roots(cs):
+            return rational_roots(UniPoly._view("psi", cs)) if len(cs) > 1 else set()
+
+        only_cancelled = 0
+        for tag in L.FAMILY_TAGS:
+            w = C._ROUTES[tag][3]
+            pole = {F(-w[3], w[2])} if w and w[2] else set()
+            for n in range(5):
+                for m in range(5):
+                    lists = C._cleared(tag, n, m).psi_lists[1]
+                    dens, cancelled = [], set()
+                    for num, den in (lists[:2], lists[2:]):
+                        if den:
+                            cancelled |= roots(E._int_list_gcd(num, den) if num else den)
+                            den = E._int_list_quotient(num, den)[1]
+                        dens.append(den)
+                    psis = set(self.PSIS) | cancelled | pole | roots(dens[0]) | roots(dens[1])
+                    for psi in psis:
+                        vanishes = any(at(d, psi) == 0 for d in dens)
+                        old = vanishes or psi in cancelled or psi in pole
+                        got = C._sums_on_domain(tag, n, m, (psi.numerator, psi.denominator))
+                        assert (got is None) == old, (tag, n, m, psi)
+                        only_cancelled += not vanishes and psi in cancelled - pole
+        # The cancelled-root clause decides cells on this grid.
+        assert only_cancelled > 0
 
     def test_psi_zero_on_inverting_routes(self):
         for tag in ("1B", "1D", "2C", "2O"):
@@ -924,13 +958,14 @@ class TestIntersect:
         rep = C.intersect(C.phi_family("2B", 0, 1), C.phi_family("2C", 0, 1))
         assert len(rep.points) == 4
         assert len(callers) > 1 and set(callers) == {"intersect"}
-        # The first domain question on 2B(0, 1), whose gcds cancel two
-        # factors, searches each factor's roots once.
+        # The domain is read off the cleared lists, so no domain question
+        # searches a root: on 2B(0, 1) the canonical curve has a value at
+        # psi = 1/2, a root of a factor its gcd cancels, yet 1/2 is off the
+        # domain, since a cleared denominator sums to zero there.
         callers.clear()
+        assert C.phi_family("2B", 0, 1).values(F(1, 2)) == (F(3, 2), F(-22, 2891))
         assert not C.on_generic_domain("2B", 0, 1, F(1, 2))
-        assert callers == ["cancelled"] * 2 == ["cancelled"] * len(C._cleared("2B", 0, 1).factors)
-        assert C._cleared("2B", 0, 1).cancelled() == {(1, 2)}
-        assert C.on_generic_domain("2B", 0, 1, F(3)) and len(callers) == 2
+        assert C.on_generic_domain("2B", 0, 1, F(3)) and callers == []
 
 
 class TestExactParameters:

@@ -990,19 +990,19 @@ small_ints = st.integers(min_value=-5, max_value=5)
 def test_int_list_moebius_matches_dict_composition(num, den, common, a, b, c, d):
     # A quotient with a planted common factor: the kernel composes with
     # psi -> (a psi + b)/(c psi + d) and then takes one gcd; the dict route
-    # composes and takes the full canonical form.  The cleared denominator
-    # is the canonical one times the cancelled factor, up to an integer.
+    # composes and takes the full canonical form.  The cleared pair is the
+    # canonical pair times one exact quotient.
     assume(a * d != b * c)
     num_d = E._dmul(_psi_dict(num), _psi_dict(common))
     den_d = E._dmul(_psi_dict(den), _psi_dict(common))
     pair = E._int_list_moebius([_psi_list(num_d), _psi_list(den_d)], (a, b, c, d))
-    kn, kd, cancelled = E._int_list_quotient(*pair)
+    kn, kd = E._int_list_quotient(*pair)
     psi = MultiPoly.var("psi")
     rn, rd = E._dcompose(num_d, den_d, [(0, (a * psi + b)._d, (c * psi + d)._d)])
     rn, rd = E._ratfunc_canonical(rn, rd)
     assert (kn, kd) == (_psi_list(rn), _psi_list(rd))
-    cleared = E._int_list_mul(kd, cancelled)
-    assert [v * cleared[-1] for v in pair[1]] == [v * pair[1][-1] for v in cleared]
+    quotient = E._dense_divexact(pair[1], kd, E._INTS)
+    assert [E._int_list_mul(k, quotient) for k in (kn, kd)] == list(pair)
 
 
 # ---------------------------------------------------------------------------
