@@ -49,6 +49,7 @@ from .curves import (
     TruncationCurve,
     _orbit_maps,
     _point,
+    _same_point,
     _sums_on_domain,
     phi_family,
 )
@@ -260,9 +261,9 @@ class CoincidenceEntry(Record):
         and the sums are the rows' integer values.
         """
         (dn, dm, dr), rows = self._cell_forms
-        pn = _homogenized_powers(n, dn)
-        pm = _homogenized_powers(m, dm)
-        pr = _homogenized_powers(r, dr)
+        pn = _homogenized_powers(n.numerator, n.denominator, dn)
+        pm = _homogenized_powers(m.numerator, m.denominator, dm)
+        pr = _homogenized_powers(r.numerator, r.denominator, dr)
         return [sum([c * pn[a] * pm[b] * pr[e] for c, a, b, e in row]) for row in rows]
 
     def _fired_exclusion(self, r, values) -> Optional[str]:
@@ -513,14 +514,14 @@ def _cell_check(entry: CoincidenceEntry, n: int, m: int, r: int):
     reasons are those documented on ``verify_coincidence``.
 
     The entry's integer term rows (``CoincidenceEntry._cell_forms``) are
-    summed at (n, m, r).  psi1 and psi2 are the two psi values as reduced
-    (p, q) int pairs with q > 0; both are None when a displayed formula
-    has a pole.  Each curve's cleared lists are summed at its psi off its
-    one build, denominators first (``curves._sums_on_domain``), and the
-    curve is off its domain at its route map's pole or where a cleared
-    denominator sums to zero.  sums is None unless both curves were
+    summed at (n, m, r).  psi1 and psi2 are the two psi values as the int
+    pairs their rows sum to, not reduced; both are None when a displayed
+    formula has a pole.  Each curve's cleared lists are summed at its psi
+    off its one build, denominators first, or None off the curve's domain
+    (``curves._sums_on_domain``).  sums is None unless both curves were
     summed.  The cell passes when c and lambda agree by
-    cross-multiplication; no Fraction is built.
+    cross-multiplication (``curves._same_point``); no gcd runs and no
+    Fraction is built.
     """
     values = entry._cell_values(n, m, r)
     fired = entry._fired_exclusion(r, values)
@@ -531,8 +532,7 @@ def _cell_check(entry: CoincidenceEntry, n: int, m: int, r: int):
         return "skipped", "the displayed psi formula has a pole here", None, None, None
     if not t_den:
         return "skipped", "the displayed s formula has a pole here", None, None, None
-    psi1 = _lowest_terms(psi_num, psi_den)
-    psi2 = _lowest_terms(t_num, t_den)
+    psi1, psi2 = (psi_num, psi_den), (t_num, t_den)
     tag = TARGETS[entry.target].tag
     # Every m_expr has integer coefficients, so m_t is an integer here.
     m_t = _rank_data(entry.target, r)[0].numerator
@@ -543,19 +543,9 @@ def _cell_check(entry: CoincidenceEntry, n: int, m: int, r: int):
     if tgt is None:
         reason = "target curve formulas are undefined at the target psi"
         return "skipped", reason, psi1, psi2, None
-    cn, cd, ln, ld = src
-    tcn, tcd, tln, tld = tgt
-    if cn * tcd == tcn * cd and ln * tld == tln * ld:
+    if _same_point(src, tgt):
         return "pass", None, psi1, psi2, (src, tgt)
     return "fail", "exact (c, lambda) values differ", psi1, psi2, (src, tgt)
-
-
-def _lowest_terms(num: int, den: int) -> Tuple[int, int]:
-    """num/den as a reduced (numerator, denominator) pair, denominator > 0."""
-    g = gcd(num, den)
-    if den < 0:
-        g = -g
-    return num // g, den // g
 
 
 def verify_coincidence_symbolic(entry: CoincidenceEntry) -> bool:

@@ -32,13 +32,15 @@ every psi; every such memo is a ``functools.cache`` on the function that
 builds it, keyed on (tag, n, m), where an int and the equal Fraction
 share one entry.  A curve at rational (n, m) has exactly one build and
 one memo entry (``_cleared``): the pipeline's cleared integer lists, with
-no gcd.  The cell kernel and the generic-domain check read it
-(``_sums_on_domain``) by one rule: psi is off the domain where it is the
-map's pole or a cleared denominator sums to zero, by the one homogeneous
-Horner loop over ints (``exact._int_list_at``).  ``phi_family`` reduces
-each pair by its one gcd and wraps the lists in RatFuncs once, and the
-curve carries the canonical lists: ``values`` sums them (``_psi_lists``)
-by the same loop, and ``intersect`` eliminates on them.
+no gcd, and the denominator row (c, d) of the route's map.  The cell
+kernel and the generic-domain check read it (``_sums_on_domain``) at
+psi = p/q, any int pair with q != 0, reduced or not, by one rule: psi is
+off the domain where c p + d q = 0 (the map's pole) or a cleared
+denominator sums to zero, by the one homogeneous Horner loop over ints
+(``exact._int_list_at``).  ``phi_family`` reduces each pair by its one
+gcd and wraps the lists in RatFuncs once, and the curve carries the
+canonical lists: ``values`` sums them (``_psi_lists``) by the same loop,
+and ``intersect`` eliminates on them and sums them at each root.
 
 Equal (c, lambda) suffices for a match but is not necessary; checked:
 1C(0, 2) and 2C(0, 2), so(5) and sp(4), have equal c and opposite lambda,
@@ -387,13 +389,14 @@ def _composed(inner, w):
 
 class _Build:
     """The ``_cleared`` entry of a numeric curve: its cleared lists, as
-    (D, lists) like ``TruncationCurve._psi_lists``, the pole of the route's
-    map as a reduced (p, q) or None, and the curve, made on first use."""
+    (D, lists) like ``TruncationCurve._psi_lists``, the denominator row
+    (c, d) of the route's map, (0, 1) for the identity, and the curve,
+    made on first use."""
 
-    __slots__ = ("psi_lists", "pole", "_curve")
+    __slots__ = ("psi_lists", "den_row", "_curve")
 
-    def __init__(self, psi_lists, pole):
-        self.psi_lists, self.pole = psi_lists, pole
+    def __init__(self, psi_lists, den_row):
+        self.psi_lists, self.den_row = psi_lists, den_row
         self._curve = None
 
     def curve(self, source: str) -> TruncationCurve:
@@ -418,8 +421,9 @@ def _cleared(tag: str, n, m) -> _Build:
 
     The one pipeline's integer lists (``_composed``), cleared and not
     reduced: c.num, c.den, lam.num, lam.den in psi, lam.den [] where it
-    vanishes identically.  The entry keeps them and the pole psi = -d/c
-    of w; no gcd runs until the curve is made (``_Build.curve``).
+    vanishes identically.  The entry keeps them and the denominator row
+    (c, d) of w, whose pole is where c psi + d = 0; no gcd runs until the
+    curve is made (``_Build.curve``).
 
     The domain lemma: psi avoids every printed denominator factor of the
     master exactly when it is not the pole and neither cleared denominator
@@ -432,11 +436,7 @@ def _cleared(tag: str, n, m) -> _Build:
     """
     inner, w = _route(tag, n, m)
     lists = tuple(cs for pair in _composed(inner, w) for cs in pair)
-    pole = None
-    if w and w[2]:
-        x = Fraction(-w[3], w[2])
-        pole = x.numerator, x.denominator
-    return _Build((max(map(len, lists)) - 1, lists), pole)
+    return _Build((max(map(len, lists)) - 1, lists), w[2:] if w else (0, 1))
 
 
 def _sums_at(top, lists, p, q):
@@ -453,11 +453,19 @@ def _sums_at(top, lists, p, q):
     return _int_list_at(cn, p, q, top), c_den, _int_list_at(ln, p, q, top), lam_den
 
 
+def _same_point(s, t):
+    """Whether two ``_sums_at`` results, over any scales, are one (c, lambda)."""
+    (cn, cd, ln, ld), (tcn, tcd, tln, tld) = s, t
+    return cn * tcd == tcn * cd and ln * tld == tln * ld
+
+
 def _sums_on_domain(tag: str, n, m, psi):
-    """``_sums_at`` on tag(n, m)'s cleared lists at psi, a reduced (p, q);
-    None off the domain: at the map's pole or a zero cleared denominator."""
+    """``_sums_at`` on tag(n, m)'s cleared lists at psi = p/q, any ints with
+    q != 0; None off the domain: at the map's pole, where c p + d q = 0
+    for its denominator row (c, d), or a zero cleared denominator."""
     build = _cleared(tag, n, m)
-    return None if psi == build.pole else _sums_at(*build.psi_lists, *psi)
+    (c, d), (p, q) = build.den_row, psi
+    return None if c * p + d * q == 0 else _sums_at(*build.psi_lists, p, q)
 
 
 def on_generic_domain(fam_or_tag, n, m, psi) -> bool:
@@ -788,14 +796,6 @@ def known_point_2B_sp(n, m, r) -> CurvePoint:
 # ---------------------------------------------------------------------------
 
 
-def _curve_value(curve: TruncationCurve, psi: Fraction):
-    """(c, lambda) at psi, or None at a pole of either component."""
-    try:
-        return curve.values(psi)
-    except PoleError:
-        return None
-
-
 def _difference_rows(A, B):
     """Numerators of c(psi1) - c(psi2) and of lambda(psi1) - lambda(psi2).
 
@@ -830,9 +830,11 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
     (``_resultant_int``), and each rational root b of the eliminant in
     psi2 is split off it (``_int_list_deflate``).  Both equations are read
     at b by ``_int_list_at``; the rational roots of their gcd are the psi1
-    candidates, and every candidate pair is verified by exact evaluation
-    on the original curves.  Candidates at poles are discarded.  Points
-    with degenerate central charge are flagged, not dropped.
+    candidates.  Each candidate pair is verified on the curves' canonical
+    lists, summed at each root (``_sums_at``; a pole is discarded) and
+    compared by cross-multiplication (``_same_point``); only the points
+    returned build Fractions.  Points with degenerate central charge are
+    flagged, not dropped.
 
     The gcd is the full one, contents in psi2 included, so after the exact
     division the two residuals are coprime in Z[psi1, psi2]: their
@@ -891,8 +893,8 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
 
     points = []
     for b in psi2_roots:
-        value_b = _curve_value(B, b)
-        if value_b is None:
+        sums_b = _sums_at(*B._psi_lists, b.numerator, b.denominator)
+        if sums_b is None:
             continue
         # ec and el at psi2 = b, as integer lists in psi1, each cleared by
         # one power of b's denominator; their common roots are their gcd's.
@@ -902,16 +904,15 @@ def intersect(A: TruncationCurve, B: TruncationCurve) -> IntersectionReport:
             at_b.append(_dense_trim([_int_list_at(row, b.numerator, b.denominator, top)
                                      for row in rows]))
         for a in sorted(rational_roots(UniPoly._view("psi1", _int_list_gcd(*at_b)))):
-            value_a = _curve_value(A, a)
-            if value_a is None:
+            sums_a = _sums_at(*A._psi_lists, a.numerator, a.denominator)
+            if sums_a is None or not _same_point(sums_a, sums_b):
                 continue
-            if value_a != value_b:
-                continue
-            c_val, lam_val = value_a
+            cn, cd, ln, ld = sums_a
+            c_val = Fraction(cn, cd)
             degenerate = (c_val.numerator, c_val.denominator) in _DEGENERATE_SET
             points.append(
                 Intersection(
-                    psi1=a, psi2=b, c=c_val, lam=lam_val, degenerate=degenerate
+                    psi1=a, psi2=b, c=c_val, lam=Fraction(ln, ld), degenerate=degenerate
                 )
             )
     points.sort(key=lambda p: (p.psi1, p.psi2))

@@ -330,7 +330,8 @@ def _dsubst(a, subs):
     enters only after its variable is gone from what it multiplies, so
     nothing is captured.  Once every remaining value is a scalar p/q they
     go in by one pass over the terms, with one table of p**e q**(d-e) per
-    variable; a scalar before a polynomial value makes its Horner steps
+    variable (``_homogenized_powers``), p/q unreduced as ``_dcompose``
+    needs; a scalar before a polynomial value makes its Horner steps
     integer scalings.
     """
     if not subs:
@@ -342,7 +343,7 @@ def _dsubst(a, subs):
         picks = list(range(_NVARS))
         for (idx, _, _), (p, q), d in zip(subs, scalars, degrees):
             if d:
-                powers = [p**e * q ** (d - e) for e in range(d + 1)]
+                powers = _homogenized_powers(p, q, d)
                 coeffs = map(mul, coeffs, map(powers.__getitem__, map(itemgetter(idx), a)))
             picks[idx] = _NVARS
         # Each key is read from k + (0,), a substituted exponent from the 0.
@@ -419,13 +420,12 @@ def _substitutions(assignment):
     return subs
 
 
-def _homogenized_powers(value, d):
-    """[p**e * q**(d - e) for e in 0..d], where value == p/q in lowest terms.
+def _homogenized_powers(p, q, d):
+    """[p**e * q**(d - e) for e in 0..d], for any ints p and q.
 
-    Dividing by q**d turns each entry into value**e, so a polynomial of
+    Dividing by q**d turns each entry into (p/q)**e, so a polynomial of
     degree at most d in the variable is evaluated over the integers.
     """
-    p, q = value.numerator, value.denominator
     table = [1] * (d + 1)
     for e in range(1, d + 1):
         table[e] = table[e - 1] * p
@@ -857,9 +857,11 @@ def _dense_primitive(A, ring):
 
 
 # Probe points for the coprimality certificate: any tuple whose entries keep
-# both leading coefficients nonzero preserves the gcd degree bound.
+# both leading coefficients nonzero preserves the gcd degree bound.  The last
+# three certify pairs the first three meet at spurious factors (1D(n/2, m)).
 _PROBE_SEEDS = ((2, 3, 5, 7, 11, 13, 17), (5, 7, 11, 13, 17, 19, 23),
-                (-3, 4, -7, 9, -11, 15, -13))
+                (-3, 4, -7, 9, -11, 15, -13), (-29, 31, -37, 41, -43, 47, -53),
+                (37, -41, 43, -47, 53, -59, 61), (-61, 67, -71, 73, -79, 83, -89))
 
 
 def _coprime_by_probe(A, B, ring, others):

@@ -162,17 +162,18 @@ class TestVerifyPointwise:
 
     def test_curve_pole_past_the_domain_check_is_an_error(self, monkeypatch):
         # The domain is read off each curve's one build, so no pole gets
-        # past it: with the map's pole dropped and the cleared denominators
-        # zeroed, a passing cell skips, and 0 == 0 never passes it.  A pole
-        # raised while building 1B(0, 0) or reading 1B(1, 1) is a defect,
-        # so a failed cell and a PoleError, never a skip.
+        # past it: with the map's pole dropped (the identity's denominator
+        # row (0, 1)) and the cleared denominators zeroed, a passing cell
+        # skips, and 0 == 0 never passes it.  A pole raised while building
+        # 1B(0, 0) or reading 1B(1, 1) is a defect, so a failed cell and a
+        # PoleError, never a skip.
         e = entry("1B", "sp", 1)
         real = C._cleared
         assert K._cell_check(e, 1, 1, 2)[0] == "pass"
 
         def zeroed(tag, n, m):
             top, (cn, _, ln, _) = real(tag, n, m).psi_lists
-            return C._Build((top, (cn, [], ln, [])), None)
+            return C._Build((top, (cn, [], ln, [])), (0, 1))
 
         with monkeypatch.context() as patch:
             patch.setattr(C, "_cleared", zeroed)
@@ -387,7 +388,7 @@ class TestCellKernel:
             top, (cn, cd, ln, ld) = build.psi_lists
             lam_plus_one = E._int_list_sub(ln, [-v for v in ld])
             lists = (max(top, len(lam_plus_one) - 1), (cn, cd, lam_plus_one, ld))
-            return C._Build(lists, build.pole)
+            return C._Build(lists, build.den_row)
 
         assert K.verify_coincidence(e, 0, 1, 1).passed
         monkeypatch.setattr(C, "_cleared", shifted)
@@ -503,6 +504,18 @@ class TestCurveMemo:
         for e in K.all_entries():
             r = K.TARGETS[e.target].min_r + 1
             assert K.verify_coincidence(e, F(1), F(2), F(r)) == K.verify_coincidence(e, 1, 2, r)
+
+    def test_default_sweep_reduces_no_psi_pair(self, capsys, monkeypatch):
+        # Each cell hands its summed psi pairs to the curves unreduced, and
+        # a pole is where c p + d q = 0 for the map's row (c, d): a cold
+        # default sweep runs no gcd of the catalog module.
+        calls = []
+        monkeypatch.setattr(K, "gcd", lambda *args: calls.append(args) or gcd(*args))
+        monkeypatch.delenv("HOOKW_WORKERS", raising=False)
+        C._cleared.cache_clear()
+        assert cli.main(["verify", "coincidences"]) == 0
+        assert "passed: 3663  skipped: 1137  failed: 0" in capsys.readouterr().out
+        assert calls == []
 
     def test_default_sweep_builds_each_curve_once(self, capsys, monkeypatch):
         # The sweep keys the memo by ints; Fraction arguments afterwards

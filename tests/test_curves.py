@@ -459,6 +459,17 @@ class TestSymbolicBuilds:
             names = c.variables() | (set() if lam is None else lam.variables())
             assert got.symbols == tuple(sorted(names - {"psi"})), (tag, n, m)
 
+    def test_1D_at_half_n_is_the_curve_at_n_under_n_to_n_over_2(self):
+        # Its one canonicalization is certified coprime by a probe row of
+        # larger mixed-sign primes (the first three rows each meet a
+        # spurious common factor).  The sides are compared as uncanonicalized
+        # quotients (``exact._Cleared``), so no gcd runs in the comparison.
+        half, whole = C.phi_family("1D", N / 2, M), C.phi_family("1D", N, M)
+        subs = E._substitutions({"n": N / 2})
+        assert half.symbols == whole.symbols == ("m", "n")
+        for got, f in ((half.c, whole.c), (half.lam, whole.lam)):
+            assert E._Cleared(*E._dcompose(f.num._d, f.den._d, subs)) == got
+
 
 class TestOrbifoldSlices:
     """The three combos whose lambda denominator vanishes identically."""
@@ -605,6 +616,24 @@ class TestGenericDomain:
                         only_cancelled += not vanishes and psi in cancelled - pole
         # The cancelled-root clause decides cells on this grid.
         assert only_cancelled > 0
+
+    def test_any_int_pair_reads_as_its_fraction(self):
+        # The cell kernel passes its summed psi pairs unreduced, with
+        # either sign of q: every multiple (k p, k q) of a reduced pair has
+        # the same verdict and, on the domain, the same (c, lambda).
+        poles = 0
+        for tag in L.FAMILY_TAGS:
+            for n in range(3):
+                for m in range(3):
+                    for psi in self.PSIS:
+                        p, q = psi.numerator, psi.denominator
+                        want = C._sums_on_domain(tag, n, m, (p, q))
+                        poles += want is None
+                        for k in (-1, 2, -3):
+                            got = C._sums_on_domain(tag, n, m, (k * p, k * q))
+                            assert (got is None) == (want is None), (tag, n, m, psi, k)
+                            assert got is None or C._same_point(got, want), (tag, n, m, psi, k)
+        assert poles > 0
 
     def test_psi_zero_on_inverting_routes(self):
         for tag in ("1B", "1D", "2C", "2O"):
@@ -907,6 +936,32 @@ class TestIntersect:
     def test_residual_degree_reported(self):
         rep = C.intersect(C.phi_family("2B", 0, 1), C.phi_family("1O", 0, 1))
         assert rep.residual_degree == 12
+
+    def test_oracle_pairs_verify_roots_without_values(self, monkeypatch):
+        # The 20 oracle pairs: 2B(n, m), n in 0..1, m in 1..2, against every
+        # target kind at r = 1, 2.  Each root is summed on the curves' lists
+        # and compared by cross-multiplication, so no candidate builds a
+        # Fraction through TruncationCurve.values; the points returned are
+        # the curves' values.
+        calls = []
+        real = C.TruncationCurve.values
+        reports = []
+        with monkeypatch.context() as patch:
+            patch.setattr(C.TruncationCurve, "values",
+                          lambda self, psi: calls.append(psi) or real(self, psi))
+            for n in (0, 1):
+                for m in (1, 2):
+                    for kind in K.TARGET_KINDS:
+                        rule = K.TARGETS[kind]
+                        for r in (1, 2):
+                            if r >= rule.min_r:
+                                pair = (C.phi_family("2B", n, m), rule.curve(r))
+                                reports.append((pair, C.intersect(*pair)))
+        assert len(reports) == 20 and calls == []
+        points = [(pair, p) for pair, rep in reports for p in rep.points]
+        assert len(points) > 20
+        for (A, B), p in points:
+            assert A.values(p.psi1) == B.values(p.psi2) == (p.c, p.lam)
 
     def test_degenerate_flagging(self):
         rep = C.intersect(C.phi_family("2B", 0, 1), C.phi_family("2C", 0, 1))
