@@ -23,17 +23,21 @@ before the lambda products are taken, and never from the three-variable
 master.  Every curve, numeric or symbolic, is built from F by one
 pipeline (``_composed``) behind one constructor, ``phi_family``: F's
 pairs by Horner in t = (alpha + beta psi)/L (``_line``, ``_in_psi``) into
-lists in psi, then through the route's map (``exact._int_list_moebius``),
-all cleared alike: ints at rational (n, m); at symbolic (n, m) polynomial
-``exact._Cleared`` values, read as dicts and canonicalized once.
+lists in psi, then through the route's map, a rescaling psi -> psi/2 or
+an inversion psi -> 1/(2psi) or 1/(4psi), each coefficient scaled from
+one power table and the list reversed for an inversion
+(``exact._int_list_monomial``), all cleared alike: ints at rational
+(n, m); at symbolic (n, m) polynomial ``exact._Cleared`` values, read as
+dicts and canonicalized once.
 
 Data that depends only on (family, n, m) is built once and reused for
 every psi; every such memo is a ``functools.cache`` on the function that
 builds it, keyed on (tag, n, m), where an int and the equal Fraction
 share one entry.  A curve at rational (n, m) has exactly one build and
-one memo entry (``_cleared``): the pipeline's cleared integer lists, with
-no gcd, and the denominator row (c, d) of the route's map.  The cell
-kernel and the generic-domain check read it (``_sums_on_domain``) at
+one memo entry (``_cleared``): the pipeline's cleared integer lists, each
+pair divided by the int gcd of its contents and by no polynomial gcd, and
+the denominator row (c, d) of the route's map.  The cell kernel and the
+generic-domain check read it (``_sums_on_domain``) at
 psi = p/q, any int pair with q != 0, reduced or not, by one rule: psi is
 off the domain where c p + d q = 0 (the map's pole) or a cleared
 denominator sums to zero, by the one homogeneous Horner loop over ints
@@ -59,7 +63,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Tuple
 
 from ._record import Record
@@ -87,10 +91,11 @@ from .exact import (
     _dscale,
     _dsub,
     _dict_to_int_list,
+    _int_content,
     _int_list_at,
     _int_list_deflate,
     _int_list_gcd,
-    _int_list_moebius,
+    _int_list_monomial,
     _int_list_quotient,
     _int_list_sub,
     _int_list_to_dict,
@@ -352,7 +357,9 @@ def _in_psi(polys, t):
 # The route of each family to the master curve: tag(n, m) is
 # 2B(n + dn, m + dm [+ n]) composed with psi -> (a psi + b)/(c psi + d).
 # A row is (dn, dm, whether m gains +n, (a, b, c, d) or None for the
-# identity, source label).  The maps are the triality substitutions; for
+# identity, source label).  The maps are the triality substitutions, each
+# a rescaling psi -> a psi/d or an inversion psi -> b/(c psi), which
+# ``exact._int_list_monomial`` composes by scaling each coefficient; for
 # 1B, 1D and 2C the label names the two-step route they compose.
 _ROUTES = {
     "1B": (Fraction(0), _HALF, True, (0, 1, 2, 0), "1B<-1O<-2B"),
@@ -384,7 +391,7 @@ def _composed(inner, w):
     t = _line(*inner)
     for pair in _F():
         lists = _in_psi(pair, t)
-        yield lists if w is None else _int_list_moebius(lists, w)
+        yield lists if w is None else _int_list_monomial(lists, w)
 
 
 class _Build:
@@ -419,11 +426,12 @@ class _Build:
 def _cleared(tag: str, n, m) -> _Build:
     """The one build and the one memo entry of tag(n, m) at rational (n, m).
 
-    The one pipeline's integer lists (``_composed``), cleared and not
-    reduced: c.num, c.den, lam.num, lam.den in psi, lam.den [] where it
-    vanishes identically.  The entry keeps them and the denominator row
-    (c, d) of w, whose pole is where c psi + d = 0; no gcd runs until the
-    curve is made (``_Build.curve``).
+    The one pipeline's integer lists (``_composed``), cleared: c.num,
+    c.den, lam.num, lam.den in psi, lam.den [] where it vanishes
+    identically, each pair divided by the gcd of its two integer contents.
+    The entry keeps them and the denominator row (c, d) of w, whose pole
+    is where c psi + d = 0; no polynomial gcd runs until the curve is made
+    (``_Build.curve``).
 
     The domain lemma: psi avoids every printed denominator factor of the
     master exactly when it is not the pole and neither cleared denominator
@@ -431,12 +439,16 @@ def _cleared(tag: str, n, m) -> _Build:
     product of the seven printed factors; substituting t = n' + m'(2psi - 1)
     is a ring map, so the product survives it; and the cleared composition
     with w multiplies each list only by a power of (c psi + d), which is
-    nonzero off the pole.  So off the pole a printed factor vanishes
-    exactly where a cleared denominator does.
+    nonzero off the pole, and the content divides it by a positive int.
+    So off the pole a printed factor vanishes exactly where a cleared
+    denominator does.
     """
     inner, w = _route(tag, n, m)
-    lists = tuple(cs for pair in _composed(inner, w) for cs in pair)
-    return _Build((max(map(len, lists)) - 1, lists), w[2:] if w else (0, 1))
+    lists = []
+    for num, den in _composed(inner, w):
+        g = gcd(_int_content(num), _int_content(den)) or 1
+        lists += [v // g for v in num], [v // g for v in den]
+    return _Build((max(map(len, lists)) - 1, tuple(lists)), w[2:] if w else (0, 1))
 
 
 def _sums_at(top, lists, p, q):

@@ -87,18 +87,20 @@ degree, so the pass multiplies integers only.  ``RatFunc.specialize`` is
 the one entry: ``RatFunc.substitute`` is its one-variable case, and
 ``RatFunc.eval`` and ``MultiPoly.eval`` are its composition at a full
 scalar assignment, read as one Fraction.  A curve is instead read off as
-lists in psi (``hookw.curves``), composed with a degree-one map of psi by
-``_int_list_moebius``; integer lists are put in canonical form, with one
-gcd, by ``_int_list_quotient``.
+lists in psi (``hookw.curves``), composed with a degree-one map of psi,
+a rescaling or an inversion, by ``_int_list_monomial``: each coefficient
+scaled from one power table, the list reversed for an inversion; integer
+lists are put in canonical form, with one gcd, by ``_int_list_quotient``.
 
 ``_Cleared``, an uncanonicalized quotient of two int dicts, is the one
 quotient arithmetic and the one zero test: its ring operations and its
 equality, which zero-tests the cross difference, run no gcd, and an int
 operand builds no Fraction.  ``RatFunc``'s operators are these plus one
-canonicalization.  The parser and the coincidence table build formulas
-on it and canonicalize each once; a symbolic curve runs the list kernels
-above on polynomial ``_Cleared`` entries, so one pipeline builds every
-curve (``hookw.curves``).
+canonicalization, ``MultiPoly``'s plus one ``MultiPoly._reduced``.  The
+parser and the coincidence table build formulas on it and canonicalize
+each once; a symbolic curve runs the list kernels above on polynomial
+``_Cleared`` entries, so one pipeline builds every curve
+(``hookw.curves``).
 """
 
 from __future__ import annotations
@@ -402,21 +404,16 @@ def _dcompose(num, den, subs):
 def _substitutions(assignment):
     """The (idx, num, den) rows of ``_dsubst`` for a map of names to values.
 
-    Values are exact scalars, MultiPolys or RatFuncs; an entry that maps
-    a variable to itself is dropped.
+    Values are exact scalars, MultiPolys or RatFuncs, each read as its
+    quotient (``_Cleared._of``); an entry that maps a variable to itself
+    is dropped.
     """
     subs = []
     for name, value in assignment.items():
         i = _check_var(name)
-        if isinstance(value, RatFunc):
-            num, den = value.num._d, value.den._d
-        elif isinstance(value, MultiPoly):
-            num, den = value._d, {_ZERO_KEY: value._den}
-        else:
-            c = _coerce_fraction(value)
-            num, den = {_ZERO_KEY: c.numerator} if c else {}, {_ZERO_KEY: c.denominator}
-        if den != _UNIT or num != {_VAR_KEYS[i]: 1}:
-            subs.append((i, num, den))
+        q = _Cleared._of(value)
+        if q.den != _UNIT or q.num != {_VAR_KEYS[i]: 1}:
+            subs.append((i, q.num, q.den))
     return subs
 
 
@@ -625,34 +622,27 @@ def _int_list_quotient(num, den):
     return [v // c for v in num], [v // c for v in den]
 
 
-def _int_list_moebius(lists, w):
-    """Cleared composition of integer lists with x -> (a x + b)/(c x + d), w = (a, b, c, d).
+def _int_list_monomial(lists, w):
+    """Cleared composition of lists with x -> (a x + b)/(c x + d), w = (a, b, c, d),
+    a rescaling x -> a x/d (b = c = 0) or an inversion x -> b/(c x) (a = d = 0).
 
-    All lists are homogenized to k, the largest degree: each becomes
-    sum(cs[i] * (a x + b)**i * (c x + d)**(k - i)), by Horner in the
-    ratio of the two linear forms, so the quotient of any two is their
-    composite.  An empty list stays empty, and so does all-empty input.
+    All lists are homogenized to k, the largest degree, as
+    sum(cs[i] * (a x + b)**i * (c x + d)**(k - i)), so the quotient of any
+    two is their composite: cs[i] is scaled by a**i d**(k - i) for a
+    rescaling, by b**i c**(k - i) for an inversion, whose list is then
+    reversed, one ``_homogenized_powers`` table each.  An empty list stays
+    empty.
     """
     a, b, c, d = w
     k = max(map(len, lists)) - 1
-    if k < 0:
-        return lists
-
-    def times(p, lo, hi):
-        # p * (hi x + lo)
-        return [lo * x + hi * y for x, y in zip(p + [0], [0] + p)]
-
+    if b == c == 0:
+        scale = _homogenized_powers(a, d, k)
+        return [[x * s for x, s in zip(cs, scale)] for cs in lists]
+    scale = _homogenized_powers(b, c, k)
     out = []
     for cs in lists:
-        acc = [cs[k]] if k < len(cs) else [0]
-        power = [1]
-        for i in range(k - 1, -1, -1):
-            power = times(power, d, c)
-            acc = times(acc, b, a)
-            if i < len(cs) and cs[i]:
-                for e, v in enumerate(power):
-                    acc[e] += cs[i] * v
-        out.append(_dense_trim(acc))
+        scaled = [x * s for x, s in zip(cs, scale)]
+        out.append(_dense_trim([0] * (k + 1 - len(cs)) + scaled[::-1]))
     return out
 
 
@@ -1162,52 +1152,32 @@ class MultiPoly(Frozen):
             return Fraction(0)
         return Fraction(_dleading(self._d)[1], self._den)
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic: one ``_Cleared`` operation, then one reduction ----------
 
-    def _coerce(self, other):
-        if isinstance(other, MultiPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly.const(other)
-        return None
-
-    def _combine(self, o, combine):
-        # combine(self, o) on the dicts over the lcm of the two denominators.
-        a, b, den = self._d, o._d, self._den
-        if den != o._den:
-            den = lcm(den, o._den)
-            a = _dscale(a, den // self._den)
-            b = _dscale(b, den // o._den)
-        return MultiPoly._reduced(combine(a, b), den)
+    def _operate(self, other, op, reflected=False):
+        # Both operands have constant denominators, and so has the result.
+        if not isinstance(other, (MultiPoly, int, Fraction)):
+            return NotImplemented
+        a, b = _Cleared._of(self), _Cleared._of(other)
+        q = op(b, a) if reflected else op(a, b)
+        return MultiPoly._reduced(q.num, q.den[_ZERO_KEY])
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._combine(o, _dadd)
+        return self._operate(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._combine(o, _dsub)
+        return self._operate(other, sub)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o._combine(self, _dsub)
+        return self._operate(other, sub, True)
 
     def __neg__(self):
         return MultiPoly._raw(_dneg(self._d), self._den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return MultiPoly._reduced(_dmul(self._d, o._d), self._den * o._den)
+        return self._operate(other, mul)
 
     __rmul__ = __mul__
 

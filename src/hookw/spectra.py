@@ -170,9 +170,9 @@ def sing_weight_general(alg: str, obj: str, n: int, u: int, v: int) -> Fraction:
     admissible levels, where, at rank n >= 2, the result is the weight of
     an actual singular vector.  At rank 1 it is the rank-generic formula
     continued to n = 1, which for so_3 with odd v and sp_2 with even v is
-    not a singular weight (see the module docstring).  The reflecting root is selected by gcd(v, r^v)
-    where r^v is the lacity: gcd 1 takes alpha = -theta, gcd r^v takes
-    alpha = -theta_s.  The extremal weight is
+    not a singular weight (see the module docstring).  The reflecting
+    root is selected by gcd(v, r^v) where r^v is the lacity: gcd 1 takes
+    alpha = -theta, gcd r^v takes alpha = -theta_s.  The extremal weight is
 
         lam = -(u / gcd(v, r^v)) alpha^v - (rho, alpha^v) alpha,
 

@@ -3,7 +3,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -119,6 +119,17 @@ class TestPhiRoutes:
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             C.phi_family("3B", 0, 1)
+
+    def test_every_route_map_is_a_rescaling_or_an_inversion(self):
+        # exact._int_list_monomial composes psi -> a psi/d (b = c = 0) and
+        # psi -> b/(c psi) (a = d = 0) only; a general map fails here.
+        kinds = set()
+        for tag, (_, _, _, w, _) in C._ROUTES.items():
+            if w is not None:
+                a, b, c, d = w
+                assert (b == c == 0 and a and d) or (a == d == 0 and b and c), tag
+                kinds.add(b == 0)
+        assert kinds == {True, False}
 
     def test_symbolic_parameters_may_not_mention_psi(self):
         # psi in n or m would be captured by the route's psi map.
@@ -376,6 +387,16 @@ class TestNumericBuilds:
             assert all(check.holds for check in checks), (n, m)
         assert len(pairs) == 13
         assert lambda_less == [(F(1, 2), F(1, 2))]
+
+    def test_cleared_pairs_have_coprime_contents(self):
+        # _cleared divides each pair by the gcd of its two integer
+        # contents; no polynomial gcd runs before a curve is made.
+        for tag in L.FAMILY_TAGS:
+            for n in range(5):
+                for m in range(5):
+                    lists = C._cleared(tag, n, m).psi_lists[1]
+                    for num, den in (lists[:2], lists[2:]):
+                        assert gcd(E._int_content(num), E._int_content(den)) == 1, (tag, n, m)
 
 
 class TestNumericMemo:
@@ -890,6 +911,33 @@ class TestLambdaSign:
         at = {"psi": 1 / (2 * PSI)}
         assert sp4.c.specialize(at) == sp4.c
         assert sp4.lam.specialize(at) == -sp4.lam
+
+
+class TestW24Relation:
+    """On the lines of sp(4), so(5) and so(3) lambda**2 is a function of c
+    alone, as on the Virasoro line of 2C(0, 1)."""
+
+    def test_sp4_and_so5_lines(self):
+        # 2C(0, 2) is sp(4), 1C(0, 2) is so(5): identically in psi.
+        for tag in ("2C", "1C"):
+            crv = C.phi_family(tag, 0, 2)
+            c, lam = crv.c, crv.lam
+            left = 441 * lam * lam * (c - 1) ** 2 * (5 * c + 22) ** 2
+            assert left == c * c - 172 * c + 196, tag
+
+    def test_so3_line(self):
+        crv = C.phi_family("1C", 0, 1)
+        assert 49 * crv.lam * crv.lam * (crv.c - 25) * (crv.c - 1) == RatFunc.const(1)
+
+    def test_poles_of_lambda_squared_are_degenerate_charges(self):
+        # lambda**2 = (c**2 - 172 c + 196)/(441 (c - 1)**2 (5 c + 22)**2) on
+        # the sp(4) line: a pole where the denominator vanishes and the
+        # numerator does not.
+        poles = {F(1), F(-22, 5)}
+        for c in poles:
+            assert (c - 1) * (5 * c + 22) == 0
+            assert c * c - 172 * c + 196 != 0
+        assert poles <= set(C.DEGENERATE_CHARGES)
 
 
 class TestIntersect:

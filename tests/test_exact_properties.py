@@ -960,7 +960,7 @@ def test_deflation_matches_fraction_division(cofactor, root, planted):
 
 
 # ---------------------------------------------------------------------------
-# Specialization and Moebius composition on integer lists, against Fraction
+# Specialization and the routes' Moebius maps on integer lists, against Fraction
 # substitution and the polynomial-dict route.
 # ---------------------------------------------------------------------------
 
@@ -982,20 +982,20 @@ small_ints = st.integers(min_value=-5, max_value=5)
     st.one_of(st.just([]), int_lists),
     int_lists,
     int_lists,
-    small_ints,
-    small_ints,
-    small_ints,
-    small_ints,
+    st.booleans(),
+    small_ints.filter(bool),
+    small_ints.filter(bool),
 )
-def test_int_list_moebius_matches_dict_composition(num, den, common, a, b, c, d):
-    # A quotient with a planted common factor: the kernel composes with
-    # psi -> (a psi + b)/(c psi + d) and then takes one gcd; the dict route
-    # composes and takes the full canonical form.  The cleared pair is the
-    # canonical pair times one exact quotient.
-    assume(a * d != b * c)
+def test_int_list_moebius_matches_dict_composition(num, den, common, inverts, u, v):
+    # A quotient with a planted common factor: the kernel composes with a
+    # route's kind of map, the rescaling psi -> u psi/v or the inversion
+    # psi -> u/(v psi), and then takes one gcd; the dict route composes and
+    # takes the full canonical form.  The cleared pair is the canonical
+    # pair times one exact quotient.
+    a, b, c, d = (0, u, v, 0) if inverts else (u, 0, 0, v)
     num_d = E._dmul(_psi_dict(num), _psi_dict(common))
     den_d = E._dmul(_psi_dict(den), _psi_dict(common))
-    pair = E._int_list_moebius([_psi_list(num_d), _psi_list(den_d)], (a, b, c, d))
+    pair = E._int_list_monomial([_psi_list(num_d), _psi_list(den_d)], (a, b, c, d))
     kn, kd = E._int_list_quotient(*pair)
     psi = MultiPoly.var("psi")
     rn, rd = E._dcompose(num_d, den_d, [(0, (a * psi + b)._d, (c * psi + d)._d)])
